@@ -30,10 +30,15 @@ func BitWidth(max uint64) uint {
 // occupies exactly Width bits; value i lives at bit offset i*Width. Values
 // may straddle a 64-bit word boundary, in which case Get stitches the two
 // words together. The layout allows O(1) random access on compressed data.
+//
+// The words are held in their serialized form — little-endian, eight bytes
+// each — so a decoded array is a sub-slice of the buffer it was read from and
+// a packed one serializes with a plain append: memory and disk share one
+// representation.
 type BitPacked struct {
 	width uint
 	n     int
-	words []uint64
+	data  []byte // len is a multiple of 8
 }
 
 // PackUint64 packs values using the minimum width that fits the largest
@@ -56,20 +61,30 @@ func PackUint64Width(values []uint64, width uint) *BitPacked {
 		panic(fmt.Sprintf("encoding: invalid bit width %d", width))
 	}
 	totalBits := uint64(len(values)) * uint64(width)
-	words := make([]uint64, (totalBits+63)/64)
-	for i, v := range values {
+	data := make([]byte, (totalBits+63)/64*8)
+	// Values arrive in order, so each word is assembled in a register and
+	// stored once, when the next value would start past it.
+	var acc uint64
+	var used uint // bits of acc already filled
+	off := 0
+	for _, v := range values {
 		if width < 64 && v >= 1<<width {
 			panic(fmt.Sprintf("encoding: value %d does not fit in %d bits", v, width))
 		}
-		bitPos := uint64(i) * uint64(width)
-		word := bitPos / 64
-		shift := bitPos % 64
-		words[word] |= v << shift
-		if shift+uint64(width) > 64 {
-			words[word+1] |= v >> (64 - shift)
+		acc |= v << used
+		if used += width; used >= 64 {
+			binary.LittleEndian.PutUint64(data[off:], acc)
+			off += 8
+			used -= 64
+			// The bits of v that did not fit start the next word; when v
+			// ended exactly on the boundary the shift clears all of it.
+			acc = v >> (width - used)
 		}
 	}
-	return &BitPacked{width: width, n: len(values), words: words}
+	if used > 0 {
+		binary.LittleEndian.PutUint64(data[off:], acc)
+	}
+	return &BitPacked{width: width, n: len(values), data: data}
 }
 
 // Len returns the number of packed values.
@@ -82,15 +97,16 @@ func (b *BitPacked) Width() uint { return b.width }
 // access itself; callers iterate within [0, Len()).
 func (b *BitPacked) Get(i int) uint64 {
 	bitPos := uint64(i) * uint64(b.width)
-	word := bitPos / 64
+	// The full slice expressions fix each operand at 8 bytes, so the loads
+	// need no bounds check of their own and Get stays within the inlining
+	// budget.
+	p := b.data[bitPos/64*8:]
 	shift := bitPos % 64
-	v := b.words[word] >> shift
+	v := binary.LittleEndian.Uint64(p[:8:8]) >> shift
 	if shift+uint64(b.width) > 64 {
-		v |= b.words[word+1] << (64 - shift)
+		v |= binary.LittleEndian.Uint64(p[8:16:16]) << (64 - shift)
 	}
-	if b.width == 64 {
-		return v
-	}
+	// At width 64 the shift yields 0 and the mask is all ones.
 	return v & (1<<b.width - 1)
 }
 
@@ -105,11 +121,10 @@ func (b *BitPacked) Unpack() []uint64 {
 }
 
 // AppendRange appends the values at positions [start, end) to dst and returns
-// the extended slice. It walks the packed words sequentially instead of
-// re-deriving the word/shift pair per element, so batch extraction — the
-// feed of the run-aware execution kernels — costs a shift and a mask per
-// value rather than a full Get. Bounds follow Get's contract: callers stay
-// within [0, Len()].
+// the extended slice. Batch extraction — the feed of the run-aware execution
+// kernels — advances a running bit position instead of re-deriving it per
+// element, so a value costs a load, a shift and a mask rather than a full
+// Get. Bounds follow Get's contract: callers stay within [0, Len()].
 func (b *BitPacked) AppendRange(dst []uint64, start, end int) []uint64 {
 	n := end - start
 	if n <= 0 {
@@ -131,22 +146,38 @@ func (b *BitPacked) AppendRange(dst []uint64, start, end int) []uint64 {
 		return dst
 	}
 	width := uint64(b.width)
-	mask := ^uint64(0)
-	if b.width < 64 {
-		mask = 1<<b.width - 1
+	// A value of at most 57 bits lies within the 8 bytes that begin at its
+	// byte offset, so one unaligned load fetches it with no straddle case —
+	// what a byte-backed array offers in place of an aligned word walk, at
+	// the same cost per value. Only values that begin in the last 7 bytes of
+	// data cannot load that way; they, and wider values, go through Get.
+	fast := 0
+	if width <= 57 && len(b.data) >= 8 {
+		loadable := (uint64(len(b.data)-7)*8 + width - 1) / width // values beginning before the last 7 bytes
+		fast = max(0, min(end, int(loadable))-start)
 	}
-	bitPos := uint64(start) * width
+	unpackBytewise(out[:fast], b.data, uint64(start)*width, width)
+	for i := fast; i < n; i++ {
+		out[i] = b.Get(start + i)
+	}
+	return dst
+}
+
+// unpackBytewise fills out with the width-bit values starting at bitPos, each
+// fetched by one unaligned 8-byte load; see AppendRange for when that is
+// valid. It is a function of its own, never inlined, so that the loop keeps
+// its few variables in registers: merged into AppendRange it spills to the
+// stack and runs at half the speed.
+//
+//go:noinline
+func unpackBytewise(out []uint64, data []byte, bitPos, width uint64) {
+	mask := uint64(1)<<width - 1
 	for i := range out {
-		word := bitPos >> 6
-		shift := bitPos & 63
-		v := b.words[word] >> shift
-		if shift+width > 64 {
-			v |= b.words[word+1] << (64 - shift)
-		}
+		off := bitPos >> 3
+		v := binary.LittleEndian.Uint64(data[off:off+8:off+8]) >> (bitPos & 7)
 		out[i] = v & mask
 		bitPos += width
 	}
-	return dst
 }
 
 // AppendTo serializes the packed array: width (1 byte), count (uvarint),
@@ -154,43 +185,35 @@ func (b *BitPacked) AppendRange(dst []uint64, start, end int) []uint64 {
 func (b *BitPacked) AppendTo(dst []byte) []byte {
 	dst = append(dst, byte(b.width))
 	dst = binary.AppendUvarint(dst, uint64(b.n))
-	for _, w := range b.words {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
-	return dst
+	return append(dst, b.data...)
 }
 
 // DecodeBitPacked reads a packed array produced by AppendTo and returns the
-// remaining bytes. The words slice aliases src; callers that mutate src must
-// copy first.
-func DecodeBitPacked(src []byte) (*BitPacked, []byte, error) {
+// remaining bytes. The packed words alias src — nothing is copied — so callers
+// must not mutate src while the array is in use.
+func DecodeBitPacked(src []byte) (BitPacked, []byte, error) {
 	if len(src) < 1 {
-		return nil, nil, fmt.Errorf("encoding: truncated bitpack header")
+		return BitPacked{}, nil, fmt.Errorf("encoding: truncated bitpack header")
 	}
 	width := uint(src[0])
 	if width == 0 || width > 64 {
-		return nil, nil, fmt.Errorf("encoding: invalid bitpack width %d", width)
+		return BitPacked{}, nil, fmt.Errorf("encoding: invalid bitpack width %d", width)
 	}
 	src = src[1:]
-	n, k := binary.Uvarint(src)
+	n, k := Uvarint(src)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("encoding: truncated bitpack count")
+		return BitPacked{}, nil, fmt.Errorf("encoding: truncated bitpack count")
 	}
 	src = src[k:]
-	// Bound the count by the bytes actually present before allocating, so a
-	// corrupted count cannot trigger a huge allocation (and n*width cannot
-	// overflow below).
+	// Bound the count by the bytes actually present, so n*width cannot
+	// overflow below.
 	if n > uint64(len(src))*8/uint64(width) {
-		return nil, nil, fmt.Errorf("encoding: bitpack count %d exceeds input (%d bytes at width %d)", n, len(src), width)
+		return BitPacked{}, nil, fmt.Errorf("encoding: bitpack count %d exceeds input (%d bytes at width %d)", n, len(src), width)
 	}
 	totalBits := n * uint64(width)
 	nw := int((totalBits + 63) / 64)
 	if len(src) < nw*8 {
-		return nil, nil, fmt.Errorf("encoding: truncated bitpack body: want %d words, have %d bytes", nw, len(src))
+		return BitPacked{}, nil, fmt.Errorf("encoding: truncated bitpack body: want %d words, have %d bytes", nw, len(src))
 	}
-	words := make([]uint64, nw)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(src[i*8:])
-	}
-	return &BitPacked{width: width, n: int(n), words: words}, src[nw*8:], nil
+	return BitPacked{width: width, n: int(n), data: src[: nw*8 : nw*8]}, src[nw*8:], nil
 }

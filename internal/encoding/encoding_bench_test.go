@@ -6,6 +6,7 @@ package encoding
 // binary searches behind chunk pruning).
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -129,4 +130,17 @@ func benchWord(i int) string {
 		i /= 26
 	}
 	return string(buf)
+}
+
+func BenchmarkBitPackedAppendRange(b *testing.B) {
+	// The batch form the run kernels feed on: a whole column span per call.
+	for _, width := range []uint{7, 20} {
+		packed := PackUint64Width(benchData(1<<16, width), width)
+		dst := make([]uint64, 0, packed.Len())
+		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst = packed.AppendRange(dst[:0], 0, packed.Len())
+			}
+		})
+	}
 }

@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -389,7 +391,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestBitPackedAppendRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, width := range []uint{1, 3, 7, 8, 13, 31, 33, 63, 64} {
+	for _, width := range []uint{1, 3, 7, 8, 13, 31, 33, 56, 57, 58, 63, 64} {
 		n := 200
 		values := make([]uint64, n)
 		for i := range values {
@@ -444,5 +446,57 @@ func TestFrameOfRefAppendRaw(t *testing.T) {
 	}
 	if sub := f.AppendRaw(nil, 2, 5); len(sub) != 3 || sub[0] != f.Raw(2) {
 		t.Fatalf("AppendRaw sub-span wrong: %v", sub)
+	}
+}
+
+func TestCanonicalVarints(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 40, math.MaxUint64} {
+		buf := binary.AppendUvarint(nil, v)
+		if got, n := Uvarint(buf); got != v || n != len(buf) {
+			t.Errorf("Uvarint(%x) = %d, %d; want %d, %d", buf, got, n, v, len(buf))
+		}
+	}
+	for _, v := range []int64{0, -1, 63, -64, 64, math.MinInt64, math.MaxInt64} {
+		buf := binary.AppendVarint(nil, v)
+		if got, n := Varint(buf); got != v || n != len(buf) {
+			t.Errorf("Varint(%x) = %d, %d; want %d, %d", buf, got, n, v, len(buf))
+		}
+	}
+	// The same values padded with a redundant zero group decode with
+	// encoding/binary but must not here; neither must truncated input.
+	for _, buf := range [][]byte{{0x80, 0x00}, {0x81, 0x00}, {0xff, 0x80, 0x00}, {0x80}, {}} {
+		if _, n := Uvarint(buf); n > 0 {
+			t.Errorf("Uvarint(%x) accepted %d bytes", buf, n)
+		}
+		if _, n := Varint(buf); n > 0 {
+			t.Errorf("Varint(%x) accepted %d bytes", buf, n)
+		}
+	}
+	// A padded count inside a packed array is rejected the same way.
+	good := PackUint64([]uint64{1, 2, 3}).AppendTo(nil)
+	padded := append([]byte{good[0], good[1] | 0x80, 0x00}, good[2:]...)
+	if _, _, err := DecodeBitPacked(padded); err == nil {
+		t.Error("DecodeBitPacked accepted a non-minimal count")
+	}
+}
+
+func TestDecodeBitPackedAliasesSource(t *testing.T) {
+	// The decoded array is a view of the serialized bytes, not a copy: the
+	// resident form of a column is its on-disk form.
+	values := []uint64{5, 0, 1023, 77, 512}
+	buf := PackUint64(values).AppendTo([]byte("prefix"))
+	got, rest, err := DecodeBitPacked(buf[len("prefix"):])
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: err=%v rest=%d", err, len(rest))
+	}
+	if &got.data[len(got.data)-1] != &buf[len(buf)-1] {
+		t.Fatal("decoded words do not alias the source buffer")
+	}
+	if again := got.AppendTo([]byte("prefix")); !reflect.DeepEqual(again, buf) {
+		t.Fatalf("re-serialized %x, want %x", again, buf)
+	}
+	f, _, err := DecodeFrameOfRef(EncodeFrameOfRef([]int64{-3, 9, 4}).AppendTo(nil))
+	if err != nil || !reflect.DeepEqual(f.Decode(), []int64{-3, 9, 4}) {
+		t.Fatalf("frame round trip: %v %v", f.Decode(), err)
 	}
 }

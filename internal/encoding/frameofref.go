@@ -12,13 +12,13 @@ import (
 // values cannot satisfy a range predicate.
 type FrameOfRef struct {
 	min, max int64
-	deltas   *BitPacked
+	deltas   BitPacked
 }
 
 // EncodeFrameOfRef encodes values. Empty input yields a zero-range frame.
 func EncodeFrameOfRef(values []int64) *FrameOfRef {
 	if len(values) == 0 {
-		return &FrameOfRef{deltas: PackUint64Width(nil, 1)}
+		return &FrameOfRef{deltas: *PackUint64Width(nil, 1)}
 	}
 	mn, mx := values[0], values[0]
 	for _, v := range values[1:] {
@@ -33,7 +33,7 @@ func EncodeFrameOfRef(values []int64) *FrameOfRef {
 	for i, v := range values {
 		deltas[i] = uint64(v - mn)
 	}
-	return &FrameOfRef{min: mn, max: mx, deltas: PackUint64Width(deltas, BitWidth(uint64(mx-mn)))}
+	return &FrameOfRef{min: mn, max: mx, deltas: *PackUint64Width(deltas, BitWidth(uint64(mx-mn)))}
 }
 
 // Len returns the number of encoded values.
@@ -94,21 +94,21 @@ func (f *FrameOfRef) AppendTo(dst []byte) []byte {
 }
 
 // DecodeFrameOfRef reads a frame produced by AppendTo and returns the
-// remaining bytes.
-func DecodeFrameOfRef(src []byte) (*FrameOfRef, []byte, error) {
-	mn, k := binary.Varint(src)
+// remaining bytes. Like DecodeBitPacked, the packed deltas alias src.
+func DecodeFrameOfRef(src []byte) (FrameOfRef, []byte, error) {
+	mn, k := Varint(src)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("encoding: truncated frame min")
+		return FrameOfRef{}, nil, fmt.Errorf("encoding: truncated frame min")
 	}
 	src = src[k:]
-	mx, k := binary.Varint(src)
+	mx, k := Varint(src)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("encoding: truncated frame max")
+		return FrameOfRef{}, nil, fmt.Errorf("encoding: truncated frame max")
 	}
 	src = src[k:]
 	deltas, rest, err := DecodeBitPacked(src)
 	if err != nil {
-		return nil, nil, err
+		return FrameOfRef{}, nil, err
 	}
-	return &FrameOfRef{min: mn, max: mx, deltas: deltas}, rest, nil
+	return FrameOfRef{min: mn, max: mx, deltas: deltas}, rest, nil
 }

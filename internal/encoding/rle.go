@@ -51,6 +51,19 @@ func RLEFromRuns(values []uint64, lengths []uint32) *RLE {
 	return &RLE{runs: runs, n: int(pos)}
 }
 
+// RLEConsecutive is RLEFromRuns for runs whose values count up from first:
+// run i holds first+i. That is every user column of a lazy table, where a
+// chunk's users carry the virtual ids userBase, userBase+1, …
+func RLEConsecutive(first uint64, lengths []uint32) *RLE {
+	runs := make([]Run, len(lengths))
+	pos := uint32(0)
+	for i, l := range lengths {
+		runs[i] = Run{Value: first + uint64(i), Start: pos, Length: l}
+		pos += l
+	}
+	return &RLE{runs: runs, n: int(pos)}
+}
+
 // NumRuns returns the number of runs (distinct users in a user column).
 func (r *RLE) NumRuns() int { return len(r.runs) }
 

@@ -9,26 +9,68 @@ import (
 // ChunkCache is the process-wide pool of decoded chunk segments backing lazy
 // tables. Entries are keyed by the segment's content hash, so a chunk carried
 // across a compaction commit (hash unchanged) keeps its decoded payload, and
-// two table generations that share a chunk share one entry. Eviction is LRU
-// over unpinned entries under a byte budget; a pinned entry (an in-flight
-// scan holds it) is never evicted, so eviction can never race a scan.
+// two table generations that share a chunk share one entry. A pinned entry (an
+// in-flight scan holds it) is never evicted, so eviction can never race a
+// scan.
+//
+// Under a byte budget the cache is LRU with frequency-gated admission. Plain
+// LRU flushes itself under the access pattern cohort queries produce — every
+// query walks every unpruned chunk, so a table larger than the budget evicts
+// each chunk just before it is wanted again and the hit ratio is zero. Here a
+// freshly loaded chunk (a newcomer) evicts nothing while it is pinned; when
+// its last pin drops and the cache is over budget, it replaces the LRU tail
+// only if it has been touched more often, and is itself dropped on a tie. A
+// cyclic scan therefore keeps a stable budget-sized subset resident (hit
+// ratio ≈ budget share), while chunks that really are touched more often
+// than the residents still displace them.
+//
+// "Touched more often" is measured per chunk on its chunkState — the set of
+// chunks is finite and known from the manifest, so there is no sketch and no
+// ghost list: a 32-bit history with one bit per aging period, set when the
+// chunk is pinned at least once in that period and shifted right (halved)
+// when a period ends. Histories compare as integers, over completed periods
+// only: recent periods weigh more, a chunk idle for a period loses to one
+// that was not, and concurrent scans at different positions of the same cycle
+// — which would make raw touch counts differ by one at any instant and let
+// every newcomer win — compare equal. A period ends once the cache has seen
+// agingTouchesPerChunk touches per distinct chunk touched in it, so its
+// length follows the working set: about that many sweeps of whatever is being
+// scanned.
 //
 // One mutex guards everything: the entry map, the LRU links, the pin counts,
-// the size accounting, and — crucially — every lazy table's chunk slots
-// (Table.chunks[i] for cold-capable chunks). Decoding runs outside the lock
-// with a per-entry singleflight, so a thundering herd on one cold chunk pays
-// one disk read.
+// the size accounting, the chunk states, and — crucially — every lazy table's
+// chunk slots (Table.chunks[i] for cold-capable chunks). Decoding runs outside
+// the lock with a per-entry singleflight, so a thundering herd on one cold
+// chunk pays one disk read.
 type ChunkCache struct {
 	mu       sync.Mutex
 	budget   int64 // <= 0 means unbounded
 	resident int64
-	entries  map[string]*cacheEntry
+	// unadmitted is the part of resident held by newcomers whose first pins
+	// have not dropped yet. They cannot be evicted, so the budget is enforced
+	// on resident - unadmitted; with nothing pinned the two are equal.
+	unadmitted int64
+	entries    map[string]*cacheEntry
 	// LRU list of evictable entries (resident, unpinned); head is the most
 	// recently released.
 	head, tail *cacheEntry
 
+	// period numbers the current aging period; periodTouches and
+	// periodChunks count the touches and the distinct chunks touched in it.
+	period, periodTouches, periodChunks uint32
+
 	hits, misses, evictions uint64
 }
+
+// agingTouchesPerChunk sets the length of an aging period: it ends after this
+// many touches per distinct chunk touched in it. Two is the shortest period
+// in which every member of a cycle is touched whatever the scans' relative
+// positions, which is what makes their histories equal; longer periods only
+// slow down how fast a new hot set displaces an old one.
+const agingTouchesPerChunk = 2
+
+// histNow is the history bit of the period in progress.
+const histNow = 1 << 31
 
 // cacheEntry is one decoded segment. Between creation and close(ready) the
 // entry is in flight: payload is nil and followers wait on ready. An entry
@@ -36,12 +78,16 @@ type ChunkCache struct {
 // retry starts a fresh load.
 type cacheEntry struct {
 	hash    string
+	state   *chunkState // touch history of the chunk that loaded the entry
 	payload *segChunk
 	size    int64
 	pins    int
 	ready   chan struct{}
 	err     error
 
+	// admitted is set when the entry's last first-load pin drops and it wins
+	// (or needs no) admission; until then its bytes count as unadmitted.
+	admitted   bool
 	inLRU      bool
 	prev, next *cacheEntry
 
@@ -72,7 +118,7 @@ func DefaultChunkCache() *ChunkCache { return defaultChunkCache }
 func (c *ChunkCache) SetBudget(budgetBytes int64) {
 	c.mu.Lock()
 	c.budget = budgetBytes
-	c.evictLocked()
+	c.trimLocked(nil)
 	c.mu.Unlock()
 }
 
@@ -138,21 +184,67 @@ func (c *ChunkCache) pinEntryLocked(e *cacheEntry) {
 	e.pins++
 }
 
-// unpinLocked drops a pin; the last pin returns the entry to the evictable
-// list (unless the entry already failed or was dropped from the map).
-func (c *ChunkCache) unpinLocked(e *cacheEntry) {
-	e.pins--
-	if e.pins == 0 && e.err == nil && c.entries[e.hash] == e {
-		c.lruPushFront(e)
+// ageLocked brings a chunk's history up to the current period: one right
+// shift per period that ended since it was last looked at.
+func (c *ChunkCache) ageLocked(s *chunkState) {
+	if d := c.period - s.period; d != 0 {
+		s.hist >>= d
+		s.period = c.period
 	}
 }
 
+// touchLocked records one PinChunk of the chunk and ends the aging period
+// when it is due.
+func (c *ChunkCache) touchLocked(s *chunkState) {
+	c.ageLocked(s)
+	if s.hist&histNow == 0 {
+		s.hist |= histNow
+		c.periodChunks++
+	}
+	c.periodTouches++
+	if c.periodTouches >= agingTouchesPerChunk*c.periodChunks {
+		c.period++
+		c.periodTouches, c.periodChunks = 0, 0
+	}
+}
+
+// hotterLocked reports whether chunk a has been touched more often than
+// chunk b over the completed aging periods.
+func (c *ChunkCache) hotterLocked(a, b *chunkState) bool {
+	c.ageLocked(a)
+	c.ageLocked(b)
+	return a.hist&^histNow > b.hist&^histNow
+}
+
+// unpinLocked drops a pin. The last pin returns the entry to the evictable
+// list (unless the entry already failed or was dropped from the map) and
+// restores the budget; that is also the moment a newcomer faces admission.
+func (c *ChunkCache) unpinLocked(e *cacheEntry) {
+	e.pins--
+	if e.pins != 0 || e.err != nil || c.entries[e.hash] != e {
+		return
+	}
+	c.lruPushFront(e)
+	if e.admitted {
+		c.trimLocked(nil)
+		return
+	}
+	e.admitted = true
+	c.unadmitted -= e.size
+	c.trimLocked(e)
+}
+
 // releaseFunc returns the pin-release closure handed to PinChunk callers.
+// Only its first call drops the pin: a second one would drive the pin count
+// negative and leave a pinned chunk on the evictable list.
 func (c *ChunkCache) releaseFunc(e *cacheEntry) func() {
+	released := false
 	return func() {
 		c.mu.Lock()
-		c.unpinLocked(e)
-		c.evictLocked()
+		if !released {
+			released = true
+			c.unpinLocked(e)
+		}
 		c.mu.Unlock()
 	}
 }
@@ -167,21 +259,28 @@ func (c *ChunkCache) dropEntryLocked(e *cacheEntry) {
 	delete(c.entries, e.hash)
 	c.lruRemove(e)
 	c.resident -= e.size
+	obs.ChunkCacheResidentBytes.Set(float64(c.resident))
 	for _, s := range e.slots {
 		s.tbl.chunks[s.idx] = nil
 	}
 	e.slots = nil
 }
 
-// evictLocked evicts LRU-coldest unpinned entries until the budget holds,
-// then refreshes the resident-bytes gauge.
-func (c *ChunkCache) evictLocked() {
-	for c.budget > 0 && c.resident > c.budget && c.tail != nil {
-		e := c.tail
-		c.dropEntryLocked(e)
-		e.payload = nil
+// trimLocked evicts unpinned entries until the budget holds. newcomer, when
+// non-nil, is the just-released entry facing admission: each LRU tail it
+// would displace must have been touched less often than it, or the newcomer
+// is the one evicted (ties keep the resident). Anything still over budget
+// after that goes in LRU order, as it does with no newcomer — which only
+// happens when SetBudget lowered the budget under pinned entries.
+func (c *ChunkCache) trimLocked(newcomer *cacheEntry) {
+	for c.budget > 0 && c.resident-c.unadmitted > c.budget && c.tail != nil {
+		victim := c.tail
+		if newcomer != nil && (victim == newcomer || !c.hotterLocked(newcomer.state, victim.state)) {
+			victim, newcomer = newcomer, nil
+		}
+		c.dropEntryLocked(victim)
+		victim.payload = nil
 		c.evictions++
 		obs.ChunkCacheEvictionsTotal.Inc()
 	}
-	obs.ChunkCacheResidentBytes.Set(float64(c.resident))
 }

@@ -444,14 +444,11 @@ func carryPermChunk(old *Table, ci int, newBase uint64, remap [][]uint64) *Chunk
 	if newBase == och.userBase {
 		ch.users = och.users
 	} else {
-		n := och.users.NumRuns()
-		vals := make([]uint64, n)
-		lens := make([]uint32, n)
-		for r := 0; r < n; r++ {
-			vals[r] = newBase + uint64(r) // one ascending run per user
+		lens := make([]uint32, och.users.NumRuns())
+		for r := range lens {
 			lens[r] = och.users.Run(r).Length
 		}
-		ch.users = encoding.RLEFromRuns(vals, lens)
+		ch.users = encoding.RLEConsecutive(newBase, lens) // one ascending run per user
 	}
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == userCol {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -67,7 +68,29 @@ type chunkMeta struct {
 	// may not exist yet; it is permanently resident (never cache-managed)
 	// until the table is reloaded from a committed manifest.
 	perm bool
+	// state is what this process has learned about the segment (nil on perm
+	// chunks, which never load). A compaction commit that carries the chunk
+	// carries the pointer with the hash; a table reload starts afresh.
+	state *chunkState
 }
+
+// chunkState is the mutable companion of a chunkMeta, guarded by the cache
+// mutex of the table's ChunkCache.
+type chunkState struct {
+	// verified records that the segment's SHA-256 content hash was checked
+	// once by this process. Segment files are content-addressed and never
+	// rewritten, so a reload after eviction skips the re-hash; it still runs
+	// every structural check of the decoder and the manifest cross-checks.
+	verified bool
+	// hist and period are the chunk's touch history, kept here rather than on
+	// the cache entry so that it survives eviction; see ChunkCache.
+	hist, period uint32
+}
+
+// maxSegmentBytes bounds the segment size a manifest may declare: loadSegment
+// sizes its read buffer from that number, so it must not be able to request
+// an absurd allocation. A segment holds one chunk's rows.
+const maxSegmentBytes = 1 << 30
 
 // lazyState hangs off a Table opened lazily.
 type lazyState struct {
@@ -82,8 +105,8 @@ func (st *Table) Lazy() bool { return st.lazy != nil }
 
 // PinChunk returns chunk i's decoded payload, loading it from its segment
 // file if cold, and pins it against eviction until release is called. Eager
-// tables return the chunk directly with a no-op release. Release is safe to
-// call exactly once.
+// tables return the chunk directly with a no-op release. Calling release more
+// than once is harmless.
 func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 	if st.lazy == nil || st.lazy.metas[i].perm {
 		return st.chunks[i], func() {}, nil
@@ -91,28 +114,29 @@ func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 	m := &st.lazy.metas[i]
 	c := st.lazy.cache
 	c.mu.Lock()
+	e := c.entries[m.hash]
+	if e == nil {
+		// Leader: claim the load.
+		e = &cacheEntry{hash: m.hash, state: m.state, ready: make(chan struct{}), pins: 1}
+		c.entries[m.hash] = e
+		c.touchLocked(e.state)
+		c.misses++
+		obs.ChunkCacheMissesTotal.Inc()
+		verified := m.state.verified
+		c.mu.Unlock()
+		return st.loadAndBind(e, i, verified)
+	}
+	c.pinEntryLocked(e)
+	c.touchLocked(e.state)
 	if ch := st.chunks[i]; ch != nil {
 		// Slot bound ⇒ the entry is resident and mapped.
-		e := c.entries[m.hash]
-		c.pinEntryLocked(e)
 		c.hits++
 		obs.ChunkCacheHitsTotal.Inc()
 		c.mu.Unlock()
 		return ch, c.releaseFunc(e), nil
 	}
-	e := c.entries[m.hash]
-	if e == nil {
-		// Leader: claim the load.
-		e = &cacheEntry{hash: m.hash, ready: make(chan struct{}), pins: 1}
-		c.entries[m.hash] = e
-		c.misses++
-		obs.ChunkCacheMissesTotal.Inc()
-		c.mu.Unlock()
-		return st.loadAndBind(e, i)
-	}
-	// Resident or in flight: pin, then wait (returns immediately when
-	// already resolved).
-	c.pinEntryLocked(e)
+	// Resident or in flight: wait (returns immediately when already
+	// resolved).
 	c.mu.Unlock()
 	<-e.ready
 	if e.err != nil {
@@ -132,11 +156,13 @@ func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 }
 
 // loadAndBind is the leader path of PinChunk: read and decode the segment
-// outside the lock, publish the payload, bind this table's slot.
-func (st *Table) loadAndBind(e *cacheEntry, i int) (*Chunk, func(), error) {
+// outside the lock, publish the payload, bind this table's slot. The new
+// entry joins the cache unadmitted: it is pinned, so nothing is evicted to
+// make room for it; whether it stays is decided when its last pin drops.
+func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(), error) {
 	m := &st.lazy.metas[i]
 	c := st.lazy.cache
-	sc, size, err := st.lazy.loadSegment(st.schema, m)
+	sc, err := st.lazy.loadSegment(st.schema, m, verified)
 	var ch *Chunk
 	if err == nil {
 		ch, err = st.bindPayload(i, sc)
@@ -152,11 +178,13 @@ func (st *Table) loadAndBind(e *cacheEntry, i int) (*Chunk, func(), error) {
 		close(e.ready)
 		return nil, nil, err
 	}
-	e.payload, e.size = sc, size
-	c.resident += size
+	m.state.verified = true
+	e.payload, e.size = sc, m.bytes // the payload is the file's bytes
+	c.resident += e.size
+	c.unadmitted += e.size
+	obs.ChunkCacheResidentBytes.Set(float64(c.resident))
 	st.chunks[i] = ch
 	e.slots = append(e.slots, slotRef{tbl: st, idx: i})
-	c.evictLocked()
 	c.mu.Unlock()
 	close(e.ready)
 	return ch, c.releaseFunc(e), nil
@@ -206,18 +234,14 @@ func (st *Table) bindPayload(i int, sc *segChunk) (*Chunk, error) {
 		userBase: m.userBase,
 	}
 	ch.seg.once.Do(func() { ch.seg.hash = m.hash })
-	gids := make([]uint64, len(sc.users))
-	for k := range gids {
-		gids[k] = m.userBase + uint64(k)
-	}
-	ch.users = encoding.RLEFromRuns(gids, sc.lengths)
+	ch.users = encoding.RLEConsecutive(m.userBase, sc.lengths)
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == userCol {
 			continue
 		}
 		if schema.IsStringCol(c) {
-			ids := make([]uint64, len(sc.vals[c]))
-			for k, v := range sc.vals[c] {
+			ids := make([]uint64, len(sc.cols[c].vals))
+			for k, v := range sc.cols[c].vals {
 				gid, ok := st.dicts[c].Lookup(v)
 				if !ok {
 					return nil, &CorruptSegmentError{
@@ -234,41 +258,64 @@ func (st *Table) bindPayload(i int, sc *segChunk) (*Chunk, error) {
 					Err:  fmt.Errorf("column %d: %w", c, err),
 				}
 			}
-			ch.cols[c] = chunkColumn{cdict: cd, ids: sc.ids[c]}
+			ch.cols[c] = chunkColumn{cdict: cd, ids: &sc.cols[c].ids}
 		} else {
-			ch.cols[c] = chunkColumn{ints: sc.ints[c]}
+			ch.cols[c] = chunkColumn{ints: &sc.cols[c].ints}
 		}
 	}
 	return ch, nil
 }
 
-// loadSegment reads, verifies and decodes one chunk segment file. Every
-// failure — missing file, hash mismatch, decode error, stats that contradict
-// the manifest — comes back as a *CorruptSegmentError.
-func (ls *lazyState) loadSegment(schema *activity.Schema, m *chunkMeta) (*segChunk, int64, error) {
+// loadSegment reads and decodes one chunk segment file: one read into a
+// buffer sized from the manifest, which then backs the decoded payload. The
+// SHA-256 content hash is checked unless this process already verified the
+// segment (chunkState.verified); the decoder's structural checks and the
+// manifest cross-checks run on every load. Every failure — missing or short
+// file, hash mismatch, decode error, stats that contradict the manifest —
+// comes back as a *CorruptSegmentError.
+func (ls *lazyState) loadSegment(schema *activity.Schema, m *chunkMeta, verified bool) (*segChunk, error) {
 	t0 := time.Now()
 	path := filepath.Join(ls.dir, m.file)
-	buf, err := os.ReadFile(path)
+	buf, err := readSegmentFile(path, m.bytes)
 	if err != nil {
-		return nil, 0, &CorruptSegmentError{Path: path, Err: err}
+		return nil, &CorruptSegmentError{Path: path, Err: err}
 	}
 	obs.SegmentReadsTotal.Inc()
-	sum := sha256.Sum256(buf)
-	if got := hex.EncodeToString(sum[:16]); got != m.hash {
-		return nil, 0, &CorruptSegmentError{Path: path,
-			Err: fmt.Errorf("content hash %s does not match manifest hash %s", got, m.hash)}
+	if !verified {
+		sum := sha256.Sum256(buf)
+		if got := hex.EncodeToString(sum[:16]); got != m.hash {
+			return nil, &CorruptSegmentError{Path: path,
+				Err: fmt.Errorf("content hash %s does not match manifest hash %s", got, m.hash)}
+		}
 	}
 	sc, err := decodeChunkSegment(buf, schema)
 	if err != nil {
-		return nil, 0, &CorruptSegmentError{Path: path, Err: err}
+		return nil, &CorruptSegmentError{Path: path, Err: err}
 	}
 	if sc.numRows != m.rows || len(sc.users) != m.users ||
 		(len(sc.users) > 0 && (sc.users[0] != m.minUser || sc.users[len(sc.users)-1] != m.maxUser)) {
-		return nil, 0, &CorruptSegmentError{Path: path,
+		return nil, &CorruptSegmentError{Path: path,
 			Err: fmt.Errorf("segment contents disagree with manifest stats")}
 	}
 	obs.ChunkColdLoadSeconds.ObserveSince(t0)
-	return sc, int64(len(buf)), nil
+	return sc, nil
+}
+
+// readSegmentFile reads the first size bytes of the file at path — the whole
+// segment, by the manifest's account — with a single read into an exactly
+// sized buffer. A shorter file is an error; bytes past size are never looked
+// at (a first load's hash check covers exactly the bytes that are used).
+func readSegmentFile(path string, size int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, size)
+	if n, err := io.ReadFull(f, buf); err != nil {
+		return nil, fmt.Errorf("segment file holds %d bytes, manifest says %d: %w", n, size, err)
+	}
+	return buf, nil
 }
 
 // logCorruptLocked logs a damaged segment once per chunk (callers hold

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,19 +21,25 @@ import (
 // temp dir, returning the manifest path.
 func commitWorkload(t *testing.T, shards, chunkSize int) string {
 	t.Helper()
-	tbl := gen.Generate(gen.Config{Users: 60, Days: 12, MeanActions: 10, Seed: 9})
-	s, err := BuildSharded(tbl, shards, Options{ChunkSize: chunkSize})
+	return commitGenerated(t, gen.Config{Users: 60, Days: 12, MeanActions: 10, Seed: 9}, shards, chunkSize)
+}
+
+// commitGenerated builds a sharded table from a generator config and commits
+// it to a fresh temp dir, returning the manifest path.
+func commitGenerated(tb testing.TB, cfg gen.Config, shards, chunkSize int) string {
+	tb.Helper()
+	s, err := BuildSharded(gen.Generate(cfg), shards, Options{ChunkSize: chunkSize})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "w.cohana")
+	path := filepath.Join(tb.TempDir(), "w.cohana")
 	if _, err := CommitSharded(path, s); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return path
 }
 
-func readLazy(t *testing.T, path string, cache *ChunkCache) *Sharded {
+func readLazy(t testing.TB, path string, cache *ChunkCache) *Sharded {
 	t.Helper()
 	s, err := ReadShardedWith(path, ReadOptions{Lazy: true, Cache: cache})
 	if err != nil {
@@ -276,6 +283,8 @@ func TestLazyCorruptSegmentStructuredError(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// Same length, one bit different: only the content hash can tell.
+		{"bit-flipped", func(t *testing.T, seg string) { flipBit(t, seg, -1) }},
 	} {
 		t.Run(damage.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -293,6 +302,14 @@ func TestLazyCorruptSegmentStructuredError(t *testing.T) {
 				if !errors.As(err, &seg) {
 					t.Fatalf("attempt %d: err = %v, want *CorruptSegmentError", attempt, err)
 				}
+				if damage.name == "bit-flipped" {
+					// The mismatch names the hash found and the hash expected.
+					want := sh.lazy.metas[1].hash
+					if msg := seg.Error(); !strings.Contains(msg, "does not match manifest hash "+want) ||
+						!strings.Contains(msg, "content hash ") || strings.Contains(msg, "content hash "+want) {
+						t.Fatalf("attempt %d: hash mismatch error %q does not name both hashes", attempt, msg)
+					}
+				}
 			}
 			if n := errCount.Load(); n != 1 {
 				t.Fatalf("corrupt segment logged %d times, want once", n)
@@ -304,6 +321,87 @@ func TestLazyCorruptSegmentStructuredError(t *testing.T) {
 			// Materialize crosses the damaged chunk: structured error, no panic.
 			if _, err := sh.Materialize(); err == nil {
 				t.Fatal("Materialize over a damaged segment succeeded")
+			}
+		})
+	}
+}
+
+// flipBit inverts the lowest bit of the byte at off in the file at path (a
+// negative off counts from the end), leaving its length alone.
+func flipBit(t *testing.T, path string, off int) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < 0 {
+		off += len(buf)
+	}
+	buf[off] ^= 1
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLazyVerifiedSegmentReloadStillChecked covers what verify-once leaves in
+// place. A segment that passed its content hash is damaged after it was
+// evicted; the reload skips the re-hash, so it must be the decoder's
+// structural checks and the manifest cross-checks that turn the damage into
+// a *CorruptSegmentError — never a panic — while other chunks keep serving.
+func TestLazyVerifiedSegmentReloadStillChecked(t *testing.T) {
+	path := commitWorkload(t, 1, 64)
+	for _, damage := range []struct {
+		name  string
+		wreck func(t *testing.T, seg string)
+	}{
+		{"truncated", func(t *testing.T, seg string) {
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(seg, fi.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"bad-magic", func(t *testing.T, seg string) { flipBit(t, seg, 0) }},
+		// The byte after the magic is the row count: the runs no longer sum
+		// to it, or it no longer matches the manifest.
+		{"bad-row-count", func(t *testing.T, seg string) { flipBit(t, seg, len(chunkMagic)) }},
+	} {
+		t.Run(damage.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := filepath.Join(dir, "w.cohana")
+			copyCommit(t, path, p)
+			cache := NewChunkCache(1) // every release evicts
+			sh := readLazy(t, p, cache).Shard(0)
+
+			// First touch verifies chunk 1; the release evicts it.
+			if _, err := sh.MaterializeChunk(1); err != nil {
+				t.Fatal(err)
+			}
+			cache.mu.Lock()
+			verified := sh.lazy.metas[1].state.verified
+			cache.mu.Unlock()
+			if !verified || resident(sh, 1) {
+				t.Fatalf("after first touch: verified=%v resident=%v, want true and false", verified, resident(sh, 1))
+			}
+
+			damage.wreck(t, filepath.Join(dir, sh.lazy.metas[1].file))
+			for attempt := 0; attempt < 2; attempt++ {
+				_, _, err := sh.PinChunk(1)
+				var seg *CorruptSegmentError
+				if !errors.As(err, &seg) {
+					t.Fatalf("attempt %d: reload of a damaged verified segment: err = %v, want *CorruptSegmentError", attempt, err)
+				}
+			}
+			if _, err := sh.MaterializeChunk(0); err != nil {
+				t.Fatalf("undamaged chunk: %v", err)
+			}
+			if _, err := sh.MaterializeChunk(2); err != nil {
+				t.Fatalf("undamaged chunk: %v", err)
+			}
+			if st := cache.Stats(); st.ResidentBytes != 0 {
+				t.Fatalf("failed reloads left %d bytes resident", st.ResidentBytes)
 			}
 		})
 	}

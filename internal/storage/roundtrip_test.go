@@ -147,7 +147,10 @@ func FuzzDeserialize(f *testing.F) {
 }
 
 // FuzzDecodeChunkSegment: arbitrary segment bytes must produce a chunk or an
-// error, never a panic — v2 manifests hand this decoder raw on-disk files.
+// error, never a panic — manifests hand this decoder raw on-disk files. And
+// the encoding is canonical: whatever the decoder accepts re-serializes to
+// the very bytes it was given, so a chunk has one byte form, one content
+// hash and one file name, and no change can alter the format unnoticed.
 func FuzzDecodeChunkSegment(f *testing.F) {
 	st, err := Build(activity.PaperTable1(), Options{ChunkSize: 4})
 	if err != nil {
@@ -166,11 +169,16 @@ func FuzzDecodeChunkSegment(f *testing.F) {
 		if err == nil && sc == nil {
 			t.Fatal("decodeChunkSegment returned neither chunk nor error")
 		}
-		if err == nil {
-			// A structurally valid segment must also survive assembly.
-			if _, err := assembleShard(schema, 4, []*segChunk{sc}, nil); err == nil {
-				return
-			}
+		if err != nil {
+			return
+		}
+		// A structurally valid segment must also survive assembly.
+		tbl, err := assembleShard(schema, 4, []*segChunk{sc}, nil)
+		if err != nil {
+			return
+		}
+		if again := tbl.segmentBytes(0); !bytes.Equal(again, data) {
+			t.Fatalf("accepted segment does not re-serialize to itself:\n in  %x\n out %x", data, again)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/activity"
 	"repro/internal/encoding"
@@ -92,38 +93,55 @@ func (st *Table) segmentHash(i int) string {
 }
 
 // segChunk is a decoded self-contained chunk segment, values not yet bound to
-// any global dictionary.
+// any global dictionary. It is a view of the segment's bytes, not a copy: the
+// packed payloads are sub-slices of the buffer handed to decodeChunkSegment
+// and every string is a substring of one string laid over that buffer, so a
+// resident chunk costs its file size plus a few small index slices.
 type segChunk struct {
 	numRows int
 	users   []string // distinct users in run order (ascending)
 	lengths []uint32 // run length per user
-	vals    [][]string
-	ids     []*encoding.BitPacked
-	ints    []*encoding.FrameOfRef
+	cols    []segColumn
 }
 
-// decodeString reads one length-prefixed string.
-func decodeString(src []byte) (string, []byte, error) {
-	l, k := binary.Uvarint(src)
+// segColumn is one non-user column of a segChunk, indexed like the schema.
+type segColumn struct {
+	// For string columns:
+	vals []string           // chunk dictionary values (ascending)
+	ids  encoding.BitPacked // chunk-ids
+	// For integer/time columns:
+	ints encoding.FrameOfRef
+}
+
+// decodeString reads one length-prefixed string as a substring of text, the
+// string laid over the whole segment; src is the unread suffix of the same
+// bytes.
+func decodeString(text string, src []byte) (string, []byte, error) {
+	l, k := encoding.Uvarint(src)
 	if k <= 0 || uint64(len(src)-k) < l {
 		return "", nil, fmt.Errorf("storage: truncated string")
 	}
-	src = src[k:]
-	return string(src[:l]), src[l:], nil
+	off := len(text) - len(src) + k
+	return text[off : off+int(l)], src[k+int(l):], nil
 }
 
-// decodeChunkSegment parses a segment produced by appendChunkSegment.
+// decodeChunkSegment parses a segment produced by appendChunkSegment. The
+// result aliases src (see segChunk), so callers hand over the buffer: src must
+// not be mutated for as long as the chunk, or any string taken from it, is in
+// use. Every varint must be minimally encoded, which makes the accepted bytes
+// of a chunk unique: decode followed by appendChunkSegment is the identity.
 func decodeChunkSegment(src []byte, schema *activity.Schema) (*segChunk, error) {
 	if len(src) < len(chunkMagic) || string(src[:len(chunkMagic)]) != chunkMagic {
 		return nil, fmt.Errorf("storage: bad magic (not a COHANA chunk segment)")
 	}
+	text := unsafe.String(unsafe.SliceData(src), len(src))
 	src = src[len(chunkMagic):]
-	rows, k := binary.Uvarint(src)
+	rows, k := encoding.Uvarint(src)
 	if k <= 0 {
 		return nil, fmt.Errorf("storage: truncated segment header")
 	}
 	src = src[k:]
-	nusers, k := binary.Uvarint(src)
+	nusers, k := encoding.Uvarint(src)
 	if k <= 0 || nusers > uint64(len(src))+1 {
 		return nil, fmt.Errorf("storage: truncated segment user count")
 	}
@@ -132,20 +150,18 @@ func decodeChunkSegment(src []byte, schema *activity.Schema) (*segChunk, error) 
 		numRows: int(rows),
 		users:   make([]string, nusers),
 		lengths: make([]uint32, nusers),
-		vals:    make([][]string, schema.NumCols()),
-		ids:     make([]*encoding.BitPacked, schema.NumCols()),
-		ints:    make([]*encoding.FrameOfRef, schema.NumCols()),
+		cols:    make([]segColumn, schema.NumCols()),
 	}
 	var err error
 	total := uint64(0)
 	for i := range sc.users {
-		if sc.users[i], src, err = decodeString(src); err != nil {
+		if sc.users[i], src, err = decodeString(text, src); err != nil {
 			return nil, fmt.Errorf("storage: segment user %d: %w", i, err)
 		}
 		if i > 0 && sc.users[i] <= sc.users[i-1] {
 			return nil, fmt.Errorf("storage: segment users out of order at %d", i)
 		}
-		l, k := binary.Uvarint(src)
+		l, k := encoding.Uvarint(src)
 		if k <= 0 {
 			return nil, fmt.Errorf("storage: truncated run length for user %d", i)
 		}
@@ -166,27 +182,27 @@ func decodeChunkSegment(src []byte, schema *activity.Schema) (*segChunk, error) 
 		if c == schema.UserCol() {
 			continue
 		}
+		col := &sc.cols[c]
 		if schema.IsStringCol(c) {
-			n, k := binary.Uvarint(src)
+			n, k := encoding.Uvarint(src)
 			if k <= 0 || n > uint64(len(src))+1 {
 				return nil, fmt.Errorf("storage: truncated segment dict for column %d", c)
 			}
 			src = src[k:]
-			vals := make([]string, n)
-			for i := range vals {
-				if vals[i], src, err = decodeString(src); err != nil {
+			col.vals = make([]string, n)
+			for i := range col.vals {
+				if col.vals[i], src, err = decodeString(text, src); err != nil {
 					return nil, fmt.Errorf("storage: segment dict column %d entry %d: %w", c, i, err)
 				}
-				if i > 0 && vals[i] <= vals[i-1] {
+				if i > 0 && col.vals[i] <= col.vals[i-1] {
 					return nil, fmt.Errorf("storage: segment dict column %d out of order at %d", c, i)
 				}
 			}
-			sc.vals[c] = vals
-			if sc.ids[c], src, err = encoding.DecodeBitPacked(src); err != nil {
+			if col.ids, src, err = encoding.DecodeBitPacked(src); err != nil {
 				return nil, fmt.Errorf("storage: segment column %d ids: %w", c, err)
 			}
 		} else {
-			if sc.ints[c], src, err = encoding.DecodeFrameOfRef(src); err != nil {
+			if col.ints, src, err = encoding.DecodeFrameOfRef(src); err != nil {
 				return nil, fmt.Errorf("storage: segment column %d ints: %w", c, err)
 			}
 		}
@@ -226,7 +242,7 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 		}
 		var vals []string
 		for _, sc := range segs {
-			vals = append(vals, sc.vals[c]...)
+			vals = append(vals, sc.cols[c].vals...)
 		}
 		st.dicts[c] = encoding.BuildDict(vals)
 	}
@@ -235,7 +251,7 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 			continue
 		}
 		for i, sc := range segs {
-			f := sc.ints[c]
+			f := &sc.cols[c].ints
 			if i == 0 || f.Min() < st.globalMin[c] {
 				st.globalMin[c] = f.Min()
 			}
@@ -263,8 +279,8 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 				continue
 			}
 			if schema.IsStringCol(c) {
-				ids := make([]uint64, len(sc.vals[c]))
-				for i, v := range sc.vals[c] {
+				ids := make([]uint64, len(sc.cols[c].vals))
+				for i, v := range sc.cols[c].vals {
 					gid, ok := st.dicts[c].Lookup(v)
 					if !ok {
 						return nil, fmt.Errorf("storage: value %q missing from assembled dictionary", v)
@@ -275,9 +291,9 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 				if err != nil {
 					return nil, fmt.Errorf("storage: chunk %d column %d: %w", si, c, err)
 				}
-				ch.cols[c] = chunkColumn{cdict: cd, ids: sc.ids[c]}
+				ch.cols[c] = chunkColumn{cdict: cd, ids: &sc.cols[c].ids}
 			} else {
-				ch.cols[c] = chunkColumn{ints: sc.ints[c]}
+				ch.cols[c] = chunkColumn{ints: &sc.cols[c].ints}
 			}
 		}
 		st.numRows += sc.numRows

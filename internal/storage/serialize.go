@@ -178,14 +178,14 @@ func Deserialize(src []byte) (*Table, error) {
 					return nil, fmt.Errorf("storage: chunk %d column %d ids: %w", i, c, err)
 				}
 				src = rest
-				ch.cols[c] = chunkColumn{cdict: cd, ids: ids}
+				ch.cols[c] = chunkColumn{cdict: cd, ids: &ids}
 			} else {
 				f, rest, err := encoding.DecodeFrameOfRef(src)
 				if err != nil {
 					return nil, fmt.Errorf("storage: chunk %d column %d ints: %w", i, c, err)
 				}
 				src = rest
-				ch.cols[c] = chunkColumn{ints: f}
+				ch.cols[c] = chunkColumn{ints: &f}
 			}
 		}
 		st.chunks = append(st.chunks, ch)

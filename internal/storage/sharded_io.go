@@ -371,6 +371,7 @@ func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh
 		}
 	}
 	metas := make([]chunkMeta, n)
+	states := make([]chunkState, n)
 	var userBase uint64
 	for ci, c := range sh.Chunks {
 		hash := hashFromSegmentName(path, c.File)
@@ -379,6 +380,9 @@ func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh
 		}
 		if c.Rows <= 0 || c.Users <= 0 || c.MinUser > c.MaxUser {
 			return nil, fmt.Errorf("chunk %d: invalid stats (rows=%d users=%d)", ci, c.Rows, c.Users)
+		}
+		if c.Bytes <= 0 || c.Bytes > maxSegmentBytes {
+			return nil, fmt.Errorf("chunk %d: invalid segment size %d", ci, c.Bytes)
 		}
 		if ci > 0 && c.MinUser <= sh.Chunks[ci-1].MaxUser {
 			return nil, fmt.Errorf("chunk %d: user range overlaps its predecessor", ci)
@@ -393,6 +397,7 @@ func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh
 			strVals: make([][]uint64, schema.NumCols()),
 			intMin:  make([]int64, schema.NumCols()),
 			intMax:  make([]int64, schema.NumCols()),
+			state:   &states[ci],
 		}
 		for col, cs := range c.Cols {
 			if col == userCol {
