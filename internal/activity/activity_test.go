@@ -344,3 +344,21 @@ func TestAssertSortedByPK(t *testing.T) {
 		t.Fatal("duplicate primary key passed AssertSortedByPK")
 	}
 }
+
+func TestGrowReservesWithoutAppending(t *testing.T) {
+	tbl := PaperTable1()
+	n := tbl.Len()
+	tbl.Grow(1000)
+	if tbl.Len() != n || !tbl.Sorted() {
+		t.Fatalf("Grow changed the table: %d rows (want %d), sorted = %v", tbl.Len(), n, tbl.Sorted())
+	}
+	for c := 0; c < tbl.Schema().NumCols(); c++ {
+		room := cap(tbl.Ints(c)) - n
+		if tbl.Schema().IsStringCol(c) {
+			room = cap(tbl.Strings(c)) - n
+		}
+		if room < 1000 {
+			t.Errorf("column %d has room for %d more rows, want >= 1000", c, room)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package activity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -37,6 +38,19 @@ func NewTable(schema *Schema) *Table {
 		}
 	}
 	return t
+}
+
+// Grow reserves room for n more tuples in every column, so that a caller
+// which knows how many rows it is about to append — a chunk decode, a merge —
+// allocates each column once instead of doubling its way there.
+func (t *Table) Grow(n int) {
+	for c := range t.strs {
+		if t.schema.IsStringCol(c) {
+			t.strs[c] = slices.Grow(t.strs[c], n)
+		} else {
+			t.ints[c] = slices.Grow(t.ints[c], n)
+		}
+	}
 }
 
 // Schema returns the table schema.
@@ -252,6 +266,7 @@ func MergeSorted(a, b *Table) (*Table, error) {
 		}
 	}
 	out := NewTable(a.schema)
+	out.Grow(a.n + b.n)
 	strs := make([]string, a.schema.NumCols())
 	ints := make([]int64, a.schema.NumCols())
 	take := func(t *Table, r int) {

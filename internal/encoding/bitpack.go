@@ -57,34 +57,102 @@ func PackUint64(values []uint64) *BitPacked {
 // value does not fit, since that indicates a bug in the caller's width
 // computation rather than a runtime condition.
 func PackUint64Width(values []uint64, width uint) *BitPacked {
-	if width == 0 || width > 64 {
-		panic(fmt.Sprintf("encoding: invalid bit width %d", width))
-	}
-	totalBits := uint64(len(values)) * uint64(width)
-	data := make([]byte, (totalBits+63)/64*8)
-	// Values arrive in order, so each word is assembled in a register and
-	// stored once, when the next value would start past it.
-	var acc uint64
-	var used uint // bits of acc already filled
-	off := 0
+	p := newPacker(len(values), width)
 	for _, v := range values {
 		if width < 64 && v >= 1<<width {
 			panic(fmt.Sprintf("encoding: value %d does not fit in %d bits", v, width))
 		}
+		p.put(v)
+	}
+	b := p.finish()
+	return &b
+}
+
+// packer fills a BitPacked of a known length and width in order, straight
+// from the caller's source values: the chunk encoder packs chunk-ids and
+// frame-of-reference deltas without first materializing them as a []uint64.
+// Values arrive in order, so each word is assembled in a register and stored
+// once, when the next value would start past it. The append methods trust the
+// caller's width (a value wider than it would smear into its neighbours);
+// PackUint64Width is the checked entry point.
+type packer struct {
+	b     BitPacked
+	acc   uint64 // the word being assembled
+	used  uint   // bits of acc already filled
+	off   int    // byte offset of acc in b.data
+	count int    // values appended so far
+}
+
+// newPacker starts a packed array of n values of the given width.
+func newPacker(n int, width uint) packer {
+	if width == 0 || width > 64 {
+		panic(fmt.Sprintf("encoding: invalid bit width %d", width))
+	}
+	totalBits := uint64(n) * uint64(width)
+	return packer{b: BitPacked{width: width, n: n, data: make([]byte, (totalBits+63)/64*8)}}
+}
+
+func (p *packer) put(v uint64) {
+	p.acc |= v << p.used
+	if p.used += p.b.width; p.used >= 64 {
+		binary.LittleEndian.PutUint64(p.b.data[p.off:], p.acc)
+		p.off += 8
+		p.used -= 64
+		// The bits of v that did not fit start the next word; when v ended
+		// exactly on the boundary the shift clears all of it.
+		p.acc = v >> (p.b.width - p.used)
+	}
+	p.count++
+}
+
+// appendMapped appends table[c] for every code c: a string column's
+// provisional codes translated to chunk-ids on the way into the array.
+func (p *packer) appendMapped(codes, table []uint32) {
+	data, width := p.b.data, p.b.width
+	acc, used, off := p.acc, p.used, p.off
+	for _, c := range codes {
+		v := uint64(table[c])
 		acc |= v << used
 		if used += width; used >= 64 {
 			binary.LittleEndian.PutUint64(data[off:], acc)
 			off += 8
 			used -= 64
-			// The bits of v that did not fit start the next word; when v
-			// ended exactly on the boundary the shift clears all of it.
 			acc = v >> (width - used)
 		}
 	}
-	if used > 0 {
-		binary.LittleEndian.PutUint64(data[off:], acc)
+	p.acc, p.used, p.off = acc, used, off
+	p.count += len(codes)
+}
+
+// appendDeltas appends v-base for every value v, as an unsigned 64-bit
+// difference: the frame-of-reference form of an integer column.
+func (p *packer) appendDeltas(values []int64, base int64) {
+	data, width := p.b.data, p.b.width
+	acc, used, off := p.acc, p.used, p.off
+	for _, x := range values {
+		v := uint64(x - base)
+		acc |= v << used
+		if used += width; used >= 64 {
+			binary.LittleEndian.PutUint64(data[off:], acc)
+			off += 8
+			used -= 64
+			acc = v >> (width - used)
+		}
 	}
-	return &BitPacked{width: width, n: len(values), data: data}
+	p.acc, p.used, p.off = acc, used, off
+	p.count += len(values)
+}
+
+// finish stores the last partial word and returns the packed array. It panics
+// unless exactly the announced number of values was appended.
+func (p *packer) finish() BitPacked {
+	if p.count != p.b.n {
+		panic(fmt.Sprintf("encoding: packer holds %d values, announced %d", p.count, p.b.n))
+	}
+	if p.used > 0 {
+		binary.LittleEndian.PutUint64(p.b.data[p.off:], p.acc)
+	}
+	return p.b
 }
 
 // Len returns the number of packed values.

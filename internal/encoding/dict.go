@@ -3,7 +3,9 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Dict is a sorted global dictionary for a string column. Global-ids are the
@@ -26,6 +28,52 @@ func BuildDict(values []string) *Dict {
 	}
 	sort.Strings(uniq)
 	return &Dict{values: uniq}
+}
+
+// SortedDict wraps values that are already distinct and ascending — the users
+// of a sorted table, in block order — as a dictionary; the slice is adopted,
+// not copied.
+func SortedDict(values []string) (*Dict, error) {
+	for i := 1; i < len(values); i++ {
+		if values[i] <= values[i-1] {
+			return nil, fmt.Errorf("encoding: dict values not strictly ascending at %d", i)
+		}
+	}
+	return &Dict{values: values}, nil
+}
+
+// Grow returns the dictionary of d's values plus values, and remap, which
+// takes an id of d to the same value's id in the result. A compaction grows a
+// sealed dictionary by a delta batch this way: it costs a binary search per
+// run of equal batch values and a merge of the two sorted lists, never a hash
+// of d's own entries. When values holds nothing new the result is d itself
+// and remap is nil.
+func (d *Dict) Grow(values []string) (grown *Dict, remap []uint64) {
+	var fresh []string
+	for i, v := range values {
+		if i > 0 && v == values[i-1] {
+			continue
+		}
+		if _, ok := d.Lookup(v); !ok {
+			fresh = append(fresh, v)
+		}
+	}
+	if len(fresh) == 0 {
+		return d, nil
+	}
+	sort.Strings(fresh)
+	fresh = slices.Compact(fresh)
+	merged := make([]string, 0, len(d.values)+len(fresh))
+	remap = make([]uint64, len(d.values))
+	for id, v := range d.values {
+		for len(fresh) > 0 && fresh[0] < v {
+			merged = append(merged, fresh[0])
+			fresh = fresh[1:]
+		}
+		remap[id] = uint64(len(merged))
+		merged = append(merged, v)
+	}
+	return &Dict{values: append(merged, fresh...)}, remap
 }
 
 // Len returns the dictionary cardinality.
@@ -95,20 +143,6 @@ type ChunkDict struct {
 	globalIDs []uint64 // sorted
 }
 
-// BuildChunkDict collects the sorted distinct global-ids appearing in ids.
-func BuildChunkDict(ids []uint64) *ChunkDict {
-	seen := make(map[uint64]struct{}, 64)
-	uniq := make([]uint64, 0, 64)
-	for _, id := range ids {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			uniq = append(uniq, id)
-		}
-	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	return &ChunkDict{globalIDs: uniq}
-}
-
 // ChunkDictFromIDs wraps an already-sorted slice of distinct global-ids as a
 // chunk dictionary; the slice is adopted, not copied. Chunk rebuilds use it
 // to remap a chunk dictionary onto a grown global dictionary (a monotonic
@@ -136,20 +170,6 @@ func (c *ChunkDict) ChunkID(globalID uint64) (uint64, bool) {
 		return uint64(i), true
 	}
 	return 0, false
-}
-
-// Encode maps global-ids to chunk-ids. All ids must be present (the chunk
-// dictionary was built from the same data).
-func (c *ChunkDict) Encode(globalIDs []uint64) []uint64 {
-	out := make([]uint64, len(globalIDs))
-	for i, g := range globalIDs {
-		cid, ok := c.ChunkID(g)
-		if !ok {
-			panic(fmt.Sprintf("encoding: global id %d missing from chunk dict", g))
-		}
-		out[i] = cid
-	}
-	return out
 }
 
 // AppendTo serializes as count + delta-encoded sorted global-ids.
@@ -187,4 +207,76 @@ func DecodeChunkDict(src []byte) (*ChunkDict, []byte, error) {
 		ids[i] = prev
 	}
 	return &ChunkDict{globalIDs: ids}, src, nil
+}
+
+// Range is the half-open row range [Lo, Hi) of a source column.
+type Range struct{ Lo, Hi int }
+
+// Encoder is the build side of the column encodings: it compresses the rows
+// of one chunk, read in place from a source column through the row ranges
+// that make up the chunk, so nothing is copied before it is encoded and no
+// intermediate id or delta slice is built per column. It holds only scratch,
+// reused from column to column and chunk to chunk; the zero value is ready.
+type Encoder struct {
+	index map[string]uint32 // value -> provisional code
+	vals  []string          // provisional code -> value
+	codes []uint32          // provisional code of every row
+	order []uint32          // provisional codes in ascending value order
+	rank  []uint32          // provisional code -> chunk-id
+	ints  []int64           // an integer column's rows, gathered
+}
+
+// EncodeStrings builds one chunk of a string column: the chunk's distinct
+// values in ascending order — a fresh slice — and every row's chunk-id, its
+// value's position in that list. Dictionary construction and id assignment
+// are fused into a single pass over the rows: each value gets a provisional
+// code in first-seen order, and a value equal to its predecessor — the common
+// case in a table sorted by user, whose dimension columns form long runs —
+// costs one compare and no hash. The distinct values are then sorted once,
+// and the codes go through the resulting code -> chunk-id table straight into
+// the packed array. The map is sized by what a chunk holds, never by a row
+// count.
+func (e *Encoder) EncodeStrings(col []string, ranges []Range) (sorted []string, ids BitPacked) {
+	if e.index == nil {
+		e.index = make(map[string]uint32)
+	}
+	clear(e.index)
+	clear(e.vals) // drop the references to the previous column's strings
+	e.vals = e.vals[:0]
+	rows := 0
+	for _, r := range ranges {
+		rows += r.Hi - r.Lo
+	}
+	e.codes = slices.Grow(e.codes[:0], rows)[:rows]
+	prev, code, k := "", uint32(0), 0
+	for _, r := range ranges {
+		for _, v := range col[r.Lo:r.Hi] {
+			if k == 0 || v != prev {
+				id, ok := e.index[v]
+				if !ok {
+					id = uint32(len(e.vals))
+					e.index[v] = id
+					e.vals = append(e.vals, v)
+				}
+				prev, code = v, id
+			}
+			e.codes[k] = code
+			k++
+		}
+	}
+	n := len(e.vals)
+	e.order = slices.Grow(e.order[:0], n)[:n]
+	for i := range e.order {
+		e.order[i] = uint32(i)
+	}
+	slices.SortFunc(e.order, func(a, b uint32) int { return strings.Compare(e.vals[a], e.vals[b]) })
+	sorted = make([]string, n)
+	e.rank = slices.Grow(e.rank[:0], n)[:n]
+	for pos, c := range e.order {
+		sorted[pos] = e.vals[c]
+		e.rank[c] = uint32(pos)
+	}
+	p := newPacker(rows, BitWidth(uint64(max(n, 1)-1)))
+	p.appendMapped(e.codes, e.rank)
+	return sorted, p.finish()
 }

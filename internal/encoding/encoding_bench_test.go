@@ -8,6 +8,7 @@ package encoding
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -99,7 +100,12 @@ func BenchmarkDictLookup(b *testing.B) {
 }
 
 func BenchmarkChunkDictPruneProbe(b *testing.B) {
-	cd := BuildChunkDict(benchData(4096, 24))
+	ids := benchData(4096, 24)
+	slices.Sort(ids)
+	cd, err := ChunkDictFromIDs(slices.Compact(ids))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cd.ChunkID(uint64(i) & (1<<24 - 1))

@@ -256,7 +256,10 @@ func TestDictPropertyIDOrderMatchesValueOrder(t *testing.T) {
 }
 
 func TestChunkDict(t *testing.T) {
-	cd := BuildChunkDict([]uint64{10, 3, 10, 7, 3})
+	cd, err := ChunkDictFromIDs([]uint64{3, 7, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cd.Len() != 3 {
 		t.Fatalf("chunk dict len = %d, want 3", cd.Len())
 	}
@@ -273,14 +276,18 @@ func TestChunkDict(t *testing.T) {
 	if _, ok := cd.ChunkID(5); ok {
 		t.Error("ChunkID for absent global id succeeded")
 	}
-	enc := cd.Encode([]uint64{10, 3, 10, 7, 3})
-	if !reflect.DeepEqual(enc, []uint64{2, 0, 2, 1, 0}) {
-		t.Errorf("Encode = %v", enc)
+	for _, bad := range [][]uint64{{3, 3}, {7, 3}} {
+		if _, err := ChunkDictFromIDs(bad); err == nil {
+			t.Errorf("ChunkDictFromIDs(%v) accepted ids that are not strictly ascending", bad)
+		}
 	}
 }
 
 func TestChunkDictSerialize(t *testing.T) {
-	cd := BuildChunkDict([]uint64{100, 2, 57, 2, 100, 3})
+	cd, err := ChunkDictFromIDs([]uint64{2, 3, 57, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := cd.AppendTo(nil)
 	got, rest, err := DecodeChunkDict(buf)
 	if err != nil {
@@ -498,5 +505,155 @@ func TestDecodeBitPackedAliasesSource(t *testing.T) {
 	f, _, err := DecodeFrameOfRef(EncodeFrameOfRef([]int64{-3, 9, 4}).AppendTo(nil))
 	if err != nil || !reflect.DeepEqual(f.Decode(), []int64{-3, 9, 4}) {
 		t.Fatalf("frame round trip: %v %v", f.Decode(), err)
+	}
+}
+
+// TestPackerMatchesPackUint64 feeds a packer in pieces of every shape and
+// checks the bytes against the one-shot packer, for the widths where a value
+// ends on, straddles and fills a 64-bit word.
+func TestPackerMatchesPackUint64(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, width := range []uint{1, 3, 7, 8, 13, 31, 32, 33, 57, 63, 64} {
+		n := 1 + rng.Intn(300)
+		table := make([]uint32, 40)
+		for i := range table {
+			table[i] = uint32(rng.Uint64() & (1<<min(width, 32) - 1))
+		}
+		codes := make([]uint32, n)
+		ints := make([]int64, n)
+		base := int64(rng.Uint64())
+		wantMapped := make([]uint64, n)
+		wantDeltas := make([]uint64, n)
+		for i := range codes {
+			codes[i] = uint32(rng.Intn(len(table)))
+			wantMapped[i] = uint64(table[codes[i]])
+			wantDeltas[i] = rng.Uint64()
+			if width < 64 {
+				wantDeltas[i] &= 1<<width - 1
+			}
+			ints[i] = base + int64(wantDeltas[i]) // wraps like the encoder's subtraction
+		}
+		mapped, deltas := newPacker(n, width), newPacker(n, width)
+		for lo := 0; lo < n; {
+			hi := min(n, lo+rng.Intn(9))
+			mapped.appendMapped(codes[lo:hi], table)
+			deltas.appendDeltas(ints[lo:hi], base)
+			lo = hi
+		}
+		for name, c := range map[string]struct {
+			got  BitPacked
+			want []uint64
+		}{"mapped": {mapped.finish(), wantMapped}, "deltas": {deltas.finish(), wantDeltas}} {
+			want := PackUint64Width(c.want, width).AppendTo(nil)
+			if got := c.got.AppendTo(nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("width %d %s: packer bytes differ from PackUint64Width", width, name)
+			}
+		}
+	}
+}
+
+func TestPackerFinishChecksCount(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("finish accepted fewer values than announced")
+		}
+	}()
+	p := newPacker(3, 4)
+	p.appendMapped([]uint32{0, 0}, []uint32{5})
+	p.finish()
+}
+
+func TestSortedDict(t *testing.T) {
+	d, err := SortedDict([]string{"", "a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := d.Lookup("b"); !ok || id != 2 {
+		t.Errorf("Lookup(b) = (%d, %v), want (2, true)", id, ok)
+	}
+	for _, bad := range [][]string{{"a", "a"}, {"b", "a"}} {
+		if _, err := SortedDict(bad); err == nil {
+			t.Errorf("SortedDict(%q) accepted values that are not strictly ascending", bad)
+		}
+	}
+}
+
+// TestDictGrowMatchesBuildDict pins Grow against the definition: the
+// dictionary of all the values, and a remap that follows every old value.
+func TestDictGrowMatchesBuildDict(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	word := func() string { return string(rune('a'+rng.Intn(6))) + string(rune('a'+rng.Intn(6))) }
+	for round := 0; round < 200; round++ {
+		old := make([]string, rng.Intn(12))
+		for i := range old {
+			old[i] = word()
+		}
+		batch := make([]string, rng.Intn(12))
+		for i := range batch {
+			if batch[i] = word(); i > 0 && rng.Intn(3) == 0 {
+				batch[i] = batch[i-1]
+			}
+		}
+		if rng.Intn(4) == 0 {
+			batch = append(batch, "")
+		}
+		d := BuildDict(old)
+		grown, remap := d.Grow(batch)
+		want := BuildDict(append(append([]string(nil), old...), batch...))
+		if !reflect.DeepEqual(grown.Values(), want.Values()) {
+			t.Fatalf("Grow(%q) over %q = %q, want %q", batch, d.Values(), grown.Values(), want.Values())
+		}
+		if grown.Len() == d.Len() {
+			if grown != d || remap != nil {
+				t.Fatalf("Grow with nothing new returned a new dictionary or a remap")
+			}
+			continue
+		}
+		for id, v := range d.Values() {
+			if grown.Value(remap[id]) != v {
+				t.Fatalf("remap[%d] = %d names %q, want %q", id, remap[id], grown.Value(remap[id]), v)
+			}
+		}
+	}
+}
+
+// TestEncoderOverRanges drives both column encoders over row ranges of a
+// source column and checks them against the one-shot encoders run on the same
+// rows, twice, so that the second round runs on reused scratch.
+func TestEncoderOverRanges(t *testing.T) {
+	strs := []string{"skip", "shop", "shop", "", "launch", "skip", "skip", "launch", "shop", "fight", "", "skip"}
+	ints := []int64{1 << 50, -3, -3, 9, math.MinInt64, 7, 7, math.MaxInt64, 0, 4, 4, -1 << 50}
+	for _, ranges := range [][]Range{
+		{{1, 5}, {7, 11}},
+		{{1, 5}},
+		{{3, 4}},
+		{{0, 0}},
+		nil,
+	} {
+		var wantStrs []string
+		var wantInts []int64
+		for _, r := range ranges {
+			wantStrs = append(wantStrs, strs[r.Lo:r.Hi]...)
+			wantInts = append(wantInts, ints[r.Lo:r.Hi]...)
+		}
+		dict := BuildDict(wantStrs)
+		wantIDs := make([]uint64, len(wantStrs))
+		for i, v := range wantStrs {
+			wantIDs[i], _ = dict.Lookup(v)
+		}
+		var e Encoder
+		for round := 0; round < 2; round++ {
+			sorted, ids := e.EncodeStrings(strs, ranges)
+			if !reflect.DeepEqual(sorted, dict.Values()) {
+				t.Fatalf("ranges %v: values %q, want %q", ranges, sorted, dict.Values())
+			}
+			if !reflect.DeepEqual(ids.AppendTo(nil), PackUint64(wantIDs).AppendTo(nil)) {
+				t.Fatalf("ranges %v: chunk-ids %v, want %v", ranges, ids.Unpack(), wantIDs)
+			}
+			frame := e.EncodeInts(ints, ranges)
+			if !reflect.DeepEqual(frame.AppendTo(nil), EncodeFrameOfRef(wantInts).AppendTo(nil)) {
+				t.Fatalf("ranges %v: frame decodes to %v, want %v", ranges, frame.Decode(), wantInts)
+			}
+		}
 	}
 }

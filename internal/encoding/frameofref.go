@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // FrameOfRef is the two-level delta encoding of Section 4.1 for integer
@@ -15,13 +16,40 @@ type FrameOfRef struct {
 	deltas   BitPacked
 }
 
-// EncodeFrameOfRef encodes values. Empty input yields a zero-range frame.
+// EncodeFrameOfRef encodes values, packing each delta straight into the
+// frame. Empty input yields a zero-range frame.
 func EncodeFrameOfRef(values []int64) *FrameOfRef {
-	if len(values) == 0 {
-		return &FrameOfRef{deltas: *PackUint64Width(nil, 1)}
+	var mn, mx int64
+	if len(values) > 0 {
+		mn, mx = MinMax(values[1:], values[0], values[0])
 	}
-	mn, mx := values[0], values[0]
-	for _, v := range values[1:] {
+	deltas := newPacker(len(values), BitWidth(uint64(mx-mn)))
+	deltas.appendDeltas(values, mn)
+	return &FrameOfRef{min: mn, max: mx, deltas: deltas.finish()}
+}
+
+// EncodeInts builds one chunk of an integer column from the rows in ranges.
+// An integer column is pointer-free, so rows lying in several ranges are
+// gathered first: the range scan and the packing then read one contiguous
+// slice instead of striding the source twice.
+func (e *Encoder) EncodeInts(col []int64, ranges []Range) FrameOfRef {
+	if len(ranges) == 1 {
+		return *EncodeFrameOfRef(col[ranges[0].Lo:ranges[0].Hi])
+	}
+	rows := 0
+	for _, r := range ranges {
+		rows += r.Hi - r.Lo
+	}
+	e.ints = slices.Grow(e.ints[:0], rows)
+	for _, r := range ranges {
+		e.ints = append(e.ints, col[r.Lo:r.Hi]...)
+	}
+	return *EncodeFrameOfRef(e.ints)
+}
+
+// MinMax widens [mn, mx] to cover values.
+func MinMax(values []int64, mn, mx int64) (int64, int64) {
+	for _, v := range values {
 		if v < mn {
 			mn = v
 		}
@@ -29,11 +57,7 @@ func EncodeFrameOfRef(values []int64) *FrameOfRef {
 			mx = v
 		}
 	}
-	deltas := make([]uint64, len(values))
-	for i, v := range values {
-		deltas[i] = uint64(v - mn)
-	}
-	return &FrameOfRef{min: mn, max: mx, deltas: *PackUint64Width(deltas, BitWidth(uint64(mx-mn)))}
+	return mn, mx
 }
 
 // Len returns the number of encoded values.

@@ -72,30 +72,54 @@ func TestColdLoadAllocs(t *testing.T) {
 
 // TestSegmentNamesGolden pins the segment encoding: segment files are named
 // by the SHA-256 of their bytes, so these names — recorded before BitPacked
-// became byte-backed — change if and only if a serialized byte does.
+// became byte-backed, and for the merged table before the build and the
+// compaction shared one encoder — change if and only if a serialized byte
+// does.
 func TestSegmentNamesGolden(t *testing.T) {
+	generated := gen.Config{Users: 60, Days: 12, MeanActions: 10, Seed: 9}
 	for _, fx := range []struct {
 		name      string
 		tbl       *activity.Table
 		shards    int
 		chunkSize int
+		merge     bool // merge goldenDelta into every shard before the commit
 		want      []string
 	}{
-		{"generated", gen.Generate(gen.Config{Users: 60, Days: 12, MeanActions: 10, Seed: 9}), 2, 128, []string{
+		{"generated", gen.Generate(generated), 2, 128, false, []string{
 			"w.cohana.g3770fe0667c9e0dfdab56393aec35341.cohseg",
 			"w.cohana.g4559b113364f4e5d1e1812f1a8889245.cohseg",
 			"w.cohana.g8b0014342f0256575feac78a214dc8fd.cohseg",
 			"w.cohana.ga3cff7ed42b0b9376845a179a773b581.cohseg",
 		}},
-		{"paper-table-1", activity.PaperTable1(), 1, 4, []string{
+		{"paper-table-1", activity.PaperTable1(), 1, 4, false, []string{
 			"w.cohana.g59d4b288b2bd18e55cd3f04fc6f5155f.cohseg",
 			"w.cohana.gaf30e1001bd17ba09f01159ce9be2763.cohseg",
+		}},
+		{"merged", gen.Generate(generated), 2, 128, true, []string{
+			"w.cohana.g3770fe0667c9e0dfdab56393aec35341.cohseg",
+			"w.cohana.g82063f05068d940a94c3fe80904ebd93.cohseg",
+			"w.cohana.g8f7aad3b9d6d8def651c4cb4c4e4e96c.cohseg",
+			"w.cohana.ga8686b130aad3cb65306454fb7f4c90e.cohseg",
+			"w.cohana.gaa38bb6a564c6f0ccec0191a68583c13.cohseg",
+			"w.cohana.gb0ad35a7d143b5166dc233261f00c3c7.cohseg",
 		}},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			s, err := BuildSharded(fx.tbl, fx.shards, Options{ChunkSize: fx.chunkSize})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if fx.merge {
+				for si, batch := range goldenDelta(t, fx.tbl.Schema(), fx.shards) {
+					merged, rebuilt, _, err := MergeDelta(s.Shard(si), batch, Options{ChunkSize: fx.chunkSize})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rebuilt == 0 {
+						t.Fatalf("shard %d: the delta rebuilt no chunk", si)
+					}
+					s = s.WithShard(si, merged)
+				}
 			}
 			dir := t.TempDir()
 			if _, err := CommitSharded(filepath.Join(dir, "w.cohana"), s); err != nil {
@@ -122,4 +146,31 @@ func TestSegmentNamesGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenDelta is a fixed delta over the generated table, split by shard: new
+// tuples for three sealed users, one user below and one above every sealed
+// one, and a country, city and role no sealed dictionary holds.
+func goldenDelta(t *testing.T, schema *activity.Schema, shards int) []*activity.Table {
+	t.Helper()
+	parts := make([]*activity.Table, shards)
+	for i := range parts {
+		parts[i] = activity.NewTable(schema)
+	}
+	for k, user := range []string{"player-0000003", "player-0000017", "player-0000042", "aa-below", "zz-above"} {
+		for i := 0; i < 30; i++ {
+			action := gen.Actions[(i+k)%len(gen.Actions)]
+			err := parts[ShardOf(user, shards)].Append(user, int64(2_000_000_000+60*i), action,
+				"Narnia", "Cair Paravel", "faun", int64(k), int64(i*i-100))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, p := range parts {
+		if err := p.SortByPK(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return parts
 }

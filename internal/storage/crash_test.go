@@ -89,7 +89,8 @@ func TestCrashBetweenSegmentsAndManifestRename(t *testing.T) {
 	layoutB := sealed.WithShard(si, newShard)
 	orphans := 0
 	for ci := 0; ci < newShard.NumChunks(); ci++ {
-		name := segmentName(path, newShard.segmentHash(ci))
+		hash, _ := newShard.segmentHash(ci)
+		name := segmentName(path, hash)
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			continue // shared with layout A
 		}
@@ -124,7 +125,8 @@ func TestCrashBetweenSegmentsAndManifestRename(t *testing.T) {
 	for si := 0; si < layoutB.NumShards(); si++ {
 		sh := layoutB.Shard(si)
 		for ci := 0; ci < sh.NumChunks(); ci++ {
-			keep[segmentName(path, sh.segmentHash(ci))] = true
+			hash, _ := sh.segmentHash(ci)
+			keep[segmentName(path, hash)] = true
 		}
 	}
 	for _, f := range listSegments(path) {

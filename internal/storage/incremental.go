@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"repro/internal/activity"
@@ -56,7 +54,6 @@ func MergeDelta(old *Table, batch *activity.Table, opts Options) (merged *Table,
 	if !batch.Sorted() {
 		return nil, 0, 0, fmt.Errorf("storage: delta batch must be sorted by primary key")
 	}
-	schema := old.schema
 	if old.NumChunks() == 0 {
 		// Nothing sealed to merge into: a plain build of the batch. (A lazy
 		// table with no chunks comes back eager; results are identical and
@@ -70,80 +67,11 @@ func MergeDelta(old *Table, batch *activity.Table, opts Options) (merged *Table,
 	if old.lazy != nil {
 		return mergeDeltaLazy(old, batch, opts)
 	}
-	chunkSize := opts.chunkSize()
-	st := &Table{
-		schema:    schema,
-		chunkSize: chunkSize,
-		numRows:   old.numRows + batch.Len(),
-		dicts:     make([]*encoding.Dict, schema.NumCols()),
-		globalMin: make([]int64, schema.NumCols()),
-		globalMax: make([]int64, schema.NumCols()),
-	}
-	// Grown global dictionaries and ranges: appending rows only ever inserts
-	// dictionary values and widens ranges, so the merged metadata equals what
-	// a full rebuild over all rows would compute.
-	remap := make([][]uint64, schema.NumCols())
-	for c := 0; c < schema.NumCols(); c++ {
-		if schema.IsStringCol(c) {
-			oldVals := old.dicts[c].Values()
-			all := make([]string, 0, len(oldVals)+batch.Len())
-			all = append(all, oldVals...)
-			all = append(all, batch.Strings(c)...)
-			st.dicts[c] = encoding.BuildDict(all)
-			if st.dicts[c].Len() > len(oldVals) {
-				m := make([]uint64, len(oldVals))
-				for id, v := range oldVals {
-					gid, ok := st.dicts[c].Lookup(v)
-					if !ok {
-						return nil, 0, 0, fmt.Errorf("storage: value %q lost in dictionary merge", v)
-					}
-					m[id] = gid
-				}
-				remap[c] = m
-			}
-			continue
-		}
-		mn, mx := old.globalMin[c], old.globalMax[c]
-		if old.numRows == 0 {
-			vals := batch.Ints(c)
-			mn, mx = vals[0], vals[0]
-		}
-		for _, v := range batch.Ints(c) {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		st.globalMin[c], st.globalMax[c] = mn, mx
-	}
-	// Route each delta user block to its owning chunk: chunk i owns users in
-	// [firstUser(i), firstUser(i+1)), with chunk 0 absorbing anything below
-	// its range and the last chunk anything above. Both the batch's user
-	// blocks and the chunk ranges are in ascending user order, so the routed
-	// row ranges are contiguous and in chunk order.
-	firstUsers := make([]string, old.NumChunks())
-	for i := range firstUsers {
-		firstUsers[i], _ = old.ChunkUserRange(i)
-	}
-	batchLo := make([]int, old.NumChunks())
-	batchHi := make([]int, old.NumChunks())
-	for i := range batchHi {
-		batchLo[i] = -1
-	}
-	batch.UserBlocks(func(user string, start, end int) {
-		ci := 0
-		for ci < len(firstUsers)-1 && firstUsers[ci+1] <= user {
-			ci++
-		}
-		if batchLo[ci] < 0 {
-			batchLo[ci] = start
-		}
-		batchHi[ci] = end
-	})
+	schema := old.schema
+	st, remap, routed := planMerge(old, batch, opts)
+	users := st.dicts[schema.UserCol()]
 	for ci := 0; ci < old.NumChunks(); ci++ {
-		if batchLo[ci] < 0 {
+		if routed[ci].Lo < 0 {
 			// Untouched: share the payloads, remap the dictionary-id
 			// structures. When no dictionary grew the chunk is carried over
 			// as-is, keeping its cached segment identity.
@@ -152,32 +80,105 @@ func MergeDelta(old *Table, batch *activity.Table, opts Options) (merged *Table,
 			reused++
 			continue
 		}
-		sub := activity.NewTable(schema)
-		sub.AppendRows(batch, batchLo[ci], batchHi[ci])
-		if err := sub.AssertSortedByPK(); err != nil {
-			return nil, 0, 0, fmt.Errorf("storage: routed delta rows for chunk %d: %w", ci, err)
-		}
-		matRows, err := old.MaterializeChunk(ci)
+		segs, err := rebuildChunk(old, ci, batch, routed[ci], st.chunkSize)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		rows, err := activity.MergeSorted(matRows, sub)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("storage: merging chunk %d: %w", ci, err)
+		for _, sc := range segs {
+			// The region's users are every user of the grown dictionary
+			// within its range, so their ids run on from the first one's.
+			userBase, ok := users.Lookup(sc.users[0])
+			if !ok {
+				return nil, 0, 0, fmt.Errorf("storage: user %q missing from the merged dictionary", sc.users[0])
+			}
+			ch, err := bindChunk(schema, st.dicts, sc, userBase)
+			if err != nil {
+				return nil, 0, 0, fmt.Errorf("storage: rebuilding chunk %d: %w", ci, err)
+			}
+			st.chunks = append(st.chunks, ch)
+			st.numUsers += len(sc.users)
 		}
-		gids, err := globalIDs(rows, schema, st.dicts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		chunks, users, err := encodeChunks(rows, schema, gids, chunkSize)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		st.chunks = append(st.chunks, chunks...)
-		st.numUsers += users
-		rebuilt += len(chunks)
+		rebuilt += len(segs)
 	}
 	return st, rebuilt, reused, nil
+}
+
+// planMerge is the part of a merge that the eager and the lazy path share:
+// the merged table's shell with its grown global dictionaries and ranges, the
+// remap of every dictionary that grew, and the delta's routing. Appending rows
+// only ever inserts dictionary values and widens ranges, so the merged
+// metadata equals what a full rebuild over all rows would compute. A lazy
+// table has no user dictionary to grow; its user ids stay virtual.
+//
+// routed[ci] is the batch's row range owned by old chunk ci (Lo < 0 when the
+// batch holds none): chunk i owns users in [firstUser(i), firstUser(i+1)),
+// with chunk 0 absorbing anything below its range and the last chunk anything
+// above. Both the batch's user blocks and the chunk ranges are in ascending
+// user order, so the routed ranges are contiguous and in chunk order.
+func planMerge(old *Table, batch *activity.Table, opts Options) (st *Table, remap [][]uint64, routed []span) {
+	schema := old.schema
+	st = &Table{
+		schema:    schema,
+		chunkSize: opts.chunkSize(),
+		numRows:   old.numRows + batch.Len(),
+		dicts:     make([]*encoding.Dict, schema.NumCols()),
+		globalMin: make([]int64, schema.NumCols()),
+		globalMax: make([]int64, schema.NumCols()),
+	}
+	remap = make([][]uint64, schema.NumCols())
+	for c := 0; c < schema.NumCols(); c++ {
+		if schema.IsStringCol(c) {
+			if old.dicts[c] != nil {
+				st.dicts[c], remap[c] = old.dicts[c].Grow(batch.Strings(c))
+			}
+			continue
+		}
+		st.globalMin[c], st.globalMax[c] = encoding.MinMax(batch.Ints(c), old.globalMin[c], old.globalMax[c])
+	}
+	firstUsers := make([]string, old.NumChunks())
+	for i := range firstUsers {
+		firstUsers[i], _ = old.ChunkUserRange(i)
+	}
+	routed = make([]span, old.NumChunks())
+	for i := range routed {
+		routed[i].Lo = -1
+	}
+	ci := 0
+	batch.UserBlocks(func(user string, start, end int) {
+		for ci < len(firstUsers)-1 && firstUsers[ci+1] <= user {
+			ci++
+		}
+		if routed[ci].Lo < 0 {
+			routed[ci].Lo = start
+		}
+		routed[ci].Hi = end
+	})
+	return st, remap, routed
+}
+
+// rebuildChunk decodes old chunk ci, merges the routed batch rows into it in
+// (Au, At, Ae) order and re-encodes the result through the encoder the full
+// build uses, splitting at the block budget when the merged chunk outgrows
+// it. The chunks come back self-contained, for the caller to bind.
+func rebuildChunk(old *Table, ci int, batch *activity.Table, routed span, chunkSize int) ([]*segChunk, error) {
+	sub := activity.NewTable(old.schema)
+	sub.AppendRows(batch, routed.Lo, routed.Hi)
+	if err := sub.AssertSortedByPK(); err != nil {
+		return nil, fmt.Errorf("storage: routed delta rows for chunk %d: %w", ci, err)
+	}
+	sealed, err := old.MaterializeChunk(ci)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := activity.MergeSorted(sealed, sub)
+	if err != nil {
+		return nil, fmt.Errorf("storage: merging chunk %d: %w", ci, err)
+	}
+	var spans []span
+	rows.UserBlocks(func(_ string, start, end int) {
+		spans = append(spans, span{Lo: start, Hi: end})
+	})
+	return encodeChunks(rows, [][]span{spans}, chunkSize)[0], nil
 }
 
 // remapChunk rebinds one untouched chunk onto grown global dictionaries. The
@@ -250,79 +251,12 @@ func remapChunk(old *Table, ci int, schema *activity.Schema, remap [][]uint64) *
 // be allowed to evict the only copy.
 func mergeDeltaLazy(old *Table, batch *activity.Table, opts Options) (merged *Table, rebuilt, reused int, err error) {
 	schema := old.schema
-	userCol := schema.UserCol()
-	chunkSize := opts.chunkSize()
-	st := &Table{
-		schema:    schema,
-		chunkSize: chunkSize,
-		numRows:   old.numRows + batch.Len(),
-		dicts:     make([]*encoding.Dict, schema.NumCols()),
-		globalMin: make([]int64, schema.NumCols()),
-		globalMax: make([]int64, schema.NumCols()),
-	}
-	remap := make([][]uint64, schema.NumCols())
-	for c := 0; c < schema.NumCols(); c++ {
-		if c == userCol {
-			continue // no user dictionary on lazy tables; ids stay virtual
-		}
-		if schema.IsStringCol(c) {
-			oldVals := old.dicts[c].Values()
-			all := make([]string, 0, len(oldVals)+batch.Len())
-			all = append(all, oldVals...)
-			all = append(all, batch.Strings(c)...)
-			st.dicts[c] = encoding.BuildDict(all)
-			if st.dicts[c].Len() > len(oldVals) {
-				m := make([]uint64, len(oldVals))
-				for id, v := range oldVals {
-					gid, ok := st.dicts[c].Lookup(v)
-					if !ok {
-						return nil, 0, 0, fmt.Errorf("storage: value %q lost in dictionary merge", v)
-					}
-					m[id] = gid
-				}
-				remap[c] = m
-			}
-			continue
-		}
-		mn, mx := old.globalMin[c], old.globalMax[c]
-		if old.numRows == 0 {
-			vals := batch.Ints(c)
-			mn, mx = vals[0], vals[0]
-		}
-		for _, v := range batch.Ints(c) {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		st.globalMin[c], st.globalMax[c] = mn, mx
-	}
-	firstUsers := make([]string, old.NumChunks())
-	for i := range firstUsers {
-		firstUsers[i], _ = old.ChunkUserRange(i)
-	}
-	batchLo := make([]int, old.NumChunks())
-	batchHi := make([]int, old.NumChunks())
-	for i := range batchHi {
-		batchLo[i] = -1
-	}
-	batch.UserBlocks(func(user string, start, end int) {
-		ci := 0
-		for ci < len(firstUsers)-1 && firstUsers[ci+1] <= user {
-			ci++
-		}
-		if batchLo[ci] < 0 {
-			batchLo[ci] = start
-		}
-		batchHi[ci] = end
-	})
+	st, remap, routed := planMerge(old, batch, opts)
 	var metas []chunkMeta
 	var userBase uint64
 	for ci := 0; ci < old.NumChunks(); ci++ {
 		om := &old.lazy.metas[ci]
-		if batchLo[ci] < 0 {
+		if routed[ci].Lo < 0 {
 			if om.perm {
 				st.chunks = append(st.chunks, carryPermChunk(old, ci, userBase, remap))
 			} else {
@@ -337,53 +271,24 @@ func mergeDeltaLazy(old *Table, batch *activity.Table, opts Options) (merged *Ta
 			reused++
 			continue
 		}
-		sub := activity.NewTable(schema)
-		sub.AppendRows(batch, batchLo[ci], batchHi[ci])
-		if err := sub.AssertSortedByPK(); err != nil {
-			return nil, 0, 0, fmt.Errorf("storage: routed delta rows for chunk %d: %w", ci, err)
-		}
-		matRows, err := old.MaterializeChunk(ci)
+		segs, err := rebuildChunk(old, ci, batch, routed[ci], st.chunkSize)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		rows, err := activity.MergeSorted(matRows, sub)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("storage: merging chunk %d: %w", ci, err)
-		}
-		gids, err := globalIDs(rows, schema, st.dicts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		// Synthesize the virtual user ids: the region's k-th distinct user
-		// gets userBase+k, which equals the global sorted-dictionary id an
-		// eager build would assign (users are globally sorted and never span
-		// chunks).
-		ug := make([]uint64, rows.Len())
-		var regionUsers []string
-		regionBase := userBase
-		rows.UserBlocks(func(user string, start, end int) {
-			g := regionBase + uint64(len(regionUsers))
-			regionUsers = append(regionUsers, user)
-			for i := start; i < end; i++ {
-				ug[i] = g
+		for _, sc := range segs {
+			// The virtual user ids: the k-th distinct user so far gets id k,
+			// which equals the global sorted-dictionary id an eager build
+			// would assign (users are globally sorted and never span chunks).
+			ch, err := bindChunk(schema, st.dicts, sc, userBase)
+			if err != nil {
+				return nil, 0, 0, fmt.Errorf("storage: rebuilding chunk %d: %w", ci, err)
 			}
-		})
-		gids[userCol] = ug
-		chunks, users, err := encodeChunks(rows, schema, gids, chunkSize)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for _, ch := range chunks {
-			base, _, _ := ch.UserRun(0)
-			ch.userBase = base
-			lo := int(base - regionBase)
-			ch.userVals = regionUsers[lo : lo+ch.NumUsers()]
 			metas = append(metas, permChunkMeta(schema, st.dicts, ch))
 			st.chunks = append(st.chunks, ch)
+			userBase += uint64(len(sc.users))
+			st.numUsers += len(sc.users)
 		}
-		st.numUsers += users
-		userBase += uint64(users)
-		rebuilt += len(chunks)
+		rebuilt += len(segs)
 	}
 	st.lazy = &lazyState{
 		dir:    old.lazy.dir,
@@ -477,8 +382,7 @@ func carryPermChunk(old *Table, ci int, newBase uint64, remap [][]uint64) *Chunk
 // and marks it perm (resident until the table reloads).
 func permChunkMeta(schema *activity.Schema, dicts []*encoding.Dict, ch *Chunk) chunkMeta {
 	buf := appendChunkSegment(nil, schema, dicts, ch)
-	sum := sha256.Sum256(buf)
-	hash := hex.EncodeToString(sum[:16])
+	hash := hashSegment(buf)
 	ch.seg.once.Do(func() { ch.seg.hash = hash })
 	strVals, intMin, intMax := chunkStatsOf(schema, ch)
 	return chunkMeta{

@@ -91,6 +91,7 @@ func (st *Table) MaterializeChunk(i int) (*activity.Table, error) {
 		return nil, err
 	}
 	defer release()
+	dst.Grow(ch.NumRows())
 	for r := 0; r < ch.NumUsers(); r++ {
 		gid, first, n := ch.UserRun(r)
 		st.appendRows(dst, ch, gid, first, first+n)

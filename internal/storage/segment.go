@@ -82,14 +82,22 @@ func (st *Table) segmentBytes(i int) []byte {
 // different chunks onto one segment file) — computing and caching it on
 // first use. Chunks carried over from a previous layout share the cache, so
 // an incremental commit hashes only the chunks a compaction actually
-// rebuilt.
-func (st *Table) segmentHash(i int) string {
+// rebuilt. When this call is the one that computed the hash, buf is the
+// segment it serialized to do so, for a committer to write without
+// serializing again; otherwise buf is nil.
+func (st *Table) segmentHash(i int) (hash string, buf []byte) {
 	info := st.chunks[i].seg
 	info.once.Do(func() {
-		sum := sha256.Sum256(st.segmentBytes(i))
-		info.hash = hex.EncodeToString(sum[:16])
+		buf = st.segmentBytes(i)
+		info.hash = hashSegment(buf)
 	})
-	return info.hash
+	return info.hash, buf
+}
+
+// hashSegment is the content hash of a segment's bytes.
+func hashSegment(buf []byte) string {
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:16])
 }
 
 // segChunk is a decoded self-contained chunk segment, values not yet bound to
@@ -213,12 +221,13 @@ func decodeChunkSegment(src []byte, schema *activity.Schema) (*segChunk, error) 
 	return sc, nil
 }
 
-// assembleShard binds decoded chunk segments — which must arrive in user-range
-// order — back into one Table: fresh global dictionaries are built from the
-// per-chunk value lists, each chunk's structures remap onto them, and the
-// bit-packed payloads are adopted as-is. hashes carries each chunk's content
-// hash (from its segment file name) so reloaded chunks keep their segment
-// identity without re-serializing.
+// assembleShard binds self-contained chunks — decoded from segments or fresh
+// from the encoder, and in user-range order — into one Table: the global
+// dictionaries are the union of the per-chunk value lists, each chunk's
+// structures bind onto them, and the bit-packed payloads are adopted as-is.
+// hashes, when not nil, carries each chunk's content hash (from its segment
+// file name) so reloaded chunks keep their segment identity without
+// re-serializing.
 func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, hashes []string) (*Table, error) {
 	st := &Table{
 		schema:    schema,
@@ -228,14 +237,20 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 		globalMax: make([]int64, schema.NumCols()),
 	}
 	userCol := schema.UserCol()
-	var allUsers []string
-	for si, sc := range segs {
-		if len(sc.users) > 0 && len(allUsers) > 0 && sc.users[0] <= allUsers[len(allUsers)-1] {
-			return nil, fmt.Errorf("storage: chunk %d user range overlaps its predecessor", si)
-		}
+	// Users ascend within a chunk and from chunk to chunk, so their
+	// dictionary is the concatenation and a user's id is its position.
+	users := 0
+	for _, sc := range segs {
+		users += len(sc.users)
+	}
+	allUsers := make([]string, 0, users)
+	for _, sc := range segs {
 		allUsers = append(allUsers, sc.users...)
 	}
-	st.dicts[userCol] = encoding.BuildDict(allUsers)
+	var err error
+	if st.dicts[userCol], err = encoding.SortedDict(allUsers); err != nil {
+		return nil, fmt.Errorf("storage: chunk user ranges overlap or descend: %w", err)
+	}
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == userCol || !schema.IsStringCol(c) {
 			continue
@@ -261,44 +276,57 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 		}
 	}
 	for si, sc := range segs {
-		ch := &Chunk{numRows: sc.numRows, cols: make([]chunkColumn, schema.NumCols()), seg: &segInfo{}}
+		ch, err := bindChunk(schema, st.dicts, sc, uint64(st.numUsers))
+		if err != nil {
+			return nil, fmt.Errorf("storage: chunk %d: %w", si, err)
+		}
 		if hashes != nil && hashes[si] != "" {
 			ch.seg.once.Do(func() { ch.seg.hash = hashes[si] })
-		}
-		gids := make([]uint64, len(sc.users))
-		for i, u := range sc.users {
-			gid, ok := st.dicts[userCol].Lookup(u)
-			if !ok {
-				return nil, fmt.Errorf("storage: user %q missing from assembled dictionary", u)
-			}
-			gids[i] = gid
-		}
-		ch.users = encoding.RLEFromRuns(gids, sc.lengths)
-		for c := 0; c < schema.NumCols(); c++ {
-			if c == userCol {
-				continue
-			}
-			if schema.IsStringCol(c) {
-				ids := make([]uint64, len(sc.cols[c].vals))
-				for i, v := range sc.cols[c].vals {
-					gid, ok := st.dicts[c].Lookup(v)
-					if !ok {
-						return nil, fmt.Errorf("storage: value %q missing from assembled dictionary", v)
-					}
-					ids[i] = gid
-				}
-				cd, err := encoding.ChunkDictFromIDs(ids)
-				if err != nil {
-					return nil, fmt.Errorf("storage: chunk %d column %d: %w", si, c, err)
-				}
-				ch.cols[c] = chunkColumn{cdict: cd, ids: &sc.cols[c].ids}
-			} else {
-				ch.cols[c] = chunkColumn{ints: &sc.cols[c].ints}
-			}
 		}
 		st.numRows += sc.numRows
 		st.numUsers += len(sc.users)
 		st.chunks = append(st.chunks, ch)
 	}
 	return st, nil
+}
+
+// bindChunk binds one self-contained chunk to a shard's global dictionaries.
+// Its users take the ids userBase, userBase+1, … — their positions in the
+// shard's ascending user order — and each string column's value list resolves
+// to global-ids by binary search; the packed payloads are shared with sc.
+// Without a user dictionary (a lazy table) the chunk carries its own users.
+func bindChunk(schema *activity.Schema, dicts []*encoding.Dict, sc *segChunk, userBase uint64) (*Chunk, error) {
+	userCol := schema.UserCol()
+	ch := &Chunk{
+		numRows: sc.numRows,
+		users:   encoding.RLEConsecutive(userBase, sc.lengths),
+		cols:    make([]chunkColumn, schema.NumCols()),
+		seg:     &segInfo{},
+	}
+	if dicts[userCol] == nil {
+		ch.userVals, ch.userBase = sc.users, userBase
+	}
+	for c := 0; c < schema.NumCols(); c++ {
+		if c == userCol {
+			continue
+		}
+		if !schema.IsStringCol(c) {
+			ch.cols[c] = chunkColumn{ints: &sc.cols[c].ints}
+			continue
+		}
+		ids := make([]uint64, len(sc.cols[c].vals))
+		for i, v := range sc.cols[c].vals {
+			gid, ok := dicts[c].Lookup(v)
+			if !ok {
+				return nil, fmt.Errorf("column %d: value %q missing from the dictionary", c, v)
+			}
+			ids[i] = gid
+		}
+		cd, err := encoding.ChunkDictFromIDs(ids)
+		if err != nil {
+			return nil, fmt.Errorf("column %d: %w", c, err)
+		}
+		ch.cols[c] = chunkColumn{cdict: cd, ids: &sc.cols[c].ids}
+	}
+	return ch, nil
 }

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sync"
 
 	"repro/internal/activity"
 )
@@ -30,9 +28,13 @@ func ShardOf(user string, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(user))
-	return int(h.Sum64() % uint64(shards))
+	// hash/fnv's New64a, written out: the hash.Hash and the []byte(user) it
+	// wants are two heap allocations per call, and ingestion calls per row.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(user); i++ {
+		h = (h ^ uint64(user[i])) * 1099511628211
+	}
+	return int(h % uint64(shards))
 }
 
 // Sharded is a user-hash-partitioned COHANA table: one immutable compressed
@@ -66,67 +68,15 @@ func NewSharded(shards []*Table) (*Sharded, error) {
 	return &Sharded{schema: schema, shards: shards}, nil
 }
 
-// BuildSharded partitions a sorted activity table into shards user hash and
-// compresses every shard, building shards concurrently (per-shard builds are
-// independent, so table build scales with the shard count). shards <= 1
-// builds a 1-shard table.
+// BuildSharded compresses a sorted activity table into one table per
+// user-hash partition. The shards are built together and without copying the
+// table apart first: see buildShards. shards <= 1 builds a 1-shard table.
 func BuildSharded(t *activity.Table, shards int, opts Options) (*Sharded, error) {
-	if !t.Sorted() {
-		return nil, fmt.Errorf("storage: input table must be sorted by primary key")
-	}
-	if shards <= 1 {
-		st, err := Build(t, opts)
-		if err != nil {
-			return nil, err
-		}
-		return SingleShard(st), nil
-	}
-	parts, err := PartitionByUser(t, shards)
+	tables, err := buildShards(t, max(shards, 1), opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Table, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		//lint:allow goroutinepool build fan-out bounded by the shard count and joined below; storage sits under the cohort pool layer (import cycle)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = Build(parts[i], opts)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("storage: building shard %d: %w", i, err)
-		}
-	}
-	return &Sharded{schema: t.Schema(), shards: out}, nil
-}
-
-// PartitionByUser splits a sorted activity table into per-shard activity
-// tables by user hash. Whole user blocks move together, and each shard
-// receives an ordered subsequence of the sorted input, so every part is
-// already in (Au, At, Ae) order.
-func PartitionByUser(t *activity.Table, shards int) ([]*activity.Table, error) {
-	if !t.Sorted() {
-		return nil, fmt.Errorf("storage: input table must be sorted by primary key")
-	}
-	schema := t.Schema()
-	parts := make([]*activity.Table, shards)
-	for i := range parts {
-		parts[i] = activity.NewTable(schema)
-	}
-	t.UserBlocks(func(user string, start, end int) {
-		parts[ShardOf(user, shards)].AppendRows(t, start, end)
-	})
-	for i, p := range parts {
-		if err := p.AssertSortedByPK(); err != nil {
-			return nil, fmt.Errorf("storage: shard %d partition out of order: %w", i, err)
-		}
-	}
-	return parts, nil
+	return &Sharded{schema: t.Schema(), shards: tables}, nil
 }
 
 // Schema returns the shared schema.

@@ -609,7 +609,10 @@ func (st *Table) manifestChunk(path, dir string, ci int, keep map[string]bool, b
 		entry.Bytes = bytesByName[name]
 		return entry, nil
 	}
-	name := segmentName(path, st.segmentHash(ci))
+	// A chunk not hashed yet — every chunk of a fresh build — is serialized
+	// once: the bytes that name the segment are the bytes written.
+	hash, buf := st.segmentHash(ci)
+	name := segmentName(path, hash)
 	minUser, maxUser := st.ChunkUserRange(ci)
 	strVals, intMin, intMax := st.chunkManifestStats(ci)
 	entry = manifestChunkV3JSON{
@@ -623,7 +626,9 @@ func (st *Table) manifestChunk(path, dir string, ci int, keep map[string]bool, b
 			stats.SegmentsReused++
 			bytesByName[name] = fi.Size()
 		} else {
-			buf := st.segmentBytes(ci)
+			if buf == nil {
+				buf = st.segmentBytes(ci)
+			}
 			if err := atomicWriteFile(filepath.Join(dir, name), buf); err != nil {
 				return entry, fmt.Errorf("writing segment: %w", err)
 			}

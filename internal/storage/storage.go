@@ -18,7 +18,10 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/activity"
 	"repro/internal/encoding"
@@ -105,125 +108,138 @@ type chunkColumn struct {
 
 // Build compresses a sorted activity table into the COHANA format.
 func Build(t *activity.Table, opts Options) (*Table, error) {
+	tables, err := buildShards(t, 1, opts)
+	if err != nil {
+		return nil, err
+	}
+	return tables[0], nil
+}
+
+// span is one user's tuples: the half-open row range [Lo, Hi) of a source
+// table sorted by primary key. A shard, and a chunk within it, is a list of
+// spans in ascending user order; the encoder reads the source through them,
+// so no row is copied before it is encoded.
+type span = encoding.Range
+
+// buildShards is the one build pipeline behind Build and BuildSharded: walk
+// the user blocks once, routing each to its shard by ShardOf; cut every
+// shard's spans into chunks; encode all the chunks of all the shards on one
+// fan-out; bind each shard's chunks to the dictionaries their values add up
+// to.
+func buildShards(t *activity.Table, shards int, opts Options) ([]*Table, error) {
 	if !t.Sorted() {
 		return nil, fmt.Errorf("storage: input table must be sorted by primary key")
 	}
-	schema := t.Schema()
-	st := &Table{
-		schema:    schema,
-		chunkSize: opts.chunkSize(),
-		numRows:   t.Len(),
-		dicts:     make([]*encoding.Dict, schema.NumCols()),
-		globalMin: make([]int64, schema.NumCols()),
-		globalMax: make([]int64, schema.NumCols()),
-	}
-	// Global dictionaries and ranges.
-	for c := 0; c < schema.NumCols(); c++ {
-		if schema.IsStringCol(c) {
-			st.dicts[c] = encoding.BuildDict(t.Strings(c))
-			continue
-		}
-		vals := t.Ints(c)
-		if len(vals) > 0 {
-			mn, mx := vals[0], vals[0]
-			for _, v := range vals[1:] {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			st.globalMin[c], st.globalMax[c] = mn, mx
-		}
-	}
-	gids, err := globalIDs(t, schema, st.dicts)
-	if err != nil {
-		return nil, err
-	}
-	chunks, users, err := encodeChunks(t, schema, gids, st.chunkSize)
-	if err != nil {
-		return nil, err
-	}
-	st.chunks, st.numUsers = chunks, users
-	return st, nil
-}
-
-// globalIDs pre-encodes every string column to global ids once, through a
-// hash map built per column (a per-value binary search would dominate
-// compression time, the Figure 10 metric). Non-string columns stay nil.
-func globalIDs(t *activity.Table, schema *activity.Schema, dicts []*encoding.Dict) ([][]uint64, error) {
-	gids := make([][]uint64, schema.NumCols())
-	for c := 0; c < schema.NumCols(); c++ {
-		if !schema.IsStringCol(c) {
-			continue
-		}
-		d := dicts[c]
-		if d == nil {
-			// Lazy tables carry no user dictionary; the merge synthesizes
-			// virtual user ids itself before encoding.
-			continue
-		}
-		lookup := make(map[string]uint64, d.Len())
-		for id, v := range d.Values() {
-			lookup[v] = uint64(id)
-		}
-		col := t.Strings(c)
-		out := make([]uint64, len(col))
-		for i, v := range col {
-			id, ok := lookup[v]
-			if !ok {
-				return nil, fmt.Errorf("storage: value %q missing from its own dictionary", v)
-			}
-			out[i] = id
-		}
-		gids[c] = out
-	}
-	return gids, nil
-}
-
-// encodeChunks splits sorted rows into whole-user chunks — accumulating user
-// blocks until the target size, the clustering rule of Section 4.1 — and
-// encodes each under the given pre-computed global ids. It is shared by the
-// full table build and the chunk-granular merge so both produce identical
-// chunk encodings.
-func encodeChunks(t *activity.Table, schema *activity.Schema, gids [][]uint64, target int) ([]*Chunk, int, error) {
-	var start, users int
-	var blockEnds []int
-	t.UserBlocks(func(_ string, _, end int) {
-		users++
-		blockEnds = append(blockEnds, end)
+	spans := make([][]span, shards)
+	t.UserBlocks(func(user string, start, end int) {
+		si := ShardOf(user, shards)
+		spans[si] = append(spans[si], span{Lo: start, Hi: end})
 	})
-	var chunks []*Chunk
-	for _, end := range blockEnds {
-		if end-start >= target || end == t.Len() {
-			chunk, err := buildChunk(t, schema, gids, start, end)
-			if err != nil {
-				return nil, 0, err
-			}
-			chunks = append(chunks, chunk)
-			start = end
+	chunkSize := opts.chunkSize()
+	segs := encodeChunks(t, spans, chunkSize)
+	tables := make([]*Table, shards)
+	for si := range tables {
+		var err error
+		if tables[si], err = assembleShard(t.Schema(), chunkSize, segs[si], nil); err != nil {
+			return nil, fmt.Errorf("storage: building shard %d: %w", si, err)
 		}
 	}
-	return chunks, users, nil
+	return tables, nil
 }
 
-func buildChunk(t *activity.Table, schema *activity.Schema, gids [][]uint64, start, end int) (*Chunk, error) {
-	ch := &Chunk{numRows: end - start, cols: make([]chunkColumn, schema.NumCols()), seg: &segInfo{}}
-	ch.users = encoding.EncodeRLE(gids[schema.UserCol()][start:end])
-	for c := 0; c < schema.NumCols(); c++ {
-		if c == schema.UserCol() {
-			continue
-		}
-		if schema.IsStringCol(c) {
-			seg := gids[c][start:end]
-			cdict := encoding.BuildChunkDict(seg)
-			ch.cols[c] = chunkColumn{cdict: cdict, ids: encoding.PackUint64(cdict.Encode(seg))}
-		} else {
-			ch.cols[c] = chunkColumn{ints: encoding.EncodeFrameOfRef(t.Ints(c)[start:end])}
+// encodeChunks cuts each list of spans into whole-user chunks — accumulating
+// user blocks until the target size, the clustering rule of Section 4.1 — and
+// encodes every chunk self-contained, in the form a chunk segment decodes to.
+// A chunk's encoding depends on its own rows only, so the chunks are encoded
+// independently, on up to GOMAXPROCS goroutines joined before return; the
+// result is addressed by position and does not depend on the scheduling. It
+// is shared by the table build and the chunk-granular merge, so both produce
+// identical chunk encodings.
+func encodeChunks(src *activity.Table, spans [][]span, target int) [][]*segChunk {
+	type task struct {
+		shard, chunk int
+		spans        []span
+	}
+	var tasks []task
+	out := make([][]*segChunk, len(spans))
+	for si, sp := range spans {
+		start, rows := 0, 0
+		for i, u := range sp {
+			if rows += u.Hi - u.Lo; rows >= target || i == len(sp)-1 {
+				tasks = append(tasks, task{si, len(out[si]), sp[start : i+1]})
+				out[si] = append(out[si], nil)
+				start, rows = i+1, 0
+			}
 		}
 	}
-	return ch, nil
+	// In source order, so that workers on different shards' chunks read the
+	// same stretch of the source at about the same time and share it in cache.
+	slices.SortFunc(tasks, func(a, b task) int { return a.spans[0].Lo - b.spans[0].Lo })
+	var next atomic.Int64
+	work := func() {
+		var enc chunkEncoder
+		for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+			out[tasks[i].shard][tasks[i].chunk] = enc.encode(src, tasks[i].spans)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(tasks))
+	if workers <= 1 {
+		work()
+		return out
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		//lint:allow goroutinepool chunk-encode fan-out bounded by GOMAXPROCS and joined below; storage sits under the cohort pool layer (import cycle)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// chunkEncoder is one worker's scratch, reused from chunk to chunk.
+type chunkEncoder struct {
+	cols   encoding.Encoder
+	ranges []span // the chunk's spans, adjacent ones joined
+}
+
+// encode compresses the rows of one chunk, read in place from src: the user
+// column becomes one run per span, every other column goes through the column
+// encoders over the chunk's row ranges. Allocations are a few per column,
+// whatever the rows hold.
+func (e *chunkEncoder) encode(src *activity.Table, spans []span) *segChunk {
+	schema := src.Schema()
+	userCol := schema.UserCol()
+	users := src.Strings(userCol)
+	sc := &segChunk{
+		users:   make([]string, len(spans)),
+		lengths: make([]uint32, len(spans)),
+		cols:    make([]segColumn, schema.NumCols()),
+	}
+	e.ranges = e.ranges[:0]
+	for i, u := range spans {
+		sc.users[i] = users[u.Lo]
+		sc.lengths[i] = uint32(u.Hi - u.Lo)
+		sc.numRows += u.Hi - u.Lo
+		if n := len(e.ranges); n > 0 && e.ranges[n-1].Hi == u.Lo {
+			e.ranges[n-1].Hi = u.Hi
+		} else {
+			e.ranges = append(e.ranges, u)
+		}
+	}
+	for c := 0; c < schema.NumCols(); c++ {
+		switch {
+		case c == userCol:
+		case schema.IsStringCol(c):
+			sc.cols[c].vals, sc.cols[c].ids = e.cols.EncodeStrings(src.Strings(c), e.ranges)
+		default:
+			sc.cols[c].ints = e.cols.EncodeInts(src.Ints(c), e.ranges)
+		}
+	}
+	return sc
 }
 
 // Schema returns the table schema.
