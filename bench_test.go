@@ -155,28 +155,6 @@ func BenchmarkFig11(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPruning quantifies chunk pruning (Section 4.2's
-// intermediate filtering step) by running Q4 — whose selective birth
-// condition prunes aggressively — with pruning on and off.
-func BenchmarkAblationPruning(b *testing.B) {
-	w := wl()
-	st := w.Store(1, 4<<10) // small chunks: more pruning opportunities
-	q := bench.Q4()
-	for _, disable := range []bool{false, true} {
-		name := "pruning=on"
-		if disable {
-			name = "pruning=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Execute(q, st, plan.ExecOptions{DisablePruning: disable}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationParallel measures the optional chunk-parallel execution
 // (a deviation from the paper's single-threaded setting, off by default).
 func BenchmarkAblationParallel(b *testing.B) {

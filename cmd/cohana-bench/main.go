@@ -16,21 +16,21 @@
 // report — ns/op and rows/s for Q1-Q4 per scale, the shard-scaling sweep
 // (build and compaction time at 1/2/4 shards), the compaction persisted-bytes
 // sweep, the plan-cache repeat-query measurement (cold vs warm front end),
-// the pushdown selectivity sweep (value bytes decoded with vs without the
-// encoded-domain predicate pushdown), the vectorized-execution sweep
-// (run-at-a-time kernels vs the scalar reference loop, with the run-kernel
-// counters), the metrics-overhead measurement
+// the pushdown selectivity sweep (value bytes decoded and encoded-domain
+// checks under the predicate pushdown), the metrics-overhead measurement
 // (the warm query path instrumented vs with metrics compiled to no-ops) and
 // the cold-start sweep (eager vs lazy reopen latency, open-time segment
 // reads and resident decoded bytes at chunk-cache budgets 10% and 100%) —
-// written to the given path, so the
-// performance trajectory can be tracked across PRs. With -baseline, the fresh
-// report is additionally compared against a previously recorded one and the
-// run exits non-zero when any query regressed by more than -regress-factor,
+// written to the given path, so the performance trajectory can be tracked
+// across PRs. With -baseline, the fresh report is additionally compared
+// against a previously recorded one and the run exits non-zero when any
+// query regressed by more than -regress-factor, when compaction writes more
+// than that factor of the baseline's bytes or stops being chunk-granular,
 // when repeated queries stop hitting the plan cache, when the pushdown
-// stops decoding fewer bytes than the generic path, or when the vectorized
-// path stops reporting run-kernel activity or falls behind the scalar
-// reference (CI's performance gate).
+// compiles no encoded-domain check or decodes more than that factor of the
+// baseline's bytes, when the metrics layer costs more than 5% on the warm
+// path, or when a lazy open reads segments, overruns its cache budget or
+// stops being 10x faster than an eager one (CI's performance gate).
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, so kernel
 // hot spots and steady-state allocations can be inspected with
@@ -135,17 +135,8 @@ func run() int {
 				p.Speedup, p.Hits, p.Misses)
 		}
 		for _, p := range rep.PushdownSweep {
-			fmt.Printf("pushdown %s scale=%d: %d B decoded vs %d B generic (%d encoded checks, %d rows scanned)\n",
-				p.Name, p.Scale, p.BytesDecoded, p.BytesDecodedGeneric, p.EncodedChecks, p.RowsScanned)
-		}
-		for _, v := range rep.VectorizedSweep {
-			batch := float64(0)
-			if v.RunsEvaluated > 0 {
-				batch = float64(v.RowsBatched) / float64(v.RunsEvaluated)
-			}
-			fmt.Printf("vectorized %s scale=%d: %.1fµs vs %.1fµs scalar (%.2fx, %d runs over %d rows, %.1f rows/run)\n",
-				v.Name, v.Scale, float64(v.NsPerOp)/1e3, float64(v.NsPerOpScalar)/1e3,
-				v.Speedup, v.RunsEvaluated, v.RowsBatched, batch)
+			fmt.Printf("pushdown %s scale=%d: %d B decoded (%d encoded checks, %d rows scanned)\n",
+				p.Name, p.Scale, p.BytesDecoded, p.EncodedChecks, p.RowsScanned)
 		}
 		for _, p := range rep.MetricsOverhead {
 			fmt.Printf("metrics overhead %s scale=%d: instrumented %.1fµs vs no-op %.1fµs (%+.1f%%)\n",

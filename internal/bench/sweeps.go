@@ -10,8 +10,8 @@ import (
 // The two decoder/front-end sweeps of the perf report: the plan-cache repeat
 // measurement (what a repeated query text saves by skipping parse → validate
 // → optimize → compile) and the pushdown selectivity sweep (how many value
-// bytes the encoded-domain predicate evaluation avoids decoding, by
-// predicate selectivity). Latencies are machine-local and gated through the
+// bytes the encoded-domain predicate evaluation decodes, by predicate
+// selectivity). Latencies are machine-local and gated through the
 // usual noise floor; the cache counters and decoded-byte counters are
 // deterministic for a fixed workload, so CompareReports checks them exactly.
 
@@ -91,8 +91,8 @@ func PlanCacheRepeat(wl *Workload, scale, chunkSize, repeats int) ([]PlanCacheRe
 // pushdownSweepQueries are the selectivity tiers of the pushdown sweep, from
 // an age filter that keeps only shop tuples down to one that additionally
 // cuts by measure threshold and a rare dimension value. Every tier's age
-// condition is fully evaluable on encoded ids, so the decoded-byte gap
-// against the generic path grows as the predicates narrow.
+// condition is fully evaluable on encoded ids, so decoded bytes shrink as
+// the predicates narrow.
 var pushdownSweepQueries = []struct {
 	Name string
 	Src  string
@@ -114,138 +114,45 @@ var pushdownSweepQueries = []struct {
 		COHORT BY country`},
 }
 
-// PushdownSweepReport compares one query's decoder traffic with the
-// encoded-domain pushdown against the generic decode-everything path.
+// PushdownSweepReport is one query's decoder traffic under the
+// encoded-domain pushdown.
 type PushdownSweepReport struct {
 	Name  string `json:"name"`
 	Scale int    `json:"scale"`
-	// Rows is the table size; RowsScanned the post-pruning scan volume
-	// (identical on both paths — pushdown changes what is decoded, never
-	// what is visited).
+	// Rows is the table size; RowsScanned the post-pruning scan volume.
 	Rows        int   `json:"rows"`
 	RowsScanned int64 `json:"rowsScanned"`
-	// BytesDecoded (pushdown on) vs BytesDecodedGeneric (pushdown off):
-	// deterministic for a fixed workload, so the gate compares them exactly.
-	BytesDecoded        int64 `json:"bytesDecoded"`
-	BytesDecodedGeneric int64 `json:"bytesDecodedGeneric"`
+	// BytesDecoded is deterministic for a fixed workload, so the gate
+	// compares it against the baseline exactly.
+	BytesDecoded int64 `json:"bytesDecoded"`
 	// EncodedChecks counts predicate evaluations that stayed in the encoded
 	// domain; zero means the pushdown compiled nothing.
 	EncodedChecks int64 `json:"encodedChecks"`
-	// Latencies for the two paths, noise-floor gated like every query time.
-	NsPerOp        int64 `json:"nsPerOp"`
-	NsPerOpGeneric int64 `json:"nsPerOpGeneric"`
+	// NsPerOp is noise-floor gated like every query time.
+	NsPerOp int64 `json:"nsPerOp"`
 }
 
-// PushdownSweep runs the selectivity tiers at one scale, once per path.
+// PushdownSweep runs the selectivity tiers at one scale.
 func PushdownSweep(wl *Workload, scale, chunkSize, repeats int) ([]PushdownSweepReport, error) {
 	st := wl.Store(scale, chunkSize)
 	var out []PushdownSweepReport
 	for _, pq := range pushdownSweepQueries {
 		q := mustQuery(pq.Src)
 		r := PushdownSweepReport{Name: pq.Name, Scale: scale, Rows: wl.Source(scale).Len()}
-		// One counted run per path (the counters are deterministic), then
-		// timed repeats without counters.
-		var with, without cohort.ExecStats
-		if _, err := plan.Execute(q, st, plan.ExecOptions{Stats: &with}); err != nil {
+		// One counted run (the counters are deterministic), then timed
+		// repeats without counters.
+		var stats cohort.ExecStats
+		if _, err := plan.Execute(q, st, plan.ExecOptions{Stats: &stats}); err != nil {
 			return nil, fmt.Errorf("bench: pushdown sweep %s: %w", pq.Name, err)
 		}
-		if _, err := plan.Execute(q, st, plan.ExecOptions{Stats: &without, DisablePushdown: true}); err != nil {
-			return nil, fmt.Errorf("bench: pushdown sweep %s (generic): %w", pq.Name, err)
-		}
-		r.RowsScanned = with.RowsScanned.Load()
-		r.BytesDecoded = with.ValueBytesDecoded.Load()
-		r.BytesDecodedGeneric = without.ValueBytesDecoded.Load()
-		r.EncodedChecks = with.EncodedChecks.Load()
+		r.RowsScanned = stats.RowsScanned.Load()
+		r.BytesDecoded = stats.ValueBytesDecoded.Load()
+		r.EncodedChecks = stats.EncodedChecks.Load()
 		r.NsPerOp = timeIt(repeats, func() {
 			if _, err := plan.Execute(q, st, plan.ExecOptions{}); err != nil {
 				panic(err)
 			}
 		}).Nanoseconds()
-		r.NsPerOpGeneric = timeIt(repeats, func() {
-			if _, err := plan.Execute(q, st, plan.ExecOptions{DisablePushdown: true}); err != nil {
-				panic(err)
-			}
-		}).Nanoseconds()
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// vectorizedSweepQueries are the run-shape tiers of the vectorized sweep,
-// picked for the run lengths the kernels exploit: a dimension filter that is
-// chunk-constant per user block (one kernel call covers the whole block), an
-// action filter whose runs come in bursts, and a measure-heavy tier where the
-// SUM folds whole runs at a time.
-var vectorizedSweepQueries = []struct {
-	Name string
-	Src  string
-}{
-	{"country-const", `
-		SELECT country, COHORTSIZE, AGE, Count()
-		FROM GameActions BIRTH FROM action = "launch"
-		AGE ACTIVITIES IN country = "China"
-		COHORT BY country`},
-	{"shop-runs", `
-		SELECT country, COHORTSIZE, AGE, Count()
-		FROM GameActions BIRTH FROM action = "launch"
-		AGE ACTIVITIES IN action = "shop"
-		COHORT BY country`},
-	{"shop-sum-gold", `
-		SELECT country, COHORTSIZE, AGE, Sum(gold)
-		FROM GameActions BIRTH FROM action = "launch"
-		AGE ACTIVITIES IN action = "shop" AND gold > 5
-		COHORT BY country`},
-}
-
-// VectorizedSweepReport compares one query's run-at-a-time execution (the
-// default) against the scalar row-at-a-time reference.
-type VectorizedSweepReport struct {
-	Name  string `json:"name"`
-	Scale int    `json:"scale"`
-	// Rows is the table size the query scanned over.
-	Rows int `json:"rows"`
-	// RunsEvaluated and RowsBatched are the vectorized path's deterministic
-	// kernel counters: how many (value-id, runLength) runs the kernels
-	// examined, and how many rows they covered. RowsBatched / RunsEvaluated
-	// is the effective batching factor the encoding's run structure bought.
-	RunsEvaluated int64 `json:"runsEvaluated"`
-	RowsBatched   int64 `json:"rowsBatched"`
-	// Latencies for the two paths, measured in the same run so the ratio is
-	// immune to machine variance.
-	NsPerOp       int64 `json:"nsPerOp"`
-	NsPerOpScalar int64 `json:"nsPerOpScalar"`
-	// Speedup is NsPerOpScalar / NsPerOp.
-	Speedup float64 `json:"speedup"`
-}
-
-// VectorizedSweep runs the run-shape tiers at one scale, once per path.
-func VectorizedSweep(wl *Workload, scale, chunkSize, repeats int) ([]VectorizedSweepReport, error) {
-	st := wl.Store(scale, chunkSize)
-	var out []VectorizedSweepReport
-	for _, vq := range vectorizedSweepQueries {
-		q := mustQuery(vq.Src)
-		r := VectorizedSweepReport{Name: vq.Name, Scale: scale, Rows: wl.Source(scale).Len()}
-		// One counted run for the kernel counters (deterministic), then timed
-		// repeats per path without counters.
-		var vec cohort.ExecStats
-		if _, err := plan.Execute(q, st, plan.ExecOptions{Stats: &vec}); err != nil {
-			return nil, fmt.Errorf("bench: vectorized sweep %s: %w", vq.Name, err)
-		}
-		r.RunsEvaluated = vec.RunsEvaluated.Load()
-		r.RowsBatched = vec.RowsBatched.Load()
-		r.NsPerOp = timeIt(repeats, func() {
-			if _, err := plan.Execute(q, st, plan.ExecOptions{}); err != nil {
-				panic(err)
-			}
-		}).Nanoseconds()
-		r.NsPerOpScalar = timeIt(repeats, func() {
-			if _, err := plan.Execute(q, st, plan.ExecOptions{DisableVectorized: true}); err != nil {
-				panic(err)
-			}
-		}).Nanoseconds()
-		if r.NsPerOp > 0 {
-			r.Speedup = float64(r.NsPerOpScalar) / float64(r.NsPerOp)
-		}
 		out = append(out, r)
 	}
 	return out, nil

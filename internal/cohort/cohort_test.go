@@ -31,7 +31,7 @@ func runQuery(t *testing.T, tbl *storage.Table, q *Query) *Result {
 		if c.CanSkipChunk(i) {
 			continue
 		}
-		c.RunChunk(i, acc)
+		c.runChunk(i, acc, nil)
 	}
 	return acc.Result(c.KeyColNames(), q.Aggs)
 }
@@ -154,7 +154,7 @@ func TestCohortSizesWithoutBirthCond(t *testing.T) {
 	}
 	acc := NewAccumulator(c.NumAggs())
 	for i := 0; i < tbl.NumChunks(); i++ {
-		c.RunChunk(i, acc)
+		c.runChunk(i, acc, nil)
 	}
 	sizes := acc.CohortSizes()
 	want := map[string]int64{"Australia": 1, "United States": 1, "China": 1}
@@ -453,13 +453,13 @@ func TestAccumulatorMerge(t *testing.T) {
 	// Serial.
 	serial := NewAccumulator(c.NumAggs())
 	for i := 0; i < tbl3.NumChunks(); i++ {
-		c.RunChunk(i, serial)
+		c.runChunk(i, serial, nil)
 	}
 	// Per-chunk accumulators merged.
 	merged := NewAccumulator(c.NumAggs())
 	for i := 0; i < tbl3.NumChunks(); i++ {
 		part := NewAccumulator(c.NumAggs())
-		c.RunChunk(i, part)
+		c.runChunk(i, part, nil)
 		merged.Merge(part)
 	}
 	rs, rm := serial.Result(c.KeyColNames(), q.Aggs), merged.Result(c.KeyColNames(), q.Aggs)

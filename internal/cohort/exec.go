@@ -12,7 +12,7 @@ import (
 // Compiled is a cohort query bound to a specific compressed table: the birth
 // action resolved to its global-id, conditions compiled to predicates, and
 // cohort keys and measures resolved to column indices. A Compiled query is
-// immutable and safe for concurrent RunChunk calls with distinct
+// immutable and safe for concurrent runChunk calls with distinct
 // accumulators.
 type Compiled struct {
 	Query  *Query
@@ -35,20 +35,6 @@ type Compiled struct {
 	keys []keySpec
 	aggs []boundAgg
 	unit Unit
-}
-
-// runCtx carries per-invocation execution knobs through runChunk.
-type runCtx struct {
-	// skipUsers holds user global-ids whose sealed rows are handled on the
-	// union row path instead (see runChunk).
-	skipUsers map[uint64]bool
-	// noPushdown forces the generic predicate path, keeping the reference
-	// semantics the equivalence tests compare against.
-	noPushdown bool
-	// vectorized selects the run-at-a-time kernel loop (runChunkVec). It
-	// rides on pushdown's chunk binding, so noPushdown implies the scalar
-	// reference loop regardless of this flag.
-	vectorized bool
 }
 
 type keySpec struct {
@@ -277,197 +263,6 @@ func (c *Compiled) conjunctImpossible(chunkIdx int, conj expr.Expr) bool {
 // time columns (mirroring expr.Compile's coercion).
 func (c *Compiled) litInt(idx int, v expr.Value) (int64, bool) {
 	return litIntFor(c.schema, idx, v)
-}
-
-// RunChunk executes the fused σb → σg → γc pipeline (Algorithms 1 and 2)
-// over one chunk, folding into acc. Callers should consult CanSkipChunk
-// first; RunChunk is still correct without it, just slower. On lazy tables
-// the chunk is loaded (and pinned) on demand; the error is non-nil only when
-// that load fails.
-func (c *Compiled) RunChunk(chunkIdx int, acc *Accumulator) error {
-	_, err := c.runChunk(chunkIdx, acc, runCtx{})
-	return err
-}
-
-// runChunk is RunChunk with per-invocation knobs, returning the chunk's
-// decoder-level tallies. rc.skipUsers holds user global-ids to skip: the
-// union executor passes the users that have fresh delta tuples — their
-// sealed rows are processed together with the delta on the row path instead,
-// so no user is aggregated twice. Any semantic change to the per-block loop
-// below must land in RowQuery.Scan too — the union equivalence test pins the
-// two paths to identical results.
-func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, rc runCtx) (ChunkStats, error) {
-	if !c.birthOK {
-		return ChunkStats{}, nil
-	}
-	if rc.vectorized && !rc.noPushdown {
-		return c.runChunkVec(chunkIdx, acc, rc)
-	}
-	ch, release, err := c.tbl.PinChunk(chunkIdx)
-	if err != nil {
-		return ChunkStats{}, err
-	}
-	defer release()
-	scr := getScratch()
-	defer putScratch(scr)
-	sc := &scr.sc
-	sc.Reset(c.tbl, ch)
-	var rowsScanned, bytesDecoded, encodedChecks int64
-	env := &scr.env
-	*env = chunkEnv{tbl: c.tbl, ch: ch, schema: c.schema, decoded: &bytesDecoded}
-	timeCol := c.schema.TimeCol()
-	actionCol := c.schema.ActionCol()
-
-	// Bind the pushdown forms to this chunk: the birth action's chunk-id
-	// (the whole chunk is birth-free when absent) and the per-chunk row
-	// predicates over encoded data.
-	usePush := !rc.noPushdown
-	var birthCID uint64
-	if usePush {
-		var inChunk bool
-		if birthCID, inChunk = ch.ChunkIDOf(actionCol, c.birthGID); !inChunk {
-			return ChunkStats{}, nil // no user here ever performs the birth action
-		}
-	}
-	var bBirth, bAge boundPushdown
-	haveBirthPush := usePush && c.birthPush != nil
-	haveAgePush := usePush && c.agePush != nil
-	if haveBirthPush {
-		bBirth = c.birthPush.bindChunk(ch)
-	}
-	if haveAgePush {
-		bAge = c.agePush.bindChunk(ch)
-	}
-
-	for {
-		block, ok := sc.GetNextUser()
-		if !ok {
-			break
-		}
-		if rc.skipUsers != nil && rc.skipUsers[block.GID] {
-			sc.SkipCurUser()
-			continue
-		}
-		// GetBirthTuple: first tuple of the block performing the birth
-		// action (time-ordering property). With pushdown the search compares
-		// raw chunk-ids against the pre-resolved birthCID — no per-row
-		// chunk-dict → global-dict translation.
-		var birthRow int
-		born := false
-		if usePush {
-			for r := block.First; r < block.End(); r++ {
-				encodedChecks++
-				if ch.ChunkID(actionCol, r) == birthCID {
-					birthRow, born = r, true
-					break
-				}
-			}
-		} else {
-			birthRow, born = sc.FindBirthRow(block, c.birthGID)
-		}
-		if !born {
-			sc.SkipCurUser()
-			continue
-		}
-		env.userGID = block.GID
-		env.birth = birthRow
-		// σb: check the birth selection condition on the birth tuple only;
-		// an unqualified user's whole block is skipped (SkipCurUser). The
-		// pushed conjuncts run on encoded data first; the residual (and the
-		// fully generic predicate when nothing was pushable) decodes values
-		// only for birth tuples that survive them.
-		if haveBirthPush {
-			encodedChecks++
-			if !bBirth.passEncoded(birthRow, 0) {
-				sc.SkipCurUser()
-				continue
-			}
-			if bBirth.residual != nil {
-				env.row = birthRow
-				env.age = 0
-				if !bBirth.residual(env) {
-					sc.SkipCurUser()
-					continue
-				}
-			}
-		} else if c.birthPred != nil {
-			env.row = birthRow
-			env.age = 0
-			if !c.birthPred(env) {
-				sc.SkipCurUser()
-				continue
-			}
-		}
-		birthTime := ch.Int(timeCol, birthRow)
-		bytesDecoded += 8
-		scr.keyBuf = c.appendKey(scr.keyBuf[:0], ch, birthRow, birthTime)
-		cs := acc.cohortBytes(scr.keyBuf, func() []string { return c.displayKey(ch, birthRow, birthTime) })
-		cs.size++ // Hc[d_b[L]]++
-		// γc inner loop over the user's age activity tuples. Ages are
-		// nondecreasing (time ordering), so UserCount dedup is a single
-		// comparison against the last counted age.
-		lastCountedAge := int64(-1)
-		for row := block.First; row < block.End(); row++ {
-			rowsScanned++
-			age := AgeOf(ch.Int(timeCol, row), birthTime, c.unit)
-			bytesDecoded += 8
-			if age <= 0 {
-				continue
-			}
-			// σg: pushed conjuncts on encoded data first, then the residual;
-			// a row rejected in the encoded domain decodes nothing.
-			if haveAgePush {
-				encodedChecks++
-				if !bAge.passEncoded(row, age) {
-					continue
-				}
-				if bAge.residual != nil {
-					env.row = row
-					env.age = age
-					if !bAge.residual(env) {
-						continue
-					}
-				}
-			} else if c.agePred != nil {
-				env.row = row
-				env.age = age
-				if !c.agePred(env) {
-					continue
-				}
-			}
-			b := cs.bucket(age, len(c.aggs))
-			for k, agg := range c.aggs {
-				st := &b.states[k]
-				switch agg.fn {
-				case Count:
-					st.cnt++
-				case UserCount:
-					if age != lastCountedAge {
-						st.users++
-					}
-				default:
-					v := ch.Int(agg.col, row)
-					bytesDecoded += 8
-					st.sum += float64(v)
-					st.cnt++
-					if !st.has {
-						st.min, st.max, st.has = v, v, true
-					} else {
-						if v < st.min {
-							st.min = v
-						}
-						if v > st.max {
-							st.max = v
-						}
-					}
-				}
-			}
-			if age != lastCountedAge {
-				lastCountedAge = age
-			}
-		}
-	}
-	return ChunkStats{RowsScanned: rowsScanned, ValueBytesDecoded: bytesDecoded, EncodedChecks: encodedChecks}, nil
 }
 
 // appendKey encodes the cohort key of the user born at birthRow. String

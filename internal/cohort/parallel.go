@@ -106,16 +106,13 @@ type RunOptions struct {
 	// GOMAXPROCS workers. When Pool is set, the per-query fan-out is
 	// additionally capped by the pool's worker count.
 	Parallelism int
-	// DisablePruning turns off chunk pruning (Section 4.2), for the
-	// ablation experiments.
-	DisablePruning bool
 	// Pool, when non-nil, executes chunk tasks on the shared pool instead
 	// of spawning per-query goroutines, bounding total concurrency across
 	// simultaneous queries.
 	Pool *Pool
 	// SkipUsers lists user global-ids whose sealed blocks must be skipped
 	// because the union executor aggregates them on the row path together
-	// with their fresh delta tuples (see RunUnion).
+	// with their fresh delta tuples (see RunUnionAccum).
 	SkipUsers map[uint64]bool
 	// Ctx, when non-nil, cancels the execution: workers stop picking up
 	// chunks once the context is done, so a disconnected client's
@@ -123,21 +120,6 @@ type RunOptions struct {
 	// to completion. Callers observe the cancellation via Ctx.Err(); a
 	// cancelled run's partial result must be discarded.
 	Ctx context.Context
-	// DisablePushdown forces predicate evaluation through the generic
-	// decoded path instead of the encoded-domain pushdown, keeping the
-	// reference semantics that the equivalence tests (and ablations)
-	// compare against.
-	DisablePushdown bool
-	// DisableVectorized forces the scalar row-at-a-time reference loop
-	// instead of the run-aware vectorized kernels (the default). The
-	// vectorized path rides on pushdown's chunk binding, so DisablePushdown
-	// implies it.
-	DisableVectorized bool
-	// Materialize selects the materializing merge: every worker folds its
-	// chunks into a private accumulator and the partials merge after the
-	// barrier. This is the pre-streaming reference execution; the default
-	// streams per-chunk partials into the shard accumulator as they finish.
-	Materialize bool
 	// Stats, when non-nil, receives decoder-level execution counters
 	// (shared across workers; updated atomically).
 	Stats *ExecStats
@@ -217,7 +199,7 @@ func runAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
 	total := c.tbl.NumChunks()
 	var chunks []int
 	for i := 0; i < total; i++ {
-		if !opts.DisablePruning && c.CanSkipChunk(i) {
+		if c.CanSkipChunk(i) {
 			continue
 		}
 		chunks = append(chunks, i)
@@ -229,35 +211,11 @@ func runAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
 	obs.ChunksPrunedTotal.Add(pruned)
 	opts.Trace.SetInt("chunks_total", int64(total))
 	opts.Trace.SetInt("chunks_pruned", pruned)
-	ct := &chunkTracer{parent: opts.Trace}
-	workers := opts.workers()
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	rc := runCtx{
-		skipUsers:  opts.SkipUsers,
-		noPushdown: opts.DisablePushdown,
-		vectorized: !opts.DisablePushdown && !opts.DisableVectorized,
-	}
 	acc := NewAccumulator(c.NumAggs())
-	if workers <= 1 && opts.Pool == nil {
-		for _, i := range chunks {
-			if opts.cancelled() {
-				break
-			}
-			sp := ct.child(i)
-			st, err := c.runChunk(i, acc, rc)
-			sp.End()
-			if err != nil {
-				return acc, err
-			}
-			recordChunk(opts, sp, st)
-		}
+	if len(chunks) == 0 {
 		return acc, nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(opts.workers(), len(chunks))
 	// Chunk indices are fully buffered and the channel closed before any
 	// task starts, so tasks never block on the producer: with a shared
 	// pool, a task that reaches a worker always drains to completion and
@@ -268,16 +226,7 @@ func runAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
 		next <- i
 	}
 	close(next)
-	var err error
-	if opts.Materialize {
-		err = runMaterialized(c, acc, next, workers, opts, rc, ct)
-	} else {
-		err = runStreaming(c, acc, next, workers, opts, rc, ct)
-	}
-	if err != nil {
-		return acc, err
-	}
-	return acc, nil
+	return acc, runStreaming(c, acc, next, workers, opts)
 }
 
 // maxTraceChunks caps the per-chunk child spans attached to one shard's
@@ -339,7 +288,7 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 	}
 }
 
-// runStreaming is the default parallel merge: each worker folds one chunk
+// runStreaming is the chunk fan-out and merge: each worker folds one chunk
 // into a small partial accumulator and streams it to the consumer (the
 // calling goroutine) the moment the chunk finishes, taking a recycled
 // accumulator back from the free list. Merging overlaps scanning — the
@@ -354,16 +303,25 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 // submitting the query's remaining tasks. Merge order is arrival order,
 // which is observably irrelevant: measure sums add exactly (int64 values in
 // float64), min/max and counts are order-free, and Result sorts cohorts —
-// the equivalence test pins this bit-for-bit against the materializing path.
-func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opts RunOptions, rc runCtx, ct *chunkTracer) error {
+// the equivalence test pins pooled and parallel runs bit-for-bit against a
+// one-worker run.
+func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opts RunOptions) error {
+	ct := &chunkTracer{parent: opts.Trace}
 	partials := make(chan *Accumulator, cap(next))
 	free := make(chan *Accumulator, workers)
 	var ferr firstError
 	var wg sync.WaitGroup
+	// A lone worker has no scan for the merge to overlap with, so it folds
+	// straight into acc and streams no partials; acc is not read here until
+	// partials closes, after the worker is done.
+	solo := workers == 1
 	for w := 0; w < workers; w++ {
 		task := func() {
 			defer wg.Done()
-			mine := NewAccumulator(c.NumAggs())
+			mine := acc
+			if !solo {
+				mine = NewAccumulator(c.NumAggs())
+			}
 			for i := range next {
 				if opts.cancelled() || ferr.get() != nil {
 					// Drain without scanning: the channel is already
@@ -371,14 +329,14 @@ func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opt
 					continue
 				}
 				sp := ct.child(i)
-				st, err := c.runChunk(i, mine, rc)
+				st, err := c.runChunk(i, mine, opts.SkipUsers)
 				sp.End()
 				if err != nil {
 					ferr.set(err)
 					continue
 				}
 				recordChunk(opts, sp, st)
-				if len(mine.cohorts) == 0 {
+				if solo || len(mine.cohorts) == 0 {
 					continue // nothing to merge; reuse directly
 				}
 				partials <- mine
@@ -390,13 +348,16 @@ func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opt
 			}
 		}
 		wg.Add(1)
-		if opts.Pool != nil {
+		switch {
+		case opts.Pool != nil:
 			if !opts.Pool.submit(task) {
 				// Pool closed mid-shutdown: fall back to inline
 				// execution so the query still completes.
 				task()
 			}
-		} else {
+		case solo:
+			task() // nothing to run alongside; partials stays empty
+		default:
 			go task()
 		}
 	}
@@ -416,50 +377,4 @@ func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opt
 		}
 	}
 	return ferr.get()
-}
-
-// runMaterialized is the pre-streaming reference merge: per-worker private
-// accumulators, a full barrier, then a deterministic-order merge. Kept as
-// the semantics baseline for the streaming equivalence test and for
-// ablation measurements.
-func runMaterialized(c *Compiled, acc *Accumulator, next chan int, workers int, opts RunOptions, rc runCtx, ct *chunkTracer) error {
-	accs := make([]*Accumulator, workers)
-	var ferr firstError
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		mine := NewAccumulator(c.NumAggs())
-		accs[w] = mine
-		task := func() {
-			defer wg.Done()
-			for i := range next {
-				if opts.cancelled() || ferr.get() != nil {
-					continue
-				}
-				sp := ct.child(i)
-				st, err := c.runChunk(i, mine, rc)
-				sp.End()
-				if err != nil {
-					ferr.set(err)
-					continue
-				}
-				recordChunk(opts, sp, st)
-			}
-		}
-		wg.Add(1)
-		if opts.Pool != nil {
-			if !opts.Pool.submit(task) {
-				task()
-			}
-		} else {
-			go task()
-		}
-	}
-	wg.Wait()
-	if err := ferr.get(); err != nil {
-		return err
-	}
-	for _, a := range accs {
-		acc.Merge(a)
-	}
-	return nil
 }

@@ -45,27 +45,29 @@ func mustRun(t *testing.T, c *Compiled, opts RunOptions) *Result {
 }
 
 // TestRunParallelismEquivalence checks that every fan-out configuration of
-// Run produces the serial result, including workers far above the chunk
-// count and pruning disabled.
+// the pruned chunk executor produces the unpruned row reference's result,
+// including workers far above the chunk count.
 func TestRunParallelismEquivalence(t *testing.T) {
 	st := genStore(t)
-	c, err := Compile(genQuery(), st)
+	q := genQuery()
+	c, err := Compile(q, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mustRun(t, c, RunOptions{})
+	want := rowReference(t, q, mustMaterialize(t, st))
 	if len(want.Rows) == 0 {
-		t.Fatal("serial run returned no rows; fixture too small")
+		t.Fatal("reference returned no rows; fixture too small")
 	}
 	for _, opts := range []RunOptions{
+		{},
 		{Parallelism: 2},
-		{Parallelism: 3, DisablePruning: true},
+		{Parallelism: 3},
 		{Parallelism: -1},
 		{Parallelism: 64},
 	} {
 		got := mustRun(t, c, opts)
 		if d := want.Diff(got); d != "" {
-			t.Errorf("Run(%+v) differs from serial run: %s", opts, d)
+			t.Errorf("Run(%+v) differs from the row reference: %s", opts, d)
 		}
 	}
 }

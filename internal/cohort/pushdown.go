@@ -33,8 +33,7 @@ import (
 // ExecStats counts decoder-level work during query execution. Workers fold
 // per-chunk tallies in with atomic adds, so one ExecStats can be shared
 // across the whole scatter-gather fan-out of a query. The benchmark's
-// pushdown-selectivity sweep gates on ValueBytesDecoded: a high-selectivity
-// query must decode strictly fewer value bytes with pushdown on.
+// pushdown-selectivity sweep gates ValueBytesDecoded against its baseline.
 type ExecStats struct {
 	// RowsScanned counts activity tuples visited by the age-selection loop.
 	RowsScanned atomic.Int64
@@ -55,9 +54,9 @@ type ExecStats struct {
 	// off the sorted time column, column-kernel run verdicts and measure-run
 	// folds. One run evaluation stands in for runLength per-row operations.
 	RunsEvaluated atomic.Int64
-	// RowsBatched counts activity rows processed run-at-a-time (the
-	// vectorized path); the scalar reference path leaves it at zero, so
-	// RowsBatched/RunsEvaluated is the realized amortization factor.
+	// RowsBatched counts activity rows processed run-at-a-time by the chunk
+	// kernel (every sealed row it scans), so RowsBatched/RunsEvaluated is the
+	// realized amortization factor.
 	RowsBatched atomic.Int64
 }
 
@@ -85,52 +84,16 @@ type pushdown struct {
 // chunk's dictionaries/frames into a verdict function over the column's raw
 // codes — chunk-ids for string columns, frame-of-reference deltas for
 // integer columns — or a chunk-constant verdict (nil kernel) when the chunk's
-// dictionary/range settles the conjunct outright. Both execution shapes
-// derive from the same kernel: the scalar path wraps it with a per-row code
-// read (bindChunk), the vectorized path applies it once per run (bindVec).
+// dictionary/range settles the conjunct outright.
 type colCond struct {
 	col      int
 	isString bool
 	bindCode func(ch *storage.Chunk) (kernel func(code uint64) bool, verdict bool)
 }
 
-// boundPushdown is a pushdown bound to one chunk for the scalar row-at-a-time
-// path.
-type boundPushdown struct {
-	ageConds []func(int64) bool
-	rowConds []func(row int) bool
-	residual expr.Pred
-}
-
-func (pd *pushdown) bindChunk(ch *storage.Chunk) boundPushdown {
-	bp := boundPushdown{ageConds: pd.ageConds, residual: pd.residual}
-	if len(pd.colConds) > 0 {
-		bp.rowConds = make([]func(int) bool, len(pd.colConds))
-		for i, cc := range pd.colConds {
-			bp.rowConds[i] = cc.bindRow(ch)
-		}
-	}
-	return bp
-}
-
-// bindRow derives the per-row predicate of the scalar path from the code
-// kernel: read the row's code, apply the kernel.
-func (cc colCond) bindRow(ch *storage.Chunk) func(row int) bool {
-	k, verdict := cc.bindCode(ch)
-	if k == nil {
-		return alwaysRow(verdict)
-	}
-	if cc.isString {
-		col := cc.col
-		return func(row int) bool { return k(ch.ChunkID(col, row)) }
-	}
-	f := ch.Ints(cc.col)
-	return func(row int) bool { return k(f.Raw(row)) }
-}
-
-// vecCond is one column conjunct bound to a chunk for the run-at-a-time
-// path: a kernel over raw codes (nil when the chunk settles the conjunct —
-// then verdict applies to every row of the chunk).
+// vecCond is one column conjunct bound to a chunk: a kernel over raw codes
+// (nil when the chunk settles the conjunct — then verdict applies to every
+// row of the chunk).
 type vecCond struct {
 	col      int
 	isString bool
@@ -138,9 +101,10 @@ type vecCond struct {
 	verdict  bool
 }
 
-// boundVec is a pushdown bound to one chunk for the vectorized path. Age
-// conjuncts evaluate once per time-run (ages are constant within one), column
-// kernels once per code run, and the residual per surviving row.
+// boundVec is a pushdown bound to one chunk. In the age loop, age conjuncts
+// evaluate once per time-run (ages are constant within one), column kernels
+// once per code run, and the residual per surviving row; σb applies the same
+// kernels to the birth row alone (passRow).
 type boundVec struct {
 	ageConds []func(int64) bool
 	cols     []vecCond
@@ -169,23 +133,32 @@ func (bv *boundVec) passAge(age int64) bool {
 	return true
 }
 
-// passEncoded evaluates the encoded-domain conjuncts; the caller evaluates
-// the residual (if any) only when this passes.
-func (bp *boundPushdown) passEncoded(row int, age int64) bool {
-	for _, f := range bp.ageConds {
-		if !f(age) {
-			return false
-		}
+// passRow evaluates the encoded-domain conjuncts on one row's codes; the
+// caller evaluates the residual (if any) only when this passes.
+func (bv *boundVec) passRow(ch *storage.Chunk, row int, age int64) bool {
+	if !bv.passAge(age) {
+		return false
 	}
-	for _, f := range bp.rowConds {
-		if !f(row) {
+	for i := range bv.cols {
+		vc := &bv.cols[i]
+		if vc.kernel == nil {
+			if !vc.verdict {
+				return false
+			}
+			continue
+		}
+		var code uint64
+		if vc.isString {
+			code = ch.ChunkID(vc.col, row)
+		} else {
+			code = ch.Ints(vc.col).Raw(row)
+		}
+		if !vc.kernel(code) {
 			return false
 		}
 	}
 	return true
 }
-
-func alwaysRow(v bool) func(int) bool { return func(int) bool { return v } }
 
 // compilePushdown splits cond into pushable conjuncts and a residual. It
 // returns nil when nothing is pushable (the caller keeps the plain compiled

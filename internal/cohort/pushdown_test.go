@@ -155,14 +155,14 @@ func FuzzPushdownPredicate(f *testing.F) {
 		}
 		for ci := 0; ci < tbl.NumChunks(); ci++ {
 			ch := tbl.Chunk(ci)
-			bp := pd.bindChunk(ch)
+			bv := pd.bindVec(ch)
 			env := &chunkEnv{tbl: tbl, ch: ch, schema: schema}
 			for r := 0; r < ch.NumRows(); r++ {
 				// Age and birth row vary with the row so AGE conjuncts and
 				// Birth() residuals see non-degenerate values.
 				env.row, env.birth, env.age = r, r/2, int64(r%9)
 				wantV := want(env)
-				gotV := bp.passEncoded(r, env.age) && (bp.residual == nil || bp.residual(env))
+				gotV := bv.passRow(ch, r, env.age) && (bv.residual == nil || bv.residual(env))
 				if gotV != wantV {
 					t.Fatalf("chunk %d row %d age %d: pushdown=%v, reference=%v for %s",
 						ci, r, env.age, gotV, wantV, cond)

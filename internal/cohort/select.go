@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/expr"
-	"repro/internal/scan"
 	"repro/internal/storage"
 )
 
@@ -51,6 +50,7 @@ func SelectTuples(tbl *storage.Table, birthAction string, birthCond, ageCond exp
 	}
 	timeCol := schema.TimeCol()
 	actionCol := schema.ActionCol()
+	var actionCodes []uint64
 	for chunkIdx := 0; chunkIdx < tbl.NumChunks(); chunkIdx++ {
 		if !tbl.ChunkMayHaveGID(chunkIdx, actionCol, birthGID) {
 			continue // no user in this chunk was born (chunk pruning)
@@ -60,48 +60,46 @@ func SelectTuples(tbl *storage.Table, birthAction string, birthCond, ageCond exp
 			return nil, err
 		}
 		base := tbl.RowOffset(chunkIdx)
-		sc := scan.NewScanner(tbl, ch)
 		env := &chunkEnv{tbl: tbl, ch: ch, schema: schema}
 		// The birth action's chunk-id, resolved once per chunk: the birth-row
-		// search below then runs over raw codes, skipping whole runs of
-		// non-birth actions (the run-aware form of FindBirthRow).
+		// search below then compares raw codes.
 		birthCID, inChunk := ch.ChunkIDOf(actionCol, birthGID)
 		if !inChunk {
 			release()
 			continue
 		}
-		var actionBuf []uint64
-		for {
-			block, ok := sc.GetNextUser()
-			if !ok {
-				break
+		actionCodes = ch.AppendChunkIDs(actionCodes[:0], actionCol, 0, ch.NumRows())
+		for u := 0; u < ch.NumUsers(); u++ {
+			gid, first, n := ch.UserRun(u)
+			end := first + n
+			birthRow := -1
+			for r := first; r < end; r++ {
+				if actionCodes[r] == birthCID {
+					birthRow = r
+					break
+				}
 			}
-			ab := sc.LoadStringRuns(actionCol, block.First, block.End(), actionBuf)
-			actionBuf = ab.Buf()
-			birthRow := ab.Find(birthCID)
 			if birthRow < 0 {
-				sc.SkipCurUser()
 				continue
 			}
-			env.userGID = block.GID
+			env.userGID = gid
 			env.birth = birthRow
 			if birthPred != nil {
 				env.row = birthRow
 				env.age = 0
 				if !birthPred(env) {
-					sc.SkipCurUser()
 					continue
 				}
 			}
 			if agePred == nil {
-				for row := block.First; row < block.End(); row++ {
+				for row := first; row < end; row++ {
 					out = append(out, base+row)
 				}
 				continue
 			}
 			birthTime := ch.Int(timeCol, birthRow)
 			out = append(out, base+birthRow)
-			for row := block.First; row < block.End(); row++ {
+			for row := first; row < end; row++ {
 				ts := ch.Int(timeCol, row)
 				if ts <= birthTime {
 					continue

@@ -102,20 +102,12 @@ func BuildUnionDelta(tbl *storage.Table, delta *activity.Table) (*UnionDelta, er
 	return &UnionDelta{Combined: combined, SkipUsers: skip, Births: births}, nil
 }
 
-// RunUnion executes c over its sealed table unioned with delta. pre, when
-// non-nil, is the cached BuildUnionDelta result for exactly this (sealed,
-// delta) pair; nil computes it for this query.
-func RunUnion(c *Compiled, rq *RowQuery, delta *activity.Table, pre *UnionDelta, opts RunOptions) (*Result, error) {
-	acc, err := RunUnionAccum(c, rq, delta, pre, opts)
-	if err != nil {
-		return nil, err
-	}
-	return acc.Result(c.KeyColNames(), c.Query.Aggs), nil
-}
-
-// RunUnionAccum is RunUnion stopping at the merged partial accumulator, so
-// the scatter-gather executor can fold several shards' partials — each a
-// sealed tier unioned with its own delta — into one result.
+// RunUnionAccum executes c over its sealed table unioned with delta and
+// returns the merged partial accumulator, so the scatter-gather executor can
+// fold several shards' partials — each a sealed tier unioned with its own
+// delta — into one result. pre, when non-nil, is the cached BuildUnionDelta
+// result for exactly this (sealed, delta) pair; nil computes it for this
+// query.
 func RunUnionAccum(c *Compiled, rq *RowQuery, delta *activity.Table, pre *UnionDelta, opts RunOptions) (*Accumulator, error) {
 	if delta == nil || delta.Len() == 0 {
 		return runAccum(c, opts)
@@ -128,21 +120,9 @@ func RunUnionAccum(c *Compiled, rq *RowQuery, delta *activity.Table, pre *UnionD
 	}
 	runOpts := opts
 	runOpts.SkipUsers = pre.SkipUsers
-	if opts.Materialize || (opts.workers() <= 1 && opts.Pool == nil) {
-		// Reference/sequential path: row-scan the delta tier after the
-		// chunk fan-out, folding directly into the shard accumulator.
-		acc, err := runAccum(c, runOpts)
-		if err != nil {
-			return nil, err
-		}
-		if !opts.cancelled() {
-			scanDelta(rq, pre, acc, opts.Trace)
-		}
-		return acc, nil
-	}
-	// Streaming path: the delta row scan proceeds concurrently with the
-	// sealed chunk fan-out and its partial merges in at the end. Exact
-	// integer sums make the merge order unobservable (see runStreaming).
+	// The delta row scan proceeds concurrently with the sealed chunk fan-out
+	// and its partial merges in at the end. Exact integer sums make the merge
+	// order unobservable (see runStreaming).
 	rowAcc := NewAccumulator(c.NumAggs())
 	done := make(chan struct{})
 	// The delta scan is pool-safe: it folds rows into its private

@@ -1,15 +1,16 @@
 package cohort
 
-// Run-aware vectorized execution. The storage format of Section 4.1 leaves
-// long runs of equal codes in the encoded columns: dimension attributes
-// (country, role, …) are constant across a user's block, the action and time
-// columns run in bursts, and sorted times make ages nondecreasing inside a
-// block. runChunkVec exploits that instead of flattening it away. Each
-// referenced column's codes are extracted once per chunk in a single
-// sequential batch — the chunk is the paper's processing unit, and one
-// AppendRange pass costs a shift and a mask per value where the row-at-a-time
-// loop pays a random-access Get — and every decision is then made once per
-// (value-id, runLength) run over the flat code arrays:
+// The chunk kernel: Algorithms 1 and 2 run over one chunk, run at a time. The
+// storage format of Section 4.1 leaves long runs of equal codes in the
+// encoded columns: dimension attributes (country, role, …) are constant
+// across a user's block, the action and time columns run in bursts, and
+// sorted times make ages nondecreasing inside a block. runChunk exploits
+// that instead of flattening it away. Each referenced column's codes are
+// extracted once per chunk in a single sequential batch — the chunk is the
+// paper's processing unit, and one AppendRange pass costs a shift and a mask
+// per value where a row-at-a-time loop pays a random-access Get — and every
+// decision is then made once per (value-id, runLength) run over the flat code
+// arrays:
 //
 //   - the birth search compares one chunk-id per action run;
 //   - same-age spans end at the first timestamp of the next age, a bound
@@ -20,28 +21,23 @@ package cohort
 //     a run of k equal codes costs one encoded-domain verdict and k-1 cached
 //     reads, and a failing conjunct short-circuits the rest of the row;
 //   - the aggregation bucket is resolved once per age span, USER_COUNT
-//     increments once per span with survivors (equal to the scalar
-//     last-counted-age dedup, since ages strictly increase span to span),
-//     and measure values fold off the batch-decoded codes.
+//     increments once per span with survivors (ages strictly increase span
+//     to span, so that is one count per distinct age), and measure values
+//     fold off the batch-decoded codes.
 //
 // Residual conjuncts (Birth() references, OR trees, …) still run per
-// surviving row through the generic expr path, so the vectorized loop is
-// bit-identical to the scalar reference in runChunk — the equivalence
-// property test and fuzz target pin exactly that.
+// surviving row through the generic expr path. RowQuery.Scan over the
+// materialized table is the reference the kernel must match bit for bit —
+// the fuzz target and the union equivalence tests pin exactly that.
 
-import (
-	"sync"
-
-	"repro/internal/scan"
-)
+import "sync"
 
 // chunkScratch bundles every allocation a chunk scan needs — the expr
-// environment, the scanner, the cohort-key buffer, the code buffers and the
-// per-conjunct kernel memo — so executors reuse one set per chunk task
-// instead of allocating per chunk. Recycled through scratchPool.
+// environment, the cohort-key buffer, the code buffers and the per-conjunct
+// kernel memo — so executors reuse one set per chunk task instead of
+// allocating per chunk. Recycled through scratchPool.
 type chunkScratch struct {
 	env    chunkEnv
-	sc     scan.Scanner
 	keyBuf []byte
 
 	actionBuf []uint64
@@ -77,7 +73,6 @@ func getScratch() *chunkScratch { return scratchPool.Get().(*chunkScratch) }
 // too. The code buffers keep their capacity — that is the point.
 func putScratch(scr *chunkScratch) {
 	scr.env = chunkEnv{}
-	scr.sc.Reset(nil, nil)
 	clear(scr.act)
 	scr.act = scr.act[:0]
 	scratchPool.Put(scr)
@@ -108,10 +103,20 @@ func growSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// runChunkVec is the run-at-a-time twin of the scalar loop in runChunk. Any
-// semantic change here must land in runChunk (and RowQuery.Scan) too — the
-// vectorized equivalence tests pin the paths to bit-identical results.
-func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (ChunkStats, error) {
+// runChunk executes the fused σb → σg → γc pipeline (Algorithms 1 and 2)
+// over one chunk, folding into acc, and returns the chunk's decoder-level
+// tallies. Callers should consult CanSkipChunk first; runChunk is still
+// correct without it, just slower. On lazy tables the chunk is loaded (and
+// pinned) on demand; the error is non-nil only when that load fails. skipUsers
+// holds user global-ids to skip: the union executor passes the users that
+// have fresh delta tuples — their sealed rows are processed together with the
+// delta on the row path instead, so no user is aggregated twice. Any semantic
+// change to the per-block loop below must land in RowQuery.Scan too — the
+// equivalence tests pin the two paths to bit-identical results.
+func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64]bool) (ChunkStats, error) {
+	if !c.birthOK {
+		return ChunkStats{}, nil
+	}
 	ch, release, err := c.tbl.PinChunk(chunkIdx)
 	if err != nil {
 		return ChunkStats{}, err
@@ -125,26 +130,21 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 	}
 	scr := getScratch()
 	defer putScratch(scr)
-	sc := &scr.sc
-	sc.Reset(c.tbl, ch)
 	var st ChunkStats
 	env := &scr.env
 	*env = chunkEnv{tbl: c.tbl, ch: ch, schema: c.schema, decoded: &st.ValueBytesDecoded}
 
-	var bBirth boundPushdown
-	haveBirthPush := c.birthPush != nil
-	if haveBirthPush {
-		bBirth = c.birthPush.bindChunk(ch)
+	// The per-row tails: pushed conjuncts leave a residual; with nothing
+	// pushable the whole σb / σg predicate runs there.
+	var vBirth, vAge boundVec
+	birthResidual, ageResidual := c.birthPred, c.agePred
+	if c.birthPush != nil {
+		vBirth = c.birthPush.bindVec(ch)
+		birthResidual = vBirth.residual
 	}
-	var vAge boundVec
 	if c.agePush != nil {
 		vAge = c.agePush.bindVec(ch)
-	}
-	// The per-row tail: pushed conjuncts leave vAge.residual; with nothing
-	// pushable the whole σg predicate runs there.
-	residual := c.agePred
-	if c.agePush != nil {
-		residual = vAge.residual
+		ageResidual = vAge.residual
 	}
 	rows := ch.NumRows()
 	tmin := ch.Ints(timeCol).Min()
@@ -192,9 +192,8 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 	// pushed conjunct too), so it is extracted for the whole chunk up front —
 	// the sequential batch costs about a nanosecond per code, far below the
 	// per-block loads it replaces.
-	ab := sc.LoadStringRuns(actionCol, 0, rows, scr.actionBuf)
-	scr.actionBuf = ab.Buf()
-	actionCodes := ab.Buf()
+	scr.actionBuf = ch.AppendChunkIDs(scr.actionBuf[:0], actionCol, 0, rows)
+	actionCodes := scr.actionBuf
 	for ci := range act {
 		if act[ci].isString && act[ci].col == actionCol {
 			scr.vcCodes[ci] = actionCodes // the conjunct memo shares the batch
@@ -206,19 +205,20 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 	var traw []uint64
 	keyBuf := scr.keyBuf
 
-	for {
-		block, ok := sc.GetNextUser()
-		if !ok {
-			break
-		}
-		if rc.skipUsers != nil && rc.skipUsers[block.GID] {
+	// The modified TableScan of Section 4.3: one (u, f, n) triple of the RLE
+	// user column per user block, so skipping an unqualified user is moving
+	// on to the next triple.
+	for u, nu := 0, ch.NumUsers(); u < nu; u++ {
+		gid, first, n := ch.UserRun(u)
+		end := first + n
+		if skipUsers != nil && skipUsers[gid] {
 			continue
 		}
 		// GetBirthTuple, run at a time: one chunk-id compare rejects a whole
 		// run of non-birth actions; the first matching run's first row is the
 		// birth tuple (time-ordering property).
 		birthRow := -1
-		for i, end := block.First, block.End(); i < end; {
+		for i := first; i < end; {
 			code := actionCodes[i]
 			j := i + 1
 			for j < end && actionCodes[j] == code {
@@ -235,41 +235,36 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 		if birthRow < 0 {
 			continue
 		}
-		env.userGID = block.GID
+		env.userGID = gid
 		env.birth = birthRow
-		// σb touches the birth tuple only — a single row either way, so this
-		// is shared verbatim with the scalar path.
-		if haveBirthPush {
+		// σb touches the birth tuple only: the same kernels, applied to that
+		// one row's codes, then the residual; an unqualified user's whole
+		// block is skipped.
+		if c.birthPush != nil {
 			st.EncodedChecks++
-			if !bBirth.passEncoded(birthRow, 0) {
+			if !vBirth.passRow(ch, birthRow, 0) {
 				continue
 			}
-			if bBirth.residual != nil {
-				env.row, env.age = birthRow, 0
-				if !bBirth.residual(env) {
-					continue
-				}
-			}
-		} else if c.birthPred != nil {
+		}
+		if birthResidual != nil {
 			env.row, env.age = birthRow, 0
-			if !c.birthPred(env) {
+			if !birthResidual(env) {
 				continue
 			}
 		}
 		if traw == nil {
-			tb := sc.LoadIntRuns(timeCol, 0, rows, scr.timeBuf)
-			scr.timeBuf = tb.Buf()
-			traw = tb.Buf() // raw frame-of-reference deltas: ts = tmin + traw[r]
+			scr.timeBuf = ch.AppendRawInts(scr.timeBuf[:0], timeCol, 0, rows)
+			traw = scr.timeBuf // raw frame-of-reference deltas: ts = tmin + traw[r]
 		}
 		// The batch extraction above is amortization; the decoded-bytes
 		// counter tracks time values the query consumes — this block's.
-		st.ValueBytesDecoded += 8 * int64(block.N)
+		st.ValueBytesDecoded += 8 * int64(n)
 		birthTime := tmin + int64(traw[birthRow])
 		keyBuf = c.appendKey(keyBuf[:0], ch, birthRow, birthTime)
 		cs := acc.cohortBytes(keyBuf, func() []string { return c.displayKey(ch, birthRow, birthTime) })
 		cs.size++ // Hc[d_b[L]]++
-		st.RowsScanned += int64(block.N)
-		st.RowsBatched += int64(block.N)
+		st.RowsScanned += int64(n)
+		st.RowsBatched += int64(n)
 		if constFalse {
 			continue // a chunk-constant conjunct rejects every activity tuple
 		}
@@ -280,7 +275,7 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 		// its pushed AGE verdict and aggregation bucket once; the rows inside
 		// run through the conjunct memo, which re-evaluates a kernel only
 		// when its column's code changes (once per run).
-		for r, end := block.First, block.End(); r < end; {
+		for r := first; r < end; {
 			age := AgeOf(tmin+int64(traw[r]), birthTime, c.unit)
 			// First timestamp with a greater age, as a raw delta: birth for
 			// pre-birth rows (-1), birth+1 for the birth instant (0), the
@@ -311,7 +306,7 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 				}
 			}
 			var b *bucket // resolved at the span's first surviving row
-			if residual != nil {
+			if ageResidual != nil {
 				env.age = age
 			}
 			for ; r < spanEnd; r++ {
@@ -320,15 +315,12 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 					if !scr.vcLoaded[ci] {
 						// Lazy chunk decode: a conjunct column every earlier
 						// check already rejected is never extracted.
-						vc := &act[ci]
-						var cb scan.RunBatch
-						if vc.isString {
-							cb = sc.LoadStringRuns(vc.col, 0, rows, scr.colBufs[ci])
+						if act[ci].isString {
+							scr.colBufs[ci] = ch.AppendChunkIDs(scr.colBufs[ci][:0], act[ci].col, 0, rows)
 						} else {
-							cb = sc.LoadIntRuns(vc.col, 0, rows, scr.colBufs[ci])
+							scr.colBufs[ci] = ch.AppendRawInts(scr.colBufs[ci][:0], act[ci].col, 0, rows)
 						}
-						scr.colBufs[ci] = cb.Buf()
-						scr.vcCodes[ci] = cb.Buf()
+						scr.vcCodes[ci] = scr.colBufs[ci]
 						scr.vcLoaded[ci] = true
 					}
 					code := scr.vcCodes[ci][r]
@@ -351,19 +343,18 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 				}
 				// Residual conjuncts (or the whole generic σg when nothing
 				// was pushable) run per surviving row; value decodes go
-				// through the env and are tallied there, exactly as on the
-				// scalar path.
-				if residual != nil {
+				// through the env and are tallied there.
+				if ageResidual != nil {
 					env.row = r
-					if !residual(env) {
+					if !ageResidual(env) {
 						continue
 					}
 				}
 				if b == nil {
 					b = cs.bucket(age, nAggs)
 					// USER_COUNT: once per age span with survivors. Ages
-					// strictly increase span to span, so this equals the
-					// scalar last-counted-age dedup.
+					// strictly increase span to span, so each distinct age
+					// counts the user once.
 					for ai := range c.aggs {
 						if c.aggs[ai].fn == UserCount {
 							b.states[ai].users++
@@ -381,9 +372,8 @@ func (c *Compiled) runChunkVec(chunkIdx int, acc *Accumulator, rc runCtx) (Chunk
 							if ci := scr.measUse[ai]; ci >= 0 && scr.vcLoaded[ci] {
 								scr.measCodes[ai] = scr.vcCodes[ci]
 							} else {
-								mb := sc.LoadIntRuns(agg.col, 0, rows, scr.measBufs[ai])
-								scr.measBufs[ai] = mb.Buf()
-								scr.measCodes[ai] = mb.Buf()
+								scr.measBufs[ai] = ch.AppendRawInts(scr.measBufs[ai][:0], agg.col, 0, rows)
+								scr.measCodes[ai] = scr.measBufs[ai]
 							}
 							scr.measLoaded[ai] = true
 						}

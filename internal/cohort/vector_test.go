@@ -5,22 +5,50 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/activity"
 	"repro/internal/expr"
 	"repro/internal/gen"
 	"repro/internal/storage"
 )
 
 func vectorFixture(tb testing.TB) *storage.Table {
+	return vectorFixtureChunked(tb, 120)
+}
+
+func vectorFixtureChunked(tb testing.TB, chunkSize int) *storage.Table {
 	tb.Helper()
 	full := gen.Generate(gen.Config{Users: 60, Days: 12, MeanActions: 8, Seed: 17})
 	if err := full.SortByPK(); err != nil {
 		tb.Fatal(err)
 	}
-	tbl, err := storage.Build(full, storage.Options{ChunkSize: 120})
+	tbl, err := storage.Build(full, storage.Options{ChunkSize: chunkSize})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return tbl
+}
+
+// mustMaterialize decodes tbl back to its sorted rows.
+func mustMaterialize(tb testing.TB, tbl *storage.Table) *activity.Table {
+	tb.Helper()
+	rows, err := tbl.Materialize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
+// rowReference is the chunk kernel's oracle: RowQuery.Scan over the table's
+// materialized rows. It never prunes and never reads encoded data.
+func rowReference(tb testing.TB, q *Query, rows *activity.Table) *Result {
+	tb.Helper()
+	rq, err := CompileRows(q, rows.Schema())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	acc := NewAccumulator(len(q.Aggs))
+	rq.Scan(rows, acc)
+	return acc.Result(rq.KeyColNames(), q.Aggs)
 }
 
 // requireSameResult pins got to want bit for bit: identical rows, identical
@@ -46,16 +74,21 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// FuzzVectorizedExec is the vectorized-execution soundness contract: for ANY
-// pair of conditions the compiler accepts, the run-at-a-time kernel path must
-// produce bit-identical results to the scalar reference loop — same cohorts,
-// same ages, same float64 bits — across every aggregate function at once.
-// Conditions reuse the pushdown fuzzer's generator, so in-dictionary and
+// FuzzVectorizedExec is the chunk kernel's soundness contract: for ANY pair
+// of conditions the compiler accepts, Run (pruning, pushdown, run-at-a-time
+// kernels) must produce bit-identical results to RowQuery.Scan over the
+// materialized rows — same cohorts, same ages, same float64 bits — across
+// every aggregate function at once, at chunk sizes from one user per chunk
+// up. Conditions reuse the pushdown fuzzer's generator, so in-dictionary and
 // absent literals, out-of-range integers, IN/BETWEEN, AGE conjuncts, OR
 // residuals and Birth() references all reach the kernels.
 func FuzzVectorizedExec(f *testing.F) {
-	tbl := vectorFixture(f)
-	schema := tbl.Schema()
+	var tbls []*storage.Table
+	for _, size := range []int{1, 7, 120} {
+		tbls = append(tbls, vectorFixtureChunked(f, size))
+	}
+	rows := mustMaterialize(f, tbls[0])
+	schema := rows.Schema()
 
 	f.Add([]byte{0}, []byte{0})
 	f.Add([]byte{1, 3, 2, 0, 1}, []byte{3, 1, 2, 2, 6, 0, 7, 7, 7})
@@ -84,26 +117,23 @@ func FuzzVectorizedExec(f *testing.F) {
 		if err := q.Validate(schema); err != nil {
 			return // ill-typed condition (e.g. unparseable date literal)
 		}
-		c, err := Compile(q, tbl)
-		if err != nil {
-			t.Fatalf("Compile after Validate: %v", err)
+		want := rowReference(t, q, rows)
+		for _, tbl := range tbls {
+			c, err := Compile(q, tbl)
+			if err != nil {
+				t.Fatalf("Compile after Validate: %v", err)
+			}
+			got, err := Run(c, RunOptions{})
+			if err != nil {
+				t.Fatalf("%d chunks: %v", tbl.NumChunks(), err)
+			}
+			requireSameResult(t, "chunk kernel vs row reference", got, want)
 		}
-		want, err := Run(c, RunOptions{DisableVectorized: true})
-		if err != nil {
-			t.Fatalf("scalar: %v", err)
-		}
-		got, err := Run(c, RunOptions{})
-		if err != nil {
-			t.Fatalf("vectorized: %v", err)
-		}
-		requireSameResult(t, "vectorized vs scalar", got, want)
 	})
 }
 
-// TestVectorizedStats pins the counter contract of the two paths: the
-// vectorized default reports batched rows and evaluated runs with strictly
-// fewer run evaluations than rows batched (that is the amortization), while
-// the scalar reference path leaves RowsBatched at zero.
+// TestVectorizedStats pins the kernel's counter contract: it reports batched
+// rows and evaluated runs, and batches every row it scans.
 func TestVectorizedStats(t *testing.T) {
 	tbl := vectorFixture(t)
 	q := &Query{
@@ -133,25 +163,12 @@ func TestVectorizedStats(t *testing.T) {
 		t.Fatalf("vectorized path scanned %d rows but batched %d — every scanned row should be batched",
 			vec.RowsScanned.Load(), vec.RowsBatched.Load())
 	}
-
-	var scalar ExecStats
-	if _, err := Run(c, RunOptions{DisableVectorized: true, Stats: &scalar}); err != nil {
-		t.Fatal(err)
-	}
-	if scalar.RowsBatched.Load() != 0 || scalar.RunsEvaluated.Load() != 0 {
-		t.Fatalf("scalar run reports kernel activity: batched=%d runs=%d",
-			scalar.RowsBatched.Load(), scalar.RunsEvaluated.Load())
-	}
-	if scalar.RowsScanned.Load() != vec.RowsScanned.Load() {
-		t.Fatalf("rows scanned differ: scalar %d, vectorized %d",
-			scalar.RowsScanned.Load(), vec.RowsScanned.Load())
-	}
 }
 
 // TestChunkScanAllocsPooled asserts the per-chunk scratch pooling: once the
 // pool and the accumulator are warm, scanning a chunk allocates (almost)
-// nothing — the env, scanner, key buffer, code buffers and selection bitmap
-// all come from the recycled chunkScratch.
+// nothing — the env, key buffer, code buffers and conjunct memo all come
+// from the recycled chunkScratch.
 func TestChunkScanAllocsPooled(t *testing.T) {
 	tbl := vectorFixture(t)
 	q := &Query{
@@ -167,45 +184,38 @@ func TestChunkScanAllocsPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rc := range map[string]runCtx{
-		"vectorized": {vectorized: true},
-		"scalar":     {},
-	} {
-		acc := NewAccumulator(c.NumAggs())
-		// Warm: populate the accumulator's cohorts/buckets and the scratch pool.
-		for i := 0; i < 2; i++ {
-			for ci := 0; ci < tbl.NumChunks(); ci++ {
-				if _, err := c.runChunk(ci, acc, rc); err != nil {
-					t.Fatal(err)
-				}
+	acc := NewAccumulator(c.NumAggs())
+	// Warm: populate the accumulator's cohorts/buckets and the scratch pool.
+	for i := 0; i < 2; i++ {
+		for ci := 0; ci < tbl.NumChunks(); ci++ {
+			if _, err := c.runChunk(ci, acc, nil); err != nil {
+				t.Fatal(err)
 			}
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			for ci := 0; ci < tbl.NumChunks(); ci++ {
-				if _, err := c.runChunk(ci, acc, rc); err != nil {
-					t.Fatal(err)
-				}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for ci := 0; ci < tbl.NumChunks(); ci++ {
+			if _, err := c.runChunk(ci, acc, nil); err != nil {
+				t.Fatal(err)
 			}
-		})
-		// Binding the pushed conjuncts to a chunk (closure and slice per
-		// conjunct) is inherently per-chunk work, so the bound scales with the
-		// chunk count — but NOT with rows: per-row or per-block allocation
-		// across the ~480-row fixture would blow well past it.
-		if max := float64(20 * tbl.NumChunks()); allocs > max {
-			t.Fatalf("%s: %v allocs per warm table scan over %d chunks, want <= %v",
-				name, allocs, tbl.NumChunks(), max)
 		}
+	})
+	// Binding the pushed conjuncts to a chunk (closure and slice per
+	// conjunct) is inherently per-chunk work, so the bound scales with the
+	// chunk count — but NOT with rows: per-row or per-block allocation
+	// across the ~480-row fixture would blow well past it.
+	if max := float64(20 * tbl.NumChunks()); allocs > max {
+		t.Fatalf("%v allocs per warm table scan over %d chunks, want <= %v",
+			allocs, tbl.NumChunks(), max)
 	}
 }
 
-// BenchmarkChunkScan compares the two execution loops over one warm table:
-// the run-at-a-time kernel path against the scalar row-at-a-time reference,
-// at two activity densities. Sparse streams (few actions per day) are
-// vectorization's worst case — run lengths collapse toward one — while dense
-// streams (the paper's regime: hundreds of actions per user) leave the long
-// same-age and same-action runs the kernels amortize over. This is the
-// microbenchmark behind the cohana-bench vectorized sweep; run with
-// -cpuprofile to see where each path spends its time.
+// BenchmarkChunkScan runs the chunk kernel over one warm table at two
+// activity densities. Sparse streams (few actions per day) are the kernel's
+// worst case — run lengths collapse toward one — while dense streams (the
+// paper's regime: hundreds of actions per user) leave the long same-age and
+// same-action runs the kernels amortize over. Run with -cpuprofile to see
+// where the kernel spends its time.
 func BenchmarkChunkScan(b *testing.B) {
 	for _, density := range []struct {
 		name    string
@@ -235,21 +245,16 @@ func BenchmarkChunkScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for name, rc := range map[string]runCtx{
-			"vectorized": {vectorized: true},
-			"scalar":     {},
-		} {
-			b.Run(density.name+"/"+name, func(b *testing.B) {
-				acc := NewAccumulator(c.NumAggs())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for ci := 0; ci < tbl.NumChunks(); ci++ {
-						if _, err := c.runChunk(ci, acc, rc); err != nil {
-							b.Fatal(err)
-						}
+		b.Run(density.name, func(b *testing.B) {
+			acc := NewAccumulator(c.NumAggs())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for ci := 0; ci < tbl.NumChunks(); ci++ {
+					if _, err := c.runChunk(ci, acc, nil); err != nil {
+						b.Fatal(err)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -32,7 +32,6 @@ var chunkConsumerPackages = []string{
 	Module + "/internal/cohort",
 	Module + "/internal/ingest",
 	Module + "/internal/server",
-	Module + "/internal/scan",
 }
 
 func runChunkPin(pass *analysis.Pass) (any, error) {
@@ -57,7 +56,7 @@ func runChunkPin(pass *analysis.Pass) (any, error) {
 
 // reportEagerChunkAccess flags <table>.Chunk(i) calls in consumer packages.
 // The one-argument shape distinguishes the table accessor from same-named
-// zero-argument getters (e.g. scan.Scanner.Chunk()).
+// zero-argument getters.
 func reportEagerChunkAccess(pass *analysis.Pass, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -29,7 +29,6 @@ var goroutinePackages = []string{
 	Module + "/internal/ingest",
 	Module + "/internal/storage",
 	Module + "/internal/server",
-	Module + "/internal/scan",
 }
 
 func runGoroutinePool(pass *analysis.Pass) (any, error) {

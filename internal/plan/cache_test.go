@@ -186,6 +186,14 @@ func TestPlanCacheConcurrentPrepareAndExecute(t *testing.T) {
 		`SELECT country, COHORTSIZE, AGE, Avg(session) FROM D BIRTH FROM action = "shop" AGE ACTIVITIES IN AGE < 7 COHORT BY country`,
 	}
 
+	// Prepare each text once up front: two goroutines whose first Prepare of
+	// a text raced would both miss, so the exact counts below need it.
+	for _, src := range queries {
+		if _, err := cache.Prepare(src, schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
 	for g := 0; g < 6; g++ {
@@ -226,7 +234,7 @@ func TestPlanCacheConcurrentPrepareAndExecute(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Misses != uint64(len(queries)) || st.Hits == 0 {
-		t.Fatalf("concurrent stats = %+v, want exactly %d misses and some hits", st, len(queries))
+	if st := cache.Stats(); st.Misses != uint64(len(queries)) || st.Hits != 6*10 {
+		t.Fatalf("concurrent stats = %+v, want exactly %d misses and %d hits", st, len(queries), 6*10)
 	}
 }

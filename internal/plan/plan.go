@@ -146,8 +146,6 @@ type ExecOptions struct {
 	// selects the paper's single-threaded execution; negative uses
 	// GOMAXPROCS workers.
 	Parallelism int
-	// DisablePruning turns off chunk pruning, for the ablation experiments.
-	DisablePruning bool
 	// Pool optionally routes chunk work through a shared bounded worker
 	// pool (see cohort.Pool), so concurrent queries — e.g. from the HTTP
 	// server — share one set of workers instead of each spawning their own.
@@ -165,19 +163,6 @@ type ExecOptions struct {
 	// this (table, Delta) pair (see cohort.BuildUnionDelta); nil computes
 	// it per query.
 	Union *cohort.UnionDelta
-	// DisablePushdown forces predicate evaluation through the generic
-	// decoded path instead of the encoded-domain pushdown (see
-	// cohort.RunOptions.DisablePushdown), for ablations and the
-	// streaming/pushdown equivalence tests.
-	DisablePushdown bool
-	// DisableVectorized forces the scalar row-at-a-time reference loop
-	// instead of the run-aware vectorized kernels (see
-	// cohort.RunOptions.DisableVectorized), for ablations and the
-	// vectorized equivalence tests. Vectorized execution is the default.
-	DisableVectorized bool
-	// Materialize selects the pre-streaming reference merge inside each
-	// shard (see cohort.RunOptions.Materialize).
-	Materialize bool
 	// Stats, when non-nil, accumulates decoder-level execution counters
 	// across all shards and chunks of the query.
 	Stats *cohort.ExecStats
@@ -191,14 +176,10 @@ type ExecOptions struct {
 
 func (o ExecOptions) runOptions() cohort.RunOptions {
 	return cohort.RunOptions{
-		Parallelism:       o.Parallelism,
-		DisablePruning:    o.DisablePruning,
-		Pool:              o.Pool,
-		Ctx:               o.Ctx,
-		DisablePushdown:   o.DisablePushdown,
-		DisableVectorized: o.DisableVectorized,
-		Materialize:       o.Materialize,
-		Stats:             o.Stats,
+		Parallelism: o.Parallelism,
+		Pool:        o.Pool,
+		Ctx:         o.Ctx,
+		Stats:       o.Stats,
 	}
 }
 
@@ -359,7 +340,7 @@ func runShard(c *cohort.Compiled, rows *cohort.RowQuery, sh ShardInput, opts coh
 }
 
 // PrunedChunks reports how many chunks pruning would skip for q, exposed for
-// tests and the ablation benchmarks.
+// tests.
 func PrunedChunks(q *cohort.Query, tbl *storage.Table) (int, error) {
 	skip, err := PruneMap(q, tbl)
 	if err != nil {

@@ -143,11 +143,10 @@ func TestShardedExecutionMatchesSingleTableProperty(t *testing.T) {
 		queries = append(queries, parseQuery(t, src))
 		sources = append(sources, src)
 	}
+	refRows := mustMaterialize(t, refSealed)
 	wants := make([]*cohort.Result, len(queries))
 	for i, q := range queries {
-		if wants[i], err = Execute(q, refSealed, ExecOptions{Parallelism: -1}); err != nil {
-			t.Fatalf("reference for %q: %v", sources[i], err)
-		}
+		wants[i] = rowReference(t, q, refRows)
 	}
 
 	pool := cohort.NewPool(3)

@@ -12,13 +12,14 @@ import (
 	"repro/internal/storage"
 )
 
-// The streaming/pushdown equivalence contract: the default execution mode —
-// per-chunk partials streamed into the shard accumulator, with predicates
-// evaluated on encoded ids — must be bit-identical to the materializing,
-// decode-everything reference path for ANY query, shard count, and ingest
-// state. The property test draws random queries from the full clause space
-// and checks shard counts {1, 2, 4}, sealed-only and mid-ingest (delta rows
-// riding the union path), with and without a shared worker pool.
+// The streaming equivalence contract: per-chunk partials stream into the
+// shard accumulator in arrival order, so a parallel or pooled execution must
+// be bit-identical to a one-worker execution for ANY query, shard count, and
+// ingest state. The property test draws random queries from the full clause
+// space and checks shard counts {1, 2, 4}, sealed-only and mid-ingest (delta
+// rows riding the union path), with and without a shared worker pool. The
+// results themselves are pinned to the row reference by
+// TestShardedExecutionMatchesSingleTableProperty and the cohort fuzz target.
 func TestStreamingPushdownMatchesMaterializedProperty(t *testing.T) {
 	full := gen.Generate(gen.Config{Users: 110, Days: 16, MeanActions: 12, Seed: 41, ZipfS: 1.3})
 	if err := full.SortByPK(); err != nil {
@@ -48,9 +49,8 @@ func TestStreamingPushdownMatchesMaterializedProperty(t *testing.T) {
 		sources = append(sources, src)
 	}
 
-	// The reference mode: materialized per-chunk results, no pushdown — the
-	// original decode-every-row execution strategy.
-	refOpts := ExecOptions{Parallelism: -1, Materialize: true, DisablePushdown: true}
+	// The reference mode: one worker, so chunk partials merge in chunk order.
+	refOpts := ExecOptions{Parallelism: 1}
 
 	pool := cohort.NewPool(3)
 	defer pool.Close()
@@ -86,7 +86,7 @@ func TestStreamingPushdownMatchesMaterializedProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			requireBitEqual(t, label+" [sealed,streaming+pushdown]", got, want)
+			requireBitEqual(t, label+" [sealed,parallel]", got, want)
 			got, err = ExecuteShards(q, inputs, ExecOptions{Parallelism: -1, Pool: pool})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -101,7 +101,12 @@ func TestStreamingPushdownMatchesMaterializedProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			requireBitEqual(t, label+" [mid-ingest,streaming+pushdown]", liveGot, liveWant)
+			requireBitEqual(t, label+" [mid-ingest,parallel]", liveGot, liveWant)
+			liveGot, err = ExecuteShards(q, liveInputs, ExecOptions{Parallelism: -1, Pool: pool})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireBitEqual(t, label+" [mid-ingest,pool]", liveGot, liveWant)
 		}
 		if err := lt.Close(); err != nil {
 			t.Fatal(err)
@@ -110,8 +115,10 @@ func TestStreamingPushdownMatchesMaterializedProperty(t *testing.T) {
 }
 
 // TestPushdownDecodesFewerBytes pins the point of decoder-level predicates:
-// a selective birth filter over encoded columns must decode strictly fewer
-// value bytes than the decode-then-filter path, while scanning the same rows.
+// with every conjunct pushed, the kernel decodes only the time column of each
+// qualified user's block and the measure of each surviving age row — never a
+// string, never a value a rejected row holds. The expected byte count is
+// computed from the materialized rows.
 func TestPushdownDecodesFewerBytes(t *testing.T) {
 	full := gen.Generate(gen.Config{Users: 100, Days: 14, MeanActions: 12, Seed: 13})
 	if err := full.SortByPK(); err != nil {
@@ -125,26 +132,46 @@ func TestPushdownDecodesFewerBytes(t *testing.T) {
 		FROM D BIRTH FROM action = "launch" AND country = "China"
 		AGE ACTIVITIES IN action = "shop" AND gold > 5
 		COHORT BY country`)
-	inputs := []ShardInput{{Sealed: sealed}}
+	rows := mustMaterialize(t, sealed)
+	schema := rows.Schema()
+	actions, countries := rows.Strings(schema.ActionCol()), rows.Strings(schema.ColIndex("country"))
+	times, gold := rows.Ints(schema.TimeCol()), rows.Ints(schema.ColIndex("gold"))
+	var wantRows, wantBytes int64
+	rows.UserBlocks(func(_ string, start, end int) {
+		birth := -1
+		for r := start; r < end && birth < 0; r++ {
+			if actions[r] == "launch" {
+				birth = r
+			}
+		}
+		if birth < 0 || countries[birth] != "China" {
+			return
+		}
+		wantRows += int64(end - start)
+		wantBytes += 8 * int64(end-start) // the block's timestamps
+		for r := start; r < end; r++ {
+			if cohort.AgeOf(times[r], times[birth], q.AgeUnit) > 0 && actions[r] == "shop" && gold[r] > 5 {
+				wantBytes += 8 // Sum(gold)
+			}
+		}
+	})
+	if wantRows == 0 {
+		t.Fatal("fixture has no qualified user")
+	}
 
-	var with, without cohort.ExecStats
-	want, err := ExecuteShards(q, inputs, ExecOptions{DisablePushdown: true, Stats: &without})
+	var stats cohort.ExecStats
+	got, err := ExecuteShards(q, []ShardInput{{Sealed: sealed}}, ExecOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteShards(q, inputs, ExecOptions{Stats: &with})
-	if err != nil {
-		t.Fatal(err)
+	requireBitEqual(t, "pushdown vs row reference", got, rowReference(t, q, rows))
+	if n := stats.RowsScanned.Load(); n != wantRows {
+		t.Fatalf("scanned %d rows, want %d (the qualified users' blocks)", n, wantRows)
 	}
-	requireBitEqual(t, "pushdown vs decode-then-filter", got, want)
-	if with.RowsScanned.Load() != without.RowsScanned.Load() {
-		t.Fatalf("rows scanned differ: pushdown %d, reference %d",
-			with.RowsScanned.Load(), without.RowsScanned.Load())
+	if n := stats.ValueBytesDecoded.Load(); n != wantBytes {
+		t.Fatalf("decoded %d value bytes, want %d", n, wantBytes)
 	}
-	if w, wo := with.ValueBytesDecoded.Load(), without.ValueBytesDecoded.Load(); w >= wo {
-		t.Fatalf("pushdown decoded %d value bytes, reference %d — want strictly fewer", w, wo)
-	}
-	if with.EncodedChecks.Load() == 0 {
+	if stats.EncodedChecks.Load() == 0 {
 		t.Fatal("pushdown path reports zero encoded-domain checks")
 	}
 }

@@ -1,110 +1,16 @@
 package plan
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
-	"repro/internal/activity"
 	"repro/internal/cohort"
 	"repro/internal/gen"
-	"repro/internal/ingest"
 	"repro/internal/storage"
 )
 
-// The vectorized-execution equivalence contract: the run-aware kernel path
-// (the default) must be bit-identical to the scalar row-at-a-time loop for
-// ANY query, shard count and ingest state. The property test draws random
-// queries from the full clause space and checks shard counts {1, 2, 4},
-// sealed-only and mid-ingest (delta rows riding the scalar union row path
-// alongside vectorized sealed chunks), vectorized against DisableVectorized.
-func TestVectorizedMatchesScalarProperty(t *testing.T) {
-	full := gen.Generate(gen.Config{Users: 110, Days: 16, MeanActions: 12, Seed: 53, ZipfS: 1.2})
-	if err := full.SortByPK(); err != nil {
-		t.Fatal(err)
-	}
-	schema := full.Schema()
-
-	seedRows := activity.NewTable(schema)
-	var lateRows []ingest.Row
-	for r := 0; r < full.Len(); r++ {
-		if r%5 == 2 {
-			lateRows = append(lateRows, rowOf(full, r))
-		} else {
-			seedRows.AppendRow(rowOf(full, r).Strs, rowOf(full, r).Ints)
-		}
-	}
-	if err := seedRows.AssertSortedByPK(); err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(29))
-	sources := make([]string, 0, 20)
-	queries := make([]*cohort.Query, 0, 20)
-	for len(queries) < 20 {
-		src := randomQuery(rng)
-		queries = append(queries, parseQuery(t, src))
-		sources = append(sources, src)
-	}
-
-	// The reference mode: scalar row-at-a-time execution, pushdown still on —
-	// isolating exactly the vectorization axis.
-	scalarOpts := ExecOptions{Parallelism: -1, DisableVectorized: true}
-
-	for _, shards := range []int{1, 2, 4} {
-		sharded, err := storage.BuildSharded(full, shards, storage.Options{ChunkSize: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs := make([]ShardInput, sharded.NumShards())
-		for i := range inputs {
-			inputs[i] = ShardInput{Sealed: sharded.Shard(i)}
-		}
-		seedSharded, err := storage.BuildSharded(seedRows, shards, storage.Options{ChunkSize: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lt, err := ingest.OpenSharded(seedSharded, ingest.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lt.Append(lateRows); err != nil {
-			t.Fatal(err)
-		}
-		liveInputs := shardInputsOf(lt.Views())
-
-		for qi, q := range queries {
-			label := fmt.Sprintf("shards=%d query=%q", shards, sources[qi])
-			want, err := ExecuteShards(q, inputs, scalarOpts)
-			if err != nil {
-				t.Fatalf("%s scalar: %v", label, err)
-			}
-			got, err := ExecuteShards(q, inputs, ExecOptions{Parallelism: -1})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			requireBitEqual(t, label+" [sealed,vectorized]", got, want)
-
-			liveWant, err := ExecuteShards(q, liveInputs, scalarOpts)
-			if err != nil {
-				t.Fatalf("%s live scalar: %v", label, err)
-			}
-			liveGot, err := ExecuteShards(q, liveInputs, ExecOptions{Parallelism: -1})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			requireBitEqual(t, label+" [mid-ingest,vectorized]", liveGot, liveWant)
-		}
-		if err := lt.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestVectorizedEngagesByDefault pins the wiring: a default execution reports
+// TestVectorizedEngagesByDefault pins the wiring: execution reports
 // run-kernel activity (RowsBatched equals RowsScanned — every scanned sealed
-// row went through the batched path), DisableVectorized reports none, and
-// both scan the same rows.
+// row went through the batched kernel) and matches the row reference.
 func TestVectorizedEngagesByDefault(t *testing.T) {
 	full := gen.Generate(gen.Config{Users: 100, Days: 14, MeanActions: 12, Seed: 13})
 	if err := full.SortByPK(); err != nil {
@@ -118,18 +24,13 @@ func TestVectorizedEngagesByDefault(t *testing.T) {
 		FROM D BIRTH FROM action = "launch" AND country = "China"
 		AGE ACTIVITIES IN action = "shop" AND gold > 5
 		COHORT BY country`)
-	inputs := []ShardInput{{Sealed: sealed}}
 
-	var vec, scalar cohort.ExecStats
-	want, err := ExecuteShards(q, inputs, ExecOptions{DisableVectorized: true, Stats: &scalar})
+	var vec cohort.ExecStats
+	got, err := ExecuteShards(q, []ShardInput{{Sealed: sealed}}, ExecOptions{Stats: &vec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteShards(q, inputs, ExecOptions{Stats: &vec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitEqual(t, "vectorized vs scalar", got, want)
+	requireBitEqual(t, "kernel vs row reference", got, rowReference(t, q, mustMaterialize(t, sealed)))
 	if vec.RowsBatched.Load() == 0 || vec.RunsEvaluated.Load() == 0 {
 		t.Fatalf("default execution reports no kernel activity: batched=%d runs=%d",
 			vec.RowsBatched.Load(), vec.RunsEvaluated.Load())
@@ -137,13 +38,5 @@ func TestVectorizedEngagesByDefault(t *testing.T) {
 	if vec.RowsBatched.Load() != vec.RowsScanned.Load() {
 		t.Fatalf("batched %d rows but scanned %d — sealed scans should be fully batched",
 			vec.RowsBatched.Load(), vec.RowsScanned.Load())
-	}
-	if scalar.RowsBatched.Load() != 0 || scalar.RunsEvaluated.Load() != 0 {
-		t.Fatalf("scalar execution reports kernel activity: batched=%d runs=%d",
-			scalar.RowsBatched.Load(), scalar.RunsEvaluated.Load())
-	}
-	if vec.RowsScanned.Load() != scalar.RowsScanned.Load() {
-		t.Fatalf("rows scanned differ: vectorized %d, scalar %d",
-			vec.RowsScanned.Load(), scalar.RowsScanned.Load())
 	}
 }

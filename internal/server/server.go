@@ -322,6 +322,8 @@ func codeFor(status int, err error) string {
 		return "table_closed"
 	}
 	switch {
+	case status == http.StatusRequestEntityTooLarge:
+		return "body_too_large"
 	case status == statusClientClosedRequest:
 		return "client_closed_request"
 	case status == http.StatusBadRequest:
@@ -345,10 +347,33 @@ func jsonAgg(v float64) *float64 {
 	return &v
 }
 
+// Request body caps: a query is one statement of text, an append is a batch
+// of rows. A body past its cap is refused with 413 rather than buffered.
+const (
+	maxQueryBodyBytes  = 1 << 20
+	maxAppendBodyBytes = 64 << 20
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes, and
+// answers the error itself when that fails: 413 for an oversized body, 400
+// otherwise.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeError(w, r, status, fmt.Errorf("decoding request body: %w", err))
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+	if !s.decodeBody(w, r, maxQueryBodyBytes, &req) {
 		return
 	}
 	if req.Table == "" || strings.TrimSpace(req.Query) == "" {
@@ -529,8 +554,7 @@ type appendResponse struct {
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+	if !s.decodeBody(w, r, maxAppendBodyBytes, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {

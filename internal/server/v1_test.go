@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -181,4 +183,42 @@ func TestStatsReportsPlanCache(t *testing.T) {
 	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
 		t.Fatalf("stats content type %q", resp.Header.Get("Content-Type"))
 	}
+}
+
+// fillReader yields an endless run of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// requireBodyTooLarge streams a JSON body of just over limit bytes — one
+// string value, so nothing before the cap is malformed — to path and checks
+// it is refused with 413 and the body_too_large code.
+func requireBodyTooLarge(t *testing.T, path, prefix string, limit int64) {
+	t.Helper()
+	dir := t.TempDir()
+	writeFixture(t, dir, "game")
+	s, _ := newTestServer(t, dir, Config{Workers: 2, CacheSize: 8})
+	body := io.MultiReader(strings.NewReader(prefix), io.LimitReader(fillReader('x'), limit), strings.NewReader(`"}]}`))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+	var er errorResponse
+	if err := json.NewDecoder(rec.Body).Decode(&er); err != nil {
+		t.Fatalf("decoding error body: %v", err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || er.Code != "body_too_large" {
+		t.Fatalf("status %d code %q, want 413 body_too_large (%s)", rec.Code, er.Code, er.Message)
+	}
+}
+
+func TestQueryBodyTooLarge(t *testing.T) {
+	requireBodyTooLarge(t, "/v1/query", `{"table":"game","query":"`, 1<<20)
+}
+
+func TestAppendBodyTooLarge(t *testing.T) {
+	requireBodyTooLarge(t, "/v1/tables/game/append", `{"rows":[{"player":"`, 64<<20)
 }

@@ -153,6 +153,13 @@ func TestConcurrentPrepareAndExecute(t *testing.T) {
 		`SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D BIRTH FROM action = "launch" COHORT BY country`,
 		`SELECT role, COHORTSIZE, AGE, Count() FROM D BIRTH FROM action = "launch" COHORT BY role`,
 	}
+	// Prepare each text once up front: two goroutines whose first Prepare of
+	// a text raced would both miss, so the exact counts below need it.
+	for _, src := range queries {
+		if _, err := eng.Prepare(src); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -192,7 +199,7 @@ func TestConcurrentPrepareAndExecute(t *testing.T) {
 	}()
 	wg.Wait()
 	st := eng.PlanCacheStats()
-	if st.Misses != uint64(len(queries)) || st.Hits == 0 {
-		t.Fatalf("plan cache stats = %+v, want %d misses and some hits", st, len(queries))
+	if st.Misses != uint64(len(queries)) || st.Hits != 8*20 {
+		t.Fatalf("plan cache stats = %+v, want exactly %d misses and %d hits", st, len(queries), 8*20)
 	}
 }
