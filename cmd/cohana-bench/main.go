@@ -29,8 +29,8 @@
 // when repeated queries stop hitting the plan cache, when the pushdown
 // compiles no encoded-domain check or decodes more than that factor of the
 // baseline's bytes, when the metrics layer costs more than 5% on the warm
-// path, or when a lazy open reads segments, overruns its cache budget or
-// stops being 10x faster than an eager one (CI's performance gate).
+// path, or when a lazy open reads segments or overruns its cache budget
+// (CI's performance gate).
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, so kernel
 // hot spots and steady-state allocations can be inspected with

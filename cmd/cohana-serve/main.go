@@ -33,9 +33,8 @@
 // observable). Each query fans out over sealed chunks on a worker pool
 // bounded by -workers, and identical (table, query) pairs are answered from
 // an LRU result cache (the X-Cohana-Cache response header says hit or miss)
-// keyed on the generation vector of only the shards the query can touch —
-// an append to one shard leaves cached queries of the others warm — and
-// invalidated wholesale on reload.
+// keyed on the table's per-shard generation vector — any append or
+// compaction moves the key on — and invalidated wholesale on reload.
 //
 // Observability: every request gets an X-Request-ID (honored when the client
 // sends one) and a structured access log line (-log-format selects text or
@@ -70,7 +69,6 @@ func main() {
 	shards := flag.Int("shards", 0, "user-hash shards per table; tables stored with a different count are resharded at load (0 = keep stored count)")
 	planCache := flag.Int("plan-cache", 0, "per-table compiled-plan cache capacity in plans (0 = default 256, negative disables)")
 	chunkCacheBytes := flag.Int64("chunk-cache-bytes", 0, "memory budget for decoded chunk payloads across lazily loaded tables (0 = unbounded)")
-	eagerLoad := flag.Bool("eager-load", false, "decode every chunk segment at table load instead of lazily on first touch")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (empty disables; use 127.0.0.1:6060 to keep it local)")
@@ -86,7 +84,7 @@ func main() {
 	cfg := server.Config{
 		DataDir: *data, Workers: *workers, CacheSize: *cache, CompactRows: *compactRows,
 		Shards: *shards, PlanCacheSize: *planCache, ChunkCacheBytes: *chunkCacheBytes,
-		EagerLoad: *eagerLoad, Logger: logger,
+		Logger: logger,
 	}
 	if err := run(*addr, *pprofAddr, cfg, logger); err != nil {
 		logger.Error("exiting", "error", err.Error())
@@ -161,7 +159,7 @@ func run(addr, pprofAddr string, cfg server.Config, logger *slog.Logger) error {
 		"addr", addr, "data", cfg.DataDir, "workers", cfg.Workers,
 		"cache", cfg.CacheSize, "plan_cache", cfg.PlanCacheSize,
 		"compact_rows", cfg.CompactRows, "shards", cfg.Shards,
-		"chunk_cache_bytes", cfg.ChunkCacheBytes, "eager_load", cfg.EagerLoad)
+		"chunk_cache_bytes", cfg.ChunkCacheBytes)
 
 	var pprofSrv *http.Server
 	if pprofAddr != "" {

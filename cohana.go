@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/activity"
@@ -182,12 +183,6 @@ type Options struct {
 	// invalidate per shard via binding identity; a table reload requires a
 	// fresh cache (or Reset).
 	PlanCache *PlanCache
-	// EagerLoad makes Open decode every chunk segment up front, the
-	// pre-lazy behavior. The default opens tables lazily: Open reads only
-	// the manifest, and chunk payloads load on first touch through the
-	// process-wide chunk cache, so cold start is O(manifest) and resident
-	// memory is bounded by the cache budget rather than the table size.
-	EagerLoad bool
 	// ChunkCacheBytes, when positive, sets the process-wide chunk cache
 	// budget (see storage.DefaultChunkCache) before the table opens. 0
 	// leaves the current budget untouched (unbounded unless someone set
@@ -257,11 +252,16 @@ func NewEngine(t *ActivityTable, opts Options) (*Engine, error) {
 // with its segments — replaying the journal (if Options.Journal is set) into
 // the live deltas. A non-zero Options.Shards differing from the stored
 // count reshards the table at open.
+//
+// Tables open lazily: Open reads only the manifest, and chunk payloads load
+// on first touch through the process-wide chunk cache, so cold start is
+// O(manifest) and resident memory is bounded by the cache budget rather
+// than the table size.
 func Open(path string, opts Options) (*Engine, error) {
 	if opts.ChunkCacheBytes > 0 {
 		storage.DefaultChunkCache().SetBudget(opts.ChunkCacheBytes)
 	}
-	st, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: !opts.EagerLoad})
+	st, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true})
 	if err != nil {
 		return nil, err
 	}
@@ -453,53 +453,21 @@ func (s *Snapshot) executePlan(ctx context.Context, p *plan.CachedPlan) (*Result
 	})
 }
 
-// Fingerprint condenses which shards src could possibly read — and those
-// shards' generations — into a cache-key component. Two calls return equal
-// strings exactly when the table state a query execution would observe is
-// equal *for this query*: a shard whose chunks all prune for src and whose
-// delta holds no row that could affect it is left out, so appends to that
-// shard do not disturb the fingerprint and cached results for src stay
-// servable. Any analysis failure (parse error, unknown column — errors the
-// execution will surface anyway) falls back to the full generation vector,
-// which is always sound.
+// Fingerprint is the snapshot's per-shard generation vector, as a
+// cache-key component: two snapshots return equal strings exactly when no
+// shard saw an append or a compaction between them. The key does not depend
+// on src — any state change invalidates every cached result of the table —
+// so computing it parses, prepares and prunes nothing. src stays in the
+// signature so callers key every query the same way.
 func (s *Snapshot) Fingerprint(src string) string {
-	full := func() string {
-		var sb strings.Builder
-		sb.WriteString("all")
-		for _, v := range s.views {
-			fmt.Fprintf(&sb, ";%d", v.Gen)
-		}
-		return sb.String()
-	}
-	// The plan cache's front end covers parse + validate (+ optimize); on
-	// repeat queries the fingerprint pays neither. The outer SQL of a mixed
-	// query only ever sees the inner query's aggregated buckets, so
-	// relevance is decided entirely by the inner cohort query — which is
-	// exactly what CachedPlan.Query holds.
-	p, err := s.eng.planCache.Prepare(src, s.eng.live.Schema())
-	if err != nil {
-		return full()
-	}
-	q := p.Query
-	var sb strings.Builder
-	sb.WriteString("rel")
+	b := make([]byte, 0, 8*len(s.views))
 	for i, v := range s.views {
-		skip, err := plan.PruneMap(q, v.Sealed)
-		if err != nil {
-			return full()
+		if i > 0 {
+			b = append(b, ';')
 		}
-		sealedRelevant := false
-		for _, sk := range skip {
-			if !sk {
-				sealedRelevant = true
-				break
-			}
-		}
-		if sealedRelevant || cohort.DeltaRelevant(q, s.eng.live.Schema(), v.Delta, v.DeltaActions, v.Union) {
-			fmt.Fprintf(&sb, ";%d=%d", i, v.Gen)
-		}
+		b = strconv.AppendUint(b, v.Gen, 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // validateSelectList checks that plain attributes in the SELECT list are

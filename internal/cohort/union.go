@@ -29,14 +29,6 @@ import (
 type UnionDelta struct {
 	Combined  *activity.Table
 	SkipUsers map[uint64]bool
-	// Births indexes, per user of Combined, the first row performing each
-	// action — the birth tuple of that user for any birth action, by the
-	// time-ordering property. DeltaRelevant uses it to decide AGE- and
-	// Birth()-referencing conditions exactly: a delta row's age and birth
-	// attributes are known without re-running the union, so the relevance
-	// analysis (and hence the result-cache fingerprint) no longer has to
-	// answer "relevant" for every such query.
-	Births map[string]map[string]int
 }
 
 // BuildUnionDelta combines delta — a sorted uncompressed activity table
@@ -88,18 +80,7 @@ func BuildUnionDelta(tbl *storage.Table, delta *activity.Table) (*UnionDelta, er
 	if err := combined.SortByPK(); err != nil {
 		return nil, fmt.Errorf("cohort: sealed and delta tiers conflict: %w", err)
 	}
-	births := make(map[string]map[string]int)
-	actions := combined.Strings(schema.ActionCol())
-	combined.UserBlocks(func(user string, start, end int) {
-		m := make(map[string]int)
-		for r := start; r < end; r++ {
-			if _, seen := m[actions[r]]; !seen {
-				m[actions[r]] = r
-			}
-		}
-		births[user] = m
-	})
-	return &UnionDelta{Combined: combined, SkipUsers: skip, Births: births}, nil
+	return &UnionDelta{Combined: combined, SkipUsers: skip}, nil
 }
 
 // RunUnionAccum executes c over its sealed table unioned with delta and

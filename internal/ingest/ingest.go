@@ -134,12 +134,7 @@ type View struct {
 	Sealed *storage.Table
 	Delta  *activity.Table
 	Union  *cohort.UnionDelta
-	// DeltaActions is the set of distinct actions in Delta (nil when Delta
-	// is nil), built once per delta generation so per-query relevance checks
-	// (the result cache's shard fingerprint) answer birth-action membership
-	// without scanning the delta.
-	DeltaActions map[string]struct{}
-	Gen          uint64
+	Gen    uint64
 }
 
 // Open wraps a sealed single table in a live table; see OpenSharded.

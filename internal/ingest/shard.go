@@ -31,9 +31,6 @@ type shard struct {
 	// full copy per batch, and the append critical section stays short.
 	snap      *activity.Table
 	snapDirty bool
-	// snapActions is the distinct-action set of snap, rebuilt with it — the
-	// O(1) birth-action membership input of cache-fingerprint relevance.
-	snapActions map[string]struct{}
 	// union is the cached row-scan input of the union query path (delta
 	// rows + overlap users' sealed blocks); rebuilt with snap so every
 	// query of a generation shares one materialization instead of decoding
@@ -82,7 +79,7 @@ func (s *shard) view() View {
 			s.union, _ = cohort.BuildUnionDelta(s.sealed, s.snap)
 		}
 	}
-	return View{Sealed: s.sealed, Delta: s.snap, Union: s.union, DeltaActions: s.snapActions, Gen: s.gen}
+	return View{Sealed: s.sealed, Delta: s.snap, Union: s.union, Gen: s.gen}
 }
 
 // refreshSnapLocked rebuilds the sorted delta snapshot from the log when
@@ -98,7 +95,6 @@ func (s *shard) refreshSnapLocked() {
 	s.union = nil // derived from snap (and the sealed tier): rebuild with it
 	if len(s.log) == 0 {
 		s.snap = nil
-		s.snapActions = nil
 		return
 	}
 	snap := activity.NewTable(s.schema())
@@ -109,11 +105,6 @@ func (s *shard) refreshSnapLocked() {
 		panic("ingest: delta snapshot violates primary key: " + err.Error())
 	}
 	s.snap = snap
-	actions := make(map[string]struct{})
-	for _, a := range snap.Strings(s.schema().ActionCol()) {
-		actions[a] = struct{}{}
-	}
-	s.snapActions = actions
 }
 
 // validateBatchLocked checks a routed sub-batch against the shard: width and

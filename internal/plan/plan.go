@@ -356,8 +356,7 @@ func PrunedChunks(q *cohort.Query, tbl *storage.Table) (int, error) {
 }
 
 // PruneMap reports, chunk by chunk, whether pruning would skip the chunk for
-// q — the per-chunk detail behind PrunedChunks, used by explain and by the
-// shard-relevance fingerprint of the result cache.
+// q — the per-chunk detail behind PrunedChunks, used by explain.
 func PruneMap(q *cohort.Query, tbl *storage.Table) ([]bool, error) {
 	compiled, err := cohort.Compile(q, tbl)
 	if err != nil {

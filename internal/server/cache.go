@@ -9,14 +9,12 @@ import (
 )
 
 // ResultCache is a bounded LRU over rendered query responses. Entries are
-// keyed by (table, shard fingerprint, normalized query text). The
-// fingerprint (cohana.Snapshot.Fingerprint) is the generation vector of the
-// shards the query could actually read — not the table-level generation sum —
-// so an append to one shard leaves cached results of queries that never
-// touch that shard servable, and a changed shard can never serve a stale
-// body (its generation is embedded in the key). Entries whose fingerprints
-// no longer occur age out through the LRU; reloads drop a table's entries
-// eagerly via InvalidateTable.
+// keyed by (table, fingerprint, normalized query text). The fingerprint
+// (cohana.Snapshot.Fingerprint) is the pinned snapshot's per-shard
+// generation vector, so any append or compaction changes the key and a
+// cached body can never be served for a state it was not computed on.
+// Entries whose fingerprints no longer occur age out through the LRU;
+// reloads drop a table's entries eagerly via InvalidateTable.
 //
 // Values are the marshaled JSON response bodies rather than live *Result
 // trees: a cached body is immutable by construction and is written straight

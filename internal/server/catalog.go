@@ -51,8 +51,6 @@ type Catalog struct {
 	// table of this catalog (entries are keyed by segment content hash, so
 	// tables never collide).
 	chunkCache *storage.ChunkCache
-	// eager restores the pre-lazy behavior: decode every chunk at load.
-	eager bool
 	// onChange, when non-nil, is called with the table name after every
 	// append and compaction (the server invalidates its result cache here).
 	onChange func(table string)
@@ -154,9 +152,6 @@ type CatalogConfig struct {
 	// least-recently-used payloads evicted once resident bytes exceed the
 	// budget. <= 0 means unbounded (still lazy).
 	ChunkCacheBytes int64
-	// EagerLoad decodes every chunk segment at table load, the pre-lazy
-	// behavior; ChunkCacheBytes is then irrelevant.
-	EagerLoad bool
 	// OnChange is called with the table name after every append and
 	// compaction.
 	OnChange func(table string)
@@ -184,7 +179,6 @@ func NewCatalogWith(dir string, cfg CatalogConfig) *Catalog {
 		shards:        cfg.Shards,
 		planCacheSize: cfg.PlanCacheSize,
 		chunkCache:    storage.NewChunkCache(cfg.ChunkCacheBytes),
-		eager:         cfg.EagerLoad,
 		onChange:      cfg.OnChange,
 		entries:       make(map[string]*catalogEntry),
 	}
@@ -364,7 +358,7 @@ func (c *Catalog) loadLocked(name string, e *catalogEntry) error {
 	// shard count differs from the stored one, ingest reshards at open and
 	// persists the new layout — the migration path from legacy files to
 	// sharded tables.
-	tbl, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: !c.eager, Cache: c.chunkCache})
+	tbl, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true, Cache: c.chunkCache})
 	if err != nil {
 		return ErrCorruptTable{Name: name, File: filepath.Base(path), Err: err}
 	}

