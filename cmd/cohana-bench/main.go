@@ -11,7 +11,7 @@
 //	cohana-bench -json perf.json -baseline BENCH_baseline.json
 //
 // Numbers are machine-local; the reproduction target is the shape of each
-// figure (see EXPERIMENTS.md for the expected trends and a recorded run).
+// figure (see the "Benchmarks" section of README.md).
 // With -json, the printed figures are replaced by a machine-readable perf
 // report — ns/op and rows/s for Q1-Q4 per scale, the shard-scaling sweep
 // (build and compaction time at 1/2/4 shards), the compaction persisted-bytes
@@ -38,6 +38,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -111,7 +112,7 @@ func run() int {
 	}
 	wl := bench.NewWorkload(*users, *seed)
 	if *jsonOut != "" {
-		rep, err := bench.WriteJSONReport(*jsonOut, wl, opts)
+		rep, err := bench.WriteJSONReport(context.Background(), *jsonOut, wl, opts)
 		if err != nil {
 			fatal(err)
 		}

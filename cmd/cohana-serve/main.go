@@ -8,15 +8,15 @@
 //
 // Endpoints:
 //
-//	POST /query                 {"table": "game", "query": "SELECT ..."}
-//	GET  /tables                list tables in the data directory
-//	GET  /tables/{name}         one table's stats (loads it on first use)
-//	POST /tables/{name}/append  {"rows": [{col: val, ...}, ...]}
-//	POST /tables/{name}/compact seal the live delta into compressed chunks
-//	POST /tables/{name}/reload  re-read the file, invalidate cached results
-//	GET  /stats                 cache, serving and ingestion counters
-//	GET  /metrics               Prometheus text exposition of engine metrics
-//	GET  /healthz               liveness
+//	POST /v1/query                 {"table": "game", "query": "SELECT ..."}
+//	GET  /v1/tables                list tables in the data directory
+//	GET  /v1/tables/{name}         one table's stats (loads it on first use)
+//	POST /v1/tables/{name}/append  {"rows": [{col: val, ...}, ...]}
+//	POST /v1/tables/{name}/compact seal the live delta into compressed chunks
+//	POST /v1/tables/{name}/reload  re-read the file, invalidate cached results
+//	GET  /v1/stats                 cache, serving and ingestion counters
+//	GET  /v1/metrics               Prometheus text exposition of engine metrics
+//	GET  /v1/healthz               liveness
 //
 // Tables load lazily on first use; the sealed compressed tier is shared,
 // immutable, across all requests, while appended rows live in a per-table
@@ -29,16 +29,16 @@
 // chunk-granularly: only the chunks owning delta users are re-encoded, and
 // the manifest commit writes only those chunks' new segment files, so the
 // bytes persisted per compaction track the touched chunks, not the table
-// (the /stats chunksRebuilt/chunksReused/persistBytes counters make this
+// (the /v1/stats chunksRebuilt/chunksReused/persistBytes counters make this
 // observable). Each query fans out over sealed chunks on a worker pool
 // bounded by -workers, and identical (table, query) pairs are answered from
-// an LRU result cache (the X-Cohana-Cache response header says hit or miss)
+// an LRU result cache (the X-Cohana-Cache response header says hit, miss or bypass)
 // keyed on the table's per-shard generation vector — any append or
 // compaction moves the key on — and invalidated wholesale on reload.
 //
 // Observability: every request gets an X-Request-ID (honored when the client
 // sends one) and a structured access log line (-log-format selects text or
-// JSON, -log-level the floor). GET /metrics serves the engine's Prometheus
+// JSON, -log-level the floor). GET /v1/metrics serves the engine's Prometheus
 // metrics. -pprof-addr starts net/http/pprof on a *separate* listener —
 // off by default, so profiling endpoints are never exposed on the serving
 // address.

@@ -47,7 +47,7 @@ func TestServeEndToEnd(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 
 	// Liveness.
-	hr, err := http.Get(base + "/healthz")
+	hr, err := http.Get(base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestServeEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(reqBody))
+			resp, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(reqBody))
 			if err != nil {
 				t.Error(err)
 				return
@@ -102,7 +102,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// A repeat of the identical query is served from the result cache.
-	resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(reqBody))
+	resp, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(reqBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// The stats endpoint accounts for the traffic.
-	sr, err := http.Get(base + "/stats")
+	sr, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

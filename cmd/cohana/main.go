@@ -93,7 +93,7 @@ func ingest(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := eng.Save(*out); err != nil {
+	if err := eng.Save(context.Background(), *out); err != nil {
 		return err
 	}
 	s := eng.Stats()
@@ -138,31 +138,17 @@ func query(args []string) error {
 	if err != nil {
 		return err
 	}
-	if inner, analyze, ok := cohana.ParseExplain(*src); ok {
-		var text string
-		if analyze {
-			text, err = eng.ExplainAnalyze(context.Background(), inner)
-		} else {
-			text, err = eng.Explain(inner)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(text)
-		return nil
-	}
-	if strings.HasPrefix(strings.TrimSpace(strings.ToUpper(*src)), "WITH") {
-		res, err := eng.QueryMixed(*src)
-		if err != nil {
-			return err
-		}
-		fmt.Print(res)
-		return nil
-	}
-	res, err := eng.Query(*src)
+	out, err := eng.Query(context.Background(), *src)
 	if err != nil {
 		return err
 	}
-	fmt.Print(res)
+	switch {
+	case out.Cohort != nil:
+		fmt.Print(out.Cohort)
+	case out.Mixed != nil:
+		fmt.Print(out.Mixed)
+	default:
+		fmt.Print(out.Explain)
+	}
 	return nil
 }

@@ -7,20 +7,25 @@
 // queries written in the paper's extended SQL:
 //
 //	eng, _ := cohana.NewEngine(table, cohana.Options{})
-//	res, _ := eng.Query(`
+//	out, _ := eng.Query(ctx, `
 //	    SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
 //	    FROM GameActions
 //	    BIRTH FROM action = "launch" AND role = "dwarf"
 //	    AGE ACTIVITIES IN action = "shop"
 //	    COHORT BY country`)
-//	fmt.Print(res)
+//	fmt.Print(out.Cohort)
 //
 // Mixed queries (Section 3.5) wrap a cohort sub-query in a plain SQL outer
-// query:
+// query, and their Output carries Mixed instead of Cohort:
 //
 //	WITH cohorts AS (SELECT ... COHORT BY country)
 //	SELECT country, AGE, spent FROM cohorts
 //	WHERE country IN ["Australia", "China"] ORDER BY spent DESC LIMIT 10
+//
+// Either form prefixed with EXPLAIN reports the optimized plan in
+// Output.Explain; EXPLAIN ANALYZE also executes it and appends the measured
+// span tree. Engine.Prepare compiles any of these once into a Stmt that
+// Stmt.Run executes against a Snapshot; Engine.Query is Prepare plus Run.
 //
 // Activity tables come from cohana.ReadCSV, the cohana.Generate synthetic
 // workload, or row-by-row loading with cohana.NewActivityTable + Append.
@@ -297,14 +302,14 @@ func EngineForIngest(lt *ingest.Table, opts Options) *Engine {
 
 // Save persists the compressed table: the legacy single-file format for
 // 1-shard engines, a shard manifest plus per-shard segment files otherwise.
-// A non-empty delta is compacted first so the written files contain every
-// appended row.
-func (e *Engine) Save(path string) error {
+// A non-empty delta is compacted first, so the written files contain every
+// appended row; ctx cancels that compaction as it does Compact.
+func (e *Engine) Save(ctx context.Context, path string) error {
 	if e.initErr != nil {
 		return e.initErr
 	}
 	if e.live.DeltaRows() > 0 {
-		if err := e.live.Compact(); err != nil {
+		if err := e.live.CompactContext(ctx); err != nil {
 			return err
 		}
 	}
@@ -331,18 +336,10 @@ func (e *Engine) Append(values ...any) error {
 
 // Compact seals the live delta into fresh compressed chunks, merging it with
 // the sealed tier in (user, time, action) order. Queries before, during and
-// after compaction return identical results.
-func (e *Engine) Compact() error {
-	if e.initErr != nil {
-		return e.initErr
-	}
-	return e.live.Compact()
-}
-
-// CompactContext is Compact with cancellation: when ctx is done, shards not
+// after compaction return identical results. When ctx is done, shards not
 // yet compacting are skipped and ctx's error is returned; shards already
 // sealing finish (each shard seal is an atomic commit).
-func (e *Engine) CompactContext(ctx context.Context) error {
+func (e *Engine) Compact(ctx context.Context) error {
 	if e.initErr != nil {
 		return e.initErr
 	}
@@ -417,40 +414,23 @@ func (s *Snapshot) shardInputs() []plan.ShardInput {
 	return shards
 }
 
-// ExecuteContext runs a programmatic cohort query against the snapshot.
-func (s *Snapshot) ExecuteContext(ctx context.Context, q *Query) (*Result, error) {
-	return plan.ExecuteShards(q, s.shardInputs(), plan.ExecOptions{
+// execOptions threads the engine's parallelism and pool, ctx and an
+// optional trace root into the scatter-gather executor.
+func (s *Snapshot) execOptions(ctx context.Context, trace *TraceSpan) plan.ExecOptions {
+	return plan.ExecOptions{
 		Parallelism: s.eng.opts.Parallelism,
 		Pool:        s.eng.opts.Pool,
 		Ctx:         ctx,
-	})
+		Trace:       trace,
+	}
 }
 
-// QueryContext parses and runs a cohort query against the snapshot. The
-// parse → validate → optimize → compile front end goes through the engine's
-// plan cache, so repeat query texts skip straight to execution.
-func (s *Snapshot) QueryContext(ctx context.Context, src string) (*Result, error) {
-	p, err := s.eng.planCache.Prepare(src, s.eng.live.Schema())
-	if err != nil {
-		return nil, err
-	}
-	if p.Stmt.Mixed != nil {
-		return nil, fmt.Errorf("cohana: mixed query passed to Query; use QueryMixed")
-	}
-	if err := validateSelectList(p.Stmt.Cohort); err != nil {
-		return nil, err
-	}
-	return s.executePlan(ctx, p)
-}
-
-// executePlan runs a cached plan over the snapshot's pinned shard views,
-// re-binding only shards whose sealed tier changed since the plan last ran.
-func (s *Snapshot) executePlan(ctx context.Context, p *plan.CachedPlan) (*Result, error) {
-	return plan.ExecuteCached(s.eng.planCache, p, s.shardInputs(), plan.ExecOptions{
-		Parallelism: s.eng.opts.Parallelism,
-		Pool:        s.eng.opts.Pool,
-		Ctx:         ctx,
-	})
+// Execute runs a programmatic cohort query against the snapshot,
+// scatter-gathered over the table's shards, each sealed tier unioned with
+// its live delta. When ctx is done the shard and chunk fan-outs stop early
+// (releasing any shared pool workers) and ctx's error is returned.
+func (s *Snapshot) Execute(ctx context.Context, q *Query) (*Result, error) {
+	return plan.ExecuteShards(q, s.shardInputs(), s.execOptions(ctx, nil))
 }
 
 // Fingerprint is the snapshot's per-shard generation vector, as a
@@ -492,31 +472,6 @@ func validateSelectList(stmt *parser.CohortStmt) error {
 		}
 	}
 	return nil
-}
-
-// Execute runs a programmatic cohort query, scatter-gathered over the
-// table's shards, each sealed tier unioned with its live delta.
-func (e *Engine) Execute(q *Query) (*Result, error) {
-	return e.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute with cancellation: when ctx is done the shard
-// and chunk fan-outs stop early (releasing any shared pool workers) and
-// ctx's error is returned. The HTTP server passes the request context so a
-// disconnected client cancels its query instead of burning workers.
-func (e *Engine) ExecuteContext(ctx context.Context, q *Query) (*Result, error) {
-	return e.Snapshot().ExecuteContext(ctx, q)
-}
-
-// Query parses and runs a cohort query; mixed queries are answered via
-// QueryMixed and return an error here.
-func (e *Engine) Query(src string) (*Result, error) {
-	return e.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query with cancellation (see ExecuteContext).
-func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) {
-	return e.Snapshot().QueryContext(ctx, src)
 }
 
 // SelectTuples materializes σg(σb(D)) as global row indices over the sealed

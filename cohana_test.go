@@ -2,6 +2,7 @@ package cohana
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,17 +17,24 @@ func paperEngine(t *testing.T) *Engine {
 	return eng
 }
 
+// query runs src through Engine.Query and returns the whole Output.
+func query(t *testing.T, eng *Engine, src string) *Output {
+	t.Helper()
+	out, err := eng.Query(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestQueryExample1(t *testing.T) {
 	eng := paperEngine(t)
-	res, err := eng.Query(`
+	res := query(t, eng, `
 		SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
 		FROM D
 		BIRTH FROM action = "launch" AND role = "dwarf"
 		AGE ACTIVITIES IN action = "shop"
-		COHORT BY country`)
-	if err != nil {
-		t.Fatal(err)
-	}
+		COHORT BY country`).Cohort
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows:\n%s", res)
 	}
@@ -43,27 +51,38 @@ func TestQueryExample1(t *testing.T) {
 
 func TestQueryValidatesSelectList(t *testing.T) {
 	eng := paperEngine(t)
-	_, err := eng.Query(`SELECT role, Count() FROM D BIRTH FROM action = "launch" COHORT BY country`)
+	_, err := eng.Query(context.Background(), `SELECT role, Count() FROM D BIRTH FROM action = "launch" COHORT BY country`)
 	if err == nil || !strings.Contains(err.Error(), "COHORT BY") {
 		t.Errorf("select of non-cohort attribute accepted: %v", err)
 	}
 }
 
-func TestQueryRejectsMixed(t *testing.T) {
+// TestQueryTellsFormsApart checks that the parse, not the caller, decides
+// which Output field a text fills: exactly one, by the statement's form.
+func TestQueryTellsFormsApart(t *testing.T) {
 	eng := paperEngine(t)
-	src := `WITH c AS (SELECT country, Count() FROM D BIRTH FROM action = "launch" COHORT BY country)
-		SELECT country FROM c`
-	if _, err := eng.Query(src); err == nil {
-		t.Error("Query accepted a mixed statement")
-	}
-	if _, err := eng.QueryMixed(`SELECT country, Count() FROM D BIRTH FROM action = "launch" COHORT BY country`); err == nil {
-		t.Error("QueryMixed accepted a plain statement")
+	const cohortSrc = `SELECT country, Count() FROM D BIRTH FROM action = "launch" COHORT BY country`
+	mixedSrc := "WITH c AS (" + cohortSrc + ")\n\t\tSELECT country FROM c"
+	for _, c := range []struct {
+		src                    string
+		cohort, mixed, explain bool
+	}{
+		{cohortSrc, true, false, false},
+		{"  with c AS (" + cohortSrc + ") SELECT country FROM c", false, true, false},
+		{mixedSrc, false, true, false},
+		{"EXPLAIN " + cohortSrc, false, false, true},
+		{"explain analyze " + mixedSrc, false, false, true},
+	} {
+		out := query(t, eng, c.src)
+		if (out.Cohort != nil) != c.cohort || (out.Mixed != nil) != c.mixed || (out.Explain != "") != c.explain || out.Trace != nil {
+			t.Errorf("%q: cohort %v, mixed %v, explain %v, trace %v", c.src, out.Cohort != nil, out.Mixed != nil, out.Explain != "", out.Trace != nil)
+		}
 	}
 }
 
 func TestQueryMixed(t *testing.T) {
 	eng := paperEngine(t)
-	res, err := eng.QueryMixed(`
+	res := query(t, eng, `
 		WITH cohorts AS (
 			SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
 			FROM D BIRTH FROM action = "launch"
@@ -71,10 +90,7 @@ func TestQueryMixed(t *testing.T) {
 		)
 		SELECT country, AGE, spent FROM cohorts
 		WHERE country IN ["Australia", "China"] AND spent > 0
-		ORDER BY spent DESC LIMIT 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
+		ORDER BY spent DESC LIMIT 2`).Mixed
 	if len(res.Cols) != 3 || res.Cols[0] != "country" {
 		t.Fatalf("cols = %v", res.Cols)
 	}
@@ -108,7 +124,7 @@ func TestQueryMixedErrors(t *testing.T) {
 		 SELECT country FROM c WHERE Birth(country) = "x"`,
 	}
 	for _, src := range cases {
-		if _, err := eng.QueryMixed(src); err == nil {
+		if _, err := eng.Query(context.Background(), src); err == nil {
 			t.Errorf("accepted:\n%s", src)
 		}
 	}
@@ -117,21 +133,15 @@ func TestQueryMixedErrors(t *testing.T) {
 func TestSaveOpen(t *testing.T) {
 	eng := paperEngine(t)
 	path := filepath.Join(t.TempDir(), "t.cohana")
-	if err := eng.Save(path); err != nil {
+	if err := eng.Save(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := eng.Query(`SELECT country, UserCount() FROM D BIRTH FROM action = "launch" COHORT BY country`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := re.Query(`SELECT country, UserCount() FROM D BIRTH FROM action = "launch" COHORT BY country`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const src = `SELECT country, UserCount() FROM D BIRTH FROM action = "launch" COHORT BY country`
+	a, b := query(t, eng, src).Cohort, query(t, re, src).Cohort
 	if d := a.Diff(b); d != "" {
 		t.Errorf("reopened engine differs: %s", d)
 	}
@@ -181,26 +191,20 @@ func TestGeneratedWorkloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query(`
+	res := query(t, eng, `
 		SELECT country, COHORTSIZE, AGE, Avg(gold)
 		FROM GameActions
 		BIRTH FROM action = "shop"
 		AGE ACTIVITIES IN action = "shop"
-		COHORT BY country`)
-	if err != nil {
-		t.Fatal(err)
-	}
+		COHORT BY country`).Cohort
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows from generated workload")
 	}
 	// Retention matrix via time cohorts.
-	res2, err := eng.Query(`
+	res2 := query(t, eng, `
 		SELECT COHORTSIZE, AGE, UserCount()
 		FROM GameActions BIRTH FROM action = "launch"
-		COHORT BY time(week)`)
-	if err != nil {
-		t.Fatal(err)
-	}
+		COHORT BY time(week)`).Cohort
 	m := res2.Pivot(0)
 	if len(m.Cohorts) == 0 || len(m.Ages) == 0 {
 		t.Fatalf("retention matrix empty:\n%s", res2)

@@ -1,6 +1,7 @@
 package cohana_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ func ExampleEngine_Query() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.Query(`
+	out, err := eng.Query(context.Background(), `
 		SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
 		FROM GameActions
 		BIRTH FROM action = "launch" AND role = "dwarf"
@@ -24,7 +25,7 @@ func ExampleEngine_Query() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range res.Rows {
+	for _, row := range out.Cohort.Rows {
 		fmt.Printf("%s size=%d age=%d spent=%.0f\n", row.Cohort[0], row.Size, row.Age, row.Aggs[0])
 	}
 	// Output:
@@ -33,14 +34,14 @@ func ExampleEngine_Query() {
 	// Australia size=1 age=3 spent=50
 }
 
-// ExampleEngine_QueryMixed shows a Section 3.5 mixed query: the cohort
+// ExampleEngine_Query_mixed shows a Section 3.5 mixed query: the cohort
 // sub-query runs first, then the outer SQL filters its result.
-func ExampleEngine_QueryMixed() {
+func ExampleEngine_Query_mixed() {
 	eng, err := cohana.NewEngine(cohana.PaperTable1(), cohana.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.QueryMixed(`
+	out, err := eng.Query(context.Background(), `
 		WITH cohorts AS (
 			SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
 			FROM GameActions
@@ -52,7 +53,7 @@ func ExampleEngine_QueryMixed() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range res.Rows {
+	for _, row := range out.Mixed.Rows {
 		fmt.Println(row[0], row[1], row[2])
 	}
 	// Output:

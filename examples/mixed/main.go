@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,8 @@ func main() {
 
 	// The paper's Section 3.5 example, extended with ORDER BY and LIMIT:
 	// pick two countries' spend trends out of the full cohort report.
-	res, err := eng.QueryMixed(`
+	ctx := context.Background()
+	out, err := eng.Query(ctx, `
 		WITH cohorts AS (
 			SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
 			FROM GameActions
@@ -36,10 +38,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Top spend buckets for the Australia and China launch cohorts:")
-	fmt.Println(res)
+	fmt.Println(out.Mixed)
 
 	// Outer filters can also mix cohort attributes with computed columns.
-	res2, err := eng.QueryMixed(`
+	out2, err := eng.Query(ctx, `
 		WITH cohorts AS (
 			SELECT country, COHORTSIZE, AGE, UserCount()
 			FROM GameActions
@@ -53,5 +55,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("First-week retention for cohorts with at least 20 players:")
-	fmt.Println(res2)
+	fmt.Println(out2.Mixed)
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	// Example 1: for players who played the dwarf role at their birth
 	// time, cohort them by birth country and report the gold that country
 	// launch cohorts spent on in-game shopping since they were born.
-	res, err := eng.Query(`
+	out, err := eng.Query(context.Background(), `
 		SELECT country, COHORTSIZE, AGE, Sum(gold) AS spent
 		FROM GameActions
 		BIRTH FROM action = "launch" AND role = "dwarf"
@@ -32,6 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := out.Cohort
 	fmt.Println("Example 1 (launch cohorts of dwarf-born players, gold spent by age):")
 	fmt.Println(res)
 

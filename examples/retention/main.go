@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -27,7 +28,7 @@ func main() {
 
 	// Weekly launch cohorts; ages in weeks; one retained-user count per
 	// (cohort, age) bucket.
-	res, err := eng.Query(`
+	out, err := eng.Query(context.Background(), `
 		SELECT COHORTSIZE, AGE, UserCount()
 		FROM GameActions
 		BIRTH FROM action = "launch"
@@ -36,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res.Pivot(0)
+	m := out.Cohort.Pivot(0)
 	fmt.Println("Weekly launch cohorts: retained users by age (weeks):")
 	if err := m.WriteTable(os.Stdout); err != nil {
 		log.Fatal(err)

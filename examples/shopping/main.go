@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,7 +22,8 @@ func main() {
 	}
 
 	// Q3: average spend per (country shop cohort, age).
-	res, err := eng.Query(`
+	ctx := context.Background()
+	out, err := eng.Query(ctx, `
 		SELECT country, COHORTSIZE, AGE, Avg(gold)
 		FROM GameActions
 		BIRTH FROM action = "shop"
@@ -31,13 +33,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Q3 — average gold per shop by country shop cohort and age (day):")
-	if err := res.Pivot(0).WriteTable(os.Stdout); err != nil {
+	if err := out.Cohort.Pivot(0).WriteTable(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
 	// Q4: add a birth date range, a birth-country list, and the Birth()
 	// filter: only shopping done in the player's birth country counts.
-	res4, err := eng.Query(`
+	out4, err := eng.Query(ctx, `
 		SELECT country, COHORTSIZE, AGE, Avg(gold)
 		FROM GameActions
 		BIRTH FROM action = "shop" AND
@@ -50,7 +52,7 @@ func main() {
 	}
 	fmt.Println("\nQ4 — same, restricted to May-21..27 births in three countries,")
 	fmt.Println("counting only shopping in the birth country (Birth() filter):")
-	fmt.Println(res4)
+	fmt.Println(out4.Cohort)
 
 	// Tuple-level view: materialize σg(σb(D)) for the Q4 operators and
 	// report how many activity tuples survive each composition.

@@ -1,7 +1,6 @@
 package cohana
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -10,61 +9,14 @@ import (
 	"repro/internal/storage"
 )
 
-// ParseExplain recognizes the EXPLAIN / EXPLAIN ANALYZE statement forms:
-// it reports whether src carries the prefix, whether ANALYZE was requested,
-// and the inner query text with the prefix stripped. The keywords are
-// case-insensitive, matching the rest of the query language.
-func ParseExplain(src string) (inner string, analyze, ok bool) {
-	rest, ok := keyword(src, "explain")
-	if !ok {
-		return "", false, false
-	}
-	if after, isAnalyze := keyword(rest, "analyze"); isAnalyze {
-		return after, true, true
-	}
-	return rest, false, true
-}
-
-// keyword strips a leading case-insensitive keyword followed by whitespace.
-func keyword(s, kw string) (rest string, ok bool) {
-	s = strings.TrimSpace(s)
-	if len(s) <= len(kw) || !strings.EqualFold(s[:len(kw)], kw) {
-		return "", false
-	}
-	switch s[len(kw)] {
-	case ' ', '\t', '\n', '\r':
-		return strings.TrimSpace(s[len(kw):]), true
-	}
-	return "", false
-}
-
-// Explain parses a cohort query and reports, without executing it, the
-// optimized physical plan (Figure 5 shape, with birth selections pushed
-// below age selections per Equation 1) and the chunk-pruning outcome: how
-// many chunks the two-level dictionaries and chunk ranges let the executor
-// skip entirely (Section 4.2). src may carry an explicit EXPLAIN or EXPLAIN
-// ANALYZE prefix; the ANALYZE form additionally executes the query and is
-// answered by ExplainAnalyze.
-func (e *Engine) Explain(src string) (string, error) {
-	return e.ExplainContext(context.Background(), src)
-}
-
-// ExplainContext is Explain with cancellation. Only the EXPLAIN ANALYZE form
-// executes the query, so ctx matters exactly there; the plan-only form
-// never blocks.
-func (e *Engine) ExplainContext(ctx context.Context, src string) (string, error) {
-	if inner, analyze, ok := ParseExplain(src); ok {
-		if analyze {
-			return e.ExplainAnalyze(ctx, inner)
-		}
-		src = inner
-	}
-	stmt, err := parser.Parse(src)
-	if err != nil {
-		return "", err
-	}
+// explain renders the static plan of stmt over the snapshot, executing
+// nothing: the optimized physical plan of its cohort query and the
+// chunk-pruning outcome — how many chunks the two-level dictionaries and
+// chunk ranges let the executor skip entirely — under the outer SQL of a
+// mixed query.
+func (s *Snapshot) explain(stmt *parser.Stmt) (string, error) {
 	if stmt.Mixed != nil {
-		inner, err := e.explainCohort(stmt.Mixed.Inner)
+		inner, err := s.explainCohort(stmt.Mixed.Inner)
 		if err != nil {
 			return "", err
 		}
@@ -87,15 +39,12 @@ func (e *Engine) ExplainContext(ctx context.Context, src string) (string, error)
 		sb.WriteString("]\n")
 		return sb.String(), nil
 	}
-	return e.explainCohort(stmt.Cohort)
+	return s.explainCohort(stmt.Cohort)
 }
 
-func (e *Engine) explainCohort(stmt *parser.CohortStmt) (string, error) {
+func (s *Snapshot) explainCohort(stmt *parser.CohortStmt) (string, error) {
 	q := stmt.Query
-	views := e.live.Views()
-	if err := q.Validate(e.live.Schema()); err != nil {
-		return "", err
-	}
+	views := s.views
 	logical := plan.FromQuery(q)
 	optimized, err := plan.Optimize(logical)
 	if err != nil {
@@ -175,44 +124,6 @@ func (e *Engine) explainCohort(stmt *parser.CohortStmt) (string, error) {
 	if totalDelta > 0 {
 		fmt.Fprintf(&sb, "Delta: %d live rows unioned via row scan\n", totalDelta)
 	}
-	return sb.String(), nil
-}
-
-// ExplainAnalyze is Explain plus execution: it runs src (a cohort or mixed
-// query, with or without an EXPLAIN ANALYZE prefix) with tracing enabled and
-// appends the measured span tree — per-shard and per-chunk durations, rows
-// scanned, value bytes decoded, encoded checks, delta-union and merge timing
-// — under the static plan. The measured counters are the same per-chunk
-// tallies cohort.ExecStats aggregates, so the two always agree.
-func (e *Engine) ExplainAnalyze(ctx context.Context, src string) (string, error) {
-	if inner, _, ok := ParseExplain(src); ok {
-		src = inner
-	}
-	static, err := e.Explain(src)
-	if err != nil {
-		return "", err
-	}
-	snap := e.Snapshot()
-	// Detect the mixed form with a plain parse (already validated by the
-	// static Explain above) so the traced run's plan-cache outcome reflects
-	// the caller's cache state, not a lookup this function just primed.
-	stmt, err := parser.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	var root *TraceSpan
-	if stmt.Mixed != nil {
-		_, root, err = snap.QueryMixedTracedContext(ctx, src)
-	} else {
-		_, root, err = snap.QueryTracedContext(ctx, src)
-	}
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	sb.WriteString(static)
-	sb.WriteString("Execution (EXPLAIN ANALYZE, measured):\n")
-	sb.WriteString(indent(root.Render()))
 	return sb.String(), nil
 }
 

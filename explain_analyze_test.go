@@ -37,10 +37,7 @@ func TestExplainAnalyzePinned(t *testing.T) {
 		BIRTH FROM action = "shop" AND role = "dwarf"
 		COHORT BY country`
 
-	out, err := eng.Explain("EXPLAIN ANALYZE " + q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explain(t, eng, "EXPLAIN ANALYZE "+q)
 	for _, want := range []string{
 		"Optimized plan", // static half still present
 		"Execution (EXPLAIN ANALYZE, measured):",
@@ -72,28 +69,25 @@ func TestExplainAnalyzePinned(t *testing.T) {
 		}
 	}
 
-	// The same text through the plain Explain keeps the unmeasured form.
-	static, err := eng.Explain("EXPLAIN " + q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(static, "measured") {
+	// The same text under a plain EXPLAIN keeps the unmeasured form.
+	if static := explain(t, eng, "EXPLAIN "+q); strings.Contains(static, "measured") {
 		t.Errorf("plain EXPLAIN executed the query:\n%s", static)
 	}
 
 	// Consistency with ExecStats: a traced run's aggregated counters equal a
 	// stats-collected run of the same plan over the same snapshot.
+	stmt, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := eng.Snapshot()
-	_, root, err := snap.QueryTracedContext(context.Background(), q)
+	traced, err := stmt.Run(context.Background(), snap, RunOpts{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := eng.planCache.Prepare(q, eng.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := traced.Trace
 	var stats cohort.ExecStats
-	if _, err := plan.ExecuteCached(eng.planCache, p, snap.shardInputs(), plan.ExecOptions{Stats: &stats}); err != nil {
+	if _, err := plan.ExecuteCached(eng.planCache, stmt.p, snap.shardInputs(), plan.ExecOptions{Stats: &stats}); err != nil {
 		t.Fatal(err)
 	}
 	sh := root.Find("shard 0")
@@ -146,12 +140,9 @@ func TestExplainAnalyzeSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.ExplainAnalyze(context.Background(), `
+	out := explain(t, eng, `EXPLAIN ANALYZE
 		SELECT country, COHORTSIZE, AGE, Sum(gold)
 		FROM G BIRTH FROM action = "launch" COHORT BY country`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{"shard 0:", "shard 1:", "merge:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sharded EXPLAIN ANALYZE missing %q:\n%s", want, out)
@@ -163,14 +154,11 @@ func TestExplainAnalyzeSharded(t *testing.T) {
 // is traced and the outer SQL evaluation gets its own span.
 func TestExplainAnalyzeMixed(t *testing.T) {
 	eng := paperEngine(t)
-	out, err := eng.Explain(`EXPLAIN ANALYZE
+	out := explain(t, eng, `EXPLAIN ANALYZE
 		WITH c AS (
 			SELECT country, Count() FROM D BIRTH FROM action = "launch" COHORT BY country
 		)
 		SELECT country FROM c ORDER BY country LIMIT 3`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{"Mixed query", "outer sql:", "query:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("mixed EXPLAIN ANALYZE missing %q:\n%s", want, out)
@@ -178,25 +166,33 @@ func TestExplainAnalyzeMixed(t *testing.T) {
 	}
 }
 
+// TestParseExplain pins which prefixes Prepare reads as EXPLAIN and EXPLAIN
+// ANALYZE: the keywords are case-insensitive, separated by any whitespace,
+// and must be whole words.
 func TestParseExplain(t *testing.T) {
+	eng := paperEngine(t)
+	const q = `SELECT country, Count() FROM D BIRTH FROM action = "launch" COHORT BY country`
 	for _, tc := range []struct {
-		src     string
-		inner   string
-		analyze bool
-		ok      bool
+		src              string
+		explain, analyze bool
+		ok               bool
 	}{
-		{"EXPLAIN SELECT x", "SELECT x", false, true},
-		{"  explain analyze SELECT x", "SELECT x", true, true},
-		{"Explain\n\tAnalyze\nSELECT x", "SELECT x", true, true},
-		{"EXPLAINANALYZE SELECT x", "", false, false},
-		{"SELECT x", "", false, false},
-		{"EXPLAIN", "", false, false},
-		{"explainer SELECT x", "", false, false},
+		{"EXPLAIN " + q, true, false, true},
+		{"  explain analyze " + q, true, true, true},
+		{"Explain\n\tAnalyze\n" + q, true, true, true},
+		{q, false, false, true},
+		{"EXPLAINANALYZE " + q, false, false, false},
+		{"EXPLAIN", false, false, false},
+		{"explainer " + q, false, false, false},
 	} {
-		inner, analyze, ok := ParseExplain(tc.src)
-		if inner != tc.inner || analyze != tc.analyze || ok != tc.ok {
-			t.Errorf("ParseExplain(%q) = (%q, %v, %v), want (%q, %v, %v)",
-				tc.src, inner, analyze, ok, tc.inner, tc.analyze, tc.ok)
+		stmt, err := eng.Prepare(tc.src)
+		if (err == nil) != tc.ok {
+			t.Errorf("Prepare(%q) error = %v, want ok %v", tc.src, err, tc.ok)
+			continue
+		}
+		if err == nil && (stmt.p.Stmt.Explain != tc.explain || stmt.p.Stmt.Analyze != tc.analyze) {
+			t.Errorf("Prepare(%q) = explain %v analyze %v, want %v %v",
+				tc.src, stmt.p.Stmt.Explain, stmt.p.Stmt.Analyze, tc.explain, tc.analyze)
 		}
 	}
 }

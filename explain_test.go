@@ -1,9 +1,20 @@
 package cohana
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// explain runs an EXPLAIN or EXPLAIN ANALYZE text and returns its plan text.
+func explain(t *testing.T, eng *Engine, src string) string {
+	t.Helper()
+	out := query(t, eng, src)
+	if out.Explain == "" || out.Cohort != nil || out.Mixed != nil {
+		t.Fatalf("%q: want plan text only, got %+v", src, out)
+	}
+	return out.Explain
+}
 
 func TestExplainCohort(t *testing.T) {
 	tbl := PaperTable1()
@@ -11,15 +22,12 @@ func TestExplainCohort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Explain(`
+	out := explain(t, eng, `EXPLAIN
 		SELECT country, COHORTSIZE, AGE, Avg(gold)
 		FROM D
 		AGE ACTIVITIES IN action = "shop"
 		BIRTH FROM action = "shop" AND role = "dwarf"
 		COHORT BY country`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{"Birth action", "shop", "Optimized plan", "BirthSelect", "AgeSelect", "TableScan", "prunable"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
@@ -42,14 +50,11 @@ func TestExplainCohort(t *testing.T) {
 
 func TestExplainMixed(t *testing.T) {
 	eng := paperEngine(t)
-	out, err := eng.Explain(`
+	out := explain(t, eng, `EXPLAIN
 		WITH c AS (
 			SELECT country, Count() FROM D BIRTH FROM action = "launch" COHORT BY country
 		)
 		SELECT country FROM c WHERE country = "Australia" ORDER BY country LIMIT 3`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, want := range []string{"Mixed query", "cohort sub-query first", "OuterSQL", "LIMIT 3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
@@ -59,10 +64,29 @@ func TestExplainMixed(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	eng := paperEngine(t)
-	if _, err := eng.Explain("not a query"); err == nil {
+	ctx := context.Background()
+	if _, err := eng.Query(ctx, "EXPLAIN not a query"); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := eng.Explain(`SELECT bogus, Count() FROM D BIRTH FROM action = "launch" COHORT BY bogus`); err == nil {
+	if _, err := eng.Query(ctx, `EXPLAIN SELECT bogus, Count() FROM D BIRTH FROM action = "launch" COHORT BY bogus`); err == nil {
 		t.Error("invalid attribute accepted")
+	}
+}
+
+// TestExplainValidatesSelectList checks that EXPLAIN rejects what running
+// the statement rejects: a selected attribute outside COHORT BY, in the
+// cohort form and inside a mixed query's sub-query.
+func TestExplainValidatesSelectList(t *testing.T) {
+	eng := paperEngine(t)
+	const bad = `SELECT role, COHORTSIZE, AGE, Sum(gold) FROM D BIRTH FROM action = "launch" AGE ACTIVITIES IN action = "shop" COHORT BY country`
+	for _, src := range []string{
+		"EXPLAIN " + bad,
+		"EXPLAIN ANALYZE " + bad,
+		"EXPLAIN WITH c AS (" + bad + ") SELECT country, AGE FROM c",
+		"EXPLAIN ANALYZE WITH c AS (" + bad + ") SELECT country, AGE FROM c",
+	} {
+		if _, err := eng.Query(context.Background(), src); err == nil || !strings.Contains(err.Error(), "not in COHORT BY") {
+			t.Errorf("%q: err = %v, want the COHORT BY select-list error", src, err)
+		}
 	}
 }

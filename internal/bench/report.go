@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -67,7 +68,7 @@ type QueryReport struct {
 // JSONReport measures Q1-Q4 at every configured scale and returns the
 // report. The chunk size is the first of opts.ChunkSizes (the sweep's
 // smallest by default), matching the figures' build configuration.
-func JSONReport(wl *Workload, opts FigureOptions) (*Report, error) {
+func JSONReport(ctx context.Context, wl *Workload, opts FigureOptions) (*Report, error) {
 	opts = opts.withDefaults()
 	chunkSize := opts.ChunkSizes[0]
 	rep := &Report{
@@ -113,12 +114,12 @@ func JSONReport(wl *Workload, opts FigureOptions) (*Report, error) {
 			maxScale = s
 		}
 	}
-	scaling, err := ShardScaling(wl, maxScale, chunkSize, opts.Repeats)
+	scaling, err := ShardScaling(ctx, wl, maxScale, chunkSize, opts.Repeats)
 	if err != nil {
 		return nil, err
 	}
 	rep.ShardScaling = scaling
-	persist, err := CompactionPersist(wl, maxScale, chunkSize, 4000)
+	persist, err := CompactionPersist(ctx, wl, maxScale, chunkSize, 4000)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +149,8 @@ func JSONReport(wl *Workload, opts FigureOptions) (*Report, error) {
 
 // WriteJSONReport measures and writes the report to path, indented for
 // human diffing, and returns it for baseline comparison.
-func WriteJSONReport(path string, wl *Workload, opts FigureOptions) (*Report, error) {
-	rep, err := JSONReport(wl, opts)
+func WriteJSONReport(ctx context.Context, path string, wl *Workload, opts FigureOptions) (*Report, error) {
+	rep, err := JSONReport(ctx, wl, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,7 +11,7 @@ import (
 func TestJSONReportShape(t *testing.T) {
 	wl := NewWorkload(60, 9)
 	opts := FigureOptions{Scales: []int{1, 2}, Repeats: 1}
-	rep, err := JSONReport(wl, opts)
+	rep, err := JSONReport(context.Background(), wl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestJSONReportShape(t *testing.T) {
 	// The written file is valid, parseable JSON and round-trips through
 	// ReadReport (the baseline-gate path).
 	path := filepath.Join(t.TempDir(), "perf.json")
-	if _, err := WriteJSONReport(path, wl, opts); err != nil {
+	if _, err := WriteJSONReport(context.Background(), path, wl, opts); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

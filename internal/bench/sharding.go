@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -64,7 +65,7 @@ func deltaRows(wl *Workload, users, n int) []ingest.Row {
 
 // measureCompact times Compact on a fresh live table over sealed with the
 // given delta appended, repeated and medianed.
-func measureCompact(sealed *storage.Sharded, rows []ingest.Row, repeats int) (int64, error) {
+func measureCompact(ctx context.Context, sealed *storage.Sharded, rows []ingest.Row, repeats int) (int64, error) {
 	var firstErr error
 	d := timeIt(repeats, func() {
 		lt, err := ingest.OpenSharded(sealed, ingest.Config{})
@@ -72,7 +73,7 @@ func measureCompact(sealed *storage.Sharded, rows []ingest.Row, repeats int) (in
 			err = lt.Append(rows)
 		}
 		if err == nil {
-			err = lt.Compact()
+			err = lt.CompactContext(ctx)
 		}
 		if err == nil {
 			err = lt.Close()
@@ -86,7 +87,7 @@ func measureCompact(sealed *storage.Sharded, rows []ingest.Row, repeats int) (in
 
 // ShardScaling measures build and compaction across ShardScales at the
 // given scale and chunk size.
-func ShardScaling(wl *Workload, scale, chunkSize, repeats int) ([]ShardScaleReport, error) {
+func ShardScaling(ctx context.Context, wl *Workload, scale, chunkSize, repeats int) ([]ShardScaleReport, error) {
 	src := wl.Source(scale)
 	// A delta shaped like live traffic against the sealed history: uniform
 	// touches ~200 users (every shard at any count in the sweep), hot
@@ -107,10 +108,10 @@ func ShardScaling(wl *Workload, scale, chunkSize, repeats int) ([]ShardScaleRepo
 		})
 		rep.BuildNsPerOp = buildNs.Nanoseconds()
 		var err error
-		if rep.CompactUniformNsPerOp, err = measureCompact(sealed, uniform, repeats); err != nil {
+		if rep.CompactUniformNsPerOp, err = measureCompact(ctx, sealed, uniform, repeats); err != nil {
 			return nil, fmt.Errorf("bench: uniform compaction at %d shards: %w", shards, err)
 		}
-		if rep.CompactHotNsPerOp, err = measureCompact(sealed, hot, repeats); err != nil {
+		if rep.CompactHotNsPerOp, err = measureCompact(ctx, sealed, hot, repeats); err != nil {
 			return nil, fmt.Errorf("bench: hot compaction at %d shards: %w", shards, err)
 		}
 		if shards == 1 {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -107,7 +108,7 @@ func zipfUsers(users []string, spread int, seed int64) []string {
 
 // measurePersist builds a fresh on-disk table from sealed, appends the delta,
 // compacts, and reports what the compaction's incremental commit wrote.
-func measurePersist(sealed *storage.Sharded, rows []ingest.Row) (CompactPersistCase, error) {
+func measurePersist(ctx context.Context, sealed *storage.Sharded, rows []ingest.Row) (CompactPersistCase, error) {
 	var c CompactPersistCase
 	dir, err := os.MkdirTemp("", "cohana-writeamp-*")
 	if err != nil {
@@ -137,7 +138,7 @@ func measurePersist(sealed *storage.Sharded, rows []ingest.Row) (CompactPersistC
 	if err := lt.Append(rows); err != nil {
 		return c, err
 	}
-	if err := lt.Compact(); err != nil {
+	if err := lt.CompactContext(ctx); err != nil {
 		return c, err
 	}
 	if err := lt.Close(); err != nil {
@@ -151,7 +152,7 @@ func measurePersist(sealed *storage.Sharded, rows []ingest.Row) (CompactPersistC
 
 // CompactionPersist measures the uniform-vs-zipf persisted-bytes sweep across
 // ShardScales at the given scale and chunk size.
-func CompactionPersist(wl *Workload, scale, chunkSize, deltaRows int) ([]CompactPersistReport, error) {
+func CompactionPersist(ctx context.Context, wl *Workload, scale, chunkSize, deltaRows int) ([]CompactPersistReport, error) {
 	src := wl.Source(scale)
 	users := distinctUsers(src)
 	uniform := uniformUsers(users, 200)
@@ -169,11 +170,11 @@ func CompactionPersist(wl *Workload, scale, chunkSize, deltaRows int) ([]Compact
 			TotalChunks: sealed.NumChunks(),
 		}
 		schema := wl.Schema()
-		u, err := measurePersist(sealed, persistDeltaRows(schema, uniform, deltaRows))
+		u, err := measurePersist(ctx, sealed, persistDeltaRows(schema, uniform, deltaRows))
 		if err != nil {
 			return nil, fmt.Errorf("bench: uniform persist at %d shards: %w", shards, err)
 		}
-		z, err := measurePersist(sealed, persistDeltaRows(schema, zipf, deltaRows))
+		z, err := measurePersist(ctx, sealed, persistDeltaRows(schema, zipf, deltaRows))
 		if err != nil {
 			return nil, fmt.Errorf("bench: zipf persist at %d shards: %w", shards, err)
 		}

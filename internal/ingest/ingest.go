@@ -587,12 +587,6 @@ func (t *Table) CompactContext(ctx context.Context) error {
 	return nil
 }
 
-// Compact is CompactContext without a cancellation path, for callers (CLI,
-// benchmarks, shutdown snapshots) that have no request context.
-func (t *Table) Compact() error {
-	return t.CompactContext(context.Background())
-}
-
 // CompactShard synchronously seals one shard's delta.
 func (t *Table) CompactShard(i int) error {
 	if i < 0 || i >= len(t.shards) {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -144,7 +145,7 @@ func TestCompactionPreservesResultsExactly(t *testing.T) {
 	before := runQuery(t, lt, testQuery)
 	genBefore := lt.Gen()
 
-	if err := lt.Compact(); err != nil {
+	if err := lt.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if persisted != 1 {
@@ -165,7 +166,7 @@ func TestCompactionPreservesResultsExactly(t *testing.T) {
 		t.Fatalf("compaction changed query results:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 	// Compacting an empty delta is a no-op.
-	if err := lt.Compact(); err != nil {
+	if err := lt.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if lt.Stats().Compactions != 1 {
@@ -240,7 +241,7 @@ func TestJournalReplayDropsAlreadySealedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt2.cfg.Persist = func(d storage.LayoutDelta) error { compacted = d.Layout.Shard(0); return nil }
-	if err := lt2.Compact(); err != nil {
+	if err := lt2.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	lt2.Close()
@@ -373,7 +374,7 @@ func TestConcurrentAppendQueryCompact(t *testing.T) {
 	go func() { // compactor races the appenders
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if err := lt.Compact(); err != nil {
+			if err := lt.CompactContext(context.Background()); err != nil {
 				t.Errorf("compact: %v", err)
 			}
 		}
@@ -383,7 +384,7 @@ func TestConcurrentAppendQueryCompact(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if err := lt.Compact(); err != nil {
+	if err := lt.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := lt.Stats()

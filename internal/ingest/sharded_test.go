@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,7 +56,7 @@ func TestAppendRoutesToOwningShards(t *testing.T) {
 		}
 	}
 	// Selective compaction: only the dirty shards rebuild.
-	if err := lt.Compact(); err != nil {
+	if err := lt.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, ss := range lt.Stats().PerShard {
@@ -175,7 +176,7 @@ func TestDiskLoadedShardsCompact(t *testing.T) {
 	if err := lt.Append(rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Compact(); err != nil {
+	if err := lt.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := lt.Stats()

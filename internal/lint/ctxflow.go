@@ -13,10 +13,7 @@ import (
 //   - No context.Background() / context.TODO() in library code. Contexts
 //     are minted at the process edge (cmd/, examples/, tests) and threaded
 //     inward; a Background() deep in a library silently detaches that call
-//     tree from cancellation. The bare half of a compat pair (a function
-//     whose <Name>Context sibling exists, e.g. Execute beside
-//     ExecuteContext) mints Background by design and is exempt; any other
-//     deliberate shim carries //lint:allow.
+//     tree from cancellation. A deliberate shim carries //lint:allow.
 //   - A context.Context parameter comes first and is named ctx (or _), the
 //     stdlib convention every call site in the repo relies on.
 //   - A ctx parameter must actually be used: accepting a context and
@@ -24,9 +21,8 @@ import (
 //     threading it.
 //   - Exported blocking entry points in internal/{plan,cohort,ingest,server}
 //     — functions that select, touch channels, or wait on fan-out — must
-//     be cancellable: a context.Context parameter, an options-struct
-//     parameter carrying a Ctx field, or a <Name>Context sibling (the
-//     repo's compat-pair idiom, e.g. Compact / CompactContext).
+//     be cancellable: a context.Context parameter or an options-struct
+//     parameter carrying a Ctx field.
 var CtxFlow = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "exported blocking entry points accept and thread context.Context; " +
@@ -51,30 +47,22 @@ func runCtxFlow(pass *analysis.Pass) (any, error) {
 		packageName(pass) != "main"
 	entryScope := pathWithinAny(pass.Path, ctxEntryPackages...)
 
-	idx := buildCtxPkgIndex(pass)
+	ctxStructs := structsWithCtx(pass)
 
 	for _, file := range pass.Files {
 		names := importNames(file)
 
 		for _, decl := range file.Decls {
+			if libScope {
+				reportBackgroundCalls(pass, decl, names)
+			}
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				if libScope {
-					reportBackgroundCalls(pass, decl, names)
-				}
+			if !ok || fn.Body == nil {
 				continue
-			}
-			if fn.Body == nil {
-				continue
-			}
-			if libScope && !idx.funcKeys[funcKey(fn)+"Context"] {
-				// A function with a <Name>Context sibling is the bare half
-				// of a compat pair: minting Background there is the idiom.
-				reportBackgroundCalls(pass, fn, names)
 			}
 			checkCtxParamShape(pass, fn, names)
 			if entryScope {
-				checkBlockingEntry(pass, fn, names, idx)
+				checkBlockingEntry(pass, fn, names, ctxStructs)
 			}
 		}
 	}
@@ -88,53 +76,35 @@ func packageName(pass *analysis.Pass) string {
 	return pass.Files[0].Name.Name
 }
 
-// ctxPkgIndex is the package-level view ctxflow needs across files: which
-// named struct types carry a context field, and which function/method names
-// exist (for the <Name>Context sibling rule).
-type ctxPkgIndex struct {
-	structsWithCtx map[string]bool
-	funcKeys       map[string]bool // "Name" or "Recv.Name"
-}
-
-func buildCtxPkgIndex(pass *analysis.Pass) *ctxPkgIndex {
-	idx := &ctxPkgIndex{
-		structsWithCtx: make(map[string]bool),
-		funcKeys:       make(map[string]bool),
-	}
+// structsWithCtx names the package's struct types, across all its files,
+// that carry a context.Context field.
+func structsWithCtx(pass *analysis.Pass) map[string]bool {
+	out := make(map[string]bool)
 	for _, file := range pass.Files {
 		names := importNames(file)
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, f := range st.Fields.List {
-						if isContextType(f.Type, names) {
-							idx.structsWithCtx[ts.Name.Name] = true
-						}
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					if isContextType(f.Type, names) {
+						out[ts.Name.Name] = true
 					}
 				}
-			case *ast.FuncDecl:
-				idx.funcKeys[funcKey(d)] = true
 			}
 		}
 	}
-	return idx
-}
-
-// funcKey is "Name" for functions and "Recv.Name" for methods.
-func funcKey(fn *ast.FuncDecl) string {
-	if r := receiverTypeName(fn); r != "" {
-		return r + "." + fn.Name.Name
-	}
-	return fn.Name.Name
+	return out
 }
 
 // receiverTypeName returns the receiver's base type name ("" for functions).
@@ -238,7 +208,7 @@ func identUsed(body *ast.BlockStmt, name string) bool {
 
 // checkBlockingEntry flags exported blocking entry points with no
 // cancellation path.
-func checkBlockingEntry(pass *analysis.Pass, fn *ast.FuncDecl, names map[string]string, idx *ctxPkgIndex) {
+func checkBlockingEntry(pass *analysis.Pass, fn *ast.FuncDecl, names map[string]string, ctxStructs map[string]bool) {
 	name := fn.Name.Name
 	if !ast.IsExported(name) {
 		return
@@ -252,9 +222,6 @@ func checkBlockingEntry(pass *analysis.Pass, fn *ast.FuncDecl, names map[string]
 	if name == "Close" || strings.HasPrefix(name, "New") {
 		return
 	}
-	if strings.HasSuffix(name, "Context") {
-		return // this IS the context-accepting variant
-	}
 	if !isBlockingBody(fn.Body) {
 		return
 	}
@@ -262,34 +229,24 @@ func checkBlockingEntry(pass *analysis.Pass, fn *ast.FuncDecl, names map[string]
 		if isContextType(p.typ, names) {
 			return
 		}
-		if optTypeHasCtx(p.typ, idx) {
+		if optTypeHasCtx(p.typ, ctxStructs) {
 			return
 		}
 	}
-	// The repo's compat-pair idiom: Execute / ExecuteContext. The bare name
-	// stays for callers that genuinely have no context; the Context sibling
-	// is the primary API.
-	sibling := name + "Context"
-	if r := receiverTypeName(fn); r != "" {
-		sibling = r + "." + sibling
-	}
-	if idx.funcKeys[sibling] {
-		return
-	}
 	pass.Reportf(fn.Name.Pos(),
-		"%s is an exported blocking entry point with no cancellation path: accept ctx (or an options struct with a Ctx field), or add a %sContext sibling",
-		name, name)
+		"%s is an exported blocking entry point with no cancellation path: accept ctx (or an options struct with a Ctx field)",
+		name)
 }
 
 // optTypeHasCtx reports whether typ names a same-package struct (possibly
 // via pointer) that carries a context.Context field — the options-struct
 // threading idiom (cohort.RunOptions.Ctx, plan.ExecOptions.Ctx).
-func optTypeHasCtx(typ ast.Expr, idx *ctxPkgIndex) bool {
+func optTypeHasCtx(typ ast.Expr, ctxStructs map[string]bool) bool {
 	if star, ok := typ.(*ast.StarExpr); ok {
 		typ = star.X
 	}
 	id, ok := typ.(*ast.Ident)
-	return ok && idx.structsWithCtx[id.Name]
+	return ok && ctxStructs[id.Name]
 }
 
 // isBlockingBody reports whether body contains a construct that can block

@@ -42,13 +42,14 @@ func (r *Runner) Drain(o *Opts, ch chan int) {
 	_ = o
 }
 
-// Execute blocks without ctx but has an ExecuteContext sibling (the compat
-// pair idiom): silent, and its context.Background() is the sanctioned mint.
-func (r *Runner) Execute(ch chan int) {
-	r.ExecuteContext(context.Background(), ch)
+// Execute blocks without ctx. Its ExecuteContext sibling exempts neither
+// the missing cancellation path nor the context.Background() mint.
+func (r *Runner) Execute(ch chan int) { // want "Execute is an exported blocking entry point with no cancellation path"
+	<-ch
+	r.ExecuteContext(context.Background(), ch) // want `context.Background\(\) in library code`
 }
 
-// ExecuteContext is the context-accepting half of the pair: silent.
+// ExecuteContext blocks but accepts ctx: silent.
 func (r *Runner) ExecuteContext(ctx context.Context, ch chan int) {
 	select {
 	case <-ch:

@@ -58,31 +58,46 @@ type MixedStmt struct {
 }
 
 // Stmt is a parsed statement: exactly one of Cohort or Mixed is non-nil.
+// Explain marks an EXPLAIN prefix, and Analyze an EXPLAIN ANALYZE one.
 type Stmt struct {
-	Cohort *CohortStmt
-	Mixed  *MixedStmt
+	Cohort  *CohortStmt
+	Mixed   *MixedStmt
+	Explain bool
+	Analyze bool
 }
 
-// Parse parses a cohort query or a mixed query.
+// Inner is the statement's cohort query: the query itself, or the WITH
+// sub-query of a mixed query.
+func (s *Stmt) Inner() *CohortStmt {
+	if s.Mixed != nil {
+		return s.Mixed.Inner
+	}
+	return s.Cohort
+}
+
+// Parse parses a cohort query or a mixed query, either optionally prefixed
+// with EXPLAIN or EXPLAIN ANALYZE.
 func Parse(src string) (*Stmt, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	var stmt *Stmt
+	stmt := &Stmt{}
+	if p.peekKeyword("EXPLAIN") {
+		p.advance()
+		stmt.Explain = true
+		if p.peekKeyword("ANALYZE") {
+			p.advance()
+			stmt.Analyze = true
+		}
+	}
 	if p.peekKeyword("WITH") {
-		m, err := p.parseMixed()
-		if err != nil {
+		if stmt.Mixed, err = p.parseMixed(); err != nil {
 			return nil, err
 		}
-		stmt = &Stmt{Mixed: m}
-	} else {
-		c, err := p.parseCohort()
-		if err != nil {
-			return nil, err
-		}
-		stmt = &Stmt{Cohort: c}
+	} else if stmt.Cohort, err = p.parseCohort(); err != nil {
+		return nil, err
 	}
 	if !p.at(tokEOF) {
 		return nil, p.errf("unexpected %q after end of query", p.cur().text)
@@ -96,8 +111,8 @@ func ParseCohort(src string) (*CohortStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Cohort == nil {
-		return nil, fmt.Errorf("parser: expected a cohort query, got a mixed query")
+	if stmt.Cohort == nil || stmt.Explain {
+		return nil, fmt.Errorf("parser: expected a cohort query")
 	}
 	return stmt.Cohort, nil
 }

@@ -183,7 +183,7 @@ func (c *Cache) Stats() CacheStats {
 type CachedPlan struct {
 	// Stmt is the parsed statement; Stmt.Mixed is non-nil for mixed
 	// (WITH-prefixed) queries, whose outer SQL the caller evaluates over
-	// the inner cohort result.
+	// the inner cohort result, and Stmt.Explain marks an EXPLAIN form.
 	Stmt *parser.Stmt
 	// Query is the optimized inner cohort query all bindings compile from.
 	Query  *cohort.Query
@@ -205,11 +205,7 @@ func compilePlan(src string, schema *activity.Schema) (*CachedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := stmt.Cohort
-	if stmt.Mixed != nil {
-		cs = stmt.Mixed.Inner
-	}
-	q := cs.Query
+	q := stmt.Inner().Query
 	if err := q.Validate(schema); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -96,7 +97,7 @@ func TestPlanCacheHitMissAndRebind(t *testing.T) {
 	if err := lt.Append(late); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Compact(); err != nil {
+	if err := lt.CompactContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	inputs = shardInputsOf(lt.Views())
@@ -223,7 +224,7 @@ func TestPlanCacheConcurrentPrepareAndExecute(t *testing.T) {
 				errc <- err
 				return
 			}
-			if err := lt.Compact(); err != nil {
+			if err := lt.CompactContext(context.Background()); err != nil {
 				errc <- err
 				return
 			}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -153,7 +154,7 @@ func TestChunkGranularCompactionMatchesFullRebuild(t *testing.T) {
 			if err := lt.Append(delta); err != nil {
 				t.Fatal(err)
 			}
-			if err := lt.Compact(); err != nil {
+			if err := lt.CompactContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("shards=%d %s", shards, shape.name)

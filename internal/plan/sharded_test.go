@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -252,7 +253,7 @@ func TestShardedCompactionPreservesEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitEqual(t, fmt.Sprintf("shards=%d pre-compaction", shards), got, want)
-		if err := lt.Compact(); err != nil {
+		if err := lt.CompactContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if lt.DeltaRows() != 0 {

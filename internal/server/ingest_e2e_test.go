@@ -58,7 +58,7 @@ func TestLiveIngestFreshnessCompactionAndRestart(t *testing.T) {
 	}
 
 	// Append a batch; the acknowledgement reports the delta.
-	status, ack := postJSON(t, ts.URL+"/tables/game/append", appendRequest{Rows: liveRows(1369000000)})
+	status, ack := postJSON(t, ts.URL+"/v1/tables/game/append", appendRequest{Rows: liveRows(1369000000)})
 	if status != http.StatusOK {
 		t.Fatalf("append status %d body %s", status, ack)
 	}
@@ -84,13 +84,13 @@ func TestLiveIngestFreshnessCompactionAndRestart(t *testing.T) {
 	}
 
 	// A duplicate append is rejected with 409 and admits nothing.
-	status, _ = postJSON(t, ts.URL+"/tables/game/append", appendRequest{Rows: liveRows(1369000000)[:1]})
+	status, _ = postJSON(t, ts.URL+"/v1/tables/game/append", appendRequest{Rows: liveRows(1369000000)[:1]})
 	if status != http.StatusConflict {
 		t.Fatalf("duplicate append status %d, want 409", status)
 	}
 
 	// Compaction preserves results bit for bit.
-	status, cbody := postJSON(t, ts.URL+"/tables/game/compact", nil)
+	status, cbody := postJSON(t, ts.URL+"/v1/tables/game/compact", nil)
 	if status != http.StatusOK {
 		t.Fatalf("compact status %d body %s", status, cbody)
 	}
@@ -116,7 +116,7 @@ func TestLiveIngestFreshnessCompactionAndRestart(t *testing.T) {
 	}
 
 	// More appends after compaction land in the journal...
-	status, _ = postJSON(t, ts.URL+"/tables/game/append", appendRequest{Rows: []map[string]any{
+	status, _ = postJSON(t, ts.URL+"/v1/tables/game/append", appendRequest{Rows: []map[string]any{
 		{"player": "live-2", "time": 1369000500, "action": "launch", "country": "Narnia", "city": "Cair", "role": "elf", "session": 1, "gold": 0},
 		{"player": "live-2", "time": 1369090500, "action": "shop", "country": "Narnia", "city": "Cair", "role": "elf", "session": 1, "gold": 8},
 	}})
@@ -153,7 +153,7 @@ func newLocalRequest(t *testing.T, s *Server, table, query string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,16 +185,16 @@ func TestAppendValidationAndStats(t *testing.T) {
 	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 4, CompactRows: -1})
 
 	// Unknown table: 404.
-	status, _ := postJSON(t, ts.URL+"/tables/nope/append", appendRequest{Rows: liveRows(1)})
+	status, _ := postJSON(t, ts.URL+"/v1/tables/nope/append", appendRequest{Rows: liveRows(1)})
 	if status != http.StatusNotFound {
 		t.Fatalf("unknown-table append status %d, want 404", status)
 	}
 	// Empty batch and malformed rows: 400.
-	status, _ = postJSON(t, ts.URL+"/tables/game/append", appendRequest{})
+	status, _ = postJSON(t, ts.URL+"/v1/tables/game/append", appendRequest{})
 	if status != http.StatusBadRequest {
 		t.Fatalf("empty append status %d, want 400", status)
 	}
-	status, body := postJSON(t, ts.URL+"/tables/game/append", appendRequest{Rows: []map[string]any{{"nope": 1}}})
+	status, body := postJSON(t, ts.URL+"/v1/tables/game/append", appendRequest{Rows: []map[string]any{{"nope": 1}}})
 	if status != http.StatusBadRequest || !strings.Contains(body, "nope") {
 		t.Fatalf("bad-row append status %d body %s, want 400 naming the column", status, body)
 	}
@@ -204,18 +204,18 @@ func TestAppendValidationAndStats(t *testing.T) {
 		{"player": "", "time": 1, "action": "launch", "country": "c", "city": "x", "role": "r", "session": 1, "gold": 0},
 		{"player": "p", "time": 1, "action": "laun\x00ch", "country": "c", "city": "x", "role": "r", "session": 1, "gold": 0},
 	} {
-		status, body := postJSON(t, ts.URL+"/tables/game/append", appendRequest{Rows: []map[string]any{row}})
+		status, body := postJSON(t, ts.URL+"/v1/tables/game/append", appendRequest{Rows: []map[string]any{row}})
 		if status != http.StatusBadRequest {
 			t.Fatalf("invalid row %v: status %d body %s, want 400", row, status, body)
 		}
 	}
 
 	// A good append shows up in /stats.
-	status, _ = postJSON(t, ts.URL+"/tables/game/append", appendRequest{Rows: liveRows(1369000000)})
+	status, _ = postJSON(t, ts.URL+"/v1/tables/game/append", appendRequest{Rows: liveRows(1369000000)})
 	if status != http.StatusOK {
 		t.Fatalf("append status %d", status)
 	}
-	sr, err := http.Get(ts.URL + "/stats")
+	sr, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestAppendValidationAndStats(t *testing.T) {
 	}
 
 	// Table info reports the live delta.
-	tr, err := http.Get(ts.URL + "/tables/game")
+	tr, err := http.Get(ts.URL + "/v1/tables/game")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,8 @@ func TestCatalogRejectsCorruptTableFile(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &e); err != nil {
 		t.Fatalf("corrupt-table error is not clean JSON: %q", body)
 	}
-	if !strings.Contains(e.Error, "trunc.cohana") {
-		t.Fatalf("error %q does not name the file", e.Error)
+	if !strings.Contains(e.Message, "trunc.cohana") {
+		t.Fatalf("error %q does not name the file", e.Message)
 	}
 	if resp, _, _ := postQuery(t, ts.URL, "game", fixtureQuery); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy table failed next to a corrupt one: %d", resp.StatusCode)

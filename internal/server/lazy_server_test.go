@@ -36,7 +36,7 @@ func TestLazySweptSegmentIsCorruptTableError(t *testing.T) {
 	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 4, ChunkCacheBytes: 1 << 20})
 
 	// Load the manifest (the /tables endpoint opens the table lazily)...
-	resp, err := http.Get(ts.URL + "/tables/game")
+	resp, err := http.Get(ts.URL + "/v1/tables/game")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLazySweptSegmentIsCorruptTableError(t *testing.T) {
 	}
 
 	// /stats still serves, with the configured budget visible.
-	sr, err := http.Get(ts.URL + "/stats")
+	sr, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type Config struct {
 	PlanCacheSize int
 	// CompactRows is the per-shard delta row count that triggers background
 	// compaction of a table; 0 selects ingest.DefaultAutoCompactRows,
-	// negative disables automatic compaction (POST /tables/{name}/compact
+	// negative disables automatic compaction (POST /v1/tables/{name}/compact
 	// still works).
 	CompactRows int
 	// Shards is the user-hash partition count for served tables: a table
@@ -53,9 +53,7 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Server routes cohort queries and live ingestion over HTTP. The stable
-// surface lives under /v1/; the same handlers stay mounted at the original
-// unversioned paths as legacy aliases:
+// Server routes cohort queries and live ingestion over HTTP, under /v1/:
 //
 //	POST /v1/query                 {"table": ..., "query": ...} -> result rows
 //	GET  /v1/tables                list catalog tables
@@ -67,7 +65,7 @@ type Config struct {
 //	GET  /v1/healthz               liveness
 //
 // Errors are structured JSON: {"code": ..., "message": ...} with a stable
-// machine-readable code (plus a legacy "error" field mirroring "message").
+// machine-readable code.
 //
 // Every query fans out over the table's sealed chunks on one shared bounded
 // pool and unions in the table's live delta, so the server degrades to
@@ -112,27 +110,16 @@ func New(cfg Config) *Server {
 		// invalidate eagerly in handleReload — a reload discontinuity frees
 		// the whole table's memory at once.
 	})
-	s.route("POST /query", s.handleQuery)
-	s.route("GET /tables", s.handleTables)
-	s.route("GET /tables/{name}", s.handleTable)
-	s.route("POST /tables/{name}/append", s.handleAppend)
-	s.route("POST /tables/{name}/compact", s.handleCompact)
-	s.route("POST /tables/{name}/reload", s.handleReload)
-	s.route("GET /stats", s.handleStats)
-	s.route("GET /healthz", s.handleHealthz)
-	s.route("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
+	s.mux.HandleFunc("GET /v1/tables", s.handleTables)
+	s.mux.HandleFunc("GET /v1/tables/{name}", s.handleTable)
+	s.mux.HandleFunc("POST /v1/tables/{name}/append", s.handleAppend)
+	s.mux.HandleFunc("POST /v1/tables/{name}/compact", s.handleCompact)
+	s.mux.HandleFunc("POST /v1/tables/{name}/reload", s.handleReload)
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	return s
-}
-
-// route mounts a handler at both its /v1/ path and the original unversioned
-// path, so pre-/v1/ clients keep working unchanged.
-func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, h)
-	method, path, ok := strings.Cut(pattern, " /")
-	if !ok {
-		panic("server: route pattern must be `METHOD /path`: " + pattern)
-	}
-	s.mux.HandleFunc(method+" /v1/"+path, h)
 }
 
 // requestIDHeader carries the request ID: honored when the client sets it,
@@ -211,11 +198,12 @@ func (s *Server) Close() {
 // CacheStats exposes the cache counters, for tests and the stats endpoint.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
-// cacheStatusHeader reports hit/miss on every query response, making cache
+// cacheStatusHeader reports hit, miss or bypass (a traced or EXPLAIN
+// request, never stored) on every successful query response, making cache
 // behavior observable to clients and tests.
 const cacheStatusHeader = "X-Cohana-Cache"
 
-// queryRequest is the POST /query body.
+// queryRequest is the POST /v1/query body.
 type queryRequest struct {
 	Table string `json:"table"`
 	Query string `json:"query"`
@@ -229,8 +217,8 @@ type queryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// queryResponse is the POST /query body on success. Exactly one of Rows
-// (cohort query) and Mixed (mixed query) is set.
+// queryResponse is the POST /v1/query body on success. Exactly one of Rows
+// (cohort query), Mixed (mixed query) and Explain (EXPLAIN statement) is set.
 type queryResponse struct {
 	Table    string     `json:"table"`
 	KeyCols  []string   `json:"keyCols,omitempty"`
@@ -238,8 +226,7 @@ type queryResponse struct {
 	Rows     []queryRow `json:"rows,omitempty"`
 	Mixed    *mixedBody `json:"mixed,omitempty"`
 	NumRows  int        `json:"numRows"`
-	// Explain is the plan text of an EXPLAIN / EXPLAIN ANALYZE statement;
-	// when set, the row fields are empty.
+	// Explain is the plan text of an EXPLAIN / EXPLAIN ANALYZE statement.
 	Explain string `json:"explain,omitempty"`
 	// Trace is the measured span tree of a `"trace": true` request.
 	Trace *cohana.TraceSpan `json:"trace,omitempty"`
@@ -257,13 +244,11 @@ type mixedBody struct {
 	Rows [][]string `json:"rows"`
 }
 
-// errorResponse is every error body: a stable machine-readable Code, a
-// human-readable Message, and a legacy Error field (same text as Message)
-// kept for pre-/v1/ clients.
+// errorResponse is every error body: a stable machine-readable Code and a
+// human-readable Message.
 type errorResponse struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
-	Error   string `json:"error"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -284,8 +269,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 			"error", err.Error(),
 		)
 	}
-	msg := err.Error()
-	writeJSON(w, status, errorResponse{Code: codeFor(status, err), Message: msg, Error: msg})
+	writeJSON(w, status, errorResponse{Code: codeFor(status, err), Message: err.Error()})
 }
 
 // codeFor derives the stable error code: specific error types first, then
@@ -389,32 +373,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// they all pass the table incarnation's plan cache: repeat queries skip
 	// parse → validate → optimize → compile even across requests.
 	eng := cohana.EngineForIngest(lt, cohana.Options{Parallelism: parallelism, Pool: s.pool, PlanCache: plans})
-	// The request context rides into the scatter-gather executor: when the
-	// client disconnects, every shard's chunk fan-out stops early and the
-	// shared pool workers go back to serving live requests.
-	ctx := r.Context()
-	if inner, analyze, ok := cohana.ParseExplain(req.Query); ok {
-		// EXPLAIN statements are never cached: the static form is cheap and
-		// the ANALYZE form exists to measure a real execution.
-		var text string
-		var err error
-		if analyze {
-			text, err = eng.ExplainAnalyze(ctx, inner)
-		} else {
-			text, err = eng.Explain(inner)
-		}
-		if err != nil {
-			s.writeError(w, r, queryStatusFor(ctx, err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, queryResponse{Table: req.Table, Explain: text})
-		return
-	}
 	// Pin one snapshot for the whole request: the fingerprint — the
 	// snapshot's per-shard generation vector — describes exactly the state
-	// the execution below would scan, so a cached body under this key
-	// describes precisely this state. A hit touches neither the parser nor
-	// the plan cache; a miss prepares once, inside the execution.
+	// the execution below scans, so a cached body under this key describes
+	// precisely this state. A hit touches neither the parser nor the plan
+	// cache; a miss prepares once and runs once.
 	snap := eng.Snapshot()
 	fp := snap.Fingerprint(req.Query)
 	norm := NormalizeQuery(req.Query)
@@ -427,38 +390,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := queryResponse{Table: req.Table}
-	mixed := strings.HasPrefix(strings.ToUpper(norm), "WITH")
-	switch {
-	case mixed && req.Trace:
-		res, span, err := snap.QueryMixedTracedContext(ctx, req.Query)
-		if err != nil {
-			s.writeError(w, r, queryStatusFor(ctx, err), err)
-			return
-		}
-		resp.Mixed = &mixedBody{Cols: res.Cols, Rows: res.Rows}
-		resp.NumRows = len(res.Rows)
-		resp.Trace = span
-	case mixed:
-		res, err := snap.QueryMixedContext(ctx, req.Query)
-		if err != nil {
-			s.writeError(w, r, queryStatusFor(ctx, err), err)
-			return
-		}
-		resp.Mixed = &mixedBody{Cols: res.Cols, Rows: res.Rows}
-		resp.NumRows = len(res.Rows)
-	default:
-		var res *cohana.Result
-		var err error
-		if req.Trace {
-			res, resp.Trace, err = snap.QueryTracedContext(ctx, req.Query)
-		} else {
-			res, err = snap.QueryContext(ctx, req.Query)
-		}
-		if err != nil {
-			s.writeError(w, r, queryStatusFor(ctx, err), err)
-			return
-		}
+	// The request context rides into the scatter-gather executor: when the
+	// client disconnects, every shard's chunk fan-out stops early and the
+	// shared pool workers go back to serving live requests.
+	ctx := r.Context()
+	stmt, err := eng.Prepare(req.Query)
+	if err != nil {
+		s.writeError(w, r, queryStatusFor(ctx, err), err)
+		return
+	}
+	out, err := stmt.Run(ctx, snap, cohana.RunOpts{Trace: req.Trace})
+	if err != nil {
+		s.writeError(w, r, queryStatusFor(ctx, err), err)
+		return
+	}
+	resp := queryResponse{Table: req.Table, Explain: out.Explain, Trace: out.Trace}
+	if m := out.Mixed; m != nil {
+		resp.Mixed = &mixedBody{Cols: m.Cols, Rows: m.Rows}
+		resp.NumRows = len(m.Rows)
+	}
+	if res := out.Cohort; res != nil {
 		resp.KeyCols = res.KeyCols
 		resp.AggNames = res.AggNames
 		resp.NumRows = len(res.Rows)
@@ -478,8 +429,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	body = append(body, '\n')
 	status := "miss"
-	if req.Trace {
-		// A traced body is one measured execution, not a reusable result.
+	if req.Trace || out.Explain != "" {
+		// A traced body is one measured execution, not a reusable result;
+		// an EXPLAIN is cheap, or (ANALYZE) exists to measure a real run.
 		status = "bypass"
 	} else {
 		s.cache.Put(req.Table, fp, norm, body)
@@ -529,7 +481,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// appendRequest is the POST /tables/{name}/append body: a batch of activity
+// appendRequest is the POST /v1/tables/{name}/append body: a batch of activity
 // rows as JSON objects keyed by column name. Time columns accept Unix
 // seconds or any activity.ParseTime layout.
 type appendRequest struct {
@@ -638,7 +590,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}{Table: info, Invalidated: invalidated})
 }
 
-// ScanKernelStats surfaces the process-wide scan-kernel counters on /stats:
+// ScanKernelStats surfaces the process-wide scan-kernel counters on /v1/stats:
 // scanned rows and encoded-domain checks across all queries, plus how much
 // of that work the run-aware vectorized path handled run-at-a-time.
 // RowsBatched/RunsEvaluated is the realized amortization factor.

@@ -60,7 +60,7 @@ func postQuery(t *testing.T, url, table, query string) (*http.Response, string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body, _ := json.Marshal(queryRequest{Table: "game", Query: fixtureQuery})
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				return
@@ -348,7 +348,7 @@ func TestCacheHitAndReloadInvalidation(t *testing.T) {
 	}
 
 	// Reload drops the entry; the same query misses and recomputes.
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/tables/game/reload", nil)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/tables/game/reload", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestTableEndpointsAndErrors(t *testing.T) {
 	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 4})
 
 	// Health.
-	hr, err := http.Get(ts.URL + "/healthz")
+	hr, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestTableEndpointsAndErrors(t *testing.T) {
 	}
 
 	// GET /tables/{name} loads and reports stats.
-	tr, err := http.Get(ts.URL + "/tables/game")
+	tr, err := http.Get(ts.URL + "/v1/tables/game")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestTableEndpointsAndErrors(t *testing.T) {
 	}
 
 	// GET /tables reflects the load.
-	lr, err := http.Get(ts.URL + "/tables")
+	lr, err := http.Get(ts.URL + "/v1/tables")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestTableEndpointsAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown-table query status %d, want 404", resp.StatusCode)
 	}
-	nr, err := http.Get(ts.URL + "/tables/nope")
+	nr, err := http.Get(ts.URL + "/v1/tables/nope")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func postRows(t *testing.T, url, table string, rows ...map[string]any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/tables/"+table+"/append", "application/json", strings.NewReader(string(body)))
+	resp, err := http.Post(url+"/v1/tables/"+table+"/append", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAppendToOtherShardKeepsCacheWarm(t *testing.T) {
 
 	// Compaction moves rows between tiers without changing the answer, and
 	// it changes the key too.
-	cresp, err := http.Post(ts.URL+"/tables/split/compact", "application/json", nil)
+	cresp, err := http.Post(ts.URL+"/v1/tables/split/compact", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,9 @@ import (
 	"testing"
 )
 
-// TestV1RoutesAliasLegacyPaths drives every endpoint through its /v1/ path
-// and checks a sample against the legacy alias: both mounts serve the same
-// handlers.
-func TestV1RoutesAliasLegacyPaths(t *testing.T) {
+// TestV1RoutesOnly drives every endpoint through its /v1/ path and checks
+// that the unversioned paths are not mounted.
+func TestV1RoutesOnly(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "game")
 	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 8})
@@ -43,14 +42,14 @@ func TestV1RoutesAliasLegacyPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/v1/query", "/query"} {
+	for path, want := range map[string]int{"/v1/query": http.StatusOK, "/query": http.StatusNotFound} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("POST %s = %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("POST %s = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 
@@ -76,8 +75,8 @@ func TestV1RoutesAliasLegacyPaths(t *testing.T) {
 	}
 }
 
-// TestStructuredErrors pins the {"code", "message"} error contract (and the
-// legacy "error" mirror) across the error classes handlers can produce.
+// TestStructuredErrors pins the {"code", "message"} error contract, and
+// nothing more, across the error classes handlers can produce.
 func TestStructuredErrors(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "game")
@@ -90,9 +89,20 @@ func TestStructuredErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
 		var er errorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		if err := json.Unmarshal(raw, &fields); err != nil {
 			t.Fatalf("POST %s: decoding error body: %v", path, err)
+		}
+		if err := json.Unmarshal(raw, &er); err != nil {
+			t.Fatalf("POST %s: decoding error body: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusOK && len(fields) != 2 {
+			t.Errorf("POST %s: error body %s has fields beyond code and message", path, raw)
 		}
 		return resp.StatusCode, er
 	}
@@ -114,6 +124,7 @@ func TestStructuredErrors(t *testing.T) {
 	}{
 		{"unknown table", "/v1/query", queryBody("ghost", fixtureQuery), http.StatusNotFound, "unknown_table"},
 		{"malformed query", "/v1/query", queryBody("game", "SELECT nonsense"), http.StatusBadRequest, "bad_request"},
+		{"EXPLAIN of an invalid select list", "/v1/query", queryBody("game", "EXPLAIN "+invalidSelect), http.StatusBadRequest, "bad_request"},
 		{"missing fields", "/v1/query", []byte(`{}`), http.StatusBadRequest, "bad_request"},
 		{"bad row", "/v1/tables/game/append", []byte(`{"rows": [{"player": ""}]}`), http.StatusBadRequest, "bad_request"},
 		{"duplicate row", "/v1/tables/game/append", nil, http.StatusConflict, "duplicate_row"},
@@ -123,7 +134,7 @@ func TestStructuredErrors(t *testing.T) {
 	if status, er := post("/v1/tables/game/append", dup); status != http.StatusOK {
 		t.Fatalf("seeding append failed: %d %+v", status, er)
 	}
-	cases[4].body = dup
+	cases[5].body = dup
 
 	for _, c := range cases {
 		status, er := post(c.path, c.body)
@@ -133,11 +144,15 @@ func TestStructuredErrors(t *testing.T) {
 		if er.Code != c.wantCode {
 			t.Errorf("%s: code = %q, want %q", c.name, er.Code, c.wantCode)
 		}
-		if er.Message == "" || er.Error != er.Message {
-			t.Errorf("%s: message %q / legacy error %q out of sync", c.name, er.Message, er.Error)
+		if er.Message == "" {
+			t.Errorf("%s: empty message", c.name)
 		}
 	}
 }
+
+// invalidSelect selects role, which is not a COHORT BY attribute: running it
+// fails, and so must explaining it.
+const invalidSelect = `SELECT role, COHORTSIZE, AGE, Sum(gold) FROM D BIRTH FROM action = "launch" AGE ACTIVITIES IN action = "shop" COHORT BY country`
 
 // planCacheStats reads the planCache section of /v1/stats.
 func planCacheStats(t *testing.T, url string) (entries int, hits, misses uint64) {
@@ -204,6 +219,52 @@ func TestResultCacheMissPreparesOnce(t *testing.T) {
 	}
 	if entries, hits, misses := planCacheStats(t, ts.URL); misses != n || hits != 0 || entries != n {
 		t.Fatalf("planCache stats = %d entries, %d hits, %d misses; want %d, 0, %d", entries, hits, misses, n, n)
+	}
+}
+
+// TestExplainIsNeverCached checks that an EXPLAIN text, which goes through
+// the result-cache lookup like any other, is never stored: its repeat is
+// computed again and never answered as a hit.
+func TestExplainIsNeverCached(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "game")
+	s, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 8})
+
+	for _, src := range []string{"EXPLAIN " + fixtureQuery, "EXPLAIN ANALYZE " + fixtureQuery} {
+		for i := 0; i < 2; i++ {
+			resp, body, qr := postQuery(t, ts.URL, "game", src)
+			if resp.StatusCode != http.StatusOK || qr.Explain == "" {
+				t.Fatalf("%q #%d: status %d (%s)", src, i, resp.StatusCode, body)
+			}
+			if got := resp.Header.Get(cacheStatusHeader); got != "bypass" {
+				t.Errorf("%q #%d: cache %q, want bypass", src, i, got)
+			}
+		}
+	}
+	if st := s.CacheStats(); st.Hits != 0 || st.Entries != 0 {
+		t.Fatalf("cache stats after EXPLAIN repeats = %+v, want no hits and no entries", st)
+	}
+}
+
+// TestResultCacheHitSkipsPlanCache checks the other half of "the hit path
+// never parses": result-cache hits leave the plan cache's counters alone.
+func TestResultCacheHitSkipsPlanCache(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "game")
+	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 8})
+
+	if resp, body, _ := postQuery(t, ts.URL, "game", fixtureQuery); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, body)
+	}
+	_, hits, misses := planCacheStats(t, ts.URL)
+	for i := 0; i < 3; i++ {
+		resp, body, _ := postQuery(t, ts.URL, "game", fixtureQuery)
+		if got := resp.Header.Get(cacheStatusHeader); got != "hit" {
+			t.Fatalf("repeat %d: cache %q, want hit (%s)", i, got, body)
+		}
+	}
+	if _, h, m := planCacheStats(t, ts.URL); h != hits || m != misses {
+		t.Fatalf("planCache hits/misses moved on result-cache hits: %d/%d -> %d/%d", hits, misses, h, m)
 	}
 }
 

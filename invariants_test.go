@@ -5,6 +5,7 @@ package cohana
 // corrupted storage must fail cleanly rather than panic.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,10 +49,11 @@ func TestResultsInvariantToPhysicalConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Query(src)
+			out, err := eng.Query(context.Background(), src)
 			if err != nil {
 				t.Fatalf("query %d cfg %+v: %v", qi, c, err)
 			}
+			got := out.Cohort
 			if want == nil {
 				want = got
 				if len(got.Rows) == 0 {
@@ -75,7 +77,7 @@ func TestResultsSurviveSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/t.cohana"
-	if err := eng.Save(path); err != nil {
+	if err := eng.Save(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(path, Options{})
@@ -83,14 +85,7 @@ func TestResultsSurviveSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, src := range invariantQueries {
-		a, err := eng.Query(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := re.Query(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, b := query(t, eng, src).Cohort, query(t, re, src).Cohort
 		if d := a.Diff(b); d != "" {
 			t.Errorf("query %d differs after round trip: %s", qi, d)
 		}
@@ -109,7 +104,7 @@ func TestDeserializeNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/t.cohana"
-	if err := eng.Save(path); err != nil {
+	if err := eng.Save(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	// Save writes a v2 manifest; grab the (single) shard back and serialize

@@ -1,6 +1,7 @@
 package cohana
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -45,7 +46,7 @@ func saveRareTable(t *testing.T) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "rare.cohana")
-	if err := eng.Save(path); err != nil {
+	if err := eng.Save(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -64,17 +65,11 @@ func TestOpenLazyExplainZeroSegmentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Explain("EXPLAIN " + rareQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out == "" {
-		t.Fatal("empty explain output")
-	}
+	explain(t, eng, "EXPLAIN "+rareQuery)
 	if got := obs.SegmentReadsTotal.Value() - before; got != 0 {
 		t.Fatalf("open + EXPLAIN performed %d segment reads, want 0", got)
 	}
-	if _, err := eng.Query(rareQuery); err != nil {
+	if _, err := eng.Query(context.Background(), rareQuery); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.SegmentReadsTotal.Value() - before; got == 0 {
@@ -118,14 +113,14 @@ func TestLazyQueryDecodesExactlyUnprunedChunks(t *testing.T) {
 		t.Fatalf("fixture prunes nothing: %d of %d chunks scannable", k, n)
 	}
 	before := obs.SegmentReadsTotal.Value()
-	if _, err := eng.Query(rareQuery); err != nil {
+	if _, err := eng.Query(context.Background(), rareQuery); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.SegmentReadsTotal.Value() - before; got != uint64(k) {
 		t.Fatalf("query over %d scannable of %d chunks read %d segments, want %d", k, n, got, k)
 	}
 	// Second run: everything it needs is resident in the process cache.
-	if _, err := eng.Query(rareQuery); err != nil {
+	if _, err := eng.Query(context.Background(), rareQuery); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.SegmentReadsTotal.Value() - before; got != uint64(k) {
@@ -145,7 +140,7 @@ func TestLazyEagerQueryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "g.cohana")
-	if err := eng.Save(path); err != nil {
+	if err := eng.Save(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	queries := []string{
@@ -177,15 +172,15 @@ func TestLazyEagerQueryEquivalence(t *testing.T) {
 		}
 		lazyEng := EngineForIngest(live, Options{Parallelism: -1})
 		for qi, q := range queries {
-			want, err := eager.Query(q)
+			want, err := eager.Query(context.Background(), q)
 			if err != nil {
 				t.Fatalf("query %d eager: %v", qi, err)
 			}
-			got, err := lazyEng.Query(q)
+			got, err := lazyEng.Query(context.Background(), q)
 			if err != nil {
 				t.Fatalf("query %d lazy (budget %d): %v", qi, budget, err)
 			}
-			if d := want.Diff(got); d != "" {
+			if d := want.Cohort.Diff(got.Cohort); d != "" {
 				t.Errorf("query %d (budget %d) lazy differs from eager:\n%s", qi, budget, d)
 			}
 		}

@@ -1,6 +1,7 @@
 package cohana
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,10 +18,7 @@ func TestEngineLiveAppend(t *testing.T) {
 	}
 	const q = `SELECT country, COHORTSIZE, AGE, Sum(gold)
 		FROM T BIRTH FROM action = "launch" COHORT BY country`
-	res0, err := eng.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res0 := query(t, eng, q).Cohort
 
 	// A brand-new user in a country the sealed dictionaries do not hold.
 	for _, row := range [][]any{
@@ -34,10 +32,7 @@ func TestEngineLiveAppend(t *testing.T) {
 	if eng.DeltaRows() != 2 || eng.Stats().DeltaRows != 2 {
 		t.Fatalf("delta rows = %d", eng.DeltaRows())
 	}
-	res1, err := eng.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := query(t, eng, q).Cohort
 	if res1.Equal(res0) || !strings.Contains(res1.String(), "Narnia") {
 		t.Fatalf("append invisible to Query:\n%s", res1)
 	}
@@ -48,16 +43,13 @@ func TestEngineLiveAppend(t *testing.T) {
 	}
 
 	// Compaction seals the delta and preserves results exactly.
-	if err := eng.Compact(); err != nil {
+	if err := eng.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if eng.DeltaRows() != 0 {
 		t.Fatalf("delta rows after Compact = %d", eng.DeltaRows())
 	}
-	res2, err := eng.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := query(t, eng, q).Cohort
 	if !res2.Equal(res1) {
 		t.Fatalf("Compact changed results:\n%s", res2.Diff(res1))
 	}
@@ -77,10 +69,7 @@ func TestEngineLiveAppend(t *testing.T) {
 	if eng2.DeltaRows() != 2 {
 		t.Fatalf("replay after in-memory compaction restored %d rows, want 2", eng2.DeltaRows())
 	}
-	res3, err := eng2.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res3 := query(t, eng2, q).Cohort
 	if !res3.Equal(res2) {
 		t.Fatalf("restart after compaction changed results:\n%s", res3.Diff(res2))
 	}
@@ -101,10 +90,7 @@ func TestEngineLiveAppend(t *testing.T) {
 	if eng3.DeltaRows() != 4 {
 		t.Fatalf("journal replay restored %d rows, want 4", eng3.DeltaRows())
 	}
-	res4, err := eng3.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res4 := query(t, eng3, q).Cohort
 	if !strings.Contains(res4.String(), "Gondor") {
 		t.Fatalf("replayed append invisible:\n%s", res4)
 	}

@@ -1,7 +1,6 @@
 package cohana
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -29,43 +28,6 @@ func (m *MixedResult) String() string {
 	}
 	tw.Flush()
 	return sb.String()
-}
-
-// QueryMixed parses and runs a mixed query. Evaluation follows the paper's
-// "cohort query first" rule: the inner cohort query runs on the COHANA
-// engine, then the outer SQL query filters, projects, orders and limits the
-// result relation — it can never remove birth activity tuples because it
-// only ever sees aggregated buckets.
-func (e *Engine) QueryMixed(src string) (*MixedResult, error) {
-	return e.QueryMixedContext(context.Background(), src)
-}
-
-// QueryMixedContext is QueryMixed with cancellation: the inner cohort
-// query's scatter-gather fan-out stops early when ctx is done (see
-// ExecuteContext).
-func (e *Engine) QueryMixedContext(ctx context.Context, src string) (*MixedResult, error) {
-	return e.Snapshot().QueryMixedContext(ctx, src)
-}
-
-// QueryMixedContext parses and runs a mixed query against the snapshot. The
-// inner cohort query's front end goes through the engine's plan cache (see
-// Snapshot.QueryContext).
-func (s *Snapshot) QueryMixedContext(ctx context.Context, src string) (*MixedResult, error) {
-	p, err := s.eng.planCache.Prepare(src, s.eng.live.Schema())
-	if err != nil {
-		return nil, err
-	}
-	if p.Stmt.Mixed == nil {
-		return nil, fmt.Errorf("cohana: plain cohort query passed to QueryMixed; use Query")
-	}
-	if err := validateSelectList(p.Stmt.Mixed.Inner); err != nil {
-		return nil, err
-	}
-	inner, err := s.executePlan(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return runOuter(p.Stmt.Mixed, inner)
 }
 
 // resultCols enumerates the addressable columns of a cohort result: the

@@ -19,19 +19,13 @@ func TestPrepareExecuteMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.IsMixed() {
-		t.Fatal("plain cohort statement reports mixed")
+	want := query(t, eng, src).Cohort
+	got := run(t, stmt, eng)
+	if got.Mixed != nil || got.Explain != "" {
+		t.Fatalf("plain cohort statement answered %+v", got)
 	}
-	want, err := eng.Query(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := stmt.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("prepared execution differs from ad-hoc:\n%s", got.Diff(want))
+	if !got.Cohort.Equal(want) {
+		t.Fatalf("prepared execution differs from ad-hoc:\n%s", got.Cohort.Diff(want))
 	}
 	// Static errors surface at Prepare, not Execute.
 	if _, err := eng.Prepare(`SELECT role, Count() FROM D BIRTH FROM action = "launch" COHORT BY country`); err == nil || !strings.Contains(err.Error(), "COHORT BY") {
@@ -40,13 +34,24 @@ func TestPrepareExecuteMatchesQuery(t *testing.T) {
 	if _, err := eng.Prepare(`SELECT nonsense`); err == nil {
 		t.Error("Prepare accepted a malformed query")
 	}
-	// Wrong-mode executions are rejected cleanly.
-	if _, err := stmt.ExecuteMixed(); err == nil {
-		t.Error("ExecuteMixed accepted a plain cohort statement")
+	// A snapshot of another table is rejected cleanly.
+	other := paperEngine(t)
+	if _, err := stmt.Run(context.Background(), other.Snapshot(), RunOpts{}); err == nil {
+		t.Error("Run accepted a snapshot of another table")
 	}
-	if s, err := stmt.Explain(); err != nil || s == "" {
-		t.Errorf("Explain: %q, %v", s, err)
+	if s := explain(t, eng, "EXPLAIN "+src); !strings.Contains(s, "Optimized plan") {
+		t.Errorf("EXPLAIN of the prepared text: %q", s)
 	}
+}
+
+// run executes stmt on a fresh snapshot of eng.
+func run(t *testing.T, stmt *Stmt, eng *Engine) *Output {
+	t.Helper()
+	out, err := stmt.Run(context.Background(), eng.Snapshot(), RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestPrepareSharesThePlanCache(t *testing.T) {
@@ -64,9 +69,7 @@ func TestPrepareSharesThePlanCache(t *testing.T) {
 	if _, err := eng.Prepare("  " + src + "\n"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query(src); err != nil {
-		t.Fatal(err)
-	}
+	query(t, eng, src)
 	st = eng.PlanCacheStats()
 	if st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("stats after hitting Prepare + Query = %+v", st)
@@ -80,10 +83,7 @@ func TestPreparedStatementSeesAppendsAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res0, err := stmt.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res0 := run(t, stmt, eng).Cohort
 	for _, row := range [][]any{
 		{"newbie", int64(1368928800), "launch", "dwarf", "Narnia", int64(0)},
 		{"newbie", int64(1369015200), "shop", "dwarf", "Narnia", int64(50)},
@@ -92,21 +92,15 @@ func TestPreparedStatementSeesAppendsAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res1, err := stmt.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res1 := run(t, stmt, eng).Cohort
 	if res1.Equal(res0) || !strings.Contains(res1.String(), "Narnia") {
 		t.Fatalf("prepared statement blind to appends:\n%s", res1)
 	}
 	rebinds := eng.PlanCacheStats().Rebinds
-	if err := eng.Compact(); err != nil {
+	if err := eng.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := stmt.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := run(t, stmt, eng).Cohort
 	if !res2.Equal(res1) {
 		t.Fatalf("compaction changed the prepared statement's result:\n%s", res2.Diff(res1))
 	}
@@ -124,22 +118,13 @@ func TestPrepareMixedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stmt.IsMixed() {
-		t.Fatal("mixed statement not detected")
+	got := run(t, stmt, eng)
+	if got.Mixed == nil || got.Cohort != nil || got.Explain != "" {
+		t.Fatalf("mixed statement answered %+v", got)
 	}
-	if _, err := stmt.Execute(); err == nil {
-		t.Error("Execute accepted a mixed statement")
-	}
-	want, err := eng.QueryMixed(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := stmt.ExecuteMixed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("prepared mixed result differs:\ngot:\n%s\nwant:\n%s", got, want)
+	want := query(t, eng, src).Mixed
+	if got.Mixed.String() != want.String() {
+		t.Fatalf("prepared mixed result differs:\ngot:\n%s\nwant:\n%s", got.Mixed, want)
 	}
 }
 
@@ -173,7 +158,7 @@ func TestConcurrentPrepareAndExecute(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := stmt.ExecuteContext(ctx); err != nil {
+				if _, err := stmt.Run(ctx, eng.Snapshot(), RunOpts{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -190,7 +175,7 @@ func TestConcurrentPrepareAndExecute(t *testing.T) {
 				return
 			}
 			if i%4 == 3 {
-				if err := eng.Compact(); err != nil {
+				if err := eng.Compact(ctx); err != nil {
 					t.Error(err)
 					return
 				}
