@@ -20,10 +20,10 @@
 //
 // Tables load lazily on first use; the sealed compressed tier is shared,
 // immutable, across all requests, while appended rows live in a per-table
-// delta store journaled to <name>.journal next to the table file (replayed
-// on load, so a restart loses nothing; batches spanning several shards
-// commit through a 2PC-lite coordinator log, <name>.journal.txn, so a crash
-// mid-batch can never admit a prefix of shards). Queries union both tiers
+// delta store journaled to <name>.journal next to the table file — one
+// journal per table, one fsync per batch at any shard count, replayed on
+// load so a restart loses nothing, and a crash mid-batch can never admit a
+// batch on some of its shards. Queries union both tiers
 // and are always fresh. The delta is sealed by a background compactor once
 // it holds -compact-rows rows, or on demand via the compact endpoint —
 // chunk-granularly: only the chunks owning delta users are re-encoded, and

@@ -5,12 +5,13 @@
 //
 // A live table is partitioned by user hash (storage.ShardOf) into N shards.
 // Each shard owns its slice of the sealed tier, its own uncompressed delta
-// log behind its own mutex, its own append-only CSV journal (crash
-// durability) and its own compaction lifecycle — so appends to different
-// shards never contend, and a lagging shard's compaction cannot block
-// ingestion or sealing on the others. The generation is a per-shard vector;
-// the table-level generation is its sum, which advances on every change and
-// is what result caches key on.
+// log behind its own mutex and its own compaction lifecycle, so a lagging
+// shard's compaction cannot block ingestion or sealing on the others. Crash
+// durability is one append-only CSV journal per table: a batch, whichever
+// shards it spans, is one write and one fsync, and appends serialize on the
+// journal, never on a shard mutex that queries need. The generation is a
+// per-shard vector; the table-level generation is its sum, which advances on
+// every change and is what result caches key on.
 //
 // Query execution scatter-gathers over the shards (plan.ExecuteShards):
 // every shard unions its sealed chunks (pruned parallel executor) with its
@@ -19,21 +20,17 @@
 // correction. Compaction — triggered per shard by a row-count threshold or
 // by an explicit call — materializes the shard's sealed tier, linear-merges
 // its delta in (Au, At, Ae) order, rebuilds the two-level-encoded chunks,
-// atomically swaps the shard in and truncates its journal; shards compact
-// independently and concurrently while appends and queries proceed.
+// atomically swaps the shard in and truncates the journal to the rows still
+// in the deltas; shards compact independently and concurrently while appends
+// and queries proceed.
 package ingest
 
 import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-
 	"time"
 
 	"repro/internal/activity"
@@ -49,13 +46,13 @@ const DefaultAutoCompactRows = 256 * 1024
 
 // Config parameterizes a live table.
 type Config struct {
-	// JournalPath, when non-empty, makes appends durable. A single-shard
-	// table journals to exactly this path (the legacy layout); a table with
-	// N > 1 shards journals shard i to "<JournalPath>.s<i>". Open migrates
-	// journal rows across layouts: rows found under any previous shard
-	// count are re-routed to their owning shards, re-journaled durably and
-	// the stale files removed, so no acknowledged append is lost when the
-	// shard count changes.
+	// JournalPath, when non-empty, makes appends durable: every batch, at
+	// any shard count, is journaled to exactly this path. Replay routes each
+	// row to its shard under the current count, so no acknowledged append is
+	// lost when the shard count changes. Open also reads, once, the
+	// per-shard journals ("<JournalPath>.s<i>") and coordinator log
+	// ("<JournalPath>.txn") older versions wrote, folds their committed rows
+	// into JournalPath durably and removes them.
 	JournalPath string
 	// AutoCompactRows triggers background compaction of a shard once its
 	// delta holds at least this many rows; 0 disables automatic compaction
@@ -120,11 +117,13 @@ type Table struct {
 	// persistMu serializes the persist+swap tail of shard compactions so a
 	// persisted layout never contains a stale neighbor shard.
 	persistMu sync.Mutex
-	// txn is the 2PC-lite coordinator log for multi-shard append batches
-	// (nil for single-shard or journal-less tables); nextBatch allocates its
-	// batch ids.
-	txn       *txnLog
-	nextBatch atomic.Uint64
+	// logMu owns the journal and serializes appends and journal rewrites.
+	// Lock order: persistMu, then logMu, then shard mutexes (in index order
+	// when several are held) — never the reverse. No shard mutex is held
+	// while the journal writes or syncs.
+	logMu      sync.Mutex
+	journal    *journal // nil when durability is disabled
+	journalErr string   // the last failed journal rewrite, "" after a success
 }
 
 // View is a consistent snapshot of one shard for query execution: the
@@ -147,9 +146,9 @@ func Open(sealed *storage.Table, cfg Config) (*Table, error) {
 
 // OpenSharded wraps a sealed sharded table in a live table, resharding it
 // first when cfg.Shards differs from the stored count, and replaying the
-// journals (if configured) into the shard deltas so no acknowledged append
+// journal (if configured) into the shard deltas so no acknowledged append
 // is lost across a restart or a shard-count change. Close the table to
-// release the journals and wait out any background compaction.
+// release the journal and wait out any background compaction.
 func OpenSharded(sealed *storage.Sharded, cfg Config) (*Table, error) {
 	if sealed == nil {
 		return nil, fmt.Errorf("ingest: nil sealed table")
@@ -160,9 +159,8 @@ func OpenSharded(sealed *storage.Sharded, cfg Config) (*Table, error) {
 			return nil, err
 		}
 		if cfg.Persist != nil {
-			// Make the resharded layout durable before serving from it, so
-			// the on-disk files always match the journal layout about to be
-			// written. Resharding rebuilds everything: a full-layout delta.
+			// Make the resharded layout durable before serving from it.
+			// Resharding rebuilds everything: a full-layout delta.
 			if err := cfg.Persist(storage.FullLayout(resharded)); err != nil {
 				return nil, fmt.Errorf("ingest: persisting resharded table: %w", err)
 			}
@@ -184,7 +182,7 @@ func OpenSharded(sealed *storage.Sharded, cfg Config) (*Table, error) {
 		}
 	}
 	if cfg.JournalPath != "" {
-		if err := t.openJournals(); err != nil {
+		if err := t.openJournal(); err != nil {
 			return nil, err
 		}
 	}
@@ -211,45 +209,34 @@ func reshard(sealed *storage.Sharded, cfg Config) (*storage.Sharded, error) {
 	return out, nil
 }
 
-// journalPath returns shard i's canonical journal path under the current
-// shard count: the bare base path for single-shard tables (the legacy
-// layout), "<base>.s<i>" otherwise.
-func (t *Table) journalPath(i int) string {
-	if len(t.shards) == 1 {
-		return t.cfg.JournalPath
-	}
-	return fmt.Sprintf("%s.s%d", t.cfg.JournalPath, i)
-}
-
-// openJournals restores the delta from every journal file of any previous
-// layout, re-routes rows to their owning shards under the current count,
-// rewrites each shard's journal to exactly its restored delta (one committed
-// batch, dropping rows the sealed tier already holds), and removes stale
-// journal files. The new journals are durable before any old file is
-// deleted, so a crash at any point leaves every acknowledged row in at least
-// one file — replay is idempotent, duplicates are dropped. Prepared
-// multi-shard batches replay only when the coordinator log committed them;
-// once every journal is rewritten (the surviving rows re-marked as plain
-// committed batches) the coordinator log is reset for a fresh id sequence.
-func (t *Table) openJournals() error {
-	old, err := existingJournalFiles(t.cfg.JournalPath)
+// openJournal replays the journal — and, once, any legacy per-shard
+// journals with their coordinator log — into the shard deltas, routing each
+// row to its owning shard under the current count, then rewrites the journal
+// to exactly the restored rows (one committed batch, dropping a torn tail and
+// rows the sealed tier already holds) and removes the legacy files. The
+// rewrite is durable before any legacy file is deleted, so a crash at any
+// point leaves every acknowledged row in at least one file — replay is
+// idempotent, duplicates are dropped. Legacy prepared multi-shard batches
+// replay only when the coordinator log committed them.
+func (t *Table) openJournal() error {
+	base := t.cfg.JournalPath
+	legacy, err := legacyJournalFiles(base)
 	if err != nil {
 		return err
 	}
-	committed, err := readTxnCommits(t.cfg.JournalPath + TxnExt)
+	committed, err := readTxnCommits(base + ".txn")
 	if err != nil {
 		return err
 	}
-	pending := make([][]Row, len(t.shards))
-	for _, path := range old {
+	var restored []Row
+	for _, path := range append([]string{base}, legacy...) {
 		rows, err := readJournal(path, t.schema, committed)
 		if err != nil {
 			return err
 		}
 		for _, row := range rows {
 			user, ts, action := row.pk(t.schema)
-			idx := storage.ShardOf(user, len(t.shards))
-			s := t.shards[idx]
+			s := t.shards[storage.ShardOf(user, len(t.shards))]
 			key := pkKey(user, ts, action)
 			// Rows already sealed (crash between the compacted-table swap
 			// and the journal truncation) or replayed twice are dropped,
@@ -266,68 +253,25 @@ func (t *Table) openJournals() error {
 				s.replayDropped++
 				continue
 			}
-			pending[idx] = append(pending[idx], row)
+			s.log = append(s.log, row)
 			s.logKeys[key] = struct{}{}
 			s.replayedRows++
+			restored = append(restored, row)
 		}
 	}
-	current := make(map[string]bool, len(t.shards))
-	for i, s := range t.shards {
-		path := t.journalPath(i)
-		current[path] = true
-		if s.journal, err = openJournalWith(path, t.schema, pending[i]); err != nil {
-			return err
-		}
-		s.log = pending[i]
+	for _, s := range t.shards {
 		s.snapDirty = len(s.log) > 0
 	}
-	for _, path := range old {
-		if !current[path] {
-			_ = os.Remove(path)
-		}
+	if t.journal, err = openJournalWith(base, t.schema, restored); err != nil {
+		return err
 	}
-	if len(t.shards) > 1 {
-		// The shard journals now hold only plain committed batches, so the
-		// old commit records are spent; reset the coordinator so fresh batch
-		// ids cannot collide with leftover prepared markers.
-		if t.txn, err = openTxnLog(t.cfg.JournalPath + TxnExt); err != nil {
-			return err
-		}
-		if err := t.txn.reset(); err != nil {
-			return err
-		}
-	} else {
-		// A single journal is atomic by itself; a leftover coordinator log
-		// from a previous multi-shard layout is stale.
-		_ = os.Remove(t.cfg.JournalPath + TxnExt)
+	// A legacy file that survives a failed removal is harmless: its rows
+	// are now in the journal or the sealed tier, and replay drops them.
+	for _, path := range legacy {
+		_ = os.Remove(path)
 	}
+	_ = os.Remove(base + ".txn")
 	return nil
-}
-
-// existingJournalFiles lists the journal files of every layout at base: the
-// bare base file plus any "<base>.s<i>" shard journals, sorted for
-// deterministic replay order.
-func existingJournalFiles(base string) ([]string, error) {
-	var out []string
-	if _, err := os.Stat(base); err == nil {
-		out = append(out, base)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ingest: reading journal: %w", err)
-	}
-	matches, err := filepath.Glob(base + ".s*")
-	if err != nil {
-		return nil, fmt.Errorf("ingest: listing journals: %w", err)
-	}
-	for _, m := range matches {
-		// Accept only exact shard journals; rewrite temp files and other
-		// leftovers (e.g. "<base>.s0.tmp123") are not journals.
-		suffix := strings.TrimPrefix(m, base+".s")
-		if _, err := strconv.Atoi(suffix); err == nil {
-			out = append(out, m)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Schema returns the table schema (shared by all shards and tiers).
@@ -428,16 +372,13 @@ func (t *Table) DeltaRows() int {
 
 // Append admits a batch of rows into the delta, each row routed to its
 // user's shard. The whole batch is validated (shape and primary keys
-// against every involved shard) and journaled before any row becomes
-// visible, so a failed Append admits nothing and a plain retry of the same
-// batch can succeed. A batch spanning several shards commits 2PC-lite:
-// every involved shard journal is *prepared* (rows + a marker naming the
-// batch id) and fsynced first, then one commit record in the coordinator
-// log makes the batch durable everywhere at once — an I/O failure or crash
-// at any earlier point leaves only prepared markers, which replay ignores,
-// so a prefix of shards can never be admitted. Appending may trigger
-// background compaction of any shard whose delta crosses the configured
-// threshold.
+// against every involved shard) and journaled — one write and one fsync,
+// however many shards it spans — before any row becomes visible, so a
+// failed Append admits nothing and a plain retry of the same batch can
+// succeed. A batch that reaches the journal but finds a shard closed at
+// admission returns ErrClosed: durable but unacknowledged, which the
+// all-or-nothing contract allows. Appending may trigger background
+// compaction of any shard whose delta crosses the configured threshold.
 func (t *Table) Append(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -461,80 +402,12 @@ func (t *Table) Append(rows []Row) error {
 		idx := storage.ShardOf(user, n)
 		groups[idx] = append(groups[idx], row)
 	}
-	var involved []int
-	for i, g := range groups {
-		if len(g) > 0 {
-			involved = append(involved, i)
-		}
+	t.logMu.Lock()
+	triggers, err := t.appendLocked(rows, groups)
+	t.logMu.Unlock()
+	if err != nil {
+		return err
 	}
-	// Lock the involved shards in index order (every Append locks in the
-	// same order, so concurrent multi-shard batches cannot deadlock) and
-	// validate the whole batch before touching any state. Duplicate rows
-	// within the batch share a user and therefore a shard, so the per-shard
-	// batch check is complete.
-	for _, i := range involved {
-		t.shards[i].mu.Lock()
-	}
-	unlock := func() {
-		for _, i := range involved {
-			t.shards[i].mu.Unlock()
-		}
-	}
-	for _, i := range involved {
-		if t.shards[i].closed {
-			unlock()
-			return ErrClosed
-		}
-	}
-	for _, i := range involved {
-		if err := t.shards[i].validateBatchLocked(groups[i]); err != nil {
-			unlock()
-			return err
-		}
-	}
-	// Durability before acknowledgement: every involved shard's journal is
-	// written before any shard admits, so the in-memory state never holds a
-	// partial batch. The fsyncs run under the shard locks, which serializes
-	// appends against views: simple and correct, at the cost of queries on
-	// the involved shards waiting out a batch's sync (unrelated shards
-	// proceed). A single-shard batch's own marker commits it; a multi-shard
-	// batch is prepared per shard and committed by one coordinator record,
-	// so a failure at any point before that record leaves the batch durable
-	// nowhere — no rollback needed, replay ignores uncommitted prepares.
-	txn := t.txn != nil && len(involved) > 1
-	var batchID uint64
-	if txn {
-		batchID = t.nextBatch.Add(1)
-	}
-	for _, i := range involved {
-		s := t.shards[i]
-		if s.journal == nil {
-			continue
-		}
-		var err error
-		if txn {
-			err = s.journal.appendPrepared(t.schema, groups[i], batchID)
-		} else {
-			err = s.journal.append(t.schema, groups[i])
-		}
-		if err != nil {
-			unlock()
-			return err
-		}
-	}
-	if txn {
-		if err := t.txn.commit(batchID); err != nil {
-			unlock()
-			return err
-		}
-	}
-	var triggers []*shard
-	for _, i := range involved {
-		if t.shards[i].admitLocked(groups[i]) {
-			triggers = append(triggers, t.shards[i])
-		}
-	}
-	unlock()
 	for _, s := range triggers {
 		//lint:allow goroutinepool fire-and-forget compaction, bounded to one in flight per shard by the compacting flag
 		go s.backgroundCompact()
@@ -545,6 +418,55 @@ func (t *Table) Append(rows []Row) error {
 	obs.AppendBatchesTotal.Inc()
 	t.notifyChange()
 	return nil
+}
+
+// appendLocked validates, journals and admits one routed batch and returns
+// the shards whose background compaction must be spawned; t.logMu must be
+// held. Each involved shard is locked to validate its sub-batch, released
+// for the journal write and fsync, and locked again to admit, so queries
+// never wait on the disk. The duplicate checks stay valid across the gap:
+// only Append adds keys and appends serialize on t.logMu, while a
+// compaction only moves keys from a shard's log to its sealed tier, and
+// validation looks in both. Duplicate rows within the batch share a user and
+// therefore a shard, so the per-shard batch check is complete.
+func (t *Table) appendLocked(rows []Row, groups [][]Row) ([]*shard, error) {
+	var involved []*shard
+	for i, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		s := t.shards[i]
+		s.mu.Lock()
+		err := s.validateBatchLocked(g)
+		s.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		involved = append(involved, s)
+	}
+	if t.journal != nil {
+		if err := t.journal.append(t.schema, rows); err != nil {
+			return nil, err
+		}
+	}
+	// Admission holds every involved shard at once (in index order), so a
+	// Close racing the write rejects the whole batch, never part of it.
+	for _, s := range involved {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	for _, s := range involved {
+		if s.closed {
+			return nil, ErrClosed
+		}
+	}
+	var triggers []*shard
+	for _, s := range involved {
+		if s.admitLocked(groups[s.idx]) {
+			triggers = append(triggers, s)
+		}
+	}
+	return triggers, nil
 }
 
 // CompactContext synchronously seals every shard's delta, compacting shards
@@ -602,23 +524,42 @@ func (t *Table) notifyChange() {
 }
 
 // Close waits out any in-flight compaction — background or explicit — on
-// every shard and releases the journals. Appends and compactions after
+// every shard and releases the journal. Appends and compactions after
 // Close fail with ErrClosed; queries against views already taken stay
-// valid. After Close returns, the persisted table files and journals are
-// quiescent, which the catalog's reload path depends on.
+// valid. After Close returns, the persisted table files and the journal
+// are quiescent, which the catalog's reload path depends on.
 func (t *Table) Close() error {
-	var firstErr error
 	for _, s := range t.shards {
-		if err := s.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		s.close()
 	}
-	if t.txn != nil {
-		if err := t.txn.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	t.logMu.Lock()
+	defer t.logMu.Unlock()
+	if t.journal == nil {
+		return nil
 	}
-	return firstErr
+	return t.journal.close()
+}
+
+// rewriteJournal truncates the journal to exactly the rows still in the
+// shards' deltas, after a compaction durably persisted a sealed tier. A
+// failure does not fail the compaction — the swap already happened and is
+// correct; leftover sealed rows in the journal are dropped as duplicates on
+// replay. It is recorded in Stats instead, because after a failed reopen
+// the journal is disabled and durability is degraded until a reload.
+func (t *Table) rewriteJournal() {
+	t.logMu.Lock()
+	defer t.logMu.Unlock()
+	var rows []Row
+	for _, s := range t.shards {
+		s.mu.Lock()
+		rows = append(rows, s.log...)
+		s.mu.Unlock()
+	}
+	if err := t.journal.rewrite(t.schema, rows); err != nil {
+		t.journalErr = err.Error()
+	} else {
+		t.journalErr = ""
+	}
 }
 
 // ShardStats is a point-in-time snapshot of one shard's ingestion state.
@@ -646,16 +587,11 @@ type ShardStats struct {
 	// LastCompactError is the most recent compaction failure, empty after a
 	// success — the only trace a failing background compaction leaves.
 	LastCompactError string `json:"lastCompactError,omitempty"`
-	// LastJournalError is a degraded-durability warning: the compaction
-	// succeeded but its journal rewrite failed, so appends to this shard
-	// may be rejected until the table is reloaded.
-	LastJournalError string `json:"lastJournalError,omitempty"`
 	// ReplayedRows / ReplayDroppedRows describe the journal replay performed
 	// by Open: rows restored into the shard's delta, and rows skipped
 	// because the sealed tier already held them.
 	ReplayedRows      uint64 `json:"replayedRows"`
 	ReplayDroppedRows uint64 `json:"replayDroppedRows"`
-	JournalBytes      int64  `json:"journalBytes"`
 	Compacting        bool   `json:"compacting"`
 }
 
@@ -679,7 +615,9 @@ type Stats struct {
 	LastCompactMillis int64 `json:"lastCompactMillis"`
 	// LastCompactError is the most recent compaction failure on any shard.
 	LastCompactError string `json:"lastCompactError,omitempty"`
-	// LastJournalError is a degraded-durability warning from any shard.
+	// LastJournalError is a degraded-durability warning: a compaction
+	// succeeded but its journal rewrite failed, so appends may be rejected
+	// until the table is reloaded.
 	LastJournalError  string `json:"lastJournalError,omitempty"`
 	ReplayedRows      uint64 `json:"replayedRows"`
 	ReplayDroppedRows uint64 `json:"replayDroppedRows"`
@@ -694,6 +632,12 @@ type Stats struct {
 // Stats snapshots the counters of every shard and aggregates them.
 func (t *Table) Stats() Stats {
 	agg := Stats{Shards: len(t.shards)}
+	t.logMu.Lock()
+	if t.journal != nil {
+		agg.JournalBytes = t.journal.size()
+	}
+	agg.LastJournalError = t.journalErr
+	t.logMu.Unlock()
 	for _, s := range t.shards {
 		st := s.stats()
 		agg.SealedRows += st.SealedRows
@@ -712,12 +656,8 @@ func (t *Table) Stats() Stats {
 		if st.LastCompactError != "" {
 			agg.LastCompactError = st.LastCompactError
 		}
-		if st.LastJournalError != "" {
-			agg.LastJournalError = st.LastJournalError
-		}
 		agg.ReplayedRows += st.ReplayedRows
 		agg.ReplayDroppedRows += st.ReplayDroppedRows
-		agg.JournalBytes += st.JournalBytes
 		agg.Compacting = agg.Compacting || st.Compacting
 		if len(t.shards) > 1 {
 			agg.PerShard = append(agg.PerShard, st)

@@ -1,11 +1,13 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -258,47 +260,89 @@ func TestJournalReplayDropsAlreadySealedRows(t *testing.T) {
 	}
 }
 
+// TestJournalToleratesTornTailBatchAtomically cuts the journal of a 3-shard
+// table at every byte length, as a crash mid-write could, and reopens it each
+// time: the delta must hold exactly a whole-batch prefix of the acknowledged
+// batches — never part of a batch, never a batch on only some of its shards —
+// and the dropped batches must append again.
 func TestJournalToleratesTornTailBatchAtomically(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "game.journal")
-	sealed := buildSealed(t)
-
-	lt, err := Open(sealed, Config{JournalPath: journal})
+	sealed := buildShardedSealed(t, 3)
+	journal := filepath.Join(t.TempDir(), "game.journal")
+	lt, err := OpenSharded(sealed, Config{JournalPath: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
 	schema := lt.Schema()
-	// Two acknowledged batches.
-	if err := lt.Append([]Row{
-		row(t, schema, "torn-user", 1369000000, "launch", "Shire", "Hobbiton", "hobbit", 1, 0),
-	}); err != nil {
+	u := usersInDistinctShards(3)
+	r := func(user string, ts int64) Row {
+		return row(t, schema, user, ts, "launch", "Shire", "Hobbiton", "hobbit", 1, ts%7)
+	}
+	batches := [][]Row{
+		{r(u[0], 1369000000), r(u[1], 1369000000), r(u[2], 1369000000)},
+		{r(u[1], 1369000100)},
+		{r(u[2], 1369000200), r(u[0], 1369000200)},
+		{r(u[0], 1369000300), r(u[1], 1369000300), r(u[2], 1369000300), r(u[2], 1369000301)},
+	}
+	for _, b := range batches {
+		if err := lt.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.Append([]Row{
-		row(t, schema, "torn-user", 1369090000, "shop", "Shire", "Hobbiton", "hobbit", 1, 3),
-		row(t, schema, "torn-user", 1369180000, "shop", "Shire", "Hobbiton", "hobbit", 1, 4),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	lt.Close()
-
-	// Chop off the tail, as a crash mid-write would: the second batch loses
-	// its commit record, so replay must drop the WHOLE second batch (batch
-	// atomicity across restarts) while keeping the first intact.
 	data, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(journal, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
+	// ends[i] is the offset just past batch i's marker line.
+	var ends []int
+	for off := 0; off < len(data); {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if bytes.HasPrefix(data[off:], []byte("#,")) {
+			ends = append(ends, off+nl+1)
+		}
+		off += nl + 1
 	}
-	lt2, err := Open(sealed, Config{JournalPath: journal})
-	if err != nil {
-		t.Fatalf("torn journal failed the load: %v", err)
+	if len(ends) != len(batches) {
+		t.Fatalf("journal holds %d batch markers, want %d", len(ends), len(batches))
 	}
-	defer lt2.Close()
-	if st := lt2.Stats(); st.ReplayedRows != 1 {
-		t.Fatalf("replayed %d rows from torn journal, want 1 (the committed batch)", st.ReplayedRows)
+	keysOf := func(bs [][]Row) map[string]int {
+		out := make(map[string]int)
+		for _, b := range bs {
+			for _, row := range b {
+				user, ts, action := row.pk(schema)
+				out[pkKey(user, ts, action)] = storage.ShardOf(user, 3)
+			}
+		}
+		return out
+	}
+	for size := 0; size <= len(data); size++ {
+		if err := os.WriteFile(journal, data[:size], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lt, err := OpenSharded(sealed, Config{JournalPath: journal})
+		if err != nil {
+			t.Fatalf("journal cut at %d bytes failed the load: %v", size, err)
+		}
+		got := deltaShards(lt)
+		// The prefix length is the number of intact markers; a final marker
+		// missing only its newline still commits its batch.
+		k := 0
+		for k < len(ends) && ends[k] <= size+1 {
+			k++
+		}
+		if want := keysOf(batches[:k]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("journal cut at %d of %d bytes restored %v, want the first %d batches %v", size, len(data), got, k, want)
+		}
+		for _, b := range batches[k:] {
+			if err := lt.Append(b); err != nil {
+				t.Fatalf("cut at %d: re-appending a dropped batch: %v", size, err)
+			}
+		}
+		if err := lt.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -333,15 +377,23 @@ func TestAutoCompactionTriggers(t *testing.T) {
 }
 
 // TestConcurrentAppendQueryCompact exercises the full lifecycle under the
-// race detector: appenders, queriers and a compactor all share one table.
+// race detector: appenders of batches spanning shards, queriers and a
+// compactor whose journal rewrites race the appends all share one table.
 func TestConcurrentAppendQueryCompact(t *testing.T) {
-	sealed := buildSealed(t)
-	lt, err := Open(sealed, Config{JournalPath: filepath.Join(t.TempDir(), "t.journal")})
+	sealed := buildShardedSealed(t, 3)
+	lt, err := OpenSharded(sealed, Config{
+		JournalPath: filepath.Join(t.TempDir(), "t.journal"),
+		Persist:     func(storage.LayoutDelta) error { return nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lt.Close()
 	schema := lt.Schema()
+	stmt, err := parser.ParseCohort(testQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const appenders, rowsEach = 4, 25
 	var wg sync.WaitGroup
@@ -350,8 +402,11 @@ func TestConcurrentAppendQueryCompact(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			for i := 0; i < rowsEach; i++ {
-				r := row(t, schema, fmt.Sprintf("cc-user-%d-%d", a, i), 1369000000+int64(i), "launch", "China", "Beijing", "mage", 1, int64(i))
-				if err := lt.Append([]Row{r}); err != nil {
+				batch := []Row{
+					row(t, schema, fmt.Sprintf("cc-user-%d-%d", a, i), 1369000000+int64(i), "launch", "China", "Beijing", "mage", 1, int64(i)),
+					row(t, schema, fmt.Sprintf("cc-peer-%d-%d", a, i), 1369000000+int64(i), "launch", "China", "Beijing", "mage", 1, int64(i)),
+				}
+				if err := lt.Append(batch); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -367,7 +422,13 @@ func TestConcurrentAppendQueryCompact(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				runQuery(t, lt, testQuery)
+				for _, v := range lt.Views() {
+					if _, err := plan.Execute(stmt.Query, v.Sealed, plan.ExecOptions{Delta: v.Delta}); err != nil {
+						t.Errorf("query: %v", err)
+						return
+					}
+				}
+				lt.Stats()
 			}
 		}
 	}()
@@ -388,9 +449,9 @@ func TestConcurrentAppendQueryCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := lt.Stats()
-	want := sealed.NumRows() + appenders*rowsEach
-	if st.SealedRows != want || st.DeltaRows != 0 {
-		t.Fatalf("after final compaction: %+v, want %d sealed rows", st, want)
+	want := sealed.NumRows() + 2*appenders*rowsEach
+	if st.SealedRows != want || st.DeltaRows != 0 || st.JournalBytes != 0 {
+		t.Fatalf("after final compaction: %+v, want %d sealed rows and an empty journal", st, want)
 	}
 }
 

@@ -7,40 +7,38 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
+	"strings"
 	"time"
 
 	"repro/internal/activity"
 	"repro/internal/obs"
 )
 
-// The journal is the delta store's durability layer: a plain append-only CSV
-// file holding every appended activity row that compaction has not yet sealed
-// into the compressed table. One CSV record per row, fields in schema column
-// order, no header; string columns are written verbatim and integer/time
-// columns as base-10 (times are Unix seconds). Each batch is followed by a
-// marker record — rows only count as durable once their batch's marker is on
-// disk, so a crash mid-batch cannot resurrect a partial (never-acknowledged)
-// batch on replay, preserving batch atomicity across restarts. Markers cannot
-// collide with row records: activity schemas always have at least four
-// columns. Two marker forms exist:
+// The journal is the delta store's durability layer: one plain append-only
+// CSV file per table holding every appended activity row that compaction has
+// not yet sealed into the compressed table, whichever shard the row belongs
+// to. One CSV record per row, fields in schema column order, no header;
+// string columns are written verbatim and integer/time columns as base-10
+// (times are Unix seconds). Each batch is followed by a `#,<rows>` marker
+// record — rows only count as durable once their batch's marker is on disk,
+// so a crash mid-batch cannot resurrect a partial (never-acknowledged) batch
+// on replay, preserving batch atomicity across restarts, however many shards
+// the batch spans. Markers cannot collide with row records: activity schemas
+// always have at least four columns.
 //
-//   - `#,<rows>` commits the batch by itself — used for batches confined to
-//     one shard journal, where the single marker is atomic;
-//   - `#2,<rows>,<batchID>` *prepares* a batch that spans several shard
-//     journals. Prepared batches count on replay only when the table's
-//     coordinator log (`<base>.txn`) holds a matching `C,<batchID>` commit
-//     record — 2PC-lite: every involved shard journal is prepared and synced
-//     first, then the single coordinator record commits the batch everywhere
-//     at once, so a journal I/O failure (or crash) mid-batch can no longer
-//     admit a prefix of shards on replay.
-//
-// On table load the journal is replayed into the delta, so a crash or restart
-// loses nothing; rows already present in the sealed tier (a crash between the
+// On table load the journal is replayed into the delta, each row routed to
+// its shard under the current shard count, so a crash or restart loses
+// nothing; rows already present in the sealed tier (a crash between the
 // compacted-table rename and the journal truncation) are dropped during
 // replay, which makes replay idempotent. After a compaction that persisted
 // the new sealed tier, the journal is atomically rewritten to hold only the
-// rows that arrived during the compaction.
+// rows still in the shards' deltas.
+//
+// Older versions kept one journal per shard ("<base>.s<i>") and committed
+// batches spanning several shards with a `#2,<rows>,<batchID>` marker in each
+// shard journal plus a `C,<batchID>` record in a coordinator log
+// ("<base>.txn"). Open reads those files once and folds them into <base>;
+// nothing writes them anymore.
 
 type journal struct {
 	path string
@@ -48,25 +46,17 @@ type journal struct {
 	w    *csv.Writer
 }
 
-// openJournal opens (creating if needed) the journal file for appending.
-func openJournal(path string) (*journal, error) {
+// openJournalWith opens (creating if needed) the journal at path with its
+// contents replaced by exactly rows (one committed batch; an existing file is
+// atomically rewritten). Open uses it to compact the journal down to the rows
+// the restored deltas actually hold — dropping a torn tail and rows the
+// sealed tier made redundant, and absorbing rows read from legacy files.
+func openJournalWith(path string, schema *activity.Schema, rows []Row) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: opening journal: %w", err)
 	}
-	return &journal{path: path, f: f, w: csv.NewWriter(f)}, nil
-}
-
-// openJournalWith opens the journal at path with its contents replaced by
-// exactly rows (one committed batch; an existing file is atomically
-// rewritten). Open uses it to compact each shard's journal down to the rows
-// its restored delta actually holds — dropping rows the sealed tier made
-// redundant and absorbing rows migrated from another shard layout.
-func openJournalWith(path string, schema *activity.Schema, rows []Row) (*journal, error) {
-	j, err := openJournal(path)
-	if err != nil {
-		return nil, err
-	}
+	j := &journal{path: path, f: f, w: csv.NewWriter(f)}
 	if err := j.rewrite(schema, rows); err != nil {
 		_ = j.close()
 		return nil, err
@@ -74,16 +64,17 @@ func openJournalWith(path string, schema *activity.Schema, rows []Row) (*journal
 	return j, nil
 }
 
-// commitField marks a self-committing batch record: `#,<rows>`.
+// commitField marks a committed batch record: `#,<rows>`.
 const commitField = "#"
 
-// preparedField marks a prepared multi-shard batch record: `#2,<rows>,<id>`.
+// preparedField marks a legacy prepared multi-shard batch record:
+// `#2,<rows>,<batchID>`. Only legacy per-shard journals hold it.
 const preparedField = "#2"
 
 // readJournal parses the journal at path into the committed rows. A missing
 // file is an empty journal. Rows of a batch count only once the batch's
-// marker is intact — and, for prepared batches, only when committed holds
-// the batch id. A torn tail — a damaged record, or trailing rows whose
+// marker is intact — and, for legacy prepared batches, only when committed
+// holds the batch id. A torn tail — a damaged record, or trailing rows whose
 // marker never made it to disk — ends the replay at the last committed batch
 // instead of failing the load, so a crash mid-append cannot resurrect part
 // of a batch that was never acknowledged. A prepared-but-uncommitted batch
@@ -147,6 +138,61 @@ func readJournal(path string, schema *activity.Schema, committed map[uint64]bool
 	return rows, nil // any trailing unmarked rows in pending are dropped
 }
 
+// legacyJournalFiles lists the per-shard journals "<base>.s<i>" an older
+// version left next to base. The directory is listed and matched by exact
+// name, not by a glob pattern: a table name may hold glob metacharacters.
+// Rewrite temp files and other leftovers (e.g. "<base>.s0.tmp123") are not
+// journals. os.ReadDir sorts by name, so replay order is deterministic.
+func legacyJournalFiles(base string) ([]string, error) {
+	dir := filepath.Dir(base)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: listing journals: %w", err)
+	}
+	prefix := filepath.Base(base) + ".s"
+	var out []string
+	for _, e := range entries {
+		suffix, ok := strings.CutPrefix(e.Name(), prefix)
+		if ok && suffix != "" && strings.Trim(suffix, "0123456789") == "" {
+			out = append(out, filepath.Join(dir, e.Name()))
+		}
+	}
+	return out, nil
+}
+
+// readTxnCommits parses the committed batch ids of a legacy coordinator log
+// at path. A missing file is an empty set; a torn tail ends the scan — a torn
+// commit record belongs to a batch that was never acknowledged, so dropping
+// it is exactly right.
+func readTxnCommits(path string) (map[uint64]bool, error) {
+	out := make(map[uint64]bool)
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return out, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ingest: reading coordinator log: %w", err)
+	}
+	defer f.Close()
+	cr := csv.NewReader(f)
+	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
+	for {
+		rec, err := cr.Read()
+		if err != nil {
+			return out, nil // EOF or torn tail
+		}
+		if len(rec) != 2 || rec[0] != "C" {
+			return out, nil
+		}
+		id, err := strconv.ParseUint(rec[1], 10, 64)
+		if err != nil {
+			return out, nil
+		}
+		out[id] = true
+	}
+}
+
 // rowFromRecord decodes one journal CSV record.
 func rowFromRecord(schema *activity.Schema, rec []string) (Row, error) {
 	row := newRow(schema)
@@ -177,20 +223,9 @@ func record(schema *activity.Schema, row Row) []string {
 	return rec
 }
 
-// append durably writes a self-committing batch: rows plus the `#` marker,
-// flushed and fsynced before the append is acknowledged.
+// append durably writes one batch: rows plus the `#` marker, flushed and
+// fsynced before the append is acknowledged.
 func (j *journal) append(schema *activity.Schema, rows []Row) error {
-	return j.writeBatch(schema, rows, []string{commitField, strconv.Itoa(len(rows))})
-}
-
-// appendPrepared durably writes a prepared multi-shard batch: rows plus the
-// `#2` marker naming the coordinator batch id. The rows count on replay only
-// once the coordinator's commit record for id is also on disk.
-func (j *journal) appendPrepared(schema *activity.Schema, rows []Row, id uint64) error {
-	return j.writeBatch(schema, rows, []string{preparedField, strconv.Itoa(len(rows)), strconv.FormatUint(id, 10)})
-}
-
-func (j *journal) writeBatch(schema *activity.Schema, rows []Row, marker []string) error {
 	if j.f == nil {
 		return fmt.Errorf("ingest: journal unavailable after a failed rewrite; reload the table to restore durability")
 	}
@@ -199,7 +234,7 @@ func (j *journal) writeBatch(schema *activity.Schema, rows []Row, marker []strin
 			return fmt.Errorf("ingest: journal write: %w", err)
 		}
 	}
-	if err := j.w.Write(marker); err != nil {
+	if err := j.w.Write([]string{commitField, strconv.Itoa(len(rows))}); err != nil {
 		return fmt.Errorf("ingest: journal write: %w", err)
 	}
 	j.w.Flush()
@@ -215,8 +250,8 @@ func (j *journal) writeBatch(schema *activity.Schema, rows []Row, marker []strin
 }
 
 // rewrite atomically replaces the journal contents with rows (the tuples not
-// covered by the just-sealed table): a temp file in the same directory is
-// written, synced, and renamed over the journal.
+// covered by the sealed tier): a temp file in the same directory is written,
+// synced, and renamed over the journal.
 func (j *journal) rewrite(schema *activity.Schema, rows []Row) error {
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")
@@ -303,117 +338,13 @@ func (j *journal) size() int64 {
 	return fi.Size()
 }
 
+// close releases the file; appends after it fail.
 func (j *journal) close() error {
 	if j.f == nil {
 		return nil
 	}
-	return j.f.Close()
-}
-
-// TxnExt is the suffix of the coordinator commit log kept next to the shard
-// journals of a multi-shard table: one `C,<batchID>` record per committed
-// multi-shard batch.
-const TxnExt = ".txn"
-
-// txnCommitField marks a coordinator commit record.
-const txnCommitField = "C"
-
-// txnLog is the 2PC-lite coordinator: an append-only commit-record file. It
-// has its own mutex because concurrent appends to disjoint shard sets
-// serialize only here.
-type txnLog struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	w    *csv.Writer
-}
-
-// openTxnLog opens (creating if needed) the coordinator log for appending.
-func openTxnLog(path string) (*txnLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: opening coordinator log: %w", err)
-	}
-	return &txnLog{path: path, f: f, w: csv.NewWriter(f)}, nil
-}
-
-// readTxnCommits parses the committed batch ids at path. A missing file is an
-// empty set; a torn tail ends the scan — a torn commit record belongs to a
-// batch that was never acknowledged, so dropping it is exactly right.
-func readTxnCommits(path string) (map[uint64]bool, error) {
-	out := make(map[uint64]bool)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return out, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ingest: reading coordinator log: %w", err)
-	}
-	defer f.Close()
-	cr := csv.NewReader(f)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	for {
-		rec, err := cr.Read()
-		if err != nil {
-			return out, nil // EOF or torn tail
-		}
-		if len(rec) != 2 || rec[0] != txnCommitField {
-			return out, nil
-		}
-		id, err := strconv.ParseUint(rec[1], 10, 64)
-		if err != nil {
-			return out, nil
-		}
-		out[id] = true
-	}
-}
-
-// commit durably records batch id as committed: the record is flushed and
-// fsynced before the batch may be admitted anywhere.
-func (l *txnLog) commit(id uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Write([]string{txnCommitField, strconv.FormatUint(id, 10)}); err != nil {
-		return fmt.Errorf("ingest: coordinator write: %w", err)
-	}
-	l.w.Flush()
-	if err := l.w.Error(); err != nil {
-		return fmt.Errorf("ingest: coordinator flush: %w", err)
-	}
-	syncStart := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("ingest: coordinator sync: %w", err)
-	}
-	obs.JournalFsyncSeconds.ObserveSince(syncStart)
-	return nil
-}
-
-// reset truncates the log. Open calls it after rewriting every shard journal
-// into plain committed batches — the old commit records are baked in, and a
-// fresh id sequence must not collide with leftover prepared markers.
-func (l *txnLog) reset() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("ingest: resetting coordinator log: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("ingest: resetting coordinator log: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("ingest: resetting coordinator log: %w", err)
-	}
-	return nil
-}
-
-func (l *txnLog) close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
+	err := j.f.Close()
+	j.f = nil
+	j.w = nil
 	return err
 }

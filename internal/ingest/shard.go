@@ -12,11 +12,10 @@ import (
 )
 
 // shard is one user-hash partition of a live table: its slice of the sealed
-// compressed tier plus its own delta log, journal, generation counter and
-// compaction lifecycle. Shards share nothing but the schema and the
-// coordinator's config, so appends, views and compactions on different
-// shards never contend — a lagging shard's compaction cannot block the
-// others.
+// compressed tier plus its own delta log, generation counter and compaction
+// lifecycle. The table's journal is shared, but no shard mutex is held while
+// it writes, so views never wait on the disk, and a lagging shard's
+// compaction cannot block the others.
 type shard struct {
 	idx    int
 	parent *Table
@@ -35,10 +34,9 @@ type shard struct {
 	// rows + overlap users' sealed blocks); rebuilt with snap so every
 	// query of a generation shares one materialization instead of decoding
 	// the overlap users' sealed blocks per query.
-	union   *cohort.UnionDelta
-	journal *journal // nil when durability is disabled
-	gen     uint64
-	closed  bool
+	union  *cohort.UnionDelta
+	gen    uint64
+	closed bool
 
 	compacting bool
 	compactMu  sync.Mutex // serializes this shard's compaction bodies
@@ -51,7 +49,6 @@ type shard struct {
 	replayDropped  uint64
 	lastCompactMS  int64
 	lastCompactErr string
-	lastJournalErr string
 	// Chunk-granularity counters: how many chunks the shard's compactions
 	// re-encoded vs carried over untouched (cumulative, plus the most recent
 	// compaction's split) — the observable that write cost tracks touched
@@ -108,10 +105,13 @@ func (s *shard) refreshSnapLocked() {
 }
 
 // validateBatchLocked checks a routed sub-batch against the shard: width and
-// PK-shape validation already happened at routing, so this is the duplicate
-// check against the batch itself, the un-compacted log, and the sealed tier.
-// s.mu must be held.
+// PK-shape validation already happened at routing, so this is the closed
+// check plus the duplicate check against the batch itself, the un-compacted
+// log, and the sealed tier. s.mu must be held.
 func (s *shard) validateBatchLocked(rows []Row) error {
+	if s.closed {
+		return ErrClosed
+	}
 	schema := s.schema()
 	batchKeys := make(map[string]struct{}, len(rows))
 	for _, row := range rows {
@@ -301,7 +301,9 @@ func (s *shard) compactOnce() error {
 		// The table was closed (or replaced by a catalog reload) while the
 		// merge ran without the lock. Swapping state or rewriting the
 		// journal now would clobber the successor incarnation's journal
-		// file, losing its acknowledged appends — abort instead.
+		// file, losing its acknowledged appends — abort instead. (Close
+		// waits out this compaction before it releases the journal, so the
+		// rewrite below cannot race it.)
 		s.mu.Unlock()
 		return ErrClosed
 	}
@@ -314,23 +316,6 @@ func (s *shard) compactOnce() error {
 		s.logKeys[pkKey(user, ts, action)] = struct{}{}
 	}
 	s.snapDirty = true
-	if s.journal != nil && t.cfg.Persist != nil {
-		// Truncate the journal only when the new sealed tier was durably
-		// persisted. Without a Persist hook (library engines) the merged
-		// shard exists in memory only — the journal must keep every row, or
-		// a crash after compaction would lose acknowledged appends; replay
-		// drops whatever a later Save made redundant. A rewrite failure
-		// does not fail the compaction — the swap already happened and is
-		// correct; leftover sealed rows in the journal are dropped as
-		// duplicates on replay. It is recorded in Stats instead, because
-		// after a failed reopen the journal is disabled and durability is
-		// degraded until a reload.
-		if err := s.journal.rewrite(schema, remaining); err != nil {
-			s.lastJournalErr = err.Error()
-		} else {
-			s.lastJournalErr = ""
-		}
-	}
 	s.gen++
 	s.compactions++
 	s.chunksRebuilt += uint64(rebuilt)
@@ -338,6 +323,15 @@ func (s *shard) compactOnce() error {
 	s.lastChunksRebuilt, s.lastChunksReused = rebuilt, reused
 	s.lastCompactMS = time.Since(start).Milliseconds()
 	s.mu.Unlock()
+	if t.journal != nil && t.cfg.Persist != nil {
+		// Truncate the journal only when the new sealed tier was durably
+		// persisted. Without a Persist hook (library engines) the merged
+		// shard exists in memory only — the journal must keep every row, or
+		// a crash after compaction would lose acknowledged appends; replay
+		// drops whatever a later Save made redundant. s.mu is released
+		// first: the lock order is log before shard.
+		t.rewriteJournal()
+	}
 	obs.CompactSeconds.ObserveSince(start)
 	obs.CompactionsTotal.Inc()
 	obs.ChunksRebuiltTotal.Add(int64(rebuilt))
@@ -346,26 +340,21 @@ func (s *shard) compactOnce() error {
 	return nil
 }
 
-// close marks the shard closed, waits out background compactions and
-// releases the journal.
-func (s *shard) close() error {
+// close marks the shard closed and waits out its compactions.
+func (s *shard) close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	s.closed = true
 	s.mu.Unlock()
 	s.wg.Wait()
 	// Taking compactMu drains an in-flight explicit compact (not covered by
 	// wg): it sees closed at its next check and aborts without persisting
-	// or rewriting; only then is the journal released.
+	// or rewriting, or finishes its rewrite first.
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	if s.journal != nil {
-		return s.journal.close()
-	}
-	return nil
 }
 
 // stats snapshots the shard's counters.
@@ -388,13 +377,9 @@ func (s *shard) stats() ShardStats {
 		LastCompactChunksReused:  s.lastChunksReused,
 		LastCompactMillis:        s.lastCompactMS,
 		LastCompactError:         s.lastCompactErr,
-		LastJournalError:         s.lastJournalErr,
 		ReplayedRows:             s.replayedRows,
 		ReplayDroppedRows:        s.replayDropped,
 		Compacting:               s.compacting,
-	}
-	if s.journal != nil {
-		st.JournalBytes = s.journal.size()
 	}
 	return st
 }

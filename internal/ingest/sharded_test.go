@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -71,10 +73,59 @@ func TestAppendRoutesToOwningShards(t *testing.T) {
 	}
 }
 
+// usersInDistinctShards returns one user name per shard of an n-shard table.
+func usersInDistinctShards(n int) []string {
+	out := make([]string, n)
+	found := 0
+	for i := 0; found < n; i++ {
+		u := fmt.Sprintf("spread-user-%d", i)
+		s := storage.ShardOf(u, n)
+		if out[s] == "" {
+			out[s] = u
+			found++
+		}
+	}
+	return out
+}
+
+// deltaShards maps the primary key of every delta row to the shard holding
+// it.
+func deltaShards(lt *Table) map[string]int {
+	out := make(map[string]int)
+	for i, s := range lt.shards {
+		s.mu.Lock()
+		for _, r := range s.log {
+			user, ts, action := r.pk(lt.schema)
+			out[pkKey(user, ts, action)] = i
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// assertOnlyJournal fails unless base is the one file in its directory
+// named after it: no legacy shard journal, coordinator log or temp leftover.
+func assertOnlyJournal(t *testing.T, base string) {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Dir(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), filepath.Base(base)) {
+			got = append(got, e.Name())
+		}
+	}
+	if len(got) != 1 || got[0] != filepath.Base(base) {
+		t.Fatalf("journal files %v, want exactly [%s]", got, filepath.Base(base))
+	}
+}
+
 // TestJournalMigratesAcrossShardCounts is the durability half of the
-// migration path: rows journaled under one shard layout must survive
+// migration path: rows journaled under one shard count must survive
 // reopening under another — 1 shard -> 4 shards -> back to 1 — with every
-// row re-routed to its owning shard's journal and the stale files removed.
+// row routed to its owning shard and the one journal file the only one.
 func TestJournalMigratesAcrossShardCounts(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "game.journal")
@@ -95,56 +146,140 @@ func TestJournalMigratesAcrossShardCounts(t *testing.T) {
 	if err := lt.Close(); err != nil {
 		t.Fatal(err)
 	}
+	assertOnlyJournal(t, base)
 
-	// Reopen the same sealed data resharded to 4: the legacy base journal
-	// must be split into per-shard journals and removed.
+	check := func(lt *Table, n int) {
+		t.Helper()
+		st := lt.Stats()
+		if st.Shards != n || st.ReplayedRows != uint64(len(rows)) || st.DeltaRows != len(rows) {
+			t.Fatalf("after migration to %d shards: %+v, want %d replayed rows", n, st, len(rows))
+		}
+		got := deltaShards(lt)
+		for _, r := range rows {
+			user, ts, action := r.pk(schema)
+			if idx, ok := got[pkKey(user, ts, action)]; !ok || idx != storage.ShardOf(user, n) {
+				t.Fatalf("row of %s restored in shard %d (present %v), want shard %d", user, idx, ok, storage.ShardOf(user, n))
+			}
+		}
+		assertOnlyJournal(t, base)
+	}
+	// Reopen the same sealed data resharded to 4, then back down to one.
 	lt4, err := OpenSharded(sealed1, Config{JournalPath: base, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := lt4.Stats()
-	if st.Shards != 4 || st.ReplayedRows != uint64(len(rows)) || st.DeltaRows != len(rows) {
-		t.Fatalf("after 1->4 migration: %+v, want %d replayed rows on 4 shards", st, len(rows))
-	}
-	for _, ss := range st.PerShard {
-		want := 0
-		for i := range rows {
-			if storage.ShardOf(fmt.Sprintf("mig-user-%d", i), 4) == ss.Shard {
-				want++
-			}
-		}
-		if ss.DeltaRows != want {
-			t.Fatalf("shard %d restored %d rows, want %d", ss.Shard, ss.DeltaRows, want)
-		}
-	}
-	if _, err := os.Stat(base); !os.IsNotExist(err) {
-		t.Fatalf("legacy journal survived the migration (err=%v)", err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(fmt.Sprintf("%s.s%d", base, i)); err != nil {
-			t.Fatalf("shard %d journal missing after migration: %v", i, err)
-		}
-	}
+	check(lt4, 4)
 	if err := lt4.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// And back down to one shard: the per-shard journals merge into the
-	// base file and are removed.
-	sealed4 := buildShardedSealed(t, 4)
-	lt1, err := OpenSharded(sealed4, Config{JournalPath: base, Shards: 1})
+	lt1, err := OpenSharded(buildShardedSealed(t, 4), Config{JournalPath: base, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lt1.Close()
-	st = lt1.Stats()
-	if st.Shards != 1 || st.ReplayedRows != uint64(len(rows)) || st.DeltaRows != len(rows) {
-		t.Fatalf("after 4->1 migration: %+v, want %d replayed rows on 1 shard", st, len(rows))
+	check(lt1, 1)
+}
+
+// TestMultiShardBatchCostsOneFsync pins the write path's cost: a batch
+// spanning every shard is one journal write and one fsync, and appends plus
+// compactions never leave any journal file but the one.
+func TestMultiShardBatchCostsOneFsync(t *testing.T) {
+	sealed := buildShardedSealed(t, 3)
+	base := filepath.Join(t.TempDir(), "game.journal")
+	lt, err := OpenSharded(sealed, Config{
+		JournalPath: base,
+		Persist:     func(storage.LayoutDelta) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(fmt.Sprintf("%s.s%d", base, i)); !os.IsNotExist(err) {
-			t.Fatalf("shard %d journal survived the merge back (err=%v)", i, err)
+	defer lt.Close()
+	schema := lt.Schema()
+	users := usersInDistinctShards(3)
+	var batch []Row
+	for i, u := range users {
+		batch = append(batch, row(t, schema, u, 2_000_000_000+int64(i), "launch", "China", "Beijing", "mage", 1, 0))
+	}
+	before := obs.JournalFsyncSeconds.Count()
+	if err := lt.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.JournalFsyncSeconds.Count() - before; got != 1 {
+		t.Fatalf("a 3-shard batch cost %d journal fsyncs, want 1", got)
+	}
+	if err := lt.CompactShard(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := lt.Append([]Row{row(t, schema, users[1], 2_000_000_100, "shop", "China", "Beijing", "mage", 1, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lt.CompactContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := lt.Append([]Row{row(t, schema, users[2], 2_000_000_200, "shop", "China", "Beijing", "mage", 1, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyJournal(t, base)
+	if st := lt.Stats(); st.DeltaRows != 1 || st.JournalBytes == 0 {
+		t.Fatalf("after compactions: %+v, want 1 delta row journaled", st)
+	}
+}
+
+// TestLegacyShardJournalsMigrate opens hand-written files in the per-shard
+// layout older versions wrote: "<base>.s<i>" journals whose batches spanning
+// several shards carry `#2,<rows>,<batchID>` markers, committed by
+// `C,<batchID>` records in "<base>.txn". Exactly the committed rows must come
+// back — an uncommitted prepared batch mid-file is skipped without cutting
+// off the self-committed batch behind it, and a torn tail is dropped — and
+// only "<base>" may remain.
+func TestLegacyShardJournalsMigrate(t *testing.T) {
+	sealed := buildShardedSealed(t, 2)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "game.journal")
+	users := usersInDistinctShards(2)
+	line := func(user string, ts int64) string {
+		return fmt.Sprintf("%s,%d,launch,China,Beijing,mage,1,0\n", user, ts)
+	}
+	files := map[string]string{
+		// Batch 1 spans both shards and is committed; batch 2 is prepared on
+		// shard 0 only and was never committed; batch 3 is self-committed;
+		// then a row whose marker never reached the disk.
+		base + ".s0": line(users[0], 100) + "#2,1,1\n" +
+			line(users[0], 200) + "#2,1,2\n" +
+			line(users[0], 300) + "#,1\n" +
+			line(users[0], 400),
+		// Batch 1's other half, then a torn record.
+		base + ".s1":  line(users[1], 100) + "#2,1,1\n" + users[1] + ",5",
+		base + ".txn": "C,1\n",
+	}
+	for path, body := range files {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	want := map[string]int{
+		pkKey(users[0], 100, "launch"): 0,
+		pkKey(users[1], 100, "launch"): 1,
+		pkKey(users[0], 300, "launch"): 0,
+	}
+	for round := 0; round < 2; round++ {
+		lt, err := OpenSharded(sealed, Config{JournalPath: base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := deltaShards(lt)
+		if st := lt.Stats(); len(got) != len(want) || st.ReplayedRows != uint64(len(want)) {
+			t.Fatalf("open %d restored %v (stats %+v), want %v", round, got, st, want)
+		}
+		for k, idx := range want {
+			if g, ok := got[k]; !ok || g != idx {
+				t.Fatalf("open %d: row %q in shard %d (present %v), want shard %d", round, k, g, ok, idx)
+			}
+		}
+		if err := lt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertOnlyJournal(t, base)
 	}
 }
 

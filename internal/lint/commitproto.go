@@ -19,10 +19,10 @@ import (
 //     containing directory is synced; a rename must be followed in the same
 //     function by a directory sync (syncDir(...) or a later .Sync() call).
 //     Helpers whose callers own the directory sync carry //lint:allow.
-//   - fsync-before-ack (ingest): a buffered journal/coordinator Flush() must
-//     be followed by a .Sync() before the function returns — a flushed but
-//     unsynced batch would be acknowledged and lost on power failure.
-//   - truncate-as-commit: a .Truncate() call (coordinator log reset) must be
+//   - fsync-before-ack (ingest): a buffered journal Flush() must be followed
+//     by a .Sync() before the function returns — a flushed but unsynced batch
+//     would be acknowledged and lost on power failure.
+//   - truncate-as-commit: a .Truncate() call used as a commit point must be
 //     followed by a .Sync() in the same function.
 //
 // The checks are per-function and lexical: the repo's commit paths are

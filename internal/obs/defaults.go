@@ -78,7 +78,7 @@ var (
 	AppendBatchesTotal = Default.Counter("cohana_append_batches_total",
 		"Append batches accepted.")
 	JournalFsyncSeconds = Default.Histogram("cohana_journal_fsync_seconds",
-		"Journal fsync latency in seconds (one per journaled batch per shard, plus coordinator commits).",
+		"Journal fsync latency in seconds (one per journaled batch).",
 		latencyBuckets)
 	CompactSeconds = Default.Histogram("cohana_compact_seconds",
 		"Shard compaction latency in seconds (delta merge, persist, swap, journal rewrite).",

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/ingest"
 )
 
 // postJSON posts v and returns the status and body.
@@ -38,6 +40,41 @@ func liveRows(ts0 int64) []map[string]any {
 		{"player": "live-1", "time": ts0, "action": "launch", "country": "Narnia", "city": "Cair", "role": "dwarf", "session": 3, "gold": 0},
 		{"player": "live-1", "time": ts0 + 90000, "action": "shop", "country": "Narnia", "city": "Cair", "role": "dwarf", "session": 3, "gold": 55},
 		{"player": "live-1", "time": ts0 + 180000, "action": "shop", "country": "Narnia", "city": "Cair", "role": "dwarf", "session": 4, "gold": 21},
+	}
+}
+
+// TestTableNameWithGlobMetacharacters pins that a table whose name holds a
+// glob metacharacter loads, takes an append and replays it after a restart:
+// the journal's directory is listed, never used as a glob pattern.
+func TestTableNameWithGlobMetacharacters(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "a[b")
+	cat := NewCatalogWith(dir, CatalogConfig{CompactRows: -1})
+	lt, _, _, err := cat.Get("a[b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []ingest.Row
+	for _, obj := range liveRows(1369000000) {
+		r, err := ingest.ParseRow(lt.Schema(), obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, r)
+	}
+	if err := lt.Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	cat.Close()
+
+	cat = NewCatalogWith(dir, CatalogConfig{CompactRows: -1})
+	defer cat.Close()
+	lt, _, _, err = cat.Get("a[b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := lt.Stats(); st.ReplayedRows != uint64(len(rows)) || st.DeltaRows != len(rows) {
+		t.Fatalf("replay after restart = %+v, want %d replayed rows", st, len(rows))
 	}
 }
 
