@@ -217,3 +217,31 @@ func TestGeneratedWorkloadEndToEnd(t *testing.T) {
 		t.Errorf("matrix render:\n%s", buf.String())
 	}
 }
+
+// TestHugeAgeBoundMatchesUnbounded pins the age cut's arithmetic: the kernel
+// ends each user's decode window at birth + bound × unit, and a bound that
+// admits every age must return exactly the unbounded result — the sum
+// saturates instead of wrapping into a cut before the first row.
+func TestHugeAgeBoundMatchesUnbounded(t *testing.T) {
+	eng, err := NewEngine(Generate(GenConfig{Users: 300, Seed: 29}), Options{ChunkSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sel = `SELECT country, COHORTSIZE, AGE, UserCount(), Count(), Sum(gold)
+		FROM GameActions BIRTH FROM action = "launch"`
+	want := query(t, eng, sel+` AGE ACTIVITIES IN action = "shop" COHORT BY country`).Cohort
+	if len(want.Rows) == 0 {
+		t.Fatal("fixture yields no rows")
+	}
+	for _, cond := range []string{
+		`AGE < 200000000000000`,
+		`AGE <= 9223372036854775807`,
+		`AGE BETWEEN 1 AND 9223372036854775807`,
+		`AGE < 106751991167301`, // birth + bound × one day passes MaxInt64
+	} {
+		got := query(t, eng, sel+` AGE ACTIVITIES IN action = "shop" AND `+cond+` COHORT BY country`).Cohort
+		if got.String() != want.String() {
+			t.Errorf("%s: %d rows, want the unbounded %d:\n%s", cond, len(got.Rows), len(want.Rows), got)
+		}
+	}
+}

@@ -259,6 +259,7 @@ func (t *chunkTracer) child(chunkIdx int) *obs.Span {
 func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 	if opts.Stats != nil {
 		opts.Stats.RowsScanned.Add(st.RowsScanned)
+		opts.Stats.RowsSkippedByAge.Add(st.RowsSkippedByAge)
 		opts.Stats.ValueBytesDecoded.Add(st.ValueBytesDecoded)
 		opts.Stats.EncodedChecks.Add(st.EncodedChecks)
 		opts.Stats.RunsEvaluated.Add(st.RunsEvaluated)
@@ -273,6 +274,7 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 	obs.ChunksScannedTotal.Inc()
 	if sp != nil {
 		sp.SetInt("rows_scanned", st.RowsScanned)
+		sp.SetInt("rows_skipped_by_age", st.RowsSkippedByAge)
 		sp.SetInt("value_bytes_decoded", st.ValueBytesDecoded)
 		sp.SetInt("encoded_checks", st.EncodedChecks)
 		sp.SetInt("runs_evaluated", st.RunsEvaluated)
@@ -280,6 +282,7 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 	}
 	if t := opts.Trace; t != nil {
 		t.AddInt("rows_scanned", st.RowsScanned)
+		t.AddInt("rows_skipped_by_age", st.RowsSkippedByAge)
 		t.AddInt("value_bytes_decoded", st.ValueBytesDecoded)
 		t.AddInt("encoded_checks", st.EncodedChecks)
 		t.AddInt("runs_evaluated", st.RunsEvaluated)

@@ -1,6 +1,8 @@
 package cohort
 
 import (
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/activity"
@@ -35,28 +37,35 @@ import (
 // across the whole scatter-gather fan-out of a query. The benchmark's
 // pushdown-selectivity sweep gates ValueBytesDecoded against its baseline.
 type ExecStats struct {
-	// RowsScanned counts activity tuples visited by the age-selection loop.
+	// RowsScanned counts the rows of the chunk kernel's decode windows: for
+	// each user that passes σb, the rows from the birth row up to the age
+	// bound (the whole rest of the block when the query has none).
 	RowsScanned atomic.Int64
+	// RowsSkippedByAge counts the rows of those users' blocks past the age
+	// bound — never decoded, because no pushed AGE conjunct admits them.
+	RowsSkippedByAge atomic.Int64
 	// ValueBytesDecoded counts bytes of column values materialized out of
-	// the encoded domain: dictionary strings surfaced to predicates (their
-	// byte length) and integers decoded for predicates or measures (8 bytes
-	// each). Encoded-domain checks do not count — that is the point.
+	// the encoded domain, 8 per integer: the time values of every decode
+	// window, the measure values folded into aggregates and integers decoded
+	// for residual predicates, plus the byte length of dictionary strings
+	// surfaced to residual predicates. Encoded-domain checks do not count —
+	// that is the point.
 	ValueBytesDecoded atomic.Int64
-	// EncodedChecks counts per-row predicate evaluations answered entirely
-	// in the encoded domain (chunk-id or delta-domain compares).
+	// EncodedChecks counts predicate evaluations answered entirely in the
+	// encoded domain: birth-search code compares, σb kernels on the birth
+	// row, pushed AGE verdicts per age span and column-kernel run verdicts.
 	EncodedChecks atomic.Int64
 	// ChunksScanned / ChunksPruned count the post-pruning scan fan-out vs
 	// the chunks skipped by birth-range pruning (Section 4.2).
 	ChunksScanned atomic.Int64
 	ChunksPruned  atomic.Int64
-	// RunsEvaluated counts (value-id, runLength) runs examined by the
-	// run-aware kernels: birth-search run compares, per-run age evaluations
-	// off the sorted time column, column-kernel run verdicts and measure-run
-	// folds. One run evaluation stands in for runLength per-row operations.
+	// RunsEvaluated counts the runs the kernel decides once for many rows:
+	// same-age spans off the sorted time column and (value-id, runLength)
+	// runs of a pushed column conjunct's codes.
 	RunsEvaluated atomic.Int64
 	// RowsBatched counts activity rows processed run-at-a-time by the chunk
-	// kernel (every sealed row it scans), so RowsBatched/RunsEvaluated is the
-	// realized amortization factor.
+	// kernel — every row of its decode windows, so it equals RowsScanned —
+	// and RowsBatched/RunsEvaluated is the realized amortization factor.
 	RowsBatched atomic.Int64
 }
 
@@ -66,6 +75,7 @@ type ExecStats struct {
 // per-task-with-merge shape that keeps the hot loop free of shared writes.
 type ChunkStats struct {
 	RowsScanned       int64
+	RowsSkippedByAge  int64
 	ValueBytesDecoded int64
 	EncodedChecks     int64
 	RunsEvaluated     int64
@@ -78,6 +88,18 @@ type pushdown struct {
 	ageConds []func(int64) bool
 	colConds []colCond
 	residual expr.Pred
+	// maxAge is the tightest upper age bound the pushed AGE conjuncts imply
+	// (they are AND-ed, so every one bounds the age); hasMaxAge is false when
+	// none does. An AGE reference left in the residual implies nothing.
+	maxAge    int64
+	hasMaxAge bool
+}
+
+// boundAge records that every admitted age is at most m.
+func (pd *pushdown) boundAge(m int64) {
+	if !pd.hasMaxAge || m < pd.maxAge {
+		pd.maxAge, pd.hasMaxAge = m, true
+	}
 }
 
 // colCond is one pushable column conjunct. bindCode resolves it against a
@@ -204,6 +226,12 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 				return false
 			}
 			v := lit.Int
+			switch {
+			case op == expr.OpLt && v > math.MinInt64:
+				pd.boundAge(v - 1)
+			case op == expr.OpLt, op == expr.OpLe, op == expr.OpEq:
+				pd.boundAge(v) // AGE < MinInt64 admits nothing; v bounds it too
+			}
 			pd.ageConds = append(pd.ageConds, func(age int64) bool { return intCmpHolds(op, age, v) })
 			return true
 		}
@@ -272,6 +300,9 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 					return false
 				}
 				vals = append(vals, v.Int)
+			}
+			if len(vals) > 0 {
+				pd.boundAge(slices.Max(vals))
 			}
 			pd.ageConds = append(pd.ageConds, func(age int64) bool {
 				for _, v := range vals {
@@ -364,6 +395,7 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 				return false
 			}
 			lo, hi := x.Lo.Int, x.Hi.Int
+			pd.boundAge(hi)
 			pd.ageConds = append(pd.ageConds, func(age int64) bool { return age >= lo && age <= hi })
 			return true
 		}

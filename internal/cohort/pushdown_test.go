@@ -1,6 +1,7 @@
 package cohort
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/expr"
@@ -40,6 +41,18 @@ func condFromBytes(data []byte) expr.Expr {
 	timeLits := []string{"2013-05-20", "2013-06-01", "1970-01-01", "299-12-31"}
 
 	strLit := func() expr.Value { return expr.S(strLits[int(next())%len(strLits)]) }
+	// AGE literals: small ages, and bounds so large that birth + bound ×
+	// unit leaves int64 — the kernel's age cut must saturate there.
+	ageLit := func() int64 {
+		switch b := next(); {
+		case b >= 248:
+			return math.MaxInt64 - int64(b-248)
+		case b >= 240:
+			return 200000000000000 + int64(b-240)
+		default:
+			return int64(b % 12)
+		}
+	}
 	ops := []expr.CmpOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
 
 	conjunct := func() expr.Expr {
@@ -68,7 +81,7 @@ func condFromBytes(data []byte) expr.Expr {
 				R: expr.Lit{Val: expr.S(timeLits[int(next())%len(timeLits)])}}
 		case 3: // AGE conjunct
 			op := ops[int(next())%len(ops)]
-			return expr.Cmp{Op: op, L: expr.Age{}, R: expr.Lit{Val: expr.I(int64(next() % 12))}}
+			return expr.Cmp{Op: op, L: expr.Age{}, R: expr.Lit{Val: expr.I(ageLit())}}
 		case 4: // string IN list
 			c := expr.Col{Name: strCols[int(next())%len(strCols)]}
 			list := make([]expr.Value, 1+next()%3)
@@ -83,8 +96,9 @@ func condFromBytes(data []byte) expr.Expr {
 				list[i] = expr.I(intLits[int(next())%len(intLits)])
 			}
 			return expr.In{L: c, List: list}
-		case 6: // BETWEEN over an integer or time column
-			if next()%2 == 0 {
+		case 6: // BETWEEN over an integer or time column, or over AGE
+			switch next() % 3 {
+			case 0:
 				lo := intLits[int(next())%len(intLits)]
 				hi := intLits[int(next())%len(intLits)]
 				if lo > hi {
@@ -92,9 +106,12 @@ func condFromBytes(data []byte) expr.Expr {
 				}
 				return expr.Between{L: expr.Col{Name: intCols[int(next())%len(intCols)]},
 					Lo: expr.I(lo), Hi: expr.I(hi)}
+			case 1:
+				return expr.Between{L: expr.Col{Name: "time"},
+					Lo: expr.S("2013-05-20"), Hi: expr.S("2013-06-10")}
+			default: // lo > hi admits no age
+				return expr.Between{L: expr.Age{}, Lo: expr.I(ageLit()), Hi: expr.I(ageLit())}
 			}
-			return expr.Between{L: expr.Col{Name: "time"},
-				Lo: expr.S("2013-05-20"), Hi: expr.S("2013-06-10")}
 		default: // a residual shape: OR tree or Birth() reference
 			if next()%2 == 0 {
 				return expr.Or{

@@ -1,66 +1,72 @@
 package cohort
 
-// The chunk kernel: Algorithms 1 and 2 run over one chunk, run at a time. The
-// storage format of Section 4.1 leaves long runs of equal codes in the
-// encoded columns: dimension attributes (country, role, …) are constant
-// across a user's block, the action and time columns run in bursts, and
-// sorted times make ages nondecreasing inside a block. runChunk exploits
-// that instead of flattening it away. Each referenced column's codes are
-// extracted once per chunk in a single sequential batch — the chunk is the
-// paper's processing unit, and one AppendRange pass costs a shift and a mask
-// per value where a row-at-a-time loop pays a random-access Get — and every
-// decision is then made once per (value-id, runLength) run over the flat code
-// arrays:
+// The chunk kernel: Algorithms 1 and 2 run over one chunk, user block at a
+// time. The storage format of Section 4.1 keeps each user's tuples together
+// and time-ordered, so the birth tuple, the ages and the rows a query can
+// aggregate all follow from the block's packed codes, and runChunk decodes
+// only the rows it can aggregate:
 //
-//   - the birth search compares one chunk-id per action run;
-//   - same-age spans end at the first timestamp of the next age, a bound
-//     computed once per span, so ages and pushed AGE conjuncts evaluate once
-//     per distinct age and the span walk is one compare per row;
+//   - the birth search compares packed action codes in place and stops at
+//     the first birth tuple; σb then reads that one row's codes (§4.2), so an
+//     unqualified user's block is skipped with nothing decoded (§4.3);
+//   - the decode window of a qualified user starts at the birth row (earlier
+//     rows have age <= 0 and are never aggregated) and ends at the age bound
+//     the pushed AGE conjuncts imply, found by a binary search on the packed
+//     time codes; time, conjunct codes and measures are read for that window
+//     only, and the rows past it are counted as RowsSkippedByAge;
+//   - same-age spans end at the first timestamp of the next age, so ages and
+//     pushed AGE conjuncts evaluate once per distinct age and the span walk
+//     is one compare per row;
 //   - pushed column conjuncts evaluate through a per-conjunct memo over the
-//     decoded codes: the kernel closure runs only when the code changes, so
-//     a run of k equal codes costs one encoded-domain verdict and k-1 cached
-//     reads, and a failing conjunct short-circuits the rest of the row;
-//   - the aggregation bucket is resolved once per age span, USER_COUNT
-//     increments once per span with survivors (ages strictly increase span
-//     to span, so that is one count per distinct age), and measure values
-//     fold off the batch-decoded codes.
+//     window's codes: the kernel closure runs only when the code changes, and
+//     a failing conjunct short-circuits the rest of the row;
+//   - with no per-row work left (no conjunct kernel, no residual, only COUNT
+//     and USER_COUNT) a surviving span folds whole: its length into COUNT and
+//     one user into USER_COUNT;
+//   - when every cohort key is a string column, the birth row's key chunk-ids
+//     index a per-chunk cohort memo, so the key bytes are built and the
+//     accumulator probed once per distinct cohort in the chunk, not per user.
 //
 // Residual conjuncts (Birth() references, OR trees, …) still run per
 // surviving row through the generic expr path. RowQuery.Scan over the
 // materialized table is the reference the kernel must match bit for bit —
 // the fuzz target and the union equivalence tests pin exactly that.
 
-import "sync"
+import (
+	"math"
+	"sync"
+
+	"repro/internal/encoding"
+	"repro/internal/storage"
+)
 
 // chunkScratch bundles every allocation a chunk scan needs — the expr
-// environment, the cohort-key buffer, the code buffers and the per-conjunct
-// kernel memo — so executors reuse one set per chunk task instead of
-// allocating per chunk. Recycled through scratchPool.
+// environment, the cohort-key buffer, the window code buffers, the
+// per-conjunct kernel memo and the cohort memo — so executors reuse one set
+// per chunk task instead of allocating per chunk. Recycled through
+// scratchPool.
 type chunkScratch struct {
 	env    chunkEnv
 	keyBuf []byte
 
-	actionBuf []uint64
-	timeBuf   []uint64
-	colBufs   [][]uint64 // chunk code batches, one per active conjunct
-	measBufs  [][]uint64 // chunk measure batches, one per aggregate
+	timeBuf []uint64   // the current decode window's time deltas
+	colBufs [][]uint64 // the current window's codes, one per active conjunct
 
 	// act is the chunk's kernel-bearing conjuncts, compacted so the per-row
 	// loop never branches over chunk-constant entries. The parallel slices
-	// hold each conjunct's lazily decoded chunk codes and its run memo.
+	// hold whether each conjunct's window codes are loaded, and its run memo
+	// (valid across the chunk: a verdict depends on the code alone).
 	act      []vecCond
-	vcCodes  [][]uint64
+	vcLoaded []bool
 	vcPrev   []uint64
 	vcVerd   []bool
 	vcValid  []bool
-	vcLoaded []bool
 
-	// Per-aggregate measure state: lazily decoded chunk codes (shared with a
-	// conjunct on the same column), the chunk frame minimum, and load flags.
-	measCodes  [][]uint64
-	measMin    []int64
-	measUse    []int // index into act whose codes a measure can share, or -1
-	measLoaded []bool
+	// memo is the per-chunk cohort memo: the cohort state of the birth rows
+	// whose key chunk-ids give slot Σ id[k]×memoStride[k] (see bindMemo).
+	memo       []*cohortState
+	memoCols   []int
+	memoStride []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(chunkScratch) }}
@@ -69,29 +75,25 @@ func getScratch() *chunkScratch { return scratchPool.Get().(*chunkScratch) }
 
 // putScratch returns scr to the pool, dropping the table/chunk references so
 // a pooled scratch never keeps a lazily-loaded segment reachable across
-// queries — the bound kernels in act capture the chunk, so they are cleared
-// too. The code buffers keep their capacity — that is the point.
+// queries — the bound kernels in act capture the chunk, and the cohort memo
+// points into the caller's accumulator, so both are cleared too. The code
+// buffers keep their capacity — that is the point.
 func putScratch(scr *chunkScratch) {
 	scr.env = chunkEnv{}
 	clear(scr.act)
 	scr.act = scr.act[:0]
+	clear(scr.memo)
 	scratchPool.Put(scr)
 }
 
-// growScratch sizes the per-conjunct and per-aggregate slices for a chunk
-// with nAct active conjuncts and nAggs aggregates, reusing prior capacity.
-func (scr *chunkScratch) growScratch(nAct, nAggs int) {
+// growScratch sizes the per-conjunct slices for a chunk with nAct active
+// conjuncts, reusing prior capacity.
+func (scr *chunkScratch) growScratch(nAct int) {
 	scr.colBufs = growSlice(scr.colBufs, nAct)
-	scr.vcCodes = growSlice(scr.vcCodes, nAct)
+	scr.vcLoaded = growSlice(scr.vcLoaded, nAct)
 	scr.vcPrev = growSlice(scr.vcPrev, nAct)
 	scr.vcVerd = growSlice(scr.vcVerd, nAct)
 	scr.vcValid = growSlice(scr.vcValid, nAct)
-	scr.vcLoaded = growSlice(scr.vcLoaded, nAct)
-	scr.measBufs = growSlice(scr.measBufs, nAggs)
-	scr.measCodes = growSlice(scr.measCodes, nAggs)
-	scr.measMin = growSlice(scr.measMin, nAggs)
-	scr.measUse = growSlice(scr.measUse, nAggs)
-	scr.measLoaded = growSlice(scr.measLoaded, nAggs)
 }
 
 // growSlice returns a slice of length n, preserving s's backing array when
@@ -101,6 +103,66 @@ func growSlice[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// bindMemo prepares the cohort memo for chunk ch when every cohort key is a
+// string column that is not binned time: a birth row's key chunk-ids, read
+// in mixed radix over the chunk's dictionary sizes, index a dense table of
+// cohort states. It reports false — the caller then keys every user through
+// appendKey — for time-binned or integer keys, or when the table would
+// outgrow the chunk (its clear must stay cheap next to the scan). Keys stay
+// value-encoded in the accumulator: the delta row path has no chunk-ids.
+func (scr *chunkScratch) bindMemo(keys []keySpec, ch *storage.Chunk) bool {
+	scr.memoCols, scr.memoStride = scr.memoCols[:0], scr.memoStride[:0]
+	size, limit := 1, max(ch.NumRows(), 256)
+	for _, k := range keys {
+		if k.isTime || !k.isString {
+			return false
+		}
+		scr.memoCols = append(scr.memoCols, k.col)
+		scr.memoStride = append(scr.memoStride, size)
+		if size *= ch.ChunkCardinality(k.col); size > limit {
+			return false
+		}
+	}
+	scr.memo = growSlice(scr.memo, size)
+	clear(scr.memo)
+	return true
+}
+
+// memoSlot returns the cohort-memo slot of the user born at birthRow.
+func (scr *chunkScratch) memoSlot(ch *storage.Chunk, birthRow int) int {
+	slot := 0
+	for i, col := range scr.memoCols {
+		slot += int(ch.ChunkID(col, birthRow)) * scr.memoStride[i]
+	}
+	return slot
+}
+
+// ageCutRow returns the end of a decode window that starts at birthRow: the
+// first row of [birthRow, end) older than maxAge. Ages are
+// (t - birth)/unit + 1 past the birth instant, so that is the first time
+// delta >= bRaw + maxAge×unit, found by a binary search on the block's
+// sorted packed time codes. The sum saturates: a bound past every
+// representable time cuts nothing.
+func ageCutRow(tf *encoding.FrameOfRef, birthRow, end int, bRaw uint64, maxAge, unit int64) int {
+	if maxAge < 1 {
+		return birthRow // no age the query aggregates is admitted
+	}
+	if uint64(maxAge) > (math.MaxUint64-bRaw)/uint64(unit) {
+		return end
+	}
+	limit := bRaw + uint64(maxAge)*uint64(unit)
+	lo, hi := birthRow+1, end // the birth row itself has age 0
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tf.Raw(mid) < limit {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // runChunk executes the fused σb → σg → γc pipeline (Algorithms 1 and 2)
@@ -146,8 +208,10 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 		vAge = c.agePush.bindVec(ch)
 		ageResidual = vAge.residual
 	}
-	rows := ch.NumRows()
-	tmin := ch.Ints(timeCol).Min()
+	tf := ch.Ints(timeCol)
+	tmin := tf.Min()
+	unitSecs := c.unit.Seconds()
+	ageCut := c.agePush != nil && c.agePush.hasMaxAge
 
 	// Compact the kernel-bearing conjuncts: chunk-constant entries either
 	// fail every block of the chunk (constFalse) or pass unconditionally and
@@ -166,43 +230,17 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 	scr.act = act
 	nAct := len(act)
 	nAggs := len(c.aggs)
-	scr.growScratch(nAct, nAggs)
-	for ci := 0; ci < nAct; ci++ {
-		scr.vcLoaded[ci] = false
-		scr.vcValid[ci] = false
-	}
-	// Measure aggregates: frame minima are chunk constants, and a measure on
-	// the same column as an integer conjunct shares its decoded codes.
+	scr.growScratch(nAct)
+	clear(scr.vcValid)
+	// With no per-row work left — no conjunct kernel, no residual, no
+	// measure — a surviving age span folds whole.
+	spanFold := nAct == 0 && ageResidual == nil
 	for ai := range c.aggs {
-		agg := &c.aggs[ai]
-		scr.measLoaded[ai] = false
-		if agg.fn == Count || agg.fn == UserCount {
-			continue
-		}
-		scr.measMin[ai] = ch.Ints(agg.col).Min()
-		scr.measUse[ai] = -1
-		for ci := range act {
-			if !act[ci].isString && act[ci].col == agg.col {
-				scr.measUse[ai] = ci
-				break
-			}
+		if fn := c.aggs[ai].fn; fn != Count && fn != UserCount {
+			spanFold = false
 		}
 	}
-	// The action column feeds the birth search of every block (and often a
-	// pushed conjunct too), so it is extracted for the whole chunk up front —
-	// the sequential batch costs about a nanosecond per code, far below the
-	// per-block loads it replaces.
-	scr.actionBuf = ch.AppendChunkIDs(scr.actionBuf[:0], actionCol, 0, rows)
-	actionCodes := scr.actionBuf
-	for ci := range act {
-		if act[ci].isString && act[ci].col == actionCol {
-			scr.vcCodes[ci] = actionCodes // the conjunct memo shares the batch
-			scr.vcLoaded[ci] = true
-		}
-	}
-	// The time column is decoded on the first block that survives the birth
-	// search and σb: every later step reads it (birth time, age boundaries).
-	var traw []uint64
+	useMemo := scr.bindMemo(c.keys, ch)
 	keyBuf := scr.keyBuf
 
 	// The modified TableScan of Section 4.3: one (u, f, n) triple of the RLE
@@ -214,27 +252,14 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 		if skipUsers != nil && skipUsers[gid] {
 			continue
 		}
-		// GetBirthTuple, run at a time: one chunk-id compare rejects a whole
-		// run of non-birth actions; the first matching run's first row is the
-		// birth tuple (time-ordering property).
-		birthRow := -1
-		for i := first; i < end; {
-			code := actionCodes[i]
-			j := i + 1
-			for j < end && actionCodes[j] == code {
-				j++
-			}
-			st.RunsEvaluated++
-			st.EncodedChecks++
-			if code == birthCID {
-				birthRow = i
-				break
-			}
-			i = j
-		}
+		// GetBirthTuple: the first row performing the birth action is the
+		// birth tuple (time-ordering property), found on the packed codes.
+		birthRow := ch.IndexChunkID(actionCol, birthCID, first, end)
 		if birthRow < 0 {
+			st.EncodedChecks += int64(n)
 			continue
 		}
+		st.EncodedChecks += int64(birthRow - first + 1)
 		env.userGID = gid
 		env.birth = birthRow
 		// σb touches the birth tuple only: the same kernels, applied to that
@@ -252,78 +277,104 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 				continue
 			}
 		}
-		if traw == nil {
-			scr.timeBuf = ch.AppendRawInts(scr.timeBuf[:0], timeCol, 0, rows)
-			traw = scr.timeBuf // raw frame-of-reference deltas: ts = tmin + traw[r]
+		bRaw := tf.Raw(birthRow)
+		birthTime := tmin + int64(bRaw)
+		var cs *cohortState
+		slot := -1
+		if useMemo {
+			slot = scr.memoSlot(ch, birthRow)
+			cs = scr.memo[slot]
 		}
-		// The batch extraction above is amortization; the decoded-bytes
-		// counter tracks time values the query consumes — this block's.
-		st.ValueBytesDecoded += 8 * int64(n)
-		birthTime := tmin + int64(traw[birthRow])
-		keyBuf = c.appendKey(keyBuf[:0], ch, birthRow, birthTime)
-		cs := acc.cohortBytes(keyBuf, func() []string { return c.displayKey(ch, birthRow, birthTime) })
+		if cs == nil {
+			keyBuf = c.appendKey(keyBuf[:0], ch, birthRow, birthTime)
+			cs = acc.cohortBytes(keyBuf, func() []string { return c.displayKey(ch, birthRow, birthTime) })
+			if slot >= 0 {
+				scr.memo[slot] = cs
+			}
+		}
 		cs.size++ // Hc[d_b[L]]++
-		st.RowsScanned += int64(n)
-		st.RowsBatched += int64(n)
 		if constFalse {
 			continue // a chunk-constant conjunct rejects every activity tuple
 		}
+
+		// The decode window: from the birth row to the age bound.
+		wStart, wEnd := birthRow, end
+		if ageCut {
+			wEnd = ageCutRow(tf, birthRow, end, bRaw, c.agePush.maxAge, unitSecs)
+		}
+		st.RowsSkippedByAge += int64(end - wEnd)
+		w := wEnd - wStart
+		if w == 0 {
+			continue
+		}
+		st.RowsScanned += int64(w)
+		st.RowsBatched += int64(w)
+		st.ValueBytesDecoded += 8 * int64(w)
+		scr.timeBuf = ch.AppendRawInts(scr.timeBuf[:0], timeCol, wStart, wEnd)
+		traw := scr.timeBuf // raw frame-of-reference deltas: ts = tmin + traw[i]
+		clear(scr.vcLoaded)
 
 		// Age selection off the sorted time column: one AgeOf per maximal
 		// same-age span, then the span end is the first timestamp of the next
 		// age — one integer compare per row, no division. Each span resolves
 		// its pushed AGE verdict and aggregation bucket once; the rows inside
 		// run through the conjunct memo, which re-evaluates a kernel only
-		// when its column's code changes (once per run).
-		for r := first; r < end; {
-			age := AgeOf(tmin+int64(traw[r]), birthTime, c.unit)
-			// First timestamp with a greater age, as a raw delta: birth for
-			// pre-birth rows (-1), birth+1 for the birth instant (0), the
-			// next unit boundary otherwise.
-			var thresh int64
-			switch {
-			case age < 0:
-				thresh = birthTime - tmin
-			case age == 0:
-				thresh = birthTime + 1 - tmin
-			default:
-				thresh = birthTime + age*c.unit.Seconds() - tmin
+		// when its column's code changes (once per run). Indices are window
+		// offsets: row wStart+i.
+		for i := 0; i < w; {
+			age := AgeOf(tmin+int64(traw[i]), birthTime, c.unit)
+			// First timestamp with a greater age, as a raw delta: birth+1
+			// for the birth instant (0), the next unit boundary otherwise.
+			thresh := birthTime + 1 - tmin
+			if age > 0 {
+				thresh = birthTime + age*unitSecs - tmin
 			}
-			spanEnd := r + 1
-			for spanEnd < end && int64(traw[spanEnd]) < thresh {
+			spanEnd := i + 1
+			for spanEnd < w && int64(traw[spanEnd]) < thresh {
 				spanEnd++
 			}
 			st.RunsEvaluated++
 			if age <= 0 {
-				r = spanEnd
+				i = spanEnd
 				continue
 			}
 			if len(vAge.ageConds) > 0 {
 				st.EncodedChecks++
 				if !vAge.passAge(age) {
-					r = spanEnd
+					i = spanEnd
 					continue
 				}
+			}
+			if spanFold {
+				b := cs.bucket(age, nAggs)
+				for ai := range c.aggs {
+					if c.aggs[ai].fn == Count {
+						b.states[ai].cnt += int64(spanEnd - i)
+					} else {
+						b.states[ai].users++
+					}
+				}
+				i = spanEnd
+				continue
 			}
 			var b *bucket // resolved at the span's first surviving row
 			if ageResidual != nil {
 				env.age = age
 			}
-			for ; r < spanEnd; r++ {
+			for ; i < spanEnd; i++ {
 				pass := true
 				for ci := 0; ci < nAct; ci++ {
 					if !scr.vcLoaded[ci] {
-						// Lazy chunk decode: a conjunct column every earlier
+						// Lazy window decode: a conjunct column every earlier
 						// check already rejected is never extracted.
 						if act[ci].isString {
-							scr.colBufs[ci] = ch.AppendChunkIDs(scr.colBufs[ci][:0], act[ci].col, 0, rows)
+							scr.colBufs[ci] = ch.AppendChunkIDs(scr.colBufs[ci][:0], act[ci].col, wStart, wEnd)
 						} else {
-							scr.colBufs[ci] = ch.AppendRawInts(scr.colBufs[ci][:0], act[ci].col, 0, rows)
+							scr.colBufs[ci] = ch.AppendRawInts(scr.colBufs[ci][:0], act[ci].col, wStart, wEnd)
 						}
-						scr.vcCodes[ci] = scr.colBufs[ci]
 						scr.vcLoaded[ci] = true
 					}
-					code := scr.vcCodes[ci][r]
+					code := scr.colBufs[ci][i]
 					if !scr.vcValid[ci] || code != scr.vcPrev[ci] {
 						// A new run of this column: one encoded-domain kernel
 						// verdict covers it until the code changes again.
@@ -345,7 +396,7 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 				// was pushable) run per surviving row; value decodes go
 				// through the env and are tallied there.
 				if ageResidual != nil {
-					env.row = r
+					env.row = wStart + i
 					if !ageResidual(env) {
 						continue
 					}
@@ -368,17 +419,10 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 						b.states[ai].cnt++
 					case UserCount: // handled at the span's first survivor
 					default:
-						if !scr.measLoaded[ai] {
-							if ci := scr.measUse[ai]; ci >= 0 && scr.vcLoaded[ci] {
-								scr.measCodes[ai] = scr.vcCodes[ci]
-							} else {
-								scr.measBufs[ai] = ch.AppendRawInts(scr.measBufs[ai][:0], agg.col, 0, rows)
-								scr.measCodes[ai] = scr.measBufs[ai]
-							}
-							scr.measLoaded[ai] = true
-						}
+						// Measures are read per surviving row, straight off
+						// the packed codes.
 						st.ValueBytesDecoded += 8
-						b.states[ai].addMeasureRun(scr.measMin[ai]+int64(scr.measCodes[ai][r]), 1)
+						b.states[ai].addMeasureRun(ch.Int(agg.col, wStart+i), 1)
 					}
 				}
 			}

@@ -80,8 +80,12 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 // materialized rows — same cohorts, same ages, same float64 bits — across
 // every aggregate function at once, at chunk sizes from one user per chunk
 // up. Conditions reuse the pushdown fuzzer's generator, so in-dictionary and
-// absent literals, out-of-range integers, IN/BETWEEN, AGE conjuncts, OR
-// residuals and Birth() references all reach the kernels.
+// absent literals, out-of-range integers, IN/BETWEEN, AGE conjuncts (and the
+// age cut they imply, up to bounds past int64), OR residuals and Birth()
+// references all reach the kernels. The shape byte picks the COHORT BY list —
+// string keys take the per-chunk cohort memo, time-binned and integer keys
+// its fallback — and whether the aggregates are all six functions or COUNT
+// and USER_COUNT alone, the lists the whole-span fold serves.
 func FuzzVectorizedExec(f *testing.F) {
 	var tbls []*storage.Table
 	for _, size := range []int{1, 7, 120} {
@@ -89,13 +93,47 @@ func FuzzVectorizedExec(f *testing.F) {
 	}
 	rows := mustMaterialize(f, tbls[0])
 	schema := rows.Schema()
+	cohortBys := [][]CohortKey{
+		{{Col: "country"}},
+		{{Col: "role"}},
+		{{Col: "country"}, {Col: "role"}},
+		{{Col: "time", Bin: Week}},
+		{{Col: "session"}},
+	}
+	aggLists := [][]AggSpec{
+		{
+			{Func: Count},
+			{Func: UserCount},
+			{Func: Sum, Col: "gold"},
+			{Func: Avg, Col: "session"},
+			{Func: Min, Col: "gold"},
+			{Func: Max, Col: "session"},
+		},
+		{{Func: UserCount}, {Func: Count}},
+	}
 
-	f.Add([]byte{0}, []byte{0})
-	f.Add([]byte{1, 3, 2, 0, 1}, []byte{3, 1, 2, 2, 6, 0, 7, 7, 7})
-	f.Add([]byte{2, 5, 4, 1}, []byte{1, 0, 5, 2, 3, 9, 250, 17})
-	f.Add([]byte{}, []byte{7, 1, 6, 0, 2})
+	f.Add(byte(0), []byte{0}, []byte{0})
+	f.Add(byte(2), []byte{1, 3, 2, 0, 1}, []byte{3, 1, 2, 2, 6, 0, 7, 7, 7})
+	f.Add(byte(3), []byte{2, 5, 4, 1}, []byte{1, 0, 5, 2, 3, 9, 250, 17})
+	f.Add(byte(4), []byte{}, []byte{7, 1, 6, 0, 2})
+	// The age cut: AGE < 1 (an empty window), AGE = k, AGE BETWEEN lo AND
+	// hi, bounds near MaxInt64 and past where birth + bound × unit leaves
+	// int64, alone and after action = "shop", with both aggregate lists.
+	for _, age := range [][]byte{
+		{3, 2, 1},                   // AGE < 1
+		{3, 0, 3},                   // AGE = 3
+		{6, 2, 2, 5},                // AGE BETWEEN 2 AND 5
+		{3, 2, 248},                 // AGE < MaxInt64
+		{3, 3, 255},                 // AGE <= MaxInt64-7
+		{3, 2, 240},                 // AGE < 200000000000000
+		{6, 2, 1, 248},              // AGE BETWEEN 1 AND MaxInt64
+		{0, 3, 1, 1, 4, 1, 3, 2, 4}, // action = "shop" AND AGE < 4
+	} {
+		f.Add(byte(0), []byte{}, age)
+		f.Add(byte(7), []byte{}, age)
+	}
 
-	f.Fuzz(func(t *testing.T, birthData, ageData []byte) {
+	f.Fuzz(func(t *testing.T, shape byte, birthData, ageData []byte) {
 		birthCond := condFromBytes(birthData)
 		if expr.UsesBirth(birthCond) || expr.UsesAge(birthCond) {
 			birthCond = nil // not a legal σb condition; keep the query valid
@@ -104,15 +142,8 @@ func FuzzVectorizedExec(f *testing.F) {
 			BirthAction: "launch",
 			BirthCond:   birthCond,
 			AgeCond:     condFromBytes(ageData),
-			CohortBy:    []CohortKey{{Col: "country"}},
-			Aggs: []AggSpec{
-				{Func: Count},
-				{Func: UserCount},
-				{Func: Sum, Col: "gold"},
-				{Func: Avg, Col: "session"},
-				{Func: Min, Col: "gold"},
-				{Func: Max, Col: "session"},
-			},
+			CohortBy:    cohortBys[int(shape)%len(cohortBys)],
+			Aggs:        aggLists[int(shape)/len(cohortBys)%len(aggLists)],
 		}
 		if err := q.Validate(schema); err != nil {
 			return // ill-typed condition (e.g. unparseable date literal)
@@ -162,6 +193,85 @@ func TestVectorizedStats(t *testing.T) {
 	if vec.RowsScanned.Load() != vec.RowsBatched.Load() {
 		t.Fatalf("vectorized path scanned %d rows but batched %d — every scanned row should be batched",
 			vec.RowsScanned.Load(), vec.RowsBatched.Load())
+	}
+}
+
+// scanStats runs q over tbl, checks the result against the row oracle and
+// returns the kernel's counters.
+func scanStats(t *testing.T, tbl *storage.Table, q *Query) *ExecStats {
+	t.Helper()
+	if err := q.Validate(tbl.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(q, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ExecStats
+	got, err := Run(c, RunOptions{Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "chunk kernel vs row reference", got, rowReference(t, q, mustMaterialize(t, tbl)))
+	if st.RowsScanned.Load() != st.RowsBatched.Load() {
+		t.Fatalf("scanned %d rows but batched %d", st.RowsScanned.Load(), st.RowsBatched.Load())
+	}
+	return &st
+}
+
+// TestAgeBoundShrinksScan is Figure 9's shape read off the counters: the
+// decode window ends at the age bound, so a tighter AGE < g scans fewer rows
+// and skips the rest, while the unbounded query skips none.
+func TestAgeBoundShrinksScan(t *testing.T) {
+	tbl := vectorFixture(t)
+	shop := expr.Cmp{Op: expr.OpEq, L: expr.Col{Name: "action"}, R: expr.Lit{Val: expr.S("shop")}}
+	query := func(g int64) *Query {
+		q := &Query{
+			BirthAction: "launch",
+			AgeCond:     shop,
+			CohortBy:    []CohortKey{{Col: "country"}},
+			Aggs:        []AggSpec{{Func: UserCount}, {Func: Sum, Col: "gold"}},
+		}
+		if g > 0 {
+			q.AgeCond = expr.And{L: shop, R: expr.Cmp{Op: expr.OpLt, L: expr.Age{}, R: expr.Lit{Val: expr.I(g)}}}
+		}
+		return q
+	}
+	a2, a8, all := scanStats(t, tbl, query(2)), scanStats(t, tbl, query(8)), scanStats(t, tbl, query(0))
+	if !(a2.RowsScanned.Load() < a8.RowsScanned.Load() && a8.RowsScanned.Load() < all.RowsScanned.Load()) {
+		t.Fatalf("rows scanned AGE<2 %d, AGE<8 %d, unbounded %d: want strictly increasing",
+			a2.RowsScanned.Load(), a8.RowsScanned.Load(), all.RowsScanned.Load())
+	}
+	if all.RowsSkippedByAge.Load() != 0 || a2.RowsSkippedByAge.Load() <= a8.RowsSkippedByAge.Load() {
+		t.Fatalf("rows skipped by age AGE<2 %d, AGE<8 %d, unbounded %d: want decreasing to 0",
+			a2.RowsSkippedByAge.Load(), a8.RowsSkippedByAge.Load(), all.RowsSkippedByAge.Load())
+	}
+	// The same users qualify at every bound: window + skipped is constant.
+	for _, st := range []*ExecStats{a2, a8} {
+		if n := st.RowsScanned.Load() + st.RowsSkippedByAge.Load(); n != all.RowsScanned.Load() {
+			t.Fatalf("scanned + skipped = %d, want the unbounded scan %d", n, all.RowsScanned.Load())
+		}
+	}
+}
+
+// TestBirthRangeShrinksScan is Figure 8's shape read off the counters: σb
+// rejects a user on the birth row alone, so a narrower birth-time range
+// scans fewer rows.
+func TestBirthRangeShrinksScan(t *testing.T) {
+	tbl := vectorFixture(t)
+	query := func(days int64) *Query {
+		return &Query{
+			BirthAction: "launch",
+			BirthCond: expr.Between{L: expr.Col{Name: "time"},
+				Lo: expr.I(gen.StartTime), Hi: expr.I(gen.StartTime + days*activity.SecondsPerDay)},
+			CohortBy: []CohortKey{{Col: "country"}},
+			Aggs:     []AggSpec{{Func: UserCount}, {Func: Count}},
+		}
+	}
+	narrow, wide := scanStats(t, tbl, query(1)), scanStats(t, tbl, query(6))
+	if !(0 < narrow.RowsScanned.Load() && narrow.RowsScanned.Load() < wide.RowsScanned.Load()) {
+		t.Fatalf("rows scanned: 1-day birth range %d, 6-day range %d: want 0 < narrow < wide",
+			narrow.RowsScanned.Load(), wide.RowsScanned.Load())
 	}
 }
 

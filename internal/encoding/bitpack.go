@@ -248,6 +248,50 @@ func unpackBytewise(out []uint64, data []byte, bitPos, width uint64) {
 	}
 }
 
+// Index returns the first position in [start, end) whose value is v, or -1
+// when none is. It reads the packed bytes directly — the load, shift and mask
+// of AppendRange plus a compare — so a search that stops early never pays for
+// the values past its hit. Bounds follow Get's contract.
+func (b *BitPacked) Index(v uint64, start, end int) int {
+	if start >= end {
+		return -1
+	}
+	width := uint64(b.width)
+	// Positions that begin before the last 7 bytes load in one unaligned
+	// read, as in AppendRange; the tail and wide values go through Get.
+	fast := start
+	if width <= 57 && len(b.data) >= 8 {
+		loadable := int((uint64(len(b.data)-7)*8 + width - 1) / width)
+		fast = max(start, min(end, loadable))
+	}
+	if i := indexBytewise(b.data, uint64(start)*width, width, v, fast-start); i >= 0 {
+		return start + i
+	}
+	for i := fast; i < end; i++ {
+		if b.Get(i) == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// indexBytewise returns the index of the first of n width-bit values starting
+// at bitPos that equals v, or -1; see unpackBytewise for the load and why the
+// loop is a function of its own.
+//
+//go:noinline
+func indexBytewise(data []byte, bitPos, width, v uint64, n int) int {
+	mask := uint64(1)<<width - 1
+	for i := 0; i < n; i++ {
+		off := bitPos >> 3
+		if binary.LittleEndian.Uint64(data[off:off+8:off+8])>>(bitPos&7)&mask == v {
+			return i
+		}
+		bitPos += width
+	}
+	return -1
+}
+
 // AppendTo serializes the packed array: width (1 byte), count (uvarint),
 // then the words in little-endian order.
 func (b *BitPacked) AppendTo(dst []byte) []byte {

@@ -439,6 +439,45 @@ func TestBitPackedAppendRange(t *testing.T) {
 	}
 }
 
+// TestBitPackedIndex pins the packed-code search to a linear scan over the
+// plain values, on small alphabets (so hits are common) at every width class:
+// the unaligned-load path, the tail past it and the wide Get fallback.
+func TestBitPackedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, width := range []uint{1, 3, 8, 13, 57, 58, 64} {
+		n := 150
+		values := make([]uint64, n)
+		for i := range values {
+			values[i] = uint64(rng.Intn(5))
+			if width == 64 && i%7 == 0 {
+				values[i] = 1<<64 - 1 - uint64(rng.Intn(2))
+			}
+			if width < 64 {
+				values[i] &= 1<<width - 1
+			}
+		}
+		b := PackUint64Width(values, width)
+		for trial := 0; trial < 300; trial++ {
+			start := rng.Intn(n + 1)
+			end := start + rng.Intn(n+1-start)
+			v := values[rng.Intn(n)]
+			if trial%10 == 0 {
+				v = 99 // never packed: a miss
+			}
+			want := -1
+			for i := start; i < end; i++ {
+				if values[i] == v {
+					want = i
+					break
+				}
+			}
+			if got := b.Index(v, start, end); got != want {
+				t.Fatalf("width %d: Index(%d, %d, %d) = %d, want %d", width, v, start, end, got, want)
+			}
+		}
+	}
+}
+
 func TestFrameOfRefAppendRaw(t *testing.T) {
 	values := []int64{-40, -40, -39, 0, 13, 13, 13, 90, -40}
 	f := EncodeFrameOfRef(values)

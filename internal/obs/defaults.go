@@ -26,7 +26,7 @@ var (
 	QueriesTotal = Default.Counter("cohana_queries_total",
 		"Cohort queries executed by the engine (cache misses and uncached queries).")
 	RowsScannedTotal = Default.Counter("cohana_rows_scanned_total",
-		"Rows visited by chunk scans after pruning, summed over all queries.")
+		"Rows in the chunk kernel's decode windows (birth row to age bound of each qualified user), summed over all queries.")
 	ValueBytesDecodedTotal = Default.Counter("cohana_value_bytes_decoded_total",
 		"Value bytes decoded from chunk columns; the pushdown keeps this below the generic path.")
 	EncodedChecksTotal = Default.Counter("cohana_encoded_checks_total",
@@ -34,7 +34,7 @@ var (
 	RunsEvaluatedTotal = Default.Counter("cohana_runs_evaluated_total",
 		"(value-id, runLength) runs examined by the run-aware vectorized kernels; one run evaluation covers runLength rows.")
 	RowsBatchedTotal = Default.Counter("cohana_rows_batched_total",
-		"Rows processed run-at-a-time by the vectorized execution path (the scalar reference path contributes zero).")
+		"Rows processed run-at-a-time by the chunk kernel; equals cohana_rows_scanned_total.")
 	ChunksScannedTotal = Default.Counter("cohana_chunks_scanned_total",
 		"Chunks scanned by queries (post-pruning).")
 	ChunksPrunedTotal = Default.Counter("cohana_chunks_pruned_total",

@@ -116,9 +116,10 @@ func TestStreamingPushdownMatchesMaterializedProperty(t *testing.T) {
 
 // TestPushdownDecodesFewerBytes pins the point of decoder-level predicates:
 // with every conjunct pushed, the kernel decodes only the time column of each
-// qualified user's block and the measure of each surviving age row — never a
-// string, never a value a rejected row holds. The expected byte count is
-// computed from the materialized rows.
+// qualified user's decode window (birth row to block end, the query has no
+// age bound) and the measure of each surviving age row — never a string,
+// never a value a rejected row holds. The expected byte count is computed
+// from the materialized rows.
 func TestPushdownDecodesFewerBytes(t *testing.T) {
 	full := gen.Generate(gen.Config{Users: 100, Days: 14, MeanActions: 12, Seed: 13})
 	if err := full.SortByPK(); err != nil {
@@ -147,9 +148,9 @@ func TestPushdownDecodesFewerBytes(t *testing.T) {
 		if birth < 0 || countries[birth] != "China" {
 			return
 		}
-		wantRows += int64(end - start)
-		wantBytes += 8 * int64(end-start) // the block's timestamps
-		for r := start; r < end; r++ {
+		wantRows += int64(end - birth)    // the decode window: birth row to block end
+		wantBytes += 8 * int64(end-birth) // the window's timestamps
+		for r := birth; r < end; r++ {
 			if cohort.AgeOf(times[r], times[birth], q.AgeUnit) > 0 && actions[r] == "shop" && gold[r] > 5 {
 				wantBytes += 8 // Sum(gold)
 			}
@@ -166,7 +167,7 @@ func TestPushdownDecodesFewerBytes(t *testing.T) {
 	}
 	requireBitEqual(t, "pushdown vs row reference", got, rowReference(t, q, rows))
 	if n := stats.RowsScanned.Load(); n != wantRows {
-		t.Fatalf("scanned %d rows, want %d (the qualified users' blocks)", n, wantRows)
+		t.Fatalf("scanned %d rows, want %d (the qualified users' decode windows)", n, wantRows)
 	}
 	if n := stats.ValueBytesDecoded.Load(); n != wantBytes {
 		t.Fatalf("decoded %d value bytes, want %d", n, wantBytes)

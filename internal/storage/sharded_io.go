@@ -675,9 +675,9 @@ func segmentName(path, hash string) string {
 // "" when the name has another shape (hand-renamed files stay loadable;
 // their chunks just re-hash on the next commit).
 func hashFromSegmentName(path, name string) string {
-	rest := strings.TrimPrefix(name, filepath.Base(path)+".g")
-	rest = strings.TrimSuffix(rest, SegmentExt)
-	if len(rest) != 32 {
+	rest, okPrefix := strings.CutPrefix(name, filepath.Base(path)+".g")
+	rest, okSuffix := strings.CutSuffix(rest, SegmentExt)
+	if !okPrefix || !okSuffix || len(rest) != 32 {
 		return ""
 	}
 	if _, err := hex.DecodeString(rest); err != nil {
@@ -713,15 +713,48 @@ func previousManifestVersion(path string) int {
 	return 0
 }
 
-// listSegments globs every segment file belonging to the table at path, of
-// either manifest generation (v1 segments embed a version, v2 segments a
-// content hash; both share the table basename prefix and extension).
+// listSegments lists every segment file belonging to the table at path, of
+// either manifest generation: <base>.g<32 hex>.cohseg (v2+, a content hash)
+// or <base>.v<n>.s<i>.cohseg (v1, a version and a shard). The directory is
+// read and each name parsed, never globbed: a table name may hold *, ? or [,
+// and a pattern built from it would match — and the sweep delete — another
+// table's segments, or fail to parse and sweep nothing.
 func listSegments(path string) []string {
-	files, err := filepath.Glob(filepath.Join(filepath.Dir(path), filepath.Base(path)+".*"+SegmentExt))
+	dir := filepath.Dir(path)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
+	var files []string
+	for _, e := range entries {
+		if name := e.Name(); hashFromSegmentName(path, name) != "" || isV1SegmentName(path, name) {
+			files = append(files, filepath.Join(dir, name))
+		}
+	}
 	return files
+}
+
+// isV1SegmentName reports whether name is <base>.v<digits>.s<digits>.cohseg
+// for the table at path.
+func isV1SegmentName(path, name string) bool {
+	rest, ok := strings.CutPrefix(name, filepath.Base(path)+".v")
+	if !ok {
+		return false
+	}
+	if rest, ok = strings.CutSuffix(rest, SegmentExt); !ok {
+		return false
+	}
+	version, shard, ok := strings.Cut(rest, ".s")
+	return ok && isDigits(version) && isDigits(shard)
+}
+
+func isDigits(s string) bool {
+	for _, r := range s {
+		if r < '0' || r > '9' {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // sweepSegments removes segment files of the table at path that are not in

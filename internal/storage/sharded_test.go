@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -254,4 +255,85 @@ func TestShardedDictionaryView(t *testing.T) {
 	if s.HasString(col, "Atlantis") {
 		t.Fatal("HasString invented a country")
 	}
+}
+
+// TestSweepKeepsOtherTablesSegments pins the segment sweep to the committed
+// table's own files: committing a table whose name is a glob matching
+// another table's must leave that table's segments alone.
+func TestSweepKeepsOtherTablesSegments(t *testing.T) {
+	dir := t.TempDir()
+	s := buildWorkload(t)
+	ab := filepath.Join(dir, "ab.cohana")
+	if _, err := CommitSharded(ab, s); err != nil {
+		t.Fatal(err)
+	}
+	before := countSegments(t, dir, "ab.cohana")
+	if before != s.NumChunks() {
+		t.Fatalf("%d segments of ab, want %d", before, s.NumChunks())
+	}
+	if _, err := CommitSharded(filepath.Join(dir, "a*.cohana"), smallWorkload(t)); err != nil {
+		t.Fatal(err)
+	}
+	if got := countSegments(t, dir, "ab.cohana"); got != before {
+		t.Fatalf("ab has %d segments after committing a*, want %d", got, before)
+	}
+	back, err := ReadSharded(ab)
+	if err != nil {
+		t.Fatalf("reopening ab after committing a*: %v", err)
+	}
+	if back.NumRows() != s.NumRows() {
+		t.Fatalf("ab reopened with %d rows, want %d", back.NumRows(), s.NumRows())
+	}
+}
+
+// TestSweepGlobSyntaxTableName pins the sweep for a table whose name is not
+// a well-formed pattern ("a[b"): its stale segments go like any other's.
+func TestSweepGlobSyntaxTableName(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a[b.cohana")
+	if _, err := CommitSharded(path, buildWorkload(t)); err != nil {
+		t.Fatal(err)
+	}
+	other := smallWorkload(t)
+	if _, err := CommitSharded(path, other); err != nil {
+		t.Fatal(err)
+	}
+	if got := countSegments(t, dir, "a[b.cohana"); got != other.NumChunks() {
+		t.Fatalf("a[b keeps %d segments after recommitting, want %d (stale ones swept)", got, other.NumChunks())
+	}
+	back, err := ReadSharded(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumRows() != other.NumRows() {
+		t.Fatalf("a[b reopened with %d rows, want %d", back.NumRows(), other.NumRows())
+	}
+}
+
+// smallWorkload is a table with other content than buildWorkload's, so none
+// of its segments share a name with that one's.
+func smallWorkload(t *testing.T) *Sharded {
+	t.Helper()
+	s, err := BuildSharded(gen.Generate(gen.Config{Users: 20, Days: 5, MeanActions: 6, Seed: 4}), 1, Options{ChunkSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// countSegments counts the segment files of table base in dir by name
+// alone, independently of listSegments.
+func countSegments(t *testing.T, dir, base string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), base+".") && strings.HasSuffix(e.Name(), SegmentExt) {
+			n++
+		}
+	}
+	return n
 }

@@ -343,6 +343,13 @@ func (c *Chunk) AppendChunkIDs(dst []uint64, col, start, end int) []uint64 {
 	return c.cols[col].ids.AppendRange(dst, start, end)
 }
 
+// IndexChunkID returns the first row in [start, end) whose string column col
+// holds chunk-id cid, or -1 — the birth search of a user block, run on the
+// packed codes without extracting them.
+func (c *Chunk) IndexChunkID(col int, cid uint64, start, end int) int {
+	return c.cols[col].ids.Index(cid, start, end)
+}
+
 // AppendRawInts appends the frame-of-reference deltas of integer column col
 // for rows [start, end) to dst — the batch form of Ints(col).Raw.
 func (c *Chunk) AppendRawInts(dst []uint64, col, start, end int) []uint64 {
