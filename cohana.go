@@ -158,11 +158,13 @@ type Options struct {
 	// the paper's 256K default.
 	ChunkSize int
 	// Shards is the number of user-hash partitions of the table. Each shard
-	// owns its own chunks, delta store, journal and compaction lifecycle,
-	// and queries scatter-gather over the shards; results are bit-identical
-	// to an unsharded table. 0 or 1 keeps the single-shard layout (and the
-	// legacy single-file format on Save); opening an existing table with a
-	// differing count reshards it.
+	// owns its own chunks, delta store and compaction lifecycle, and queries
+	// scatter-gather over the shards; results are bit-identical to an
+	// unsharded table. The table keeps one journal whatever the count (see
+	// Journal), so a batch spanning shards is still one fsync. 0 or 1 keeps
+	// a single shard; Save writes the same
+	// manifest-plus-segments layout at any count, and opening an existing
+	// table with a differing count reshards it.
 	Shards int
 	// Parallelism is the number of chunks processed concurrently: 0 or 1
 	// single-threaded (the paper's setting), negative for GOMAXPROCS.

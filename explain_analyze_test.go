@@ -50,6 +50,7 @@ func TestExplainAnalyzePinned(t *testing.T) {
 		"rows_scanned=",
 		"value_bytes_decoded=",
 		"encoded_checks=",
+		"users_skipped_by_birth=",
 		"delta union:",
 		"result_rows=",
 	} {
@@ -103,6 +104,9 @@ func TestExplainAnalyzePinned(t *testing.T) {
 	if got, want := sh.Int("encoded_checks"), stats.EncodedChecks.Load(); got != want {
 		t.Errorf("trace encoded_checks = %d, ExecStats = %d", got, want)
 	}
+	if got, want := sh.Int("users_skipped_by_birth"), stats.UsersSkippedByBirth.Load(); got != want {
+		t.Errorf("trace users_skipped_by_birth = %d, ExecStats = %d", got, want)
+	}
 	if got, want := sh.Int("chunks_scanned"), stats.ChunksScanned.Load(); got != want {
 		t.Errorf("trace chunks_scanned = %d, ExecStats = %d", got, want)
 	}
@@ -110,16 +114,18 @@ func TestExplainAnalyzePinned(t *testing.T) {
 		t.Errorf("trace chunks_pruned = %d, ExecStats = %d", got, want)
 	}
 	// Per-chunk spans sum to the shard aggregates.
-	var chunkRows, chunkBytes int64
+	var chunkRows, chunkBytes, chunkSkipped int64
 	for _, c := range sh.Children {
 		if strings.HasPrefix(c.Name, "chunk ") {
 			chunkRows += c.Int("rows_scanned")
 			chunkBytes += c.Int("value_bytes_decoded")
+			chunkSkipped += c.Int("users_skipped_by_birth")
 		}
 	}
-	if chunkRows != sh.Int("rows_scanned") || chunkBytes != sh.Int("value_bytes_decoded") {
-		t.Errorf("chunk spans (rows=%d bytes=%d) do not sum to shard aggregates (rows=%d bytes=%d)",
-			chunkRows, chunkBytes, sh.Int("rows_scanned"), sh.Int("value_bytes_decoded"))
+	if chunkRows != sh.Int("rows_scanned") || chunkBytes != sh.Int("value_bytes_decoded") ||
+		chunkSkipped != sh.Int("users_skipped_by_birth") {
+		t.Errorf("chunk spans (rows=%d bytes=%d skipped=%d) do not sum to shard aggregates (rows=%d bytes=%d skipped=%d)",
+			chunkRows, chunkBytes, chunkSkipped, sh.Int("rows_scanned"), sh.Int("value_bytes_decoded"), sh.Int("users_skipped_by_birth"))
 	}
 	// And the measured text agrees with the span numbers it renders.
 	rowsRE := regexp.MustCompile(`shard 0:.*[ ,]rows_scanned=(\d+)`)

@@ -31,6 +31,10 @@ type Compiled struct {
 	// plain compiled predicate above runs, at zero extra cost.
 	birthPush *pushdown
 	agePush   *pushdown
+	// birthTime is the intersection of σb's pushed range conjuncts on the
+	// time column, taken out of birthPush: the kernel tests it on the birth
+	// index's time codes. nil when σb pushes no time range.
+	birthTime *valRange
 
 	keys []keySpec
 	aggs []boundAgg
@@ -69,6 +73,11 @@ func Compile(q *Query, tbl *storage.Table) (*Compiled, error) {
 		}
 	}
 	c.birthPush = compilePushdown(q.BirthCond, schema, tbl)
+	if c.birthPush != nil {
+		if r, ok := c.birthPush.takeRange(schema.TimeCol()); ok {
+			c.birthTime = &r
+		}
+	}
 	c.agePush = compilePushdown(q.AgeCond, schema, tbl)
 	c.keys, c.aggs = bindQuery(q, schema)
 	return c, nil

@@ -262,6 +262,7 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 		opts.Stats.RowsSkippedByAge.Add(st.RowsSkippedByAge)
 		opts.Stats.ValueBytesDecoded.Add(st.ValueBytesDecoded)
 		opts.Stats.EncodedChecks.Add(st.EncodedChecks)
+		opts.Stats.UsersSkippedByBirth.Add(st.UsersSkippedByBirth)
 		opts.Stats.RunsEvaluated.Add(st.RunsEvaluated)
 		opts.Stats.RowsBatched.Add(st.RowsBatched)
 		opts.Stats.ChunksScanned.Add(1)
@@ -277,6 +278,7 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 		sp.SetInt("rows_skipped_by_age", st.RowsSkippedByAge)
 		sp.SetInt("value_bytes_decoded", st.ValueBytesDecoded)
 		sp.SetInt("encoded_checks", st.EncodedChecks)
+		sp.SetInt("users_skipped_by_birth", st.UsersSkippedByBirth)
 		sp.SetInt("runs_evaluated", st.RunsEvaluated)
 		sp.SetInt("rows_batched", st.RowsBatched)
 	}
@@ -285,6 +287,7 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 		t.AddInt("rows_skipped_by_age", st.RowsSkippedByAge)
 		t.AddInt("value_bytes_decoded", st.ValueBytesDecoded)
 		t.AddInt("encoded_checks", st.EncodedChecks)
+		t.AddInt("users_skipped_by_birth", st.UsersSkippedByBirth)
 		t.AddInt("runs_evaluated", st.RunsEvaluated)
 		t.AddInt("rows_batched", st.RowsBatched)
 		t.AddInt("chunks_scanned", 1)

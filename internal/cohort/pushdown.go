@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/activity"
+	"repro/internal/encoding"
 	"repro/internal/expr"
 	"repro/internal/storage"
 )
@@ -52,9 +53,15 @@ type ExecStats struct {
 	// that is the point.
 	ValueBytesDecoded atomic.Int64
 	// EncodedChecks counts predicate evaluations answered entirely in the
-	// encoded domain: birth-search code compares, σb kernels on the birth
-	// row, pushed AGE verdicts per age span and column-kernel run verdicts.
+	// encoded domain: the birth search's code compares (on the scan that
+	// builds a chunk's birth index only), σb's time range on the indexed
+	// birth time, σb's other kernels on the birth row, pushed AGE verdicts
+	// per age span and column-kernel run verdicts.
 	EncodedChecks atomic.Int64
+	// UsersSkippedByBirth counts the users of scanned chunks the birth index
+	// rejects alone — never born, or born outside σb's pushed time range —
+	// whose user run and block are never read (Figure 8's lever).
+	UsersSkippedByBirth atomic.Int64
 	// ChunksScanned / ChunksPruned count the post-pruning scan fan-out vs
 	// the chunks skipped by birth-range pruning (Section 4.2).
 	ChunksScanned atomic.Int64
@@ -74,12 +81,13 @@ type ExecStats struct {
 // the shared ExecStats atomics, the process metrics and the trace — the
 // per-task-with-merge shape that keeps the hot loop free of shared writes.
 type ChunkStats struct {
-	RowsScanned       int64
-	RowsSkippedByAge  int64
-	ValueBytesDecoded int64
-	EncodedChecks     int64
-	RunsEvaluated     int64
-	RowsBatched       int64
+	RowsScanned         int64
+	RowsSkippedByAge    int64
+	ValueBytesDecoded   int64
+	EncodedChecks       int64
+	UsersSkippedByBirth int64
+	RunsEvaluated       int64
+	RowsBatched         int64
 }
 
 // pushdown is the table-bound compiled form of a condition's pushable
@@ -111,6 +119,9 @@ type colCond struct {
 	col      int
 	isString bool
 	bindCode func(ch *storage.Chunk) (kernel func(code uint64) bool, verdict bool)
+	// rng is the admitted value range of a range-shaped integer conjunct
+	// (comparisons but !=, BETWEEN), nil for every other shape.
+	rng *valRange
 }
 
 // vecCond is one column conjunct bound to a chunk: a kernel over raw codes
@@ -269,27 +280,17 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 		if !okLit {
 			return false
 		}
+		if op != expr.OpNe {
+			pd.addRange(idx, cmpRange(op, v))
+			return true
+		}
 		pd.colConds = append(pd.colConds, colCond{col: idx,
 			bindCode: func(ch *storage.Chunk) (func(uint64) bool, bool) {
-				f := ch.Ints(idx)
-				d, below, above := f.DeltaOf(v)
+				d, below, above := ch.Ints(idx).DeltaOf(v)
 				if below || above {
-					return nil, intCmpHolds(op, pickInRange(below, f.Min(), f.Max()), v)
+					return nil, true // no value of the chunk equals v
 				}
-				switch op {
-				case expr.OpEq:
-					return func(code uint64) bool { return code == d }, false
-				case expr.OpNe:
-					return func(code uint64) bool { return code != d }, false
-				case expr.OpLt:
-					return func(code uint64) bool { return code < d }, false
-				case expr.OpLe:
-					return func(code uint64) bool { return code <= d }, false
-				case expr.OpGt:
-					return func(code uint64) bool { return code > d }, false
-				default: // OpGe
-					return func(code uint64) bool { return code >= d }, false
-				}
+				return func(code uint64) bool { return code != d }, false
 			}})
 		return true
 	case expr.In:
@@ -412,29 +413,86 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 		if !okLo || !okHi {
 			return false
 		}
-		pd.colConds = append(pd.colConds, colCond{col: idx,
-			bindCode: func(ch *storage.Chunk) (func(uint64) bool, bool) {
-				f := ch.Ints(idx)
-				dLo, loBelow, loAbove := f.DeltaOf(lo)
-				dHi, hiBelow, hiAbove := f.DeltaOf(hi)
-				if loAbove || hiBelow {
-					return nil, false // the range misses the chunk entirely
-				}
-				if loBelow && hiAbove {
-					return nil, true // the range covers the chunk entirely
-				}
-				if loBelow {
-					return func(code uint64) bool { return code <= dHi }, false
-				}
-				if hiAbove {
-					return func(code uint64) bool { return code >= dLo }, false
-				}
-				return func(code uint64) bool { return code >= dLo && code <= dHi }, false
-			}})
+		pd.addRange(idx, valRange{lo, hi})
 		return true
 	default:
 		return false
 	}
+}
+
+// valRange is the inclusive range [lo, hi] of integer values a range-shaped
+// conjunct admits; lo > hi admits none.
+type valRange struct{ lo, hi int64 }
+
+// cmpRange is the range of values v' with `v' op v`, for every op but OpNe.
+func cmpRange(op expr.CmpOp, v int64) valRange {
+	r := valRange{math.MinInt64, math.MaxInt64}
+	switch op {
+	case expr.OpEq:
+		r = valRange{v, v}
+	case expr.OpLt:
+		if v == math.MinInt64 {
+			return valRange{1, 0}
+		}
+		r.hi = v - 1
+	case expr.OpLe:
+		r.hi = v
+	case expr.OpGt:
+		if v == math.MaxInt64 {
+			return valRange{1, 0}
+		}
+		r.lo = v + 1
+	default: // OpGe
+		r.lo = v
+	}
+	return r
+}
+
+// bindCodes translates r into chunk frame f's delta domain: a raw code
+// admitted iff code-lo <= span. isConst reports that r settles every row of
+// the chunk alike, with verdict as the answer.
+func (r valRange) bindCodes(f *encoding.FrameOfRef) (lo, span uint64, verdict, isConst bool) {
+	mn, mx := f.Min(), f.Max()
+	if r.lo > r.hi || r.hi < mn || r.lo > mx {
+		return 0, 0, false, true // the range misses the chunk entirely
+	}
+	if r.lo <= mn && r.hi >= mx {
+		return 0, 0, true, true // the range covers the chunk entirely
+	}
+	lo = uint64(max(r.lo, mn)) - uint64(mn)
+	return lo, uint64(min(r.hi, mx)) - uint64(mn) - lo, false, false
+}
+
+// addRange appends the range conjunct `r.lo <= col <= r.hi`; its kernel is
+// one unsigned compare per code.
+func (pd *pushdown) addRange(col int, r valRange) {
+	pd.colConds = append(pd.colConds, colCond{col: col, rng: &r,
+		bindCode: func(ch *storage.Chunk) (func(uint64) bool, bool) {
+			lo, span, verdict, isConst := r.bindCodes(ch.Ints(col))
+			if isConst {
+				return nil, verdict
+			}
+			return func(code uint64) bool { return code-lo <= span }, false
+		}})
+}
+
+// takeRange removes the range conjuncts on integer column col from pd and
+// returns their intersection; ok is false when pd has none. σb takes its
+// time range out this way so the kernel can test it on the birth index's
+// time codes.
+func (pd *pushdown) takeRange(col int) (r valRange, ok bool) {
+	r = valRange{math.MinInt64, math.MaxInt64}
+	kept := pd.colConds[:0]
+	for _, cc := range pd.colConds {
+		if cc.col != col || cc.rng == nil {
+			kept = append(kept, cc)
+			continue
+		}
+		r.lo, r.hi = max(r.lo, cc.rng.lo), min(r.hi, cc.rng.hi)
+		ok = true
+	}
+	pd.colConds = kept
+	return r, ok
 }
 
 // normalizeCmp rewrites a comparison into (scalar, op, literal) form,
@@ -477,16 +535,6 @@ func litIntFor(schema *activity.Schema, idx int, v expr.Value) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// pickInRange returns a stand-in column value strictly outside [min, max] on
-// the side the literal fell, so the constant verdict of an out-of-range
-// comparison can be computed with the ordinary comparison semantics.
-func pickInRange(below bool, mn, mx int64) int64 {
-	if below {
-		return mn // literal < min: every encoded value is >= min > literal... compare min against it
-	}
-	return mx // literal > max: compare max against it
 }
 
 func intCmpHolds(op expr.CmpOp, a, b int64) bool {

@@ -38,7 +38,7 @@ func condFromBytes(data []byte) expr.Expr {
 	strLits := []string{"China", "USA", "Atlantis", "dwarf", "shop", "launch", "no-such", ""}
 	intCols := []string{"gold", "session"}
 	intLits := []int64{-1000000, -1, 0, 1, 5, 20, 100, 1 << 40}
-	timeLits := []string{"2013-05-20", "2013-06-01", "1970-01-01", "299-12-31"}
+	timeLits := []string{"2013-05-20", "2013-06-01", "1970-01-01", "299-12-31", "2013-05-25"}
 
 	strLit := func() expr.Value { return expr.S(strLits[int(next())%len(strLits)]) }
 	// AGE literals: small ages, and bounds so large that birth + bound ×
@@ -170,9 +170,14 @@ func FuzzPushdownPredicate(f *testing.F) {
 			// split evaluation exists to cross-check.
 			return
 		}
+		// σb's split: the time range taken out and tested on the raw time
+		// code, as the kernel does on the birth index, the rest as before.
+		split := compilePushdown(cond, schema, tbl)
+		timeRange, timed := split.takeRange(schema.TimeCol())
 		for ci := 0; ci < tbl.NumChunks(); ci++ {
 			ch := tbl.Chunk(ci)
-			bv := pd.bindVec(ch)
+			bv, sv := pd.bindVec(ch), split.bindVec(ch)
+			tLo, tSpan, verdict, isConst := timeRange.bindCodes(ch.Ints(schema.TimeCol()))
 			env := &chunkEnv{tbl: tbl, ch: ch, schema: schema}
 			for r := 0; r < ch.NumRows(); r++ {
 				// Age and birth row vary with the row so AGE conjuncts and
@@ -182,6 +187,12 @@ func FuzzPushdownPredicate(f *testing.F) {
 				gotV := bv.passRow(ch, r, env.age) && (bv.residual == nil || bv.residual(env))
 				if gotV != wantV {
 					t.Fatalf("chunk %d row %d age %d: pushdown=%v, reference=%v for %s",
+						ci, r, env.age, gotV, wantV, cond)
+				}
+				inRange := !timed || verdict || !isConst && ch.Ints(schema.TimeCol()).Raw(r)-tLo <= tSpan
+				gotV = inRange && sv.passRow(ch, r, env.age) && (sv.residual == nil || sv.residual(env))
+				if gotV != wantV {
+					t.Fatalf("chunk %d row %d age %d: time range split off=%v, reference=%v for %s",
 						ci, r, env.age, gotV, wantV, cond)
 				}
 			}

@@ -6,9 +6,14 @@ package cohort
 // aggregate all follow from the block's packed codes, and runChunk decodes
 // only the rows it can aggregate:
 //
-//   - the birth search compares packed action codes in place and stops at
-//     the first birth tuple; σb then reads that one row's codes (§4.2), so an
-//     unqualified user's block is skipped with nothing decoded (§4.3);
+//   - GetBirthTuple reads the chunk's birth index for the birth action (see
+//     storage.BirthIndex): each user's birth row and its raw time code, found
+//     by the packed-code birth search on the first scan that needs them and
+//     kept with the chunk. σb's pushed time range is tested on the indexed
+//     code (§4.2), so a user never born, or born outside the range, costs one
+//     array read and one compare and its user run and block are never read
+//     (§4.3); only the survivors read their run and the rest of σb on the
+//     birth row's codes;
 //   - the decode window of a qualified user starts at the birth row (earlier
 //     rows have age <= 0 and are never aggregated) and ends at the age bound
 //     the pushed AGE conjuncts imply, found by a binary search on the packed
@@ -190,6 +195,20 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 	if !inChunk {
 		return ChunkStats{}, nil // no user here ever performs the birth action
 	}
+	tf := ch.Ints(timeCol)
+	// σb's pushed time range as a window of raw time codes: a birth time
+	// code t is in it iff t-tLo <= tSpan (the full domain when σb pushes
+	// no time range, or the range covers the chunk).
+	tLo, tSpan, timed := uint64(0), uint64(math.MaxUint64), false
+	if c.birthTime != nil {
+		lo, span, verdict, isConst := c.birthTime.bindCodes(tf)
+		if isConst && !verdict {
+			return ChunkStats{UsersSkippedByBirth: int64(ch.NumUsers())}, nil
+		}
+		if !isConst {
+			tLo, tSpan, timed = lo, span, true
+		}
+	}
 	scr := getScratch()
 	defer putScratch(scr)
 	var st ChunkStats
@@ -204,11 +223,11 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 		vBirth = c.birthPush.bindVec(ch)
 		birthResidual = vBirth.residual
 	}
+	birthRowCheck := len(vBirth.cols) > 0 || len(vBirth.ageConds) > 0
 	if c.agePush != nil {
 		vAge = c.agePush.bindVec(ch)
 		ageResidual = vAge.residual
 	}
-	tf := ch.Ints(timeCol)
 	tmin := tf.Min()
 	unitSecs := c.unit.Seconds()
 	ageCut := c.agePush != nil && c.agePush.hasMaxAge
@@ -243,29 +262,35 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 	useMemo := scr.bindMemo(c.keys, ch)
 	keyBuf := scr.keyBuf
 
+	// GetBirthTuple for every user of the chunk: the first row performing
+	// the birth action is the birth tuple (time-ordering property). The
+	// search runs once per chunk and action; later scans only read it.
+	births, searched := ch.BirthIndex(actionCol, timeCol, birthCID)
+	st.EncodedChecks += searched
+
 	// The modified TableScan of Section 4.3: one (u, f, n) triple of the RLE
-	// user column per user block, so skipping an unqualified user is moving
-	// on to the next triple.
+	// user column per user block, read only for a user σb's time range
+	// admits, so skipping any other user is moving on to the next entry.
 	for u, nu := 0, ch.NumUsers(); u < nu; u++ {
+		birthRow, bRaw, born := births.Birth(u)
+		if !born || bRaw-tLo > tSpan {
+			st.UsersSkippedByBirth++
+			continue
+		}
+		if timed {
+			st.EncodedChecks++
+		}
 		gid, first, n := ch.UserRun(u)
 		end := first + n
 		if skipUsers != nil && skipUsers[gid] {
 			continue
 		}
-		// GetBirthTuple: the first row performing the birth action is the
-		// birth tuple (time-ordering property), found on the packed codes.
-		birthRow := ch.IndexChunkID(actionCol, birthCID, first, end)
-		if birthRow < 0 {
-			st.EncodedChecks += int64(n)
-			continue
-		}
-		st.EncodedChecks += int64(birthRow - first + 1)
 		env.userGID = gid
 		env.birth = birthRow
-		// σb touches the birth tuple only: the same kernels, applied to that
-		// one row's codes, then the residual; an unqualified user's whole
-		// block is skipped.
-		if c.birthPush != nil {
+		// The rest of σb touches the birth tuple only: the same kernels,
+		// applied to that one row's codes, then the residual; an unqualified
+		// user's whole block is skipped.
+		if birthRowCheck {
 			st.EncodedChecks++
 			if !vBirth.passRow(ch, birthRow, 0) {
 				continue
@@ -277,7 +302,6 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 				continue
 			}
 		}
-		bRaw := tf.Raw(birthRow)
 		birthTime := tmin + int64(bRaw)
 		var cs *cohortState
 		slot := -1

@@ -2,6 +2,7 @@ package cohort
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,8 +85,11 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 // age cut they imply, up to bounds past int64), OR residuals and Birth()
 // references all reach the kernels. The shape byte picks the COHORT BY list —
 // string keys take the per-chunk cohort memo, time-binned and integer keys
-// its fallback — and whether the aggregates are all six functions or COUNT
-// and USER_COUNT alone, the lists the whole-span fold serves.
+// its fallback — whether the aggregates are all six functions or COUNT and
+// USER_COUNT alone, the lists the whole-span fold serves, and the birth
+// action: launch (every user's first row), shop (a birth row mid-block, and
+// users with none), an action some chunks lack, or one no row performs —
+// every case of the birth index.
 func FuzzVectorizedExec(f *testing.F) {
 	var tbls []*storage.Table
 	for _, size := range []int{1, 7, 120} {
@@ -93,6 +97,10 @@ func FuzzVectorizedExec(f *testing.F) {
 	}
 	rows := mustMaterialize(f, tbls[0])
 	schema := rows.Schema()
+	birthActions := []string{"launch", "shop", "achievement", "no-such"}
+	if with, without := chunksWithAction(tbls[1], "achievement"); with == 0 || without == 0 {
+		f.Fatalf("achievement is in %d chunks of the 7-row fixture and missing from %d: want both > 0", with, without)
+	}
 	cohortBys := [][]CohortKey{
 		{{Col: "country"}},
 		{{Col: "role"}},
@@ -133,13 +141,23 @@ func FuzzVectorizedExec(f *testing.F) {
 		f.Add(byte(7), []byte{}, age)
 	}
 
+	// Every birth action, with no σb, a birth-time range, a one-sided time
+	// bound inside the window and a country equality.
+	for a := range birthActions {
+		for _, birth := range [][]byte{{}, {6, 1}, {2, 2, 4}, {0, 0, 1, 1, 0}} {
+			f.Add(byte(10*a), birth, []byte{0, 3, 1, 1, 4})
+			f.Add(byte(10*a+5), birth, []byte{})
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, shape byte, birthData, ageData []byte) {
 		birthCond := condFromBytes(birthData)
 		if expr.UsesBirth(birthCond) || expr.UsesAge(birthCond) {
 			birthCond = nil // not a legal σb condition; keep the query valid
 		}
+		nShapes := len(cohortBys) * len(aggLists)
 		q := &Query{
-			BirthAction: "launch",
+			BirthAction: birthActions[int(shape)/nShapes%len(birthActions)],
 			BirthCond:   birthCond,
 			AgeCond:     condFromBytes(ageData),
 			CohortBy:    cohortBys[int(shape)%len(cohortBys)],
@@ -254,24 +272,134 @@ func TestAgeBoundShrinksScan(t *testing.T) {
 	}
 }
 
-// TestBirthRangeShrinksScan is Figure 8's shape read off the counters: σb
-// rejects a user on the birth row alone, so a narrower birth-time range
-// scans fewer rows.
-func TestBirthRangeShrinksScan(t *testing.T) {
-	tbl := vectorFixture(t)
-	query := func(days int64) *Query {
-		return &Query{
-			BirthAction: "launch",
-			BirthCond: expr.Between{L: expr.Col{Name: "time"},
-				Lo: expr.I(gen.StartTime), Hi: expr.I(gen.StartTime + days*activity.SecondsPerDay)},
-			CohortBy: []CohortKey{{Col: "country"}},
-			Aggs:     []AggSpec{{Func: UserCount}, {Func: Count}},
+// chunksWithAction counts the chunks of tbl whose action column holds action
+// and those whose does not.
+func chunksWithAction(tbl *storage.Table, action string) (with, without int) {
+	gid, ok := tbl.LookupString(tbl.Schema().ActionCol(), action)
+	for i := 0; i < tbl.NumChunks(); i++ {
+		if ok && tbl.ChunkMayHaveGID(i, tbl.Schema().ActionCol(), gid) {
+			with++
+		} else {
+			without++
 		}
 	}
-	narrow, wide := scanStats(t, tbl, query(1)), scanStats(t, tbl, query(6))
-	if !(0 < narrow.RowsScanned.Load() && narrow.RowsScanned.Load() < wide.RowsScanned.Load()) {
-		t.Fatalf("rows scanned: 1-day birth range %d, 6-day range %d: want 0 < narrow < wide",
-			narrow.RowsScanned.Load(), wide.RowsScanned.Load())
+	return with, without
+}
+
+// bornIn counts the users of rows whose first action row — the birth tuple —
+// falls in the time range [lo, hi]: the row oracle's births in range.
+func bornIn(rows *activity.Table, action string, lo, hi int64) int64 {
+	schema := rows.Schema()
+	actions, times := rows.Strings(schema.ActionCol()), rows.Ints(schema.TimeCol())
+	var n int64
+	rows.UserBlocks(func(_ string, start, end int) {
+		for r := start; r < end; r++ {
+			if actions[r] == action {
+				if lo <= times[r] && times[r] <= hi {
+					n++
+				}
+				return
+			}
+		}
+	})
+	return n
+}
+
+// TestBirthRangeShrinksScan is Figure 8's shape read off the counters: σb's
+// time range is tested on the birth index, so a narrower birth-time range
+// skips more users without reading their blocks and scans fewer rows, and
+// the users the kernel goes on to visit are exactly the row oracle's births
+// in range. shop births sit mid-block, and some users never shop.
+func TestBirthRangeShrinksScan(t *testing.T) {
+	tbl := vectorFixture(t)
+	rows := mustMaterialize(t, tbl)
+	for _, tc := range []struct {
+		action       string
+		narrow, wide int64 // days past the window's start
+	}{{"launch", 1, 6}, {"shop", 5, 9}} {
+		t.Run(tc.action, func(t *testing.T) {
+			action := tc.action
+			query := func(days int64) *Query {
+				return &Query{
+					BirthAction: action,
+					BirthCond: expr.Between{L: expr.Col{Name: "time"},
+						Lo: expr.I(gen.StartTime), Hi: expr.I(gen.StartTime + days*activity.SecondsPerDay)},
+					CohortBy: []CohortKey{{Col: "country"}},
+					Aggs:     []AggSpec{{Func: UserCount}, {Func: Count}},
+				}
+			}
+			var skipped []int64
+			for _, days := range []int64{tc.narrow, tc.wide} {
+				q := query(days)
+				st := scanStats(t, tbl, q)
+				c, err := Compile(q, tbl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var users int64
+				for i := 0; i < tbl.NumChunks(); i++ {
+					if !c.CanSkipChunk(i) {
+						users += int64(tbl.ChunkUsers(i))
+					}
+				}
+				visited := users - st.UsersSkippedByBirth.Load()
+				if want := bornIn(rows, action, gen.StartTime, gen.StartTime+days*activity.SecondsPerDay); visited != want {
+					t.Fatalf("%d-day range: visited %d users (%d in scanned chunks, %d skipped), oracle has %d births in range",
+						days, visited, users, st.UsersSkippedByBirth.Load(), want)
+				}
+				skipped = append(skipped, st.UsersSkippedByBirth.Load())
+			}
+			if skipped[0] <= skipped[1] {
+				t.Fatalf("users skipped by birth: %d-day range %d, %d-day range %d: want narrow > wide",
+					tc.narrow, skipped[0], tc.wide, skipped[1])
+			}
+			narrow, wide := scanStats(t, tbl, query(tc.narrow)), scanStats(t, tbl, query(tc.wide))
+			if !(0 < narrow.RowsScanned.Load() && narrow.RowsScanned.Load() < wide.RowsScanned.Load()) {
+				t.Fatalf("rows scanned: %d-day birth range %d, %d-day range %d: want 0 < narrow < wide",
+					tc.narrow, narrow.RowsScanned.Load(), tc.wide, wide.RowsScanned.Load())
+			}
+		})
+	}
+}
+
+// TestBirthIndexSearchedOnce pins the birth index's reuse: the first scan of
+// a chunk for a birth action runs the packed-code birth search — exactly the
+// compares a per-block search for the first birth row makes — and every later
+// scan for that action makes none. A query with no predicate to check counts
+// nothing else, so its EncodedChecks is the search alone.
+func TestBirthIndexSearchedOnce(t *testing.T) {
+	tbl := vectorFixture(t)
+	rows := mustMaterialize(t, tbl)
+	actions := rows.Strings(rows.Schema().ActionCol())
+	for _, action := range []string{"shop", "launch"} {
+		q := &Query{
+			BirthAction: action,
+			CohortBy:    []CohortKey{{Col: "country"}},
+			Aggs:        []AggSpec{{Func: UserCount}, {Func: Count}},
+		}
+		var want int64
+		for i := 0; i < tbl.NumChunks(); i++ {
+			lo, hi := tbl.RowOffset(i), tbl.RowOffset(i)+tbl.ChunkRows(i)
+			if !slices.Contains(actions[lo:hi], action) {
+				continue // pruned: the chunk is never scanned
+			}
+			rows.UserBlocks(func(_ string, start, end int) {
+				if start < lo || start >= hi {
+					return
+				}
+				if k := slices.Index(actions[start:end], action); k >= 0 {
+					want += int64(k + 1)
+				} else {
+					want += int64(end - start)
+				}
+			})
+		}
+		if got := scanStats(t, tbl, q).EncodedChecks.Load(); got != want || want == 0 {
+			t.Fatalf("%s: first scan made %d encoded checks, want the birth search's %d (> 0)", action, got, want)
+		}
+		if got := scanStats(t, tbl, q).EncodedChecks.Load(); got != 0 {
+			t.Fatalf("%s: second scan made %d encoded checks, want 0: the birth index is reused", action, got)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ type cacheEntry struct {
 	hash    string
 	state   *chunkState // touch history of the chunk that loaded the entry
 	payload *segChunk
-	size    int64
+	size    int64 // the segment's bytes plus the birth indexes built over it
 	pins    int
 	ready   chan struct{}
 	err     error
@@ -232,6 +232,23 @@ func (c *ChunkCache) unpinLocked(e *cacheEntry) {
 	e.admitted = true
 	c.unadmitted -= e.size
 	c.trimLocked(e)
+}
+
+// charge adds bytes built over a resident entry's payload — its birth
+// indexes — to the entry's size. The builder holds a pin, so the budget is
+// enforced when that pin drops, as for the load itself. An entry already
+// dropped from the map is no longer accounted and is left alone.
+func (c *ChunkCache) charge(e *cacheEntry, bytes int64) {
+	c.mu.Lock()
+	if c.entries[e.hash] == e {
+		e.size += bytes
+		c.resident += bytes
+		if !e.admitted {
+			c.unadmitted += bytes
+		}
+		obs.ChunkCacheResidentBytes.Set(float64(c.resident))
+	}
+	c.mu.Unlock()
 }
 
 // releaseFunc returns the pin-release closure handed to PinChunk callers.

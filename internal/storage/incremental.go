@@ -201,7 +201,7 @@ func remapChunk(old *Table, ci int, schema *activity.Schema, remap [][]uint64) *
 	// The chunk's self-contained segment encodes values, not global ids, so a
 	// remapped chunk keeps the identical segment content: share the cached
 	// segment identity with the original.
-	ch := &Chunk{numRows: och.numRows, cols: make([]chunkColumn, schema.NumCols()), seg: och.seg}
+	ch := &Chunk{numRows: och.numRows, cols: make([]chunkColumn, schema.NumCols()), seg: och.seg, births: och.births}
 	userCol := schema.UserCol()
 	if m := remap[userCol]; m != nil {
 		vals := make([]uint64, och.users.NumRuns())
@@ -345,6 +345,7 @@ func carryPermChunk(old *Table, ci int, newBase uint64, remap [][]uint64) *Chunk
 		seg:      och.seg,
 		userVals: och.userVals,
 		userBase: newBase,
+		births:   och.births,
 	}
 	if newBase == och.userBase {
 		ch.users = och.users

@@ -165,6 +165,7 @@ func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(
 	sc, err := st.lazy.loadSegment(st.schema, m, verified)
 	var ch *Chunk
 	if err == nil {
+		sc.births.charge = func(bytes int64) { c.charge(e, bytes) }
 		ch, err = st.bindPayload(i, sc)
 	}
 	c.mu.Lock()
@@ -232,6 +233,7 @@ func (st *Table) bindPayload(i int, sc *segChunk) (*Chunk, error) {
 		seg:      &segInfo{},
 		userVals: sc.users,
 		userBase: m.userBase,
+		births:   &sc.births,
 	}
 	ch.seg.once.Do(func() { ch.seg.hash = m.hash })
 	ch.users = encoding.RLEConsecutive(m.userBase, sc.lengths)

@@ -455,7 +455,9 @@ func oneRowDelta(t *testing.T, sh *Table, user string, ts int64) *activity.Table
 // whose budget cannot hold even one chunk after release, so loads, rebinds
 // and evictions interleave constantly. Run under -race this is the
 // eviction-never-races-a-scan proof; in any mode every reader must see
-// exactly the eager rows.
+// exactly the eager rows. Workers also build the launch and shop birth
+// indexes of the same pinned chunks at once, and the indexes' charged bytes
+// leave with their entries: once every pin drops the budget holds.
 func TestLazyConcurrentTinyBudget(t *testing.T) {
 	path := commitWorkload(t, 2, 96)
 	eager, err := ReadSharded(path)
@@ -484,7 +486,7 @@ func TestLazyConcurrentTinyBudget(t *testing.T) {
 				si := (w + it) % lazy.NumShards()
 				sh := lazy.Shard(si)
 				ci := (w * 7) % sh.NumChunks()
-				switch it % 3 {
+				switch it % 4 {
 				case 0:
 					rows, err := sh.MaterializeChunk(ci)
 					if err != nil {
@@ -507,6 +509,21 @@ func TestLazyConcurrentTinyBudget(t *testing.T) {
 						return
 					}
 					release()
+				case 2:
+					ch, release, err := sh.PinChunk(ci)
+					if err != nil {
+						errs <- err
+						return
+					}
+					schema := sh.Schema()
+					gid, _ := sh.LookupString(schema.ActionCol(), []string{"launch", "shop"}[w%2])
+					if cid, ok := ch.ChunkIDOf(schema.ActionCol(), gid); ok {
+						ix, _ := ch.BirthIndex(schema.ActionCol(), schema.TimeCol(), cid)
+						if err := birthIndexMismatch(ch, schema, cid, ix); err != nil {
+							errs <- fmt.Errorf("shard %d chunk %d: %w", si, ci, err)
+						}
+					}
+					release()
 				default:
 					user, _ := sh.ChunkUserRange(ci)
 					if _, _, ok, err := sh.FindUser(user); err != nil || !ok {
@@ -522,8 +539,8 @@ func TestLazyConcurrentTinyBudget(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := cache.Stats(); st.Evictions == 0 {
-		t.Errorf("tiny-budget hammer recorded no evictions: %+v", st)
+	if st := cache.Stats(); st.Evictions == 0 || st.ResidentBytes > st.BudgetBytes {
+		t.Errorf("tiny-budget hammer: want evictions and nothing resident past the budget: %+v", st)
 	}
 }
 

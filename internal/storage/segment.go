@@ -110,6 +110,9 @@ type segChunk struct {
 	users   []string // distinct users in run order (ascending)
 	lengths []uint32 // run length per user
 	cols    []segColumn
+	// births is the birth indexes built over this payload, shared by every
+	// Chunk bound to it.
+	births birthIndexes
 }
 
 // segColumn is one non-user column of a segChunk, indexed like the schema.
@@ -302,6 +305,7 @@ func bindChunk(schema *activity.Schema, dicts []*encoding.Dict, sc *segChunk, us
 		users:   encoding.RLEConsecutive(userBase, sc.lengths),
 		cols:    make([]chunkColumn, schema.NumCols()),
 		seg:     &segInfo{},
+		births:  &sc.births,
 	}
 	if dicts[userCol] == nil {
 		ch.userVals, ch.userBase = sc.users, userBase

@@ -151,7 +151,7 @@ func Deserialize(src []byte) (*Table, error) {
 		}
 	}
 	for i := 0; i < nchunks; i++ {
-		ch := &Chunk{cols: make([]chunkColumn, schema.NumCols()), seg: &segInfo{}}
+		ch := &Chunk{cols: make([]chunkColumn, schema.NumCols()), seg: &segInfo{}, births: &birthIndexes{}}
 		n, k := binary.Uvarint(src)
 		if k <= 0 {
 			return nil, fmt.Errorf("storage: truncated chunk %d header", i)

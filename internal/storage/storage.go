@@ -89,6 +89,10 @@ type Chunk struct {
 	// userBase, userBase+1, … (nil/0 on eager tables).
 	userVals []string
 	userBase uint64
+
+	// births holds the chunk's birth indexes (see BirthIndex), shared by
+	// every Chunk bound to the same payload.
+	births *birthIndexes
 }
 
 // segInfo is the shared lazily-computed segment identity of a chunk: the
@@ -341,13 +345,6 @@ func (c *Chunk) ChunkID(col, row int) uint64 { return c.cols[col].ids.Get(row) }
 // ids instead of per row.
 func (c *Chunk) AppendChunkIDs(dst []uint64, col, start, end int) []uint64 {
 	return c.cols[col].ids.AppendRange(dst, start, end)
-}
-
-// IndexChunkID returns the first row in [start, end) whose string column col
-// holds chunk-id cid, or -1 — the birth search of a user block, run on the
-// packed codes without extracting them.
-func (c *Chunk) IndexChunkID(col int, cid uint64, start, end int) int {
-	return c.cols[col].ids.Index(cid, start, end)
 }
 
 // AppendRawInts appends the frame-of-reference deltas of integer column col
