@@ -20,10 +20,13 @@ import (
 // trees: a cached body is immutable by construction and is written straight
 // to the socket on a hit.
 type ResultCache struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used
-	items     map[cacheKey]*list.Element
+	mu       sync.Mutex
+	capacity int
+	ll       *list.List // front = most recently used
+	items    map[cacheKey]*list.Element
+	// offered holds the keys PutOnRepeat was handed once and did not store;
+	// it is cleared when it reaches capacity.
+	offered   map[cacheKey]struct{}
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -53,6 +56,7 @@ func NewResultCache(capacity int) *ResultCache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[cacheKey]*list.Element),
+		offered:  make(map[cacheKey]struct{}),
 	}
 }
 
@@ -94,6 +98,33 @@ func (c *ResultCache) Put(table, fp, normQuery string, body []byte) {
 		delete(c.items, oldest.Value.(*cacheItem).key)
 		c.evictions++
 	}
+}
+
+// PutOnRepeat stores a response body only when its key is offered for the
+// second time: the first offer is remembered, not stored. The server uses
+// it for results over un-compacted rows, whose generation ends at the next
+// append or compaction: a table under steady ingest would otherwise store
+// a result per query per append, flushing every other table's entries from
+// the LRU for bodies that are rarely read again, and whether a repeat hit
+// would depend on whether it beat the next append. A repeat within one
+// generation shows the state is being read, and is stored as Put stores it.
+func (c *ResultCache) PutOnRepeat(table, fp, normQuery string, body []byte) {
+	if c.capacity <= 0 {
+		return
+	}
+	key := cacheKey{table, fp, normQuery}
+	c.mu.Lock()
+	if _, ok := c.offered[key]; !ok {
+		if len(c.offered) >= c.capacity {
+			clear(c.offered)
+		}
+		c.offered[key] = struct{}{}
+		c.mu.Unlock()
+		return
+	}
+	delete(c.offered, key)
+	c.mu.Unlock()
+	c.Put(table, fp, normQuery, body)
 }
 
 // InvalidateTable drops every entry of the table, across all fingerprints,

@@ -433,6 +433,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// A traced body is one measured execution, not a reusable result;
 		// an EXPLAIN is cheap, or (ANALYZE) exists to measure a real run.
 		status = "bypass"
+	} else if lt.DeltaRows() > 0 {
+		// A result over un-compacted rows is stored once its key repeats
+		// (see PutOnRepeat); the next append or compaction retires it.
+		s.cache.PutOnRepeat(req.Table, fp, norm, body)
 	} else {
 		s.cache.Put(req.Table, fp, norm, body)
 	}

@@ -196,6 +196,41 @@ func TestResultCacheLRUAndInvalidation(t *testing.T) {
 	}
 }
 
+func TestResultCachePutOnRepeat(t *testing.T) {
+	c := NewResultCache(2)
+	c.PutOnRepeat("t", "g1", "q1", []byte("r1"))
+	if _, ok := c.Get("t", "g1", "q1"); ok {
+		t.Fatal("a key offered once was stored")
+	}
+	c.PutOnRepeat("t", "g1", "q1", []byte("r1"))
+	if got, ok := c.Get("t", "g1", "q1"); !ok || string(got) != "r1" {
+		t.Fatalf("Get(q1) after a repeat = %q, %v", got, ok)
+	}
+	// An offer under another fingerprint is a first offer of a new key.
+	c.PutOnRepeat("t", "g2", "q1", []byte("r1'"))
+	if _, ok := c.Get("t", "g2", "q1"); ok {
+		t.Fatal("a new fingerprint was stored on its first offer")
+	}
+	// The remembered offers are bounded by the capacity: filling the set
+	// forgets every earlier offer.
+	c.PutOnRepeat("t", "g2", "q2", []byte("r2"))
+	c.PutOnRepeat("t", "g2", "q3", []byte("r3"))
+	c.PutOnRepeat("t", "g2", "q1", []byte("r1'"))
+	if _, ok := c.Get("t", "g2", "q1"); ok {
+		t.Fatal("an offer survived the offered set's reset")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 1 entry", st)
+	}
+
+	off := NewResultCache(0)
+	off.PutOnRepeat("t", "g1", "q", []byte("r"))
+	off.PutOnRepeat("t", "g1", "q", []byte("r"))
+	if _, ok := off.Get("t", "g1", "q"); ok {
+		t.Fatal("disabled cache returned a hit")
+	}
+}
+
 func TestNormalizeQueryPreservesLiterals(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"SELECT  country \n FROM  t", "SELECT country FROM t"},

@@ -14,7 +14,9 @@ import (
 
 // The result cache contract: cached results are keyed on the table's
 // per-shard generation vector, so any append or compaction — to any shard —
-// changes the key, and a repeat with no state change in between hits.
+// changes the key, and a repeat with no state change in between hits. While
+// the table holds un-compacted rows a result is stored on the first repeat
+// of its key, so the repeat after that is the first hit.
 
 // shardUser returns a user name hashing to the given shard of a 2-shard
 // table.
@@ -122,7 +124,8 @@ func TestAppendToOtherShardKeepsCacheWarm(t *testing.T) {
 	if body3, _ := query("alpha query after other-shard append", "miss"); body3 != body1 {
 		t.Fatal("alpha result changed after an append it cannot see")
 	}
-	query("repeat after other-shard append", "hit")
+	query("repeat after other-shard append", "miss")
+	query("second repeat after other-shard append", "hit")
 
 	// An append the alpha query does see (its birth action, a shard-0
 	// user): miss, and the fresh result observes the new row.
@@ -155,4 +158,43 @@ func TestAppendToOtherShardKeepsCacheWarm(t *testing.T) {
 		t.Fatal("alpha result changed across compaction")
 	}
 	query("repeat after compaction", "hit")
+}
+
+// TestIngestDoesNotFlushOtherTables pins why results over un-compacted rows
+// are stored only on a repeat: a reader of a table under steady ingest asks
+// for each text once per generation, and storing those results would push
+// every other table's entries out of the LRU.
+func TestIngestDoesNotFlushOtherTables(t *testing.T) {
+	dir := t.TempDir()
+	writeSplitFixture(t, dir, "dash")
+	writeSplitFixture(t, dir, "live")
+	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 4})
+
+	query := func(table, text, want string) {
+		t.Helper()
+		resp, _, _ := postQuery(t, ts.URL, table, text)
+		if got := resp.Header.Get(cacheStatusHeader); got != want {
+			t.Fatalf("%s: cache %q, want %q", table, got, want)
+		}
+	}
+	dash := `SELECT country, COHORTSIZE, AGE, UserCount() FROM D BIRTH FROM action = "alpha-birth" COHORT BY country`
+	query("dash", dash, "miss")
+	query("dash", dash, "hit")
+
+	for i := 0; i < 8; i++ {
+		postRows(t, ts.URL, "live", map[string]any{
+			"player": shardUser(t, i%2, 500+i), "time": 2_000_000_000 + i, "action": "beta-age",
+			"country": "China", "city": "Beijing", "role": "mage", "session": 1, "gold": i,
+		})
+		for _, age := range []int{1, 2, 3} {
+			query("live", fmt.Sprintf(`SELECT country, COHORTSIZE, AGE, Sum(gold) FROM D BIRTH FROM action = "beta-birth" AGE ACTIVITIES IN AGE < %d COHORT BY country`, age), "miss")
+		}
+	}
+	query("dash", dash, "hit")
+
+	// A text read twice in one generation is stored like any other.
+	live := `SELECT country, COHORTSIZE, AGE, UserCount() FROM D BIRTH FROM action = "beta-birth" COHORT BY country`
+	query("live", live, "miss")
+	query("live", live, "miss")
+	query("live", live, "hit")
 }
