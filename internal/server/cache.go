@@ -105,8 +105,7 @@ func (c *ResultCache) Put(table, fp, normQuery string, body []byte) {
 // it for results over un-compacted rows, whose generation ends at the next
 // append or compaction: a table under steady ingest would otherwise store
 // a result per query per append, flushing every other table's entries from
-// the LRU for bodies that are rarely read again, and whether a repeat hit
-// would depend on whether it beat the next append. A repeat within one
+// the LRU for bodies that are rarely read again. A repeat within one
 // generation shows the state is being read, and is stored as Put stores it.
 func (c *ResultCache) PutOnRepeat(table, fp, normQuery string, body []byte) {
 	if c.capacity <= 0 {
