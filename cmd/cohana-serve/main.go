@@ -33,8 +33,8 @@
 // observable). Each query fans out over sealed chunks on a worker pool
 // bounded by -workers, and identical (table, query) pairs are answered from
 // an LRU result cache (the X-Cohana-Cache response header says hit, miss or bypass)
-// keyed on the table's per-shard generation vector — any append or
-// compaction moves the key on — and invalidated wholesale on reload.
+// keyed on the table's generation — any append or compaction moves the key
+// on — and invalidated wholesale on reload.
 //
 // Observability: every request gets an X-Request-ID (honored when the client
 // sends one) and a structured access log line (-log-format selects text or

@@ -386,21 +386,24 @@ func (e *Engine) Stats() Stats {
 // ShardStats returns the per-shard ingestion breakdown.
 func (e *Engine) ShardStats() []ingest.ShardStats { return e.live.Stats().PerShard }
 
-// Snapshot pins one consistent set of per-shard views for query execution.
-// Every query run through a snapshot sees exactly the state captured at
+// Snapshot pins one published table version for query execution. Every
+// query run through a snapshot sees exactly the state captured at
 // Snapshot() time — appends and compactions that land afterwards are
-// invisible to it — which is what lets the query server compute a cache
-// fingerprint and execute against the very same state the fingerprint
-// describes.
+// invisible to it, and a batch is in it on all of its shards or on none —
+// which is what lets the query server compute a cache fingerprint and
+// execute against the very same state the fingerprint describes.
 type Snapshot struct {
 	eng   *Engine
 	views []ingest.View
+	gen   uint64
 }
 
-// Snapshot captures the current state of every shard. Snapshots are cheap
-// (immutable views are shared, not copied) and need no release.
+// Snapshot captures the published table version with one atomic load; it
+// never waits on an append or a compaction. Snapshots are cheap (immutable
+// views are shared, not copied) and need no release.
 func (e *Engine) Snapshot() *Snapshot {
-	return &Snapshot{eng: e, views: e.live.Views()}
+	views, gen := e.live.Snapshot()
+	return &Snapshot{eng: e, views: views, gen: gen}
 }
 
 // shardInputs adapts the pinned views as scatter-gather input.
@@ -435,21 +438,14 @@ func (s *Snapshot) Execute(ctx context.Context, q *Query) (*Result, error) {
 	return plan.ExecuteShards(q, s.shardInputs(), s.execOptions(ctx, nil))
 }
 
-// Fingerprint is the snapshot's per-shard generation vector, as a
-// cache-key component: two snapshots return equal strings exactly when no
-// shard saw an append or a compaction between them. The key does not depend
-// on src — any state change invalidates every cached result of the table —
-// so computing it parses, prepares and prunes nothing. src stays in the
-// signature so callers key every query the same way.
+// Fingerprint is the snapshot's table generation in decimal, as a
+// cache-key component: two snapshots return equal strings exactly when the
+// table saw no append and no compaction between them. The key does not
+// depend on src — any state change invalidates every cached result of the
+// table — so computing it parses, prepares and prunes nothing. src stays in
+// the signature so callers key every query the same way.
 func (s *Snapshot) Fingerprint(src string) string {
-	b := make([]byte, 0, 8*len(s.views))
-	for i, v := range s.views {
-		if i > 0 {
-			b = append(b, ';')
-		}
-		b = strconv.AppendUint(b, v.Gen, 10)
-	}
-	return string(b)
+	return strconv.FormatUint(s.gen, 10)
 }
 
 // validateSelectList checks that plain attributes in the SELECT list are

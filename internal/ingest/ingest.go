@@ -5,13 +5,18 @@
 //
 // A live table is partitioned by user hash (storage.ShardOf) into N shards.
 // Each shard owns its slice of the sealed tier, its own uncompressed delta
-// log behind its own mutex and its own compaction lifecycle, so a lagging
-// shard's compaction cannot block ingestion or sealing on the others. Crash
-// durability is one append-only CSV journal per table: a batch, whichever
-// shards it spans, is one write and one fsync, and appends serialize on the
-// journal, never on a shard mutex that queries need. The generation is a
-// per-shard vector; the table-level generation is its sum, which advances on
-// every change and is what result caches key on.
+// log and its own compaction lifecycle, so a lagging shard's compaction
+// cannot block ingestion or sealing on the others. Crash durability is one
+// append-only CSV journal per table: a batch, whichever shards it spans, is
+// one write and one fsync.
+//
+// The table's state is one immutable version — a generation and every
+// shard's sealed tier and log — behind one atomic pointer. Writers (appends
+// and compaction swaps, serialized on the journal lock) publish the next
+// version copy-on-write with one Store; readers Load one and take no lock.
+// A batch therefore becomes visible on all of its shards at once, and the
+// generation, which advances by one per acknowledged batch and per
+// compaction swap, names exactly one state: it is what result caches key on.
 //
 // Query execution scatter-gathers over the shards (plan.ExecuteShards):
 // every shard unions its sealed chunks (pruned parallel executor) with its
@@ -29,8 +34,10 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/activity"
@@ -66,10 +73,10 @@ type Config struct {
 	// migration path that turns a legacy single-shard file into an N-shard
 	// table (and back).
 	Shards int
-	// InitialGen is the starting generation of every shard; the catalog
-	// passes the previous incarnation's table generation + 1 on reload so
-	// table-level generations (the per-shard sum) stay monotonic across
-	// incarnations and cache keys never collide.
+	// InitialGen is the table's starting generation (0 means 1); the
+	// catalog passes the previous incarnation's generation + 1 on reload so
+	// generations stay monotonic across incarnations and cache keys never
+	// collide.
 	InitialGen uint64
 	// Persist, when non-nil, durably stores a layout change before a freshly
 	// compacted shard is swapped in (the server commits it over the table's
@@ -81,8 +88,9 @@ type Config struct {
 	// their persist+swap steps, so every persisted layout is complete and
 	// current.
 	Persist func(storage.LayoutDelta) error
-	// OnChange is called (outside any shard lock) after every acknowledged
-	// append and compaction; the server invalidates cached results here.
+	// OnChange is called (outside the journal lock) after every
+	// acknowledged append and compaction; the server invalidates cached
+	// results here.
 	OnChange func()
 }
 
@@ -109,31 +117,39 @@ type ErrBadRow struct{ Reason string }
 func (e ErrBadRow) Error() string { return "ingest: bad row: " + e.Reason }
 
 // Table is one live table: N user-hash shards, each a sealed compressed
-// tier plus a mutable delta. All methods are safe for concurrent use.
+// tier plus a delta, published together as one version. All methods are
+// safe for concurrent use.
 type Table struct {
 	cfg    Config
 	schema *activity.Schema
+	// cur is the published version. Readers Load it; writers Store its
+	// successor while holding logMu.
+	cur    atomic.Pointer[version]
 	shards []*shard
-	// persistMu serializes the persist+swap tail of shard compactions so a
-	// persisted layout never contains a stale neighbor shard.
+	// persistMu serializes the persist+publish tail of shard compactions so
+	// a persisted layout never contains a stale neighbor shard.
 	persistMu sync.Mutex
-	// logMu owns the journal and serializes appends and journal rewrites.
-	// Lock order: persistMu, then logMu, then shard mutexes (in index order
-	// when several are held) — never the reverse. No shard mutex is held
-	// while the journal writes or syncs.
+	// logMu owns the journal and the shards' bookkeeping, and serializes
+	// every publish. Lock order: persistMu, then logMu. Readers take
+	// neither.
 	logMu      sync.Mutex
 	journal    *journal // nil when durability is disabled
 	journalErr string   // the last failed journal rewrite, "" after a success
+	// closed is set under logMu, so a holder of logMu sees it stable.
+	closed atomic.Bool
+	// compactWG counts in-flight compactions, background and explicit;
+	// Close waits it out.
+	compactWG sync.WaitGroup
 }
 
-// View is a consistent snapshot of one shard for query execution: the
-// shard's sealed tier, its delta snapshot (nil when empty), the precomputed
-// union input, and the shard generation. All parts are immutable.
+// View is one shard of a published version, for query execution: the
+// shard's sealed tier, its sorted delta (nil when empty) and the union
+// input derived from both (nil when empty or when its build failed; the
+// executor then builds it per query). All parts are immutable.
 type View struct {
 	Sealed *storage.Table
 	Delta  *activity.Table
 	Union  *cohort.UnionDelta
-	Gen    uint64
 }
 
 // Open wraps a sealed single table in a live table; see OpenSharded.
@@ -167,20 +183,14 @@ func OpenSharded(sealed *storage.Sharded, cfg Config) (*Table, error) {
 		}
 		sealed = resharded
 	}
-	t := &Table{cfg: cfg, schema: sealed.Schema(), shards: make([]*shard, sealed.NumShards())}
-	gen := cfg.InitialGen
-	if gen == 0 {
-		gen = 1
-	}
+	n := sealed.NumShards()
+	t := &Table{cfg: cfg, schema: sealed.Schema(), shards: make([]*shard, n)}
+	v := &version{gen: max(cfg.InitialGen, 1), shards: make([]*shardState, n)}
 	for i := range t.shards {
-		t.shards[i] = &shard{
-			idx:     i,
-			parent:  t,
-			sealed:  sealed.Shard(i),
-			logKeys: make(map[string]struct{}),
-			gen:     gen,
-		}
+		t.shards[i] = &shard{idx: i, parent: t, logKeys: make(map[string]struct{})}
+		v.shards[i] = &shardState{sealed: sealed.Shard(i)}
 	}
+	t.cur.Store(v)
 	if cfg.JournalPath != "" {
 		if err := t.openJournal(); err != nil {
 			return nil, err
@@ -210,14 +220,15 @@ func reshard(sealed *storage.Sharded, cfg Config) (*storage.Sharded, error) {
 }
 
 // openJournal replays the journal — and, once, any legacy per-shard
-// journals with their coordinator log — into the shard deltas, routing each
+// journals with their coordinator log — into the shard logs, routing each
 // row to its owning shard under the current count, then rewrites the journal
 // to exactly the restored rows (one committed batch, dropping a torn tail and
 // rows the sealed tier already holds) and removes the legacy files. The
 // rewrite is durable before any legacy file is deleted, so a crash at any
 // point leaves every acknowledged row in at least one file — replay is
 // idempotent, duplicates are dropped. Legacy prepared multi-shard batches
-// replay only when the coordinator log committed them.
+// replay only when the coordinator log committed them. It runs before the
+// table is shared, so it fills the initial version's logs in place.
 func (t *Table) openJournal() error {
 	base := t.cfg.JournalPath
 	legacy, err := legacyJournalFiles(base)
@@ -228,6 +239,7 @@ func (t *Table) openJournal() error {
 	if err != nil {
 		return err
 	}
+	v := t.cur.Load()
 	var restored []Row
 	for _, path := range append([]string{base}, legacy...) {
 		rows, err := readJournal(path, t.schema, committed)
@@ -236,7 +248,8 @@ func (t *Table) openJournal() error {
 		}
 		for _, row := range rows {
 			user, ts, action := row.pk(t.schema)
-			s := t.shards[storage.ShardOf(user, len(t.shards))]
+			idx := storage.ShardOf(user, len(t.shards))
+			s, st := t.shards[idx], v.shards[idx]
 			key := pkKey(user, ts, action)
 			// Rows already sealed (crash between the compacted-table swap
 			// and the journal truncation) or replayed twice are dropped,
@@ -245,7 +258,7 @@ func (t *Table) openJournal() error {
 				s.replayDropped++
 				continue
 			}
-			sealed, err := s.sealedHasPKLocked(user, ts, action)
+			sealed, err := st.sealedHasPK(t.schema, user, ts, action)
 			if err != nil {
 				return fmt.Errorf("ingest: replaying journal %s: %w", path, err)
 			}
@@ -253,14 +266,11 @@ func (t *Table) openJournal() error {
 				s.replayDropped++
 				continue
 			}
-			s.log = append(s.log, row)
+			st.log = append(st.log, row)
 			s.logKeys[key] = struct{}{}
 			s.replayedRows++
 			restored = append(restored, row)
 		}
-	}
-	for _, s := range t.shards {
-		s.snapDirty = len(s.log) > 0
 	}
 	if t.journal, err = openJournalWith(base, t.schema, restored); err != nil {
 		return err
@@ -280,43 +290,47 @@ func (t *Table) Schema() *activity.Schema { return t.schema }
 // NumShards returns the shard count, fixed for the table's lifetime.
 func (t *Table) NumShards() int { return len(t.shards) }
 
-// Views snapshots every shard for query execution; the result feeds
-// plan.ExecuteShards.
+// Snapshot returns every shard's view of the published version, for
+// plan.ExecuteShards, together with that version's generation. Both come
+// from one atomic load, so the generation names exactly the state the views
+// hold. The first reader of a shard's new state sorts its delta and builds
+// its union input; later readers share them.
+func (t *Table) Snapshot() ([]View, uint64) {
+	v := t.cur.Load()
+	out := make([]View, len(v.shards))
+	for i, st := range v.shards {
+		out[i] = st.view()
+	}
+	return out, v.gen
+}
+
+// Views returns every shard's view of the published version; see Snapshot.
 func (t *Table) Views() []View {
-	out := make([]View, len(t.shards))
-	for i, s := range t.shards {
-		out[i] = s.view()
-	}
-	return out
+	views, _ := t.Snapshot()
+	return views
 }
 
-// View snapshots a single-shard table; it panics on multi-shard tables,
-// whose callers must scatter-gather over Views.
-func (t *Table) View() View {
-	if len(t.shards) != 1 {
-		panic(fmt.Sprintf("ingest: View on a %d-shard table; use Views", len(t.shards)))
-	}
-	return t.shards[0].view()
-}
-
-// SealedSharded assembles the current sealed tier of every shard. The
+// SealedSharded assembles the published sealed tier of every shard. The
 // per-shard tables are immutable; the assembly is a point-in-time layout.
 func (t *Table) SealedSharded() *storage.Sharded {
-	return t.sealedLayoutWith(-1, nil)
+	return t.cur.Load().layout(-1, nil)
 }
 
-// sealedLayoutWith composes the current sealed layout, substituting shard
-// replace (when >= 0) with tbl — the input of a compaction's Persist call.
-func (t *Table) sealedLayoutWith(replace int, tbl *storage.Table) *storage.Sharded {
-	tables := make([]*storage.Table, len(t.shards))
-	for i, s := range t.shards {
-		if i == replace {
-			tables[i] = tbl
-			continue
-		}
-		s.mu.Lock()
-		tables[i] = s.sealed
-		s.mu.Unlock()
+// next returns a copy of v one generation on, for a writer to replace the
+// states of the shards it touches before it publishes the copy.
+func (v *version) next() *version {
+	return &version{gen: v.gen + 1, shards: slices.Clone(v.shards)}
+}
+
+// layout composes v's sealed layout, substituting shard replace (when >= 0)
+// with tbl — the input of a compaction's Persist call.
+func (v *version) layout(replace int, tbl *storage.Table) *storage.Sharded {
+	tables := make([]*storage.Table, len(v.shards))
+	for i, st := range v.shards {
+		tables[i] = st.sealed
+	}
+	if replace >= 0 {
+		tables[replace] = tbl
 	}
 	out, err := storage.NewSharded(tables)
 	if err != nil {
@@ -330,42 +344,19 @@ func (t *Table) sealedLayoutWith(replace int, tbl *storage.Table) *storage.Shard
 // shard — a cheap accessor for the serving catalog, which must not assemble
 // a full layout per stats request.
 func (t *Table) ChunkSize() int {
-	s := t.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sealed.ChunkSize()
+	return t.cur.Load().shards[0].sealed.ChunkSize()
 }
 
-// Gen returns the table-level generation: the sum of the per-shard
-// generations, which advances on every append, compaction and reload.
-func (t *Table) Gen() uint64 {
-	var sum uint64
-	for _, s := range t.shards {
-		s.mu.Lock()
-		sum += s.gen
-		s.mu.Unlock()
-	}
-	return sum
-}
+// Gen returns the published version's generation. It advances by one per
+// acknowledged batch and per compaction swap, and a reload continues it.
+func (t *Table) Gen() uint64 { return t.cur.Load().gen }
 
-// GenVector returns the per-shard generation vector.
-func (t *Table) GenVector() []uint64 {
-	out := make([]uint64, len(t.shards))
-	for i, s := range t.shards {
-		s.mu.Lock()
-		out[i] = s.gen
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// DeltaRows returns the number of un-compacted rows across all shards.
+// DeltaRows returns the number of un-compacted rows across all shards of
+// the published version.
 func (t *Table) DeltaRows() int {
 	n := 0
-	for _, s := range t.shards {
-		s.mu.Lock()
-		n += len(s.log)
-		s.mu.Unlock()
+	for _, st := range t.cur.Load().shards {
+		n += len(st.log)
 	}
 	return n
 }
@@ -375,10 +366,9 @@ func (t *Table) DeltaRows() int {
 // against every involved shard) and journaled — one write and one fsync,
 // however many shards it spans — before any row becomes visible, so a
 // failed Append admits nothing and a plain retry of the same batch can
-// succeed. A batch that reaches the journal but finds a shard closed at
-// admission returns ErrClosed: durable but unacknowledged, which the
-// all-or-nothing contract allows. Appending may trigger background
-// compaction of any shard whose delta crosses the configured threshold.
+// succeed. The batch then becomes visible on all of its shards in one
+// publish. Appending may trigger background compaction of any shard whose
+// delta crosses the configured threshold.
 func (t *Table) Append(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -420,52 +410,45 @@ func (t *Table) Append(rows []Row) error {
 	return nil
 }
 
-// appendLocked validates, journals and admits one routed batch and returns
-// the shards whose background compaction must be spawned; t.logMu must be
-// held. Each involved shard is locked to validate its sub-batch, released
-// for the journal write and fsync, and locked again to admit, so queries
-// never wait on the disk. The duplicate checks stay valid across the gap:
-// only Append adds keys and appends serialize on t.logMu, while a
-// compaction only moves keys from a shard's log to its sealed tier, and
-// validation looks in both. Duplicate rows within the batch share a user and
-// therefore a shard, so the per-shard batch check is complete.
+// appendLocked validates, journals and publishes one routed batch and
+// returns the shards whose background compaction must be spawned; t.logMu
+// must be held. Readers never wait on it: they keep reading the published
+// version while the journal writes and syncs, and the batch appears on all
+// of its shards with the one Store that publishes its version. Duplicate
+// rows within the batch share a user and therefore a shard, so the
+// per-shard batch check is complete.
 func (t *Table) appendLocked(rows []Row, groups [][]Row) ([]*shard, error) {
-	var involved []*shard
+	if t.closed.Load() {
+		return nil, ErrClosed
+	}
+	cur := t.cur.Load()
 	for i, g := range groups {
 		if len(g) == 0 {
 			continue
 		}
-		s := t.shards[i]
-		s.mu.Lock()
-		err := s.validateBatchLocked(g)
-		s.mu.Unlock()
-		if err != nil {
+		if err := t.shards[i].validate(cur.shards[i], g); err != nil {
 			return nil, err
 		}
-		involved = append(involved, s)
 	}
 	if t.journal != nil {
 		if err := t.journal.append(t.schema, rows); err != nil {
 			return nil, err
 		}
 	}
-	// Admission holds every involved shard at once (in index order), so a
-	// Close racing the write rejects the whole batch, never part of it.
-	for _, s := range involved {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	for _, s := range involved {
-		if s.closed {
-			return nil, ErrClosed
-		}
-	}
+	next := cur.next()
 	var triggers []*shard
-	for _, s := range involved {
-		if s.admitLocked(groups[s.idx]) {
-			triggers = append(triggers, s)
+	for i, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		old := cur.shards[i]
+		st := &shardState{sealed: old.sealed, log: append(old.log, g...)}
+		next.shards[i] = st
+		if t.shards[i].admit(g, len(st.log)) {
+			triggers = append(triggers, t.shards[i])
 		}
 	}
+	t.cur.Store(next)
 	return triggers, nil
 }
 
@@ -523,15 +506,16 @@ func (t *Table) notifyChange() {
 	}
 }
 
-// Close waits out any in-flight compaction — background or explicit — on
-// every shard and releases the journal. Appends and compactions after
-// Close fail with ErrClosed; queries against views already taken stay
-// valid. After Close returns, the persisted table files and the journal
-// are quiescent, which the catalog's reload path depends on.
+// Close waits out any in-flight compaction — background or explicit — and
+// releases the journal. Appends and compactions after Close fail with
+// ErrClosed; queries against views already taken stay valid. After Close
+// returns, the persisted table files and the journal are quiescent, which
+// the catalog's reload path depends on.
 func (t *Table) Close() error {
-	for _, s := range t.shards {
-		s.close()
-	}
+	t.logMu.Lock()
+	t.closed.Store(true)
+	t.logMu.Unlock()
+	t.compactWG.Wait()
 	t.logMu.Lock()
 	defer t.logMu.Unlock()
 	if t.journal == nil {
@@ -540,20 +524,17 @@ func (t *Table) Close() error {
 	return t.journal.close()
 }
 
-// rewriteJournal truncates the journal to exactly the rows still in the
-// shards' deltas, after a compaction durably persisted a sealed tier. A
-// failure does not fail the compaction — the swap already happened and is
-// correct; leftover sealed rows in the journal are dropped as duplicates on
-// replay. It is recorded in Stats instead, because after a failed reopen
-// the journal is disabled and durability is degraded until a reload.
-func (t *Table) rewriteJournal() {
-	t.logMu.Lock()
-	defer t.logMu.Unlock()
+// rewriteJournalLocked truncates the journal to exactly the rows still in
+// v's logs, after a compaction durably persisted a sealed tier; t.logMu must
+// be held. A failure does not fail the compaction — the swap already
+// happened and is correct; leftover sealed rows in the journal are dropped
+// as duplicates on replay. It is recorded in Stats instead, because after a
+// failed reopen the journal is disabled and durability is degraded until a
+// reload.
+func (t *Table) rewriteJournalLocked(v *version) {
 	var rows []Row
-	for _, s := range t.shards {
-		s.mu.Lock()
-		rows = append(rows, s.log...)
-		s.mu.Unlock()
+	for _, st := range v.shards {
+		rows = append(rows, st.log...)
 	}
 	if err := t.journal.rewrite(t.schema, rows); err != nil {
 		t.journalErr = err.Error()
@@ -569,7 +550,6 @@ type ShardStats struct {
 	SealedUsers  int    `json:"sealedUsers"`
 	SealedChunks int    `json:"sealedChunks"`
 	DeltaRows    int    `json:"deltaRows"`
-	Generation   uint64 `json:"generation"`
 	Appends      uint64 `json:"appends"`
 	AppendedRows uint64 `json:"appendedRows"`
 	Compactions  uint64 `json:"compactions"`
@@ -629,22 +609,22 @@ type Stats struct {
 	PerShard []ShardStats `json:"perShard,omitempty"`
 }
 
-// Stats snapshots the counters of every shard and aggregates them.
+// Stats snapshots the counters of every shard and aggregates them, against
+// one published version.
 func (t *Table) Stats() Stats {
-	agg := Stats{Shards: len(t.shards)}
 	t.logMu.Lock()
+	defer t.logMu.Unlock()
+	v := t.cur.Load()
+	agg := Stats{Shards: len(t.shards), Generation: v.gen, LastJournalError: t.journalErr}
 	if t.journal != nil {
 		agg.JournalBytes = t.journal.size()
 	}
-	agg.LastJournalError = t.journalErr
-	t.logMu.Unlock()
-	for _, s := range t.shards {
-		st := s.stats()
+	for i, s := range t.shards {
+		st := s.stats(v.shards[i])
 		agg.SealedRows += st.SealedRows
 		agg.SealedUsers += st.SealedUsers
 		agg.SealedChunks += st.SealedChunks
 		agg.DeltaRows += st.DeltaRows
-		agg.Generation += st.Generation
 		agg.Appends += st.Appends
 		agg.AppendedRows += st.AppendedRows
 		agg.Compactions += st.Compactions

@@ -47,7 +47,7 @@ func runQuery(t *testing.T, lt *Table, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := lt.View()
+	view := lt.Views()[0]
 	res, err := plan.Execute(stmt.Query, view.Sealed, plan.ExecOptions{
 		Delta: view.Delta,
 	})
@@ -97,7 +97,7 @@ func TestAppendFreshnessAndDuplicateRejection(t *testing.T) {
 		t.Fatalf("batch duplicate: err = %v, want ErrDuplicate", err)
 	}
 	// ...and against the sealed tier.
-	view := lt.View()
+	view := lt.Views()[0]
 	sealedUser := view.Sealed.Schema().UserCol()
 	d := view.Sealed.Dict(sealedUser)
 	u0 := d.Value(0)
@@ -483,7 +483,7 @@ func TestSnapshotMergeMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := lt.View().Delta
+	got := lt.Views()[0].Delta
 	if !got.Sorted() {
 		t.Fatal("merged snapshot not marked sorted")
 	}

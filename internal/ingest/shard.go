@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -11,36 +12,81 @@ import (
 	"repro/internal/storage"
 )
 
-// shard is one user-hash partition of a live table: its slice of the sealed
-// compressed tier plus its own delta log, generation counter and compaction
-// lifecycle. The table's journal is shared, but no shard mutex is held while
-// it writes, so views never wait on the disk, and a lagging shard's
-// compaction cannot block the others.
+// version is one immutable state of the whole table: its generation and
+// every shard's state. Writers publish the next version with one Store;
+// a reader that Loads one sees every shard as of the same publish, so a
+// batch is visible on all of its shards or on none.
+type version struct {
+	gen    uint64
+	shards []*shardState
+}
+
+// shardState is one shard's part of a version: its sealed tier and its
+// un-compacted rows in arrival order. A publish that does not touch a shard
+// keeps its state pointer, and with it the sorted delta and union input
+// the state derives once, on first read, for every reader of it.
+type shardState struct {
+	sealed *storage.Table
+	// log is never written below len(log): an append extends the backing
+	// array past it, and only for the state that succeeds this one.
+	log []Row
+
+	once  sync.Once
+	delta *activity.Table    // log sorted by (Au, At, Ae); nil when empty
+	union *cohort.UnionDelta // nil when empty or when the build failed
+}
+
+// view returns the state's query input, deriving it on the first call.
+func (st *shardState) view() View {
+	st.once.Do(st.build)
+	return View{Sealed: st.sealed, Delta: st.delta, Union: st.union}
+}
+
+// build sorts the log into the delta and derives the union input. Every
+// log row passed the primary-key checks on admission, so a sort failure
+// means corrupted state — panic rather than serve a wrong snapshot. A
+// failed union build (a lazy segment load error) leaves Union nil: the
+// executor then builds it per query and surfaces the error there.
+func (st *shardState) build() {
+	if len(st.log) == 0 {
+		return
+	}
+	delta := activity.NewTable(st.sealed.Schema())
+	for _, row := range st.log {
+		delta.AppendRow(row.Strs, row.Ints)
+	}
+	if err := delta.SortByPK(); err != nil {
+		panic("ingest: delta snapshot violates primary key: " + err.Error())
+	}
+	st.delta = delta
+	st.union, _ = cohort.BuildUnionDelta(st.sealed, delta)
+}
+
+// sealedHasPK reports whether the state's sealed tier holds a tuple with
+// this primary key. The error is non-nil only when a lazy segment load
+// fails.
+func (st *shardState) sealedHasPK(schema *activity.Schema, user string, ts int64, action string) (bool, error) {
+	agid, ok := st.sealed.LookupString(schema.ActionCol(), action)
+	if !ok {
+		return false, nil
+	}
+	_, loc, ok, err := st.sealed.FindUser(user)
+	if err != nil || !ok {
+		return false, err
+	}
+	return st.sealed.HasTuple(loc, ts, agid)
+}
+
+// shard is the writer-side bookkeeping of one user-hash partition: the
+// primary keys of its log, its compaction lifecycle and its counters. The
+// data itself lives in the published shardState. Every field is guarded by
+// the table's logMu; readers never touch a shard.
 type shard struct {
 	idx    int
 	parent *Table
 
-	mu      sync.Mutex
-	sealed  *storage.Table
-	log     []Row               // un-compacted rows in arrival order
-	logKeys map[string]struct{} // primary keys of log, for duplicate checks
-	// snap is the sorted, user-clustered snapshot of log that queries scan
-	// (nil when empty). It is rebuilt lazily — Append only marks it dirty —
-	// so a burst of appends pays one sort on the next View instead of a
-	// full copy per batch, and the append critical section stays short.
-	snap      *activity.Table
-	snapDirty bool
-	// union is the cached row-scan input of the union query path (delta
-	// rows + overlap users' sealed blocks); rebuilt with snap so every
-	// query of a generation shares one materialization instead of decoding
-	// the overlap users' sealed blocks per query.
-	union  *cohort.UnionDelta
-	gen    uint64
-	closed bool
-
-	compacting bool
-	compactMu  sync.Mutex // serializes this shard's compaction bodies
-	wg         sync.WaitGroup
+	logKeys    map[string]struct{} // primary keys of the current log
+	compacting bool                // a background compaction is in flight
 
 	appends        uint64
 	appendedRows   uint64
@@ -59,60 +105,12 @@ type shard struct {
 	lastChunksReused  int
 }
 
-// schema returns the shared table schema.
-func (s *shard) schema() *activity.Schema { return s.parent.schema }
-
-// view snapshots the shard for query execution, rebuilding the delta
-// snapshot if appends dirtied it since the last view.
-func (s *shard) view() View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refreshSnapLocked()
-	if s.snap != nil && s.snap.Len() > 0 {
-		if s.union == nil {
-			// Build once per change; on failure (a lazy segment load error —
-			// the append-time PK checks rule out tier conflicts) leave it nil
-			// and let the executor surface the error per query.
-			s.union, _ = cohort.BuildUnionDelta(s.sealed, s.snap)
-		}
-	}
-	return View{Sealed: s.sealed, Delta: s.snap, Union: s.union, Gen: s.gen}
-}
-
-// refreshSnapLocked rebuilds the sorted delta snapshot from the log when
-// dirty; s.mu must be held. Readers hold previous snapshot pointers, which
-// stay valid and immutable. Every log row passed the primary-key checks on
-// admission, so a sort failure here means corrupted state — panic rather
-// than serve a wrong snapshot.
-func (s *shard) refreshSnapLocked() {
-	if !s.snapDirty {
-		return
-	}
-	s.snapDirty = false
-	s.union = nil // derived from snap (and the sealed tier): rebuild with it
-	if len(s.log) == 0 {
-		s.snap = nil
-		return
-	}
-	snap := activity.NewTable(s.schema())
-	for _, row := range s.log {
-		snap.AppendRow(row.Strs, row.Ints)
-	}
-	if err := snap.SortByPK(); err != nil {
-		panic("ingest: delta snapshot violates primary key: " + err.Error())
-	}
-	s.snap = snap
-}
-
-// validateBatchLocked checks a routed sub-batch against the shard: width and
-// PK-shape validation already happened at routing, so this is the closed
-// check plus the duplicate check against the batch itself, the un-compacted
-// log, and the sealed tier. s.mu must be held.
-func (s *shard) validateBatchLocked(rows []Row) error {
-	if s.closed {
-		return ErrClosed
-	}
-	schema := s.schema()
+// validate checks a routed sub-batch against the shard's state: width and
+// PK-shape validation already happened at routing, so this is the duplicate
+// check against the batch itself, the un-compacted log, and the sealed
+// tier.
+func (s *shard) validate(st *shardState, rows []Row) error {
+	schema := s.parent.schema
 	batchKeys := make(map[string]struct{}, len(rows))
 	for _, row := range rows {
 		user, ts, action := row.pk(schema)
@@ -123,7 +121,7 @@ func (s *shard) validateBatchLocked(rows []Row) error {
 		if _, dup := s.logKeys[key]; dup {
 			return ErrDuplicate{User: user, Time: ts, Action: action}
 		}
-		has, err := s.sealedHasPKLocked(user, ts, action)
+		has, err := st.sealedHasPK(schema, user, ts, action)
 		if err != nil {
 			return fmt.Errorf("ingest: checking sealed tier for duplicates: %w", err)
 		}
@@ -135,158 +133,147 @@ func (s *shard) validateBatchLocked(rows []Row) error {
 	return nil
 }
 
-// admitLocked folds a validated (and, when durable, journaled) sub-batch
-// into the delta log and reports whether a background compaction must be
-// spawned. s.mu must be held.
-func (s *shard) admitLocked(rows []Row) (trigger bool) {
-	schema := s.schema()
-	s.log = append(s.log, rows...)
+// admit folds a validated (and, when durable, journaled) sub-batch into the
+// shard's bookkeeping, given the length of its next log, and reports
+// whether a background compaction must be spawned.
+func (s *shard) admit(rows []Row, logLen int) (trigger bool) {
+	schema := s.parent.schema
 	for _, row := range rows {
 		user, ts, action := row.pk(schema)
 		s.logKeys[pkKey(user, ts, action)] = struct{}{}
 	}
-	// The sorted snapshot is rebuilt lazily on the next View, so the only
-	// work left in this critical section is bookkeeping.
-	s.snapDirty = true
-	s.gen++
 	s.appends++
 	s.appendedRows += uint64(len(rows))
-	cfg := &s.parent.cfg
-	trigger = cfg.AutoCompactRows > 0 && len(s.log) >= cfg.AutoCompactRows && !s.compacting
+	trigger = s.overThreshold(logLen) && !s.compacting
 	if trigger {
 		s.compacting = true
-		s.wg.Add(1)
+		s.parent.compactWG.Add(1)
 	}
 	return trigger
 }
 
-// sealedHasPKLocked reports whether the shard's sealed tier holds a tuple
-// with this primary key; s.mu must be held. The error is non-nil only when a
-// lazy segment load fails.
-func (s *shard) sealedHasPKLocked(user string, ts int64, action string) (bool, error) {
-	schema := s.schema()
-	agid, ok := s.sealed.LookupString(schema.ActionCol(), action)
-	if !ok {
-		return false, nil
-	}
-	_, loc, ok, err := s.sealed.FindUser(user)
-	if err != nil || !ok {
-		return false, err
-	}
-	return s.sealed.HasTuple(loc, ts, agid)
+// overThreshold reports whether a log of this length triggers automatic
+// compaction.
+func (s *shard) overThreshold(logLen int) bool {
+	n := s.parent.cfg.AutoCompactRows
+	return n > 0 && logLen >= n
 }
 
 // backgroundCompact runs threshold-triggered compactions, looping while the
 // shard's delta stays over the threshold (appends may race the compaction).
 func (s *shard) backgroundCompact() {
-	defer s.wg.Done()
+	t := s.parent
+	defer t.compactWG.Done()
 	for {
-		s.compactMu.Lock()
-		err := s.compactOnce()
-		s.compactMu.Unlock()
-		s.recordCompactErr(err)
-		s.mu.Lock()
-		again := err == nil && !s.closed &&
-			s.parent.cfg.AutoCompactRows > 0 && len(s.log) >= s.parent.cfg.AutoCompactRows
+		err := s.seal()
+		t.logMu.Lock()
+		again := err == nil && !t.closed.Load() && s.overThreshold(len(t.cur.Load().shards[s.idx].log))
 		if !again {
 			s.compacting = false
 		}
-		s.mu.Unlock()
+		t.logMu.Unlock()
 		if !again {
 			return
 		}
 	}
 }
 
-// recordCompactErr keeps the most recent compaction failure visible in
-// Stats — background compactions have no caller to return an error to, and
-// a persistently failing compaction (e.g. a full disk during Persist) must
-// not be silent while the delta and journal grow.
-func (s *shard) recordCompactErr(err error) {
-	s.mu.Lock()
-	if err != nil {
-		s.lastCompactErr = err.Error()
-	} else {
-		s.lastCompactErr = ""
-	}
-	s.mu.Unlock()
-}
-
 // compact synchronously seals this shard's delta. It is a no-op on an empty
 // delta, which is what makes table-level compaction selective: shards
 // without fresh rows are never rebuilt.
 func (s *shard) compact() error {
-	s.compactMu.Lock()
-	err := s.compactOnce()
-	s.compactMu.Unlock()
-	s.recordCompactErr(err)
+	t := s.parent
+	t.logMu.Lock()
+	if t.closed.Load() {
+		t.logMu.Unlock()
+		return ErrClosed
+	}
+	t.compactWG.Add(1)
+	t.logMu.Unlock()
+	defer t.compactWG.Done()
+	return s.seal()
+}
+
+// errSuperseded reports a compaction that lost the race to publish against
+// another compaction of the same shard; its merge is discarded and redone.
+var errSuperseded = errors.New("ingest: compaction superseded")
+
+// seal compacts the shard until a compaction publishes or finds nothing to
+// seal, and keeps the most recent failure visible in Stats — background
+// compactions have no caller to return an error to, and a persistently
+// failing compaction (e.g. a full disk during Persist) must not be silent
+// while the delta and journal grow.
+func (s *shard) seal() error {
+	err := errSuperseded
+	for err == errSuperseded {
+		err = s.compactOnce()
+	}
+	t := s.parent
+	t.logMu.Lock()
+	s.lastCompactErr = ""
+	if err != nil {
+		s.lastCompactErr = err.Error()
+	}
+	t.logMu.Unlock()
 	return err
 }
 
 // compactOnce merges the delta rows present at entry into a fresh sealed
-// shard and swaps it in; rows appended while the merge runs stay in the
-// delta for the next round. s.compactMu must be held.
+// shard and publishes it; rows appended while the merge runs stay in the
+// delta for the next round. The caller is counted in t.compactWG.
 func (s *shard) compactOnce() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	t := s.parent
+	if t.closed.Load() {
 		return ErrClosed
 	}
-	n := len(s.log)
+	old := t.cur.Load().shards[s.idx]
+	n := len(old.log)
 	if n == 0 {
-		s.mu.Unlock()
 		return nil
 	}
-	sealedOld := s.sealed
-	rows := s.log[:n:n]
-	chunkSize := s.parent.cfg.ChunkSize
+	chunkSize := t.cfg.ChunkSize
 	if chunkSize <= 0 {
-		chunkSize = sealedOld.ChunkSize()
+		chunkSize = old.sealed.ChunkSize()
 	}
-	s.mu.Unlock()
 
 	// The heavy merge runs without any lock: appends and queries proceed
-	// against the old sealed tier and the growing delta, on this shard and
-	// every other. The merge is chunk-granular: each delta user block routes
-	// to the chunk owning its user range, and only those chunks are decoded,
-	// merged in (Au, At, Ae) order and re-encoded (splitting at the block
-	// budget); untouched chunks are carried over, payloads shared. Appends
-	// are PK-checked against both tiers, so a merge conflict indicates state
+	// against the published versions, on this shard and every other. The
+	// merge is chunk-granular: each delta user block routes to the chunk
+	// owning its user range, and only those chunks are decoded, merged in
+	// (Au, At, Ae) order and re-encoded (splitting at the block budget);
+	// untouched chunks are carried over, payloads shared. Appends are
+	// PK-checked against both tiers, so a merge conflict indicates state
 	// corruption; surface it rather than sealing a bad shard.
 	start := time.Now()
-	schema := s.schema()
-	batch := activity.NewTable(schema)
-	for _, row := range rows {
+	batch := activity.NewTable(t.schema)
+	for _, row := range old.log {
 		batch.AppendRow(row.Strs, row.Ints)
 	}
 	if err := batch.SortByPK(); err != nil {
 		return fmt.Errorf("ingest: compaction merge: %w", err)
 	}
-	sealedNew, rebuilt, reused, err := storage.MergeDelta(sealedOld, batch, storage.Options{ChunkSize: chunkSize})
+	sealedNew, rebuilt, reused, err := storage.MergeDelta(old.sealed, batch, storage.Options{ChunkSize: chunkSize})
 	if err != nil {
 		return fmt.Errorf("ingest: compaction merge: %w", err)
 	}
-	// Persist + swap run under the coordinator's persist lock: concurrent
-	// compactions of other shards serialize here, so every persisted layout
-	// contains the latest sealed tier of every shard (a persist composed
-	// from stale neighbors could otherwise roll a just-persisted shard
-	// back). The heavy merge above stays outside the lock.
-	t := s.parent
+	// Persist + publish run under persistMu: compactions serialize here, so
+	// every persisted layout contains the latest sealed tier of every shard
+	// (a persist composed from stale neighbors could otherwise roll a
+	// just-persisted shard back), and a second compaction of this shard that
+	// merged from the same sealed tier finds it replaced and starts over.
 	t.persistMu.Lock()
 	defer t.persistMu.Unlock()
-	// Re-check closed before persisting: a Close (or catalog reload) that
-	// happened during the merge means a successor incarnation may already
-	// own the table files — overwriting them with this stale layout would
-	// erase the successor's persisted rows.
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if t.cur.Load().shards[s.idx].sealed != old.sealed {
+		return errSuperseded
+	}
+	// A Close (or catalog reload) during the merge waits for this
+	// compaction; persisting its layout now would only be wasted work.
+	if t.closed.Load() {
 		return ErrClosed
 	}
 	if t.cfg.Persist != nil {
 		delta := storage.LayoutDelta{
-			Layout:        t.sealedLayoutWith(s.idx, sealedNew),
+			Layout:        t.cur.Load().layout(s.idx, sealedNew),
 			Shard:         s.idx,
 			ChunksRebuilt: rebuilt,
 			ChunksReused:  reused,
@@ -296,41 +283,11 @@ func (s *shard) compactOnce() error {
 		}
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		// The table was closed (or replaced by a catalog reload) while the
-		// merge ran without the lock. Swapping state or rewriting the
-		// journal now would clobber the successor incarnation's journal
-		// file, losing its acknowledged appends — abort instead. (Close
-		// waits out this compaction before it releases the journal, so the
-		// rewrite below cannot race it.)
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.sealed = sealedNew
-	remaining := append([]Row(nil), s.log[n:]...)
-	s.log = remaining
-	s.logKeys = make(map[string]struct{}, len(remaining))
-	for _, row := range remaining {
-		user, ts, action := row.pk(schema)
-		s.logKeys[pkKey(user, ts, action)] = struct{}{}
-	}
-	s.snapDirty = true
-	s.gen++
-	s.compactions++
-	s.chunksRebuilt += uint64(rebuilt)
-	s.chunksReused += uint64(reused)
-	s.lastChunksRebuilt, s.lastChunksReused = rebuilt, reused
-	s.lastCompactMS = time.Since(start).Milliseconds()
-	s.mu.Unlock()
-	if t.journal != nil && t.cfg.Persist != nil {
-		// Truncate the journal only when the new sealed tier was durably
-		// persisted. Without a Persist hook (library engines) the merged
-		// shard exists in memory only — the journal must keep every row, or
-		// a crash after compaction would lose acknowledged appends; replay
-		// drops whatever a later Save made redundant. s.mu is released
-		// first: the lock order is log before shard.
-		t.rewriteJournal()
+	t.logMu.Lock()
+	err = s.publishLocked(n, sealedNew, rebuilt, reused, start)
+	t.logMu.Unlock()
+	if err != nil {
+		return err
 	}
 	obs.CompactSeconds.ObserveSince(start)
 	obs.CompactionsTotal.Inc()
@@ -340,34 +297,53 @@ func (s *shard) compactOnce() error {
 	return nil
 }
 
-// close marks the shard closed and waits out its compactions.
-func (s *shard) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+// publishLocked swaps the compacted sealed tier in for the first n log rows
+// and truncates the journal to the rows still in the deltas; t.logMu must
+// be held.
+func (s *shard) publishLocked(n int, sealedNew *storage.Table, rebuilt, reused int, start time.Time) error {
+	t := s.parent
+	if t.closed.Load() {
+		// A Close (or catalog reload) arrived during the persist: publish
+		// nothing and leave the journal whole for the next incarnation,
+		// whose replay drops the rows the persisted layout already holds.
+		return ErrClosed
 	}
-	s.closed = true
-	s.mu.Unlock()
-	s.wg.Wait()
-	// Taking compactMu drains an in-flight explicit compact (not covered by
-	// wg): it sees closed at its next check and aborts without persisting
-	// or rewriting, or finishes its rewrite first.
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
+	// The log here extends the merged one: only appends touched it since.
+	cur := t.cur.Load()
+	remaining := append([]Row(nil), cur.shards[s.idx].log[n:]...)
+	next := cur.next()
+	next.shards[s.idx] = &shardState{sealed: sealedNew, log: remaining}
+	t.cur.Store(next)
+	s.logKeys = make(map[string]struct{}, len(remaining))
+	for _, row := range remaining {
+		user, ts, action := row.pk(t.schema)
+		s.logKeys[pkKey(user, ts, action)] = struct{}{}
+	}
+	s.compactions++
+	s.chunksRebuilt += uint64(rebuilt)
+	s.chunksReused += uint64(reused)
+	s.lastChunksRebuilt, s.lastChunksReused = rebuilt, reused
+	s.lastCompactMS = time.Since(start).Milliseconds()
+	if t.journal != nil && t.cfg.Persist != nil {
+		// Truncate the journal only when the new sealed tier was durably
+		// persisted. Without a Persist hook (library engines) the merged
+		// shard exists in memory only — the journal must keep every row, or
+		// a crash after compaction would lose acknowledged appends; replay
+		// drops whatever a later Save made redundant.
+		t.rewriteJournalLocked(next)
+	}
+	return nil
 }
 
-// stats snapshots the shard's counters.
-func (s *shard) stats() ShardStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := ShardStats{
+// stats snapshots the shard's counters against its state in the version
+// the caller loaded; t.logMu must be held.
+func (s *shard) stats(st *shardState) ShardStats {
+	return ShardStats{
 		Shard:                    s.idx,
-		SealedRows:               s.sealed.NumRows(),
-		SealedUsers:              s.sealed.NumUsers(),
-		SealedChunks:             s.sealed.NumChunks(),
-		DeltaRows:                len(s.log),
-		Generation:               s.gen,
+		SealedRows:               st.sealed.NumRows(),
+		SealedUsers:              st.sealed.NumUsers(),
+		SealedChunks:             st.sealed.NumChunks(),
+		DeltaRows:                len(st.log),
 		Appends:                  s.appends,
 		AppendedRows:             s.appendedRows,
 		Compactions:              s.compactions,
@@ -381,5 +357,4 @@ func (s *shard) stats() ShardStats {
 		ReplayDroppedRows:        s.replayDropped,
 		Compacting:               s.compacting,
 	}
-	return st
 }

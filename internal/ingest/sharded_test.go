@@ -92,13 +92,11 @@ func usersInDistinctShards(n int) []string {
 // it.
 func deltaShards(lt *Table) map[string]int {
 	out := make(map[string]int)
-	for i, s := range lt.shards {
-		s.mu.Lock()
-		for _, r := range s.log {
+	for i, st := range lt.cur.Load().shards {
+		for _, r := range st.log {
 			user, ts, action := r.pk(lt.schema)
 			out[pkKey(user, ts, action)] = i
 		}
-		s.mu.Unlock()
 	}
 	return out
 }

@@ -119,7 +119,7 @@ var (
 	TableShards = Default.GaugeVec("cohana_table_shards",
 		"Shards per table.", "table")
 	TableGeneration = Default.GaugeVec("cohana_table_generation",
-		"Table generation (sum of the per-shard generations; advances on every append, compaction and reload).", "table")
+		"Table generation (+1 per acknowledged append batch and per compaction swap; a reload continues it).", "table")
 	TableDeltaRows = Default.GaugeVec("cohana_table_delta_rows",
 		"Uncompressed delta rows per table awaiting compaction.", "table")
 	TableSealedRows = Default.GaugeVec("cohana_table_sealed_rows",

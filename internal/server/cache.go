@@ -10,9 +10,10 @@ import (
 
 // ResultCache is a bounded LRU over rendered query responses. Entries are
 // keyed by (table, fingerprint, normalized query text). The fingerprint
-// (cohana.Snapshot.Fingerprint) is the pinned snapshot's per-shard
-// generation vector, so any append or compaction changes the key and a
-// cached body can never be served for a state it was not computed on.
+// (cohana.Snapshot.Fingerprint) is the pinned snapshot's table generation,
+// which names exactly one published table version, so any append or
+// compaction changes the key and a cached body can never be served for a
+// state it was not computed on.
 // Entries whose fingerprints no longer occur age out through the LRU;
 // reloads drop a table's entries eagerly via InvalidateTable.
 //

@@ -241,13 +241,11 @@ func (c *Catalog) entry(name string) *catalogEntry {
 }
 
 // Get returns the live table, loading it on first use, together with the
-// incarnation's compiled-plan cache and its current generation (the token
-// the result cache keys on; it advances on every append, compaction and
-// reload). Table and plan cache are taken under one lock, so they always
-// belong to the same incarnation.
-func (c *Catalog) Get(name string) (*ingest.Table, *plan.Cache, uint64, error) {
+// incarnation's compiled-plan cache. Table and plan cache are taken under
+// one lock, so they always belong to the same incarnation.
+func (c *Catalog) Get(name string) (*ingest.Table, *plan.Cache, error) {
 	if !validName(name) {
-		return nil, nil, 0, ErrUnknownTable{Name: name}
+		return nil, nil, ErrUnknownTable{Name: name}
 	}
 	e := c.entry(name)
 	e.mu.Lock()
@@ -255,12 +253,12 @@ func (c *Catalog) Get(name string) (*ingest.Table, *plan.Cache, uint64, error) {
 		if err := c.loadLocked(name, e); err != nil {
 			e.mu.Unlock()
 			c.dropIfEmpty(name, e)
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
 	live, plans := e.live, e.planCache
 	e.mu.Unlock()
-	return live, plans, live.Gen(), nil
+	return live, plans, nil
 }
 
 // dropIfEmpty removes a never-loaded entry from the map, so queries against
@@ -276,23 +274,24 @@ func (c *Catalog) dropIfEmpty(name string, e *catalogEntry) {
 }
 
 // Reload re-reads the table from disk, replaying the journal, replacing the
-// shared live table and advancing the generation. In-flight queries keep
-// using the views they already hold — old generations stay valid, they just
-// stop being served from the catalog or the cache.
-func (c *Catalog) Reload(name string) (*ingest.Table, uint64, error) {
+// shared live table and continuing its generation at the old one + 1.
+// In-flight queries keep using the views they already hold — old
+// generations stay valid, they just stop being served from the catalog or
+// the cache.
+func (c *Catalog) Reload(name string) (*ingest.Table, error) {
 	if !validName(name) {
-		return nil, 0, ErrUnknownTable{Name: name}
+		return nil, ErrUnknownTable{Name: name}
 	}
 	e := c.entry(name)
 	e.mu.Lock()
 	if err := c.loadLocked(name, e); err != nil {
 		e.mu.Unlock()
 		c.dropIfEmpty(name, e)
-		return nil, 0, err
+		return nil, err
 	}
 	live := e.live
 	e.mu.Unlock()
-	return live, live.Gen(), nil
+	return live, nil
 }
 
 // PlanCacheStats sums the compiled-plan cache counters across every loaded
@@ -503,10 +502,10 @@ type TableShards struct {
 	PerShard   []ingest.ShardStats `json:"perShard,omitempty"`
 }
 
-// IngestSnapshot walks every loaded table once — each walk locks the
-// table's shards, so the stats endpoint must not repeat it — and returns
-// both the across-table aggregate and the per-table shard breakdown,
-// sorted by name.
+// IngestSnapshot walks every loaded table once — each walk takes the
+// table's journal lock, so the stats endpoint must not repeat it — and
+// returns both the across-table aggregate and the per-table shard
+// breakdown, sorted by name.
 func (c *Catalog) IngestSnapshot() (IngestTotals, []TableShards) {
 	c.mu.Lock()
 	names := make([]string, 0, len(c.entries))

@@ -50,7 +50,7 @@ func TestTableNameWithGlobMetacharacters(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "a[b")
 	cat := NewCatalogWith(dir, CatalogConfig{CompactRows: -1})
-	lt, _, _, err := cat.Get("a[b")
+	lt, _, err := cat.Get("a[b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestTableNameWithGlobMetacharacters(t *testing.T) {
 
 	cat = NewCatalogWith(dir, CatalogConfig{CompactRows: -1})
 	defer cat.Close()
-	lt, _, _, err = cat.Get("a[b")
+	lt, _, err = cat.Get("a[b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestLiveIngestFreshnessCompactionAndRestart(t *testing.T) {
 	// directory replays them with no lost rows.
 	cat := NewCatalogWith(dir, CatalogConfig{CompactRows: -1})
 	defer cat.Close()
-	lt, _, _, err := cat.Get("game")
+	lt, _, err := cat.Get("game")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCatalogRejectsCorruptTableFile(t *testing.T) {
 	cat := NewCatalog(dir)
 	defer cat.Close()
 	for _, name := range []string{"trunc", "junk"} {
-		_, _, _, err := cat.Get(name)
+		_, _, err := cat.Get(name)
 		var corrupt ErrCorruptTable
 		if !errors.As(err, &corrupt) {
 			t.Fatalf("Get(%s) error = %v, want ErrCorruptTable", name, err)

@@ -105,7 +105,7 @@ func New(cfg Config) *Server {
 		PlanCacheSize:   cfg.PlanCacheSize,
 		ChunkCacheBytes: cfg.ChunkCacheBytes,
 		// Appends and compactions do not invalidate the cache explicitly:
-		// they bump a shard generation, which changes every key of the
+		// they bump the table generation, which changes every key of the
 		// table, and the stranded entries age out through the LRU. Reloads
 		// invalidate eagerly in handleReload — a reload discontinuity frees
 		// the whole table's memory at once.
@@ -360,7 +360,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
-	lt, plans, _, err := s.catalog.Get(req.Table)
+	lt, plans, err := s.catalog.Get(req.Table)
 	if err != nil {
 		s.writeError(w, r, statusFor(err), err)
 		return
@@ -374,8 +374,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// parse → validate → optimize → compile even across requests.
 	eng := cohana.EngineForIngest(lt, cohana.Options{Parallelism: parallelism, Pool: s.pool, PlanCache: plans})
 	// Pin one snapshot for the whole request: the fingerprint — the
-	// snapshot's per-shard generation vector — describes exactly the state
-	// the execution below scans, so a cached body under this key describes
+	// snapshot's table generation — describes exactly the state the
+	// execution below scans, so a cached body under this key describes
 	// precisely this state. A hit touches neither the parser nor the plan
 	// cache; a miss prepares once and runs once.
 	snap := eng.Snapshot()
@@ -473,7 +473,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Force the load so the response carries row/chunk stats, then describe.
-	if _, _, _, err := s.catalog.Get(name); err != nil {
+	if _, _, err := s.catalog.Get(name); err != nil {
 		s.writeError(w, r, statusFor(err), err)
 		return
 	}
@@ -511,7 +511,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, errors.New(`request needs a non-empty "rows" array`))
 		return
 	}
-	lt, _, _, err := s.catalog.Get(name)
+	lt, _, err := s.catalog.Get(name)
 	if err != nil {
 		s.writeError(w, r, statusFor(err), err)
 		return
@@ -554,7 +554,7 @@ type compactResponse struct {
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	lt, _, _, err := s.catalog.Get(name)
+	lt, _, err := s.catalog.Get(name)
 	if err != nil {
 		s.writeError(w, r, statusFor(err), err)
 		return
@@ -578,7 +578,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if _, _, err := s.catalog.Reload(name); err != nil {
+	if _, err := s.catalog.Reload(name); err != nil {
 		s.writeError(w, r, statusFor(err), err)
 		return
 	}

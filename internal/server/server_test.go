@@ -93,19 +93,20 @@ func TestCatalogLazyLoadListAndReload(t *testing.T) {
 		t.Fatalf("fresh catalog list = %+v, want one unloaded 'game'", infos)
 	}
 
-	tbl, _, gen1, err := cat.Get("game")
+	tbl, _, err := cat.Get("game")
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen1 := tbl.Gen()
 	if gen1 != 1 || tbl.Stats().SealedRows == 0 {
 		t.Fatalf("first load: gen=%d rows=%d", gen1, tbl.Stats().SealedRows)
 	}
 	// Shared, not re-read: same pointer and generation on the second Get.
-	tbl2, _, gen2, err := cat.Get("game")
+	tbl2, _, err := cat.Get("game")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl2 != tbl || gen2 != gen1 {
+	if gen2 := tbl2.Gen(); tbl2 != tbl || gen2 != gen1 {
 		t.Fatalf("second Get reloaded: gen %d -> %d, same pointer %v", gen1, gen2, tbl2 == tbl)
 	}
 	info, err := cat.Info("game")
@@ -117,20 +118,20 @@ func TestCatalogLazyLoadListAndReload(t *testing.T) {
 	}
 
 	// Reload replaces the shared table and bumps the generation.
-	tbl3, gen3, err := cat.Reload("game")
+	tbl3, err := cat.Reload("game")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl3 == tbl || gen3 != gen1+1 {
+	if gen3 := tbl3.Gen(); tbl3 == tbl || gen3 != gen1+1 {
 		t.Fatalf("reload: gen %d -> %d, fresh pointer %v", gen1, gen3, tbl3 != tbl)
 	}
 
 	// Unknown and malicious names 404.
-	if _, _, _, err := cat.Get("nope"); !errors.As(err, &ErrUnknownTable{}) {
+	if _, _, err := cat.Get("nope"); !errors.As(err, &ErrUnknownTable{}) {
 		t.Fatalf("Get(nope) error = %v, want ErrUnknownTable", err)
 	}
 	for _, bad := range []string{"", ".", "..", "a/b", `a\b`} {
-		if _, _, _, err := cat.Get(bad); !errors.As(err, &ErrUnknownTable{}) {
+		if _, _, err := cat.Get(bad); !errors.As(err, &ErrUnknownTable{}) {
 			t.Errorf("Get(%q) error = %v, want ErrUnknownTable", bad, err)
 		}
 	}
@@ -147,7 +148,7 @@ func TestCatalogConcurrentFirstLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tbl, _, _, err := cat.Get("game")
+			tbl, _, err := cat.Get("game")
 			if err != nil {
 				t.Error(err)
 				return
@@ -259,11 +260,11 @@ func TestCatalogUnknownNamesDoNotAccumulate(t *testing.T) {
 	cat := NewCatalog(dir)
 	defer cat.Close()
 	for i := 0; i < 50; i++ {
-		if _, _, _, err := cat.Get(fmt.Sprintf("ghost-%d", i)); err == nil {
+		if _, _, err := cat.Get(fmt.Sprintf("ghost-%d", i)); err == nil {
 			t.Fatal("Get of a nonexistent table succeeded")
 		}
 	}
-	if _, _, _, err := cat.Get("game"); err != nil {
+	if _, _, err := cat.Get("game"); err != nil {
 		t.Fatal(err)
 	}
 	cat.mu.Lock()

@@ -13,8 +13,7 @@ import (
 )
 
 // The result cache contract: cached results are keyed on the table's
-// per-shard generation vector, so any append or compaction — to any shard —
-// changes the key, and a repeat with no state change in between hits. While
+// generation, so any append or compaction — to any shard — changes the key, and a repeat with no state change in between hits. While
 // the table holds un-compacted rows a result is stored on the first repeat
 // of its key, so the repeat after that is the first hit.
 
@@ -89,8 +88,8 @@ func postRows(t *testing.T, url, table string, rows ...map[string]any) {
 
 // TestAppendToOtherShardKeepsCacheWarm pins that the result-cache key moves
 // with every state change: an append to the shard a query never reads still
-// invalidates its cached result (the key is the whole generation vector, not
-// a per-query relevance analysis), and the recomputed result is correct.
+// invalidates its cached result (the key is the table generation, not a
+// per-query relevance analysis), and the recomputed result is correct.
 func TestAppendToOtherShardKeepsCacheWarm(t *testing.T) {
 	dir := t.TempDir()
 	writeSplitFixture(t, dir, "split")
@@ -197,4 +196,74 @@ func TestIngestDoesNotFlushOtherTables(t *testing.T) {
 	query("live", live, "miss")
 	query("live", live, "miss")
 	query("live", live, "hit")
+}
+
+// TestGenerationArithmetic pins the one table generation of a 2-shard
+// table: a fresh load is 1, each acknowledged batch adds 1 whichever shards
+// it spans, each compaction swap adds 1 (one per shard with delta rows),
+// and a reload continues at the old generation + 1. /v1/stats and the
+// cohana_table_generation gauge report the same number.
+func TestGenerationArithmetic(t *testing.T) {
+	dir := t.TempDir()
+	writeSplitFixture(t, dir, "split")
+	_, ts := newTestServer(t, dir, Config{Workers: 2, CacheSize: 16})
+
+	post := func(path string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+		}
+	}
+	batch := func(salt int) {
+		t.Helper()
+		var rows []map[string]any
+		for shard := 0; shard < 2; shard++ {
+			rows = append(rows, map[string]any{
+				"player": shardUser(t, shard, salt), "time": 2_000_000_000, "action": "alpha-birth",
+				"country": "China", "city": "Beijing", "role": "mage", "session": 1, "gold": 0,
+			})
+		}
+		postRows(t, ts.URL, "split", rows...)
+	}
+	want := func(step string, gen uint64) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats struct {
+			Tables []TableShards `json:"tables"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats.Tables) != 1 || stats.Tables[0].Generation != gen {
+			t.Fatalf("%s: /v1/stats tables %+v, want generation %d", step, stats.Tables, gen)
+		}
+		if g := scrapeMetrics(t, ts.URL).samples[`cohana_table_generation{table="split"}`]; g != float64(gen) {
+			t.Fatalf("%s: cohana_table_generation %v, want %d", step, g, gen)
+		}
+	}
+
+	postQuery(t, ts.URL, "split", `SELECT country, COHORTSIZE FROM D BIRTH FROM action = "alpha-birth" COHORT BY country`)
+	want("fresh load", 1)
+	batch(900)
+	want("one batch over both shards", 2)
+	batch(901)
+	want("second batch", 3)
+	post("/v1/tables/split/compact")
+	want("compaction of both shards", 5)
+	post("/v1/tables/split/compact")
+	want("compaction of empty deltas", 5)
+	post("/v1/tables/split/reload")
+	want("reload", 6)
+	batch(902)
+	want("batch after reload", 7)
 }
