@@ -16,22 +16,23 @@ import (
 // answerable without decoding values (Section 4.1's compression schemes):
 //
 //   - equality / IN on dictionary-encoded string columns: the literal
-//     resolves to a global-id once per table and to a chunk-id once per
-//     chunk, so each row check is a bit-packed read and an integer compare —
-//     no dictionary value is materialized, no string is compared;
+//     resolves to a global-id once per table, and the conjunct to a verdict
+//     table over the chunk's ids once per chunk, so each row check is a
+//     bit-packed read and a table load — no dictionary value is
+//     materialized, no string is compared;
 //   - comparisons / BETWEEN on frame-of-reference integer (and time)
 //     columns: the threshold translates into the chunk's delta domain once
 //     per chunk, so each row check compares the raw bit-packed delta — the
 //     MIN addition never happens;
 //   - AGE conjuncts: evaluated on the already-computed age directly, with no
-//     Env round trip.
+//     Env round trip; the upper bounds among them (<, <=) are not evaluated
+//     at all, because the kernel's decode window ends at the bound.
 //
 // Conjuncts outside these shapes (Birth() references, OR trees, predicates
 // on the RLE user column) stay on the generic expr.Pred path as a residual,
 // evaluated only for rows that survive the encoded checks. A surviving
 // conjunct set therefore decodes value columns only for rows that every
-// pushed predicate admits — the "skip decoding what no surviving row
-// touches" half of the tentpole.
+// pushed predicate admits.
 
 // ExecStats counts decoder-level work during query execution. Workers fold
 // per-chunk tallies in with atomic adds, so one ExecStats can be shared
@@ -46,17 +47,21 @@ type ExecStats struct {
 	// bound — never decoded, because no pushed AGE conjunct admits them.
 	RowsSkippedByAge atomic.Int64
 	// ValueBytesDecoded counts bytes of column values materialized out of
-	// the encoded domain, 8 per integer: the time values of every decode
-	// window, the measure values folded into aggregates and integers decoded
-	// for residual predicates, plus the byte length of dictionary strings
-	// surfaced to residual predicates. Encoded-domain checks do not count —
-	// that is the point.
+	// the encoded domain, 8 per integer: the time values the kernel actually
+	// reads (each selected row's, or the whole window's when the selection
+	// is dense enough that one window decode is cheaper), the measure values
+	// folded into aggregates and integers decoded for residual predicates,
+	// plus the byte length of dictionary strings surfaced to residual
+	// predicates. Conjunct codes read for the selection do not count: they
+	// stay in the encoded domain, and that is the point.
 	ValueBytesDecoded atomic.Int64
 	// EncodedChecks counts predicate evaluations answered entirely in the
 	// encoded domain: the birth search's code compares (on the scan that
 	// builds a chunk's birth index only), σb's time range on the indexed
-	// birth time, σb's other kernels on the birth row, pushed AGE verdicts
-	// per age span and column-kernel run verdicts.
+	// birth time, one per verdict-table entry (a string conjunct's kernel
+	// runs once per chunk-id of the chunk when the chunk is bound), one per
+	// integer-kernel call (σb's birth row, σg's selection), and the pushed
+	// AGE verdicts the window cut does not imply, once per age span.
 	EncodedChecks atomic.Int64
 	// UsersSkippedByBirth counts the users of scanned chunks the birth index
 	// rejects alone — never born, or born outside σb's pushed time range —
@@ -66,9 +71,9 @@ type ExecStats struct {
 	// the chunks skipped by birth-range pruning (Section 4.2).
 	ChunksScanned atomic.Int64
 	ChunksPruned  atomic.Int64
-	// RunsEvaluated counts the runs the kernel decides once for many rows:
-	// same-age spans off the sorted time column and (value-id, runLength)
-	// runs of a pushed column conjunct's codes.
+	// RunsEvaluated counts the age spans the kernel decides once for many
+	// rows: maximal runs of selected rows of one age, off the sorted time
+	// column.
 	RunsEvaluated atomic.Int64
 	// RowsBatched counts activity rows processed run-at-a-time by the chunk
 	// kernel — every row of its decode windows, so it equals RowsScanned —
@@ -94,8 +99,12 @@ type ChunkStats struct {
 // conjuncts plus the residual generic predicate (nil when fully pushed).
 type pushdown struct {
 	ageConds []func(int64) bool
-	colConds []colCond
-	residual expr.Pred
+	// ageChecks is the part of ageConds the chunk kernel evaluates per age
+	// span: every AGE conjunct but the upper bounds (<, <=), which the
+	// decode window's cut at maxAge already enforces exactly.
+	ageChecks []func(int64) bool
+	colConds  []colCond
+	residual  expr.Pred
 	// maxAge is the tightest upper age bound the pushed AGE conjuncts imply
 	// (they are AND-ed, so every one bounds the age); hasMaxAge is false when
 	// none does. An AGE reference left in the residual implies nothing.
@@ -107,6 +116,15 @@ type pushdown struct {
 func (pd *pushdown) boundAge(m int64) {
 	if !pd.hasMaxAge || m < pd.maxAge {
 		pd.maxAge, pd.hasMaxAge = m, true
+	}
+}
+
+// addAge appends one pushed AGE conjunct; implied reports that maxAge alone
+// enforces it, so the kernel never evaluates it per span.
+func (pd *pushdown) addAge(f func(int64) bool, implied bool) {
+	pd.ageConds = append(pd.ageConds, f)
+	if !implied {
+		pd.ageChecks = append(pd.ageChecks, f)
 	}
 }
 
@@ -124,41 +142,57 @@ type colCond struct {
 	rng *valRange
 }
 
-// vecCond is one column conjunct bound to a chunk: a kernel over raw codes
-// (nil when the chunk settles the conjunct — then verdict applies to every
-// row of the chunk).
+// vecCond is one column conjunct bound to a chunk. A string conjunct is a
+// verdict table indexed by chunk-id, an integer conjunct a kernel over
+// frame-of-reference deltas; both are nil when the chunk settles the
+// conjunct, and then verdict applies to every row of the chunk.
 type vecCond struct {
 	col      int
 	isString bool
+	verdicts []bool
 	kernel   func(code uint64) bool
 	verdict  bool
 }
 
-// boundVec is a pushdown bound to one chunk. In the age loop, age conjuncts
-// evaluate once per time-run (ages are constant within one), column kernels
-// once per code run, and the residual per surviving row; σb applies the same
-// kernels to the birth row alone (passRow).
+// settled reports whether the chunk decides vc for every row alike.
+func (vc *vecCond) settled() bool { return vc.verdicts == nil && vc.kernel == nil }
+
+// boundVec is a pushdown bound to one chunk: the chunk kernel selects a
+// decode window's rows with the column conjuncts, and σb applies them to
+// the birth row alone (passRow).
 type boundVec struct {
 	ageConds []func(int64) bool
 	cols     []vecCond
 	residual expr.Pred
 }
 
-func (pd *pushdown) bindVec(ch *storage.Chunk) boundVec {
+// bindVec binds pd to chunk ch. Each string conjunct the chunk does not
+// settle becomes a verdict table of ChunkCardinality entries, one kernel
+// call each, appended to tables; bindVec returns the grown arena, so the
+// caller counts the entries and reuses its capacity chunk after chunk.
+func (pd *pushdown) bindVec(ch *storage.Chunk, tables []bool) (boundVec, []bool) {
 	bv := boundVec{ageConds: pd.ageConds, residual: pd.residual}
 	if len(pd.colConds) > 0 {
 		bv.cols = make([]vecCond, len(pd.colConds))
 		for i, cc := range pd.colConds {
 			k, verdict := cc.bindCode(ch)
-			bv.cols[i] = vecCond{col: cc.col, isString: cc.isString, kernel: k, verdict: verdict}
+			vc := vecCond{col: cc.col, isString: cc.isString, kernel: k, verdict: verdict}
+			if k != nil && cc.isString {
+				start := len(tables)
+				for id, n := uint64(0), uint64(ch.ChunkCardinality(cc.col)); id < n; id++ {
+					tables = append(tables, k(id))
+				}
+				vc.verdicts, vc.kernel = tables[start:len(tables):len(tables)], nil
+			}
+			bv.cols[i] = vc
 		}
 	}
-	return bv
+	return bv, tables
 }
 
-// passAge evaluates the pushed AGE conjuncts for one age value.
-func (bv *boundVec) passAge(age int64) bool {
-	for _, f := range bv.ageConds {
+// passAges evaluates AGE conjuncts for one age value.
+func passAges(conds []func(int64) bool, age int64) bool {
+	for _, f := range conds {
 		if !f(age) {
 			return false
 		}
@@ -169,24 +203,21 @@ func (bv *boundVec) passAge(age int64) bool {
 // passRow evaluates the encoded-domain conjuncts on one row's codes; the
 // caller evaluates the residual (if any) only when this passes.
 func (bv *boundVec) passRow(ch *storage.Chunk, row int, age int64) bool {
-	if !bv.passAge(age) {
+	if !passAges(bv.ageConds, age) {
 		return false
 	}
 	for i := range bv.cols {
 		vc := &bv.cols[i]
-		if vc.kernel == nil {
-			if !vc.verdict {
+		switch {
+		case vc.verdicts != nil:
+			if !vc.verdicts[ch.ChunkID(vc.col, row)] {
 				return false
 			}
-			continue
-		}
-		var code uint64
-		if vc.isString {
-			code = ch.ChunkID(vc.col, row)
-		} else {
-			code = ch.Ints(vc.col).Raw(row)
-		}
-		if !vc.kernel(code) {
+		case vc.kernel != nil:
+			if !vc.kernel(ch.Ints(vc.col).Raw(row)) {
+				return false
+			}
+		case !vc.verdict:
 			return false
 		}
 	}
@@ -243,7 +274,7 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 			case op == expr.OpLt, op == expr.OpLe, op == expr.OpEq:
 				pd.boundAge(v) // AGE < MinInt64 admits nothing; v bounds it too
 			}
-			pd.ageConds = append(pd.ageConds, func(age int64) bool { return intCmpHolds(op, age, v) })
+			pd.addAge(func(age int64) bool { return intCmpHolds(op, age, v) }, op == expr.OpLt || op == expr.OpLe)
 			return true
 		}
 		col, okCol := l.(expr.Col)
@@ -305,14 +336,7 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 			if len(vals) > 0 {
 				pd.boundAge(slices.Max(vals))
 			}
-			pd.ageConds = append(pd.ageConds, func(age int64) bool {
-				for _, v := range vals {
-					if age == v {
-						return true
-					}
-				}
-				return false
-			})
+			pd.addAge(func(age int64) bool { return slices.Contains(vals, age) }, false)
 			return true
 		}
 		col, okCol := x.L.(expr.Col)
@@ -397,7 +421,7 @@ func (pd *pushdown) addConjunct(conj expr.Expr, schema *activity.Schema, tbl *st
 			}
 			lo, hi := x.Lo.Int, x.Hi.Int
 			pd.boundAge(hi)
-			pd.ageConds = append(pd.ageConds, func(age int64) bool { return age >= lo && age <= hi })
+			pd.addAge(func(age int64) bool { return age >= lo && age <= hi }, false)
 			return true
 		}
 		col, okCol := x.L.(expr.Col)

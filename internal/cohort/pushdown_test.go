@@ -176,7 +176,8 @@ func FuzzPushdownPredicate(f *testing.F) {
 		timeRange, timed := split.takeRange(schema.TimeCol())
 		for ci := 0; ci < tbl.NumChunks(); ci++ {
 			ch := tbl.Chunk(ci)
-			bv, sv := pd.bindVec(ch), split.bindVec(ch)
+			bv, _ := pd.bindVec(ch, nil)
+			sv, _ := split.bindVec(ch, nil)
 			tLo, tSpan, verdict, isConst := timeRange.bindCodes(ch.Ints(schema.TimeCol()))
 			env := &chunkEnv{tbl: tbl, ch: ch, schema: schema}
 			for r := 0; r < ch.NumRows(); r++ {

@@ -3,8 +3,8 @@ package cohort
 // The chunk kernel: Algorithms 1 and 2 run over one chunk, user block at a
 // time. The storage format of Section 4.1 keeps each user's tuples together
 // and time-ordered, so the birth tuple, the ages and the rows a query can
-// aggregate all follow from the block's packed codes, and runChunk decodes
-// only the rows it can aggregate:
+// aggregate all follow from the block's packed codes, and runChunk selects
+// first and decodes only what the selected rows need:
 //
 //   - GetBirthTuple reads the chunk's birth index for the birth action (see
 //     storage.BirthIndex): each user's birth row and its raw time code, found
@@ -14,20 +14,28 @@ package cohort
 //     array read and one compare and its user run and block are never read
 //     (§4.3); only the survivors read their run and the rest of σb on the
 //     birth row's codes;
+//   - binding a chunk turns every string conjunct of σb and σg into a verdict
+//     table indexed by chunk-id, one kernel call per distinct id of the
+//     chunk; σb's birth-row check and σg's selection read the same tables;
 //   - the decode window of a qualified user starts at the birth row (earlier
 //     rows have age <= 0 and are never aggregated) and ends at the age bound
 //     the pushed AGE conjuncts imply, found by a binary search on the packed
-//     time codes; time, conjunct codes and measures are read for that window
-//     only, and the rows past it are counted as RowsSkippedByAge;
-//   - same-age spans end at the first timestamp of the next age, so ages and
-//     pushed AGE conjuncts evaluate once per distinct age and the span walk
-//     is one compare per row;
-//   - pushed column conjuncts evaluate through a per-conjunct memo over the
-//     window's codes: the kernel closure runs only when the code changes, and
-//     a failing conjunct short-circuits the rest of the row;
-//   - with no per-row work left (no conjunct kernel, no residual, only COUNT
-//     and USER_COUNT) a surviving span folds whole: its length into COUNT and
-//     one user into USER_COUNT;
+//     time codes; the rows past it are counted as RowsSkippedByAge, and the
+//     upper-bound AGE conjuncts, which the cut enforces exactly, are never
+//     evaluated;
+//   - σg's pushed column conjuncts narrow a selection of window offsets one
+//     conjunct after another: the first filters the window's decoded codes,
+//     each later one only the survivors' codes, and an empty selection ends
+//     the user;
+//   - only the survivors pay for time codes, ages, measures and the
+//     residual. Their time codes are read one by one when the selection is
+//     sparse, by one window decode otherwise; same-age spans end at the
+//     first timestamp of the next age, so AgeOf (one division) and the
+//     remaining AGE conjuncts run once per span and the span walk is one
+//     compare per survivor;
+//   - with no per-row work left (no residual, only COUNT and USER_COUNT) a
+//     span of survivors folds whole: its length into COUNT and one user into
+//     USER_COUNT;
 //   - when every cohort key is a string column, the birth row's key chunk-ids
 //     index a per-chunk cohort memo, so the key bytes are built and the
 //     accumulator probed once per distinct cohort in the chunk, not per user.
@@ -35,7 +43,8 @@ package cohort
 // Residual conjuncts (Birth() references, OR trees, …) still run per
 // surviving row through the generic expr path. RowQuery.Scan over the
 // materialized table is the reference the kernel must match bit for bit —
-// the fuzz target and the union equivalence tests pin exactly that.
+// the fuzz target and the union equivalence tests pin exactly that. Survivors
+// fold in row order, as the reference's rows do, so float sums agree.
 
 import (
 	"math"
@@ -46,26 +55,32 @@ import (
 )
 
 // chunkScratch bundles every allocation a chunk scan needs — the expr
-// environment, the cohort-key buffer, the window code buffers, the
-// per-conjunct kernel memo and the cohort memo — so executors reuse one set
-// per chunk task instead of allocating per chunk. Recycled through
-// scratchPool.
+// environment, the cohort-key buffer, the verdict tables, the selection and
+// code buffers and the cohort memo — so executors reuse one set per chunk
+// task instead of allocating per chunk. Recycled through scratchPool.
 type chunkScratch struct {
 	env    chunkEnv
 	keyBuf []byte
 
-	timeBuf []uint64   // the current decode window's time deltas
-	colBufs [][]uint64 // the current window's codes, one per active conjunct
-
-	// act is the chunk's kernel-bearing conjuncts, compacted so the per-row
-	// loop never branches over chunk-constant entries. The parallel slices
-	// hold whether each conjunct's window codes are loaded, and its run memo
-	// (valid across the chunk: a verdict depends on the code alone).
-	act      []vecCond
-	vcLoaded []bool
-	vcPrev   []uint64
-	vcVerd   []bool
-	vcValid  []bool
+	// verdicts is the arena of the bound chunk's verdict tables, one per
+	// string conjunct of σb and σg that the chunk does not settle (see
+	// pushdown.bindVec); the vecConds of act and of σb's birth-row check
+	// slice into it.
+	verdicts []bool
+	// act is σg's column conjuncts the chunk does not settle, in query
+	// order: the selection's filters.
+	act []vecCond
+	// sel is the selection: the offsets into the current decode window of
+	// the rows every conjunct of act admits so far, in row order. iota is
+	// 0, 1, 2, …: the selection before any filter, grown on demand and
+	// never rewritten.
+	sel  []int32
+	iota []int32
+	// codeBuf holds one conjunct's codes: the whole window's for the first
+	// conjunct, the survivors' for each later one. timeBuf holds the
+	// survivors' raw time codes, aligned with sel.
+	codeBuf []uint64
+	timeBuf []uint64
 
 	// memo is the per-chunk cohort memo: the cohort state of the birth rows
 	// whose key chunk-ids give slot Σ id[k]×memoStride[k] (see bindMemo).
@@ -81,8 +96,8 @@ func getScratch() *chunkScratch { return scratchPool.Get().(*chunkScratch) }
 // putScratch returns scr to the pool, dropping the table/chunk references so
 // a pooled scratch never keeps a lazily-loaded segment reachable across
 // queries — the bound kernels in act capture the chunk, and the cohort memo
-// points into the caller's accumulator, so both are cleared too. The code
-// buffers keep their capacity — that is the point.
+// points into the caller's accumulator, so both are cleared too. The tables
+// and buffers keep their capacity — that is the point.
 func putScratch(scr *chunkScratch) {
 	scr.env = chunkEnv{}
 	clear(scr.act)
@@ -91,14 +106,12 @@ func putScratch(scr *chunkScratch) {
 	scratchPool.Put(scr)
 }
 
-// growScratch sizes the per-conjunct slices for a chunk with nAct active
-// conjuncts, reusing prior capacity.
-func (scr *chunkScratch) growScratch(nAct int) {
-	scr.colBufs = growSlice(scr.colBufs, nAct)
-	scr.vcLoaded = growSlice(scr.vcLoaded, nAct)
-	scr.vcPrev = growSlice(scr.vcPrev, nAct)
-	scr.vcVerd = growSlice(scr.vcVerd, nAct)
-	scr.vcValid = growSlice(scr.vcValid, nAct)
+// identity returns the selection of every row of a w-row window.
+func (scr *chunkScratch) identity(w int) []int32 {
+	for i := len(scr.iota); i < w; i++ {
+		scr.iota = append(scr.iota, int32(i))
+	}
+	return scr.iota[:w]
 }
 
 // growSlice returns a slice of length n, preserving s's backing array when
@@ -170,6 +183,73 @@ func ageCutRow(tf *encoding.FrameOfRef, birthRow, end int, bRaw uint64, maxAge, 
 	return lo
 }
 
+// denseSelection reports whether the n selected rows of a w-row decode
+// window are read more cheaply by one decode of the whole window than one
+// by one. A single read (BitPacked.Get) re-derives its bit position and
+// takes ~3.1 ns; a window decode streams ~1.8 ns a value at the windows'
+// typical 20 rows (Xeon, 2 vCPU), and compacting it to the selection adds
+// ~0.5 ns a selected value. One by one wins below two thirds of the window.
+func denseSelection(n, w int) bool { return 3*n >= 2*w }
+
+// selectedCodes returns column col's raw codes — chunk-ids of a string
+// column, frame-of-reference deltas otherwise — at the selected offsets of
+// the w-row window starting at row wStart, aligned with sel, in dst's
+// storage. dense reports that it decoded the whole window.
+func selectedCodes(dst []uint64, ch *storage.Chunk, col int, isString bool, wStart, w int, sel []int32) (codes []uint64, dense bool) {
+	if denseSelection(len(sel), w) {
+		if isString {
+			dst = ch.AppendChunkIDs(dst[:0], col, wStart, wStart+w)
+		} else {
+			dst = ch.AppendRawInts(dst[:0], col, wStart, wStart+w)
+		}
+		if len(sel) < w {
+			// Compact in place: sel increases, so sel[k] >= k and every
+			// position still to be read is unwritten.
+			for k, s := range sel {
+				dst[k] = dst[s]
+			}
+			dst = dst[:len(sel)]
+		}
+		return dst, true
+	}
+	dst = growSlice(dst, len(sel))
+	if isString {
+		for k, s := range sel {
+			dst[k] = ch.ChunkID(col, wStart+int(s))
+		}
+	} else {
+		f := ch.Ints(col)
+		for k, s := range sel {
+			dst[k] = f.Raw(wStart + int(s))
+		}
+	}
+	return dst, false
+}
+
+// filter writes to dst the offsets of src whose codes, aligned with src, vc
+// admits, and returns them with the kernel calls it made (a verdict-table
+// load is not one). dst may be src itself: it is written at or behind the
+// position read.
+func (vc *vecCond) filter(dst, src []int32, codes []uint64) ([]int32, int64) {
+	k := 0
+	if tbl := vc.verdicts; tbl != nil {
+		for j, code := range codes {
+			if tbl[code] {
+				dst[k] = src[j]
+				k++
+			}
+		}
+		return dst[:k], 0
+	}
+	for j, code := range codes {
+		if vc.kernel(code) {
+			dst[k] = src[j]
+			k++
+		}
+	}
+	return dst[:k], int64(len(codes))
+}
+
 // runChunk executes the fused σb → σg → γc pipeline (Algorithms 1 and 2)
 // over one chunk, folding into acc, and returns the chunk's decoder-level
 // tallies. Callers should consult CanSkipChunk first; runChunk is still
@@ -215,45 +295,47 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 	env := &scr.env
 	*env = chunkEnv{tbl: c.tbl, ch: ch, schema: c.schema, decoded: &st.ValueBytesDecoded}
 
-	// The per-row tails: pushed conjuncts leave a residual; with nothing
-	// pushable the whole σb / σg predicate runs there.
+	// Bind both pushdowns to the chunk: their string conjuncts become
+	// verdict tables in one arena, built once and read by σb's birth-row
+	// check and σg's selection alike. The per-row tails: pushed conjuncts
+	// leave a residual; with nothing pushable the whole σb / σg predicate
+	// runs there.
 	var vBirth, vAge boundVec
+	var ageChecks []func(int64) bool
 	birthResidual, ageResidual := c.birthPred, c.agePred
+	scr.verdicts = scr.verdicts[:0]
 	if c.birthPush != nil {
-		vBirth = c.birthPush.bindVec(ch)
+		vBirth, scr.verdicts = c.birthPush.bindVec(ch, scr.verdicts)
 		birthResidual = vBirth.residual
 	}
 	birthRowCheck := len(vBirth.cols) > 0 || len(vBirth.ageConds) > 0
 	if c.agePush != nil {
-		vAge = c.agePush.bindVec(ch)
+		vAge, scr.verdicts = c.agePush.bindVec(ch, scr.verdicts)
 		ageResidual = vAge.residual
+		ageChecks = c.agePush.ageChecks
 	}
+	st.EncodedChecks += int64(len(scr.verdicts))
 	tmin := tf.Min()
 	unitSecs := c.unit.Seconds()
 	ageCut := c.agePush != nil && c.agePush.hasMaxAge
 
-	// Compact the kernel-bearing conjuncts: chunk-constant entries either
-	// fail every block of the chunk (constFalse) or pass unconditionally and
-	// vanish from the per-row loop.
+	// The selection's filters: conjuncts the chunk settles either fail
+	// every row of the chunk (constFalse) or pass unconditionally and drop
+	// out.
 	act := scr.act[:0]
 	constFalse := false
 	for _, vc := range vAge.cols {
-		if vc.kernel == nil {
-			if !vc.verdict {
-				constFalse = true
-			}
+		if vc.settled() {
+			constFalse = constFalse || !vc.verdict
 			continue
 		}
 		act = append(act, vc)
 	}
 	scr.act = act
-	nAct := len(act)
 	nAggs := len(c.aggs)
-	scr.growScratch(nAct)
-	clear(scr.vcValid)
-	// With no per-row work left — no conjunct kernel, no residual, no
-	// measure — a surviving age span folds whole.
-	spanFold := nAct == 0 && ageResidual == nil
+	// With no per-row work left — no residual, no measure — a span of
+	// survivors folds whole.
+	spanFold := ageResidual == nil
 	for ai := range c.aggs {
 		if fn := c.aggs[ai].fn; fn != Count && fn != UserCount {
 			spanFold = false
@@ -287,9 +369,9 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 		}
 		env.userGID = gid
 		env.birth = birthRow
-		// The rest of σb touches the birth tuple only: the same kernels,
-		// applied to that one row's codes, then the residual; an unqualified
-		// user's whole block is skipped.
+		// The rest of σb touches the birth tuple only: the same verdict
+		// tables and kernels, applied to that one row's codes, then the
+		// residual; an unqualified user's whole block is skipped.
 		if birthRowCheck {
 			st.EncodedChecks++
 			if !vBirth.passRow(ch, birthRow, 0) {
@@ -333,39 +415,62 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 		}
 		st.RowsScanned += int64(w)
 		st.RowsBatched += int64(w)
-		st.ValueBytesDecoded += 8 * int64(w)
-		scr.timeBuf = ch.AppendRawInts(scr.timeBuf[:0], timeCol, wStart, wEnd)
-		traw := scr.timeBuf // raw frame-of-reference deltas: ts = tmin + traw[i]
-		clear(scr.vcLoaded)
 
-		// Age selection off the sorted time column: one AgeOf per maximal
-		// same-age span, then the span end is the first timestamp of the next
-		// age — one integer compare per row, no division. Each span resolves
-		// its pushed AGE verdict and aggregation bucket once; the rows inside
-		// run through the conjunct memo, which re-evaluates a kernel only
-		// when its column's code changes (once per run). Indices are window
-		// offsets: row wStart+i.
-		for i := 0; i < w; {
-			age := AgeOf(tmin+int64(traw[i]), birthTime, c.unit)
+		// Selection: the window's offsets, narrowed by each pushed column
+		// conjunct in turn — the first reads the whole window's codes, each
+		// later one only the survivors'.
+		sel := scr.identity(w)
+		if len(act) > 0 {
+			scr.sel = growSlice(scr.sel, w)
+			for ci := range act {
+				scr.codeBuf, _ = selectedCodes(scr.codeBuf, ch, act[ci].col, act[ci].isString, wStart, w, sel)
+				var calls int64
+				sel, calls = act[ci].filter(scr.sel, sel, scr.codeBuf)
+				st.EncodedChecks += calls
+				if len(sel) == 0 {
+					break
+				}
+			}
+			if len(sel) == 0 {
+				continue
+			}
+		}
+		// Only the survivors' time codes are read (raw frame-of-reference
+		// deltas: ts = tmin + traw[k]), or the window's when that is cheaper.
+		traw, dense := selectedCodes(scr.timeBuf, ch, timeCol, false, wStart, w, sel)
+		scr.timeBuf = traw
+		if dense {
+			st.ValueBytesDecoded += 8 * int64(w)
+		} else {
+			st.ValueBytesDecoded += 8 * int64(len(sel))
+		}
+
+		// Age selection off the sorted time column, over the survivors: one
+		// AgeOf per maximal same-age span of them, then the span end is the
+		// first timestamp of the next age — one integer compare per
+		// survivor. Each span resolves its AGE verdict and aggregation
+		// bucket once.
+		for k, ns := 0, len(sel); k < ns; {
+			age := AgeOf(tmin+int64(traw[k]), birthTime, c.unit)
 			// First timestamp with a greater age, as a raw delta: birth+1
 			// for the birth instant (0), the next unit boundary otherwise.
 			thresh := birthTime + 1 - tmin
 			if age > 0 {
 				thresh = birthTime + age*unitSecs - tmin
 			}
-			spanEnd := i + 1
-			for spanEnd < w && int64(traw[spanEnd]) < thresh {
+			spanEnd := k + 1
+			for spanEnd < ns && int64(traw[spanEnd]) < thresh {
 				spanEnd++
 			}
 			st.RunsEvaluated++
 			if age <= 0 {
-				i = spanEnd
+				k = spanEnd
 				continue
 			}
-			if len(vAge.ageConds) > 0 {
+			if len(ageChecks) > 0 {
 				st.EncodedChecks++
-				if !vAge.passAge(age) {
-					i = spanEnd
+				if !passAges(ageChecks, age) {
+					k = spanEnd
 					continue
 				}
 			}
@@ -373,54 +478,25 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 				b := cs.bucket(age, nAggs)
 				for ai := range c.aggs {
 					if c.aggs[ai].fn == Count {
-						b.states[ai].cnt += int64(spanEnd - i)
+						b.states[ai].cnt += int64(spanEnd - k)
 					} else {
 						b.states[ai].users++
 					}
 				}
-				i = spanEnd
+				k = spanEnd
 				continue
 			}
-			var b *bucket // resolved at the span's first surviving row
+			var b *bucket // resolved at the span's first row past the residual
 			if ageResidual != nil {
 				env.age = age
 			}
-			for ; i < spanEnd; i++ {
-				pass := true
-				for ci := 0; ci < nAct; ci++ {
-					if !scr.vcLoaded[ci] {
-						// Lazy window decode: a conjunct column every earlier
-						// check already rejected is never extracted.
-						if act[ci].isString {
-							scr.colBufs[ci] = ch.AppendChunkIDs(scr.colBufs[ci][:0], act[ci].col, wStart, wEnd)
-						} else {
-							scr.colBufs[ci] = ch.AppendRawInts(scr.colBufs[ci][:0], act[ci].col, wStart, wEnd)
-						}
-						scr.vcLoaded[ci] = true
-					}
-					code := scr.colBufs[ci][i]
-					if !scr.vcValid[ci] || code != scr.vcPrev[ci] {
-						// A new run of this column: one encoded-domain kernel
-						// verdict covers it until the code changes again.
-						scr.vcPrev[ci] = code
-						scr.vcVerd[ci] = act[ci].kernel(code)
-						scr.vcValid[ci] = true
-						st.RunsEvaluated++
-						st.EncodedChecks++
-					}
-					if !scr.vcVerd[ci] {
-						pass = false
-						break
-					}
-				}
-				if !pass {
-					continue
-				}
+			for ; k < spanEnd; k++ {
+				row := wStart + int(sel[k])
 				// Residual conjuncts (or the whole generic σg when nothing
-				// was pushable) run per surviving row; value decodes go
-				// through the env and are tallied there.
+				// was pushable) run per survivor; value decodes go through
+				// the env and are tallied there.
 				if ageResidual != nil {
-					env.row = wStart + i
+					env.row = row
 					if !ageResidual(env) {
 						continue
 					}
@@ -443,10 +519,10 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 						b.states[ai].cnt++
 					case UserCount: // handled at the span's first survivor
 					default:
-						// Measures are read per surviving row, straight off
-						// the packed codes.
+						// Measures are read per survivor, straight off the
+						// packed codes.
 						st.ValueBytesDecoded += 8
-						b.states[ai].addMeasureRun(ch.Int(agg.col, wStart+i), 1)
+						b.states[ai].addMeasureRun(ch.Int(agg.col, row), 1)
 					}
 				}
 			}

@@ -150,6 +150,27 @@ func FuzzVectorizedExec(f *testing.F) {
 		}
 	}
 
+	// The selection: two string conjuncts; a string conjunct and an integer
+	// !=; a value absent from many chunks (USA) or from the table (Atlantis);
+	// a Birth() residual after the selection; an empty window. Shapes 0 and
+	// 10 fold SUM, COUNT, MIN, MAX, AVG and USER_COUNT in one query over
+	// launch and shop cohorts.
+	for _, age := range [][]byte{
+		{0, 3, 1, 1, 4, 1, 0, 0, 1, 1, 0},       // action = "shop" AND country = "China"
+		{0, 3, 1, 1, 4, 1, 1, 0, 1, 4, 1},       // action = "shop" AND gold != 5
+		{1, 1, 1, 3, 1, 1, 0, 2, 0, 1, 3},       // session != 1 AND role != "dwarf"
+		{0, 3, 1, 1, 4, 1, 0, 0, 1, 1, 1},       // action = "shop" AND country = "USA"
+		{0, 0, 0, 1, 2, 1, 0, 3, 1, 1, 4},       // country != "Atlantis" AND action = "shop"
+		{0, 3, 1, 1, 4, 1, 7, 1},                // action = "shop" AND country = Birth(country)
+		{0, 3, 0, 1, 5, 2, 7, 1, 3, 4, 3, 5},    // action != "launch" AND country = Birth(country) AND AGE > 3
+		{4, 3, 1, 4, 5, 1, 3, 2, 0},             // action IN ["shop", "launch"] AND AGE < 0
+		{0, 1, 0, 1, 4, 2, 1, 0, 4, 3, 1, 4, 1}, // city != "shop" AND gold > 1 AND city IN ["China"]
+	} {
+		for _, shape := range []byte{0, 10, 17} {
+			f.Add(shape, []byte{}, age)
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, shape byte, birthData, ageData []byte) {
 		birthCond := condFromBytes(birthData)
 		if expr.UsesBirth(birthCond) || expr.UsesAge(birthCond) {
@@ -269,6 +290,114 @@ func TestAgeBoundShrinksScan(t *testing.T) {
 		if n := st.RowsScanned.Load() + st.RowsSkippedByAge.Load(); n != all.RowsScanned.Load() {
 			t.Fatalf("scanned + skipped = %d, want the unbounded scan %d", n, all.RowsScanned.Load())
 		}
+	}
+}
+
+// TestImpliedAgeBoundsNotReevaluated pins the window cut as the whole of an
+// upper age bound: AGE < g and AGE <= g end the decode window at the bound,
+// so no per-span AGE verdict is evaluated for them, while every other AGE
+// shape is still evaluated once per age span of the window. The birth index
+// is built by a first scan, so the second scan's EncodedChecks are the span
+// verdicts alone.
+func TestImpliedAgeBoundsNotReevaluated(t *testing.T) {
+	tbl := vectorFixture(t)
+	rows := mustMaterialize(t, tbl)
+	schema := rows.Schema()
+	actions, times := rows.Strings(schema.ActionCol()), rows.Ints(schema.TimeCol())
+	age := func(op expr.CmpOp, v int64) expr.Expr {
+		return expr.Cmp{Op: op, L: expr.Age{}, R: expr.Lit{Val: expr.I(v)}}
+	}
+	// spans counts, over every launch cohort member, the distinct ages in
+	// [1, maxAge] of the block: the age spans a query bounded there walks.
+	spans := func(maxAge int64) int64 {
+		var n int64
+		rows.UserBlocks(func(_ string, start, end int) {
+			birth := slices.Index(actions[start:end], "launch")
+			if birth < 0 {
+				return
+			}
+			birth += start
+			last := int64(0)
+			for r := birth; r < end; r++ {
+				if a := AgeOf(times[r], times[birth], Day); a > last && a <= maxAge {
+					n, last = n+1, a
+				}
+			}
+		})
+		return n
+	}
+	for _, tc := range []struct {
+		cond   expr.Expr
+		maxAge int64
+		checks bool
+	}{
+		{age(expr.OpLt, 4), 3, false},
+		{age(expr.OpLe, 4), 4, false},
+		{age(expr.OpEq, 3), 3, true},
+		{expr.In{L: expr.Age{}, List: []expr.Value{expr.I(2), expr.I(4)}}, 4, true},
+		{expr.Between{L: expr.Age{}, Lo: expr.I(2), Hi: expr.I(5)}, 5, true},
+		{expr.And{L: age(expr.OpLt, 6), R: age(expr.OpGe, 2)}, 5, true},
+	} {
+		q := &Query{
+			BirthAction: "launch",
+			AgeCond:     tc.cond,
+			CohortBy:    []CohortKey{{Col: "country"}},
+			Aggs:        []AggSpec{{Func: UserCount}, {Func: Count}},
+		}
+		scanStats(t, tbl, q) // builds the birth index
+		got := scanStats(t, tbl, q).EncodedChecks.Load()
+		want := int64(0)
+		if tc.checks {
+			want = spans(tc.maxAge)
+		}
+		if got != want || tc.checks && want == 0 {
+			t.Errorf("%s: %d per-span AGE verdicts, want %d", tc.cond, got, want)
+		}
+	}
+}
+
+// TestSelectionReadsSurvivorsOnly pins the selection's decoded bytes: for
+// shop cohorts averaging gold over their shop tuples, the action codes of a
+// decode window select its shop rows first, and only they pay for a time
+// value — read one by one, or by one window decode when the selection is
+// dense — and the aggregated ones for a measure.
+func TestSelectionReadsSurvivorsOnly(t *testing.T) {
+	tbl := vectorFixture(t)
+	rows := mustMaterialize(t, tbl)
+	schema := rows.Schema()
+	actions, times := rows.Strings(schema.ActionCol()), rows.Ints(schema.TimeCol())
+	q := &Query{
+		BirthAction: "shop",
+		AgeCond:     expr.Cmp{Op: expr.OpEq, L: expr.Col{Name: "action"}, R: expr.Lit{Val: expr.S("shop")}},
+		CohortBy:    []CohortKey{{Col: "country"}},
+		Aggs:        []AggSpec{{Func: Avg, Col: "gold"}, {Func: UserCount}},
+	}
+	var want int64
+	rows.UserBlocks(func(_ string, start, end int) {
+		birth := slices.Index(actions[start:end], "shop")
+		if birth < 0 {
+			return
+		}
+		birth += start
+		var selected int
+		for r := birth; r < end; r++ {
+			if actions[r] == "shop" {
+				selected++
+				if AgeOf(times[r], times[birth], Day) > 0 {
+					want += 8 // Avg(gold)
+				}
+			}
+		}
+		if denseSelection(selected, end-birth) {
+			want += 8 * int64(end-birth)
+		} else {
+			want += 8 * int64(selected)
+		}
+	})
+	st := scanStats(t, tbl, q)
+	got, scanned := st.ValueBytesDecoded.Load(), st.RowsScanned.Load()
+	if got != want || got >= 8*scanned {
+		t.Fatalf("decoded %d value bytes over %d window rows, want %d and below 8 per window row", got, scanned, want)
 	}
 }
 
@@ -405,8 +534,8 @@ func TestBirthIndexSearchedOnce(t *testing.T) {
 
 // TestChunkScanAllocsPooled asserts the per-chunk scratch pooling: once the
 // pool and the accumulator are warm, scanning a chunk allocates (almost)
-// nothing — the env, key buffer, code buffers and conjunct memo all come
-// from the recycled chunkScratch.
+// nothing — the env, key buffer, verdict tables, selection and code buffers
+// all come from the recycled chunkScratch.
 func TestChunkScanAllocsPooled(t *testing.T) {
 	tbl := vectorFixture(t)
 	q := &Query{

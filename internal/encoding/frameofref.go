@@ -80,9 +80,9 @@ func (f *FrameOfRef) Get(i int) int64 { return f.min + int64(f.deltas.Get(i)) }
 func (f *FrameOfRef) Raw(i int) uint64 { return f.deltas.Get(i) }
 
 // AppendRaw appends the encoded deltas at positions [start, end) to dst —
-// the batch form of Raw. Run-aware kernels extract a row span once and then
-// detect runs of equal deltas over the plain slice; equal deltas imply equal
-// column values, so a verdict per run is a verdict per value.
+// the batch form of Raw. The chunk kernel extracts a decode window's deltas
+// once when enough of its rows are selected, and reads them one by one with
+// Raw otherwise.
 func (f *FrameOfRef) AppendRaw(dst []uint64, start, end int) []uint64 {
 	return f.deltas.AppendRange(dst, start, end)
 }

@@ -32,7 +32,7 @@ var (
 	EncodedChecksTotal = Default.Counter("cohana_encoded_checks_total",
 		"Predicate evaluations that stayed in the encoded domain (decoder-level pushdown).")
 	RunsEvaluatedTotal = Default.Counter("cohana_runs_evaluated_total",
-		"(value-id, runLength) runs examined by the run-aware vectorized kernels; one run evaluation covers runLength rows.")
+		"Same-age spans of selected rows the chunk kernel evaluated; one span evaluation covers every selected row of one age.")
 	RowsBatchedTotal = Default.Counter("cohana_rows_batched_total",
 		"Rows processed run-at-a-time by the chunk kernel; equals cohana_rows_scanned_total.")
 	ChunksScannedTotal = Default.Counter("cohana_chunks_scanned_total",

@@ -340,9 +340,8 @@ func (c *Chunk) StringID(col, row int) uint64 {
 func (c *Chunk) ChunkID(col, row int) uint64 { return c.cols[col].ids.Get(row) }
 
 // AppendChunkIDs appends the raw chunk-ids of string column col for rows
-// [start, end) to dst — the batch form of ChunkID. The run-aware kernels
-// extract a user block's codes once and evaluate predicates per run of equal
-// ids instead of per row.
+// [start, end) to dst — the batch form of ChunkID. The chunk kernel
+// extracts a decode window's codes once and selects its rows on them.
 func (c *Chunk) AppendChunkIDs(dst []uint64, col, start, end int) []uint64 {
 	return c.cols[col].ids.AppendRange(dst, start, end)
 }
