@@ -122,7 +122,7 @@ func (s *Snapshot) explainCohort(stmt *parser.CohortStmt) (string, error) {
 		chunkDetail("  ", views[0].Sealed, lines[0].skip)
 	}
 	if totalDelta > 0 {
-		fmt.Fprintf(&sb, "Delta: %d live rows unioned via row scan\n", totalDelta)
+		fmt.Fprintf(&sb, "Delta: %d live rows unioned via the chunk kernel over an encoded union table\n", totalDelta)
 	}
 	return sb.String(), nil
 }

@@ -8,12 +8,13 @@ import (
 
 // Accumulator holds the partial aggregation state of a cohort query: the
 // cohort-size table Hc and the cohort-metric table Hg of Algorithm 2.
-// Cohorts live in a map keyed by their value-encoded key bytes (the row path
-// over the delta has no chunk-ids, and both paths must key alike); ages are
-// a dense array per cohort, so a bucket is an array index. Section 4.4's
-// fully array-based tables are only half here: the chunk kernel memoizes
-// string-keyed cohorts per chunk by their chunk-id tuple (chunkScratch.memo),
-// so the map is probed once per distinct cohort in a chunk, not per user.
+// Cohorts live in a map keyed by their value-encoded key bytes (the sealed
+// and union tables of a live shard have separate dictionaries, and both
+// scans must key alike); ages are a dense array per cohort, so a bucket is
+// an array index. Section 4.4's fully array-based tables are only half here:
+// the chunk kernel memoizes string-keyed cohorts per chunk by their chunk-id
+// tuple (chunkScratch.memo), so the map is probed once per distinct cohort
+// in a chunk, not per user.
 type Accumulator struct {
 	nAggs   int
 	cohorts map[string]*cohortState

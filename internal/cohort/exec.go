@@ -84,10 +84,7 @@ func Compile(q *Query, tbl *storage.Table) (*Compiled, error) {
 }
 
 // bindQuery resolves the cohort keys and aggregates of a validated query to
-// schema column indices. It is shared by the chunk-scan (Compile) and
-// row-scan (CompileRows) constructors: the two execution paths fold into one
-// accumulator under the union executor, so they must bind — and therefore
-// key and aggregate — identically.
+// schema column indices.
 func bindQuery(q *Query, schema *activity.Schema) (keys []keySpec, aggs []boundAgg) {
 	for _, k := range q.CohortBy {
 		idx := schema.ColIndex(k.Col)
@@ -276,9 +273,9 @@ func (c *Compiled) litInt(idx int, v expr.Value) (int64, bool) {
 
 // appendKey encodes the cohort key of the user born at birthRow. String
 // attributes are encoded by value (length-prefixed), not by dictionary id:
-// the row-scan path over the uncompressed delta has no dictionary, and both
-// paths must produce identical keys for the partial accumulators to merge a
-// cohort into one group.
+// the union executor scans the sealed table and the union table, which have
+// separate dictionaries, and both scans must produce identical keys for the
+// partial accumulators to merge a cohort into one group.
 func (c *Compiled) appendKey(dst []byte, ch *storage.Chunk, birthRow int, birthTime int64) []byte {
 	for _, k := range c.keys {
 		switch {

@@ -16,8 +16,8 @@ import (
 // users never span chunks (the clustering property of Section 4.1), so
 // partial accumulators merge without distinct-count corrections — the
 // Section 4.5 property that makes chunk-level parallelism embarrassingly
-// parallel. Both the one-shot planner (internal/plan) and the query server
-// (internal/server) execute through Run.
+// parallel. The planner (internal/plan), and through it the query server,
+// executes every shard through RunUnionAccum.
 
 // Pool is a bounded set of workers shared by concurrent query executions.
 // A server creates one Pool sized to the machine and routes every query's
@@ -110,10 +110,10 @@ type RunOptions struct {
 	// of spawning per-query goroutines, bounding total concurrency across
 	// simultaneous queries.
 	Pool *Pool
-	// SkipUsers lists user global-ids whose sealed blocks must be skipped
-	// because the union executor aggregates them on the row path together
+	// skipUsers lists user global-ids whose sealed blocks must be skipped
+	// because the union executor scans them in the union table together
 	// with their fresh delta tuples (see RunUnionAccum).
-	SkipUsers map[uint64]bool
+	skipUsers map[uint64]bool
 	// Ctx, when non-nil, cancels the execution: workers stop picking up
 	// chunks once the context is done, so a disconnected client's
 	// scatter-gather fan-out releases its pool workers instead of scanning
@@ -125,9 +125,9 @@ type RunOptions struct {
 	Stats *ExecStats
 	// Trace, when non-nil, is this shard's trace span: the executor attaches
 	// per-chunk child spans (capped at maxTraceChunks) carrying measured
-	// rows/bytes/ns, aggregates the same counters on the shard span itself,
-	// and times the delta-union row scan. Nil (the default) costs one pointer
-	// test per chunk.
+	// rows/bytes/ns and aggregates the same counters on the shard span
+	// itself; a union run puts the union table's chunks under a "delta
+	// union" child. Nil (the default) costs one pointer test per chunk.
 	Trace *obs.Span
 }
 
@@ -161,15 +161,6 @@ func Run(c *Compiled, opts RunOptions) (*Result, error) {
 	return acc.Result(c.KeyColNames(), c.Query.Aggs), nil
 }
 
-// RunAccum executes the sealed-chunk fan-out and returns the merged partial
-// accumulator without materializing a Result. The scatter-gather executor
-// (internal/plan) runs one RunAccum per shard and merges the partials —
-// users never span shards, so shard partials merge exactly as chunk partials
-// do.
-func RunAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
-	return runAccum(c, opts)
-}
-
 // firstError collects the first chunk-load failure across workers; later
 // errors are dropped (they are almost always the same root cause), and
 // remaining chunks are drained without scanning.
@@ -192,9 +183,10 @@ func (f *firstError) get() error {
 	return f.err
 }
 
-// runAccum executes the sealed-chunk fan-out and returns the merged
-// accumulator without materializing a Result, so the union executor can fold
-// the delta tier in before rendering.
+// runAccum executes the chunk fan-out and returns the merged accumulator
+// without materializing a Result. The scatter-gather executor (internal/plan)
+// runs one per shard, through RunUnionAccum, and merges the partials — users
+// never span shards, so shard partials merge exactly as chunk partials do.
 func runAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
 	total := c.tbl.NumChunks()
 	var chunks []int
@@ -335,7 +327,7 @@ func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opt
 					continue
 				}
 				sp := ct.child(i)
-				st, err := c.runChunk(i, mine, opts.SkipUsers)
+				st, err := c.runChunk(i, mine, opts.skipUsers)
 				sp.End()
 				if err != nil {
 					ferr.set(err)

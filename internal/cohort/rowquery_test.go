@@ -8,12 +8,11 @@ import (
 	"repro/internal/expr"
 )
 
-// RowQuery is a cohort query compiled against a schema rather than a sealed
-// table: the row-scan twin of Compiled, used to aggregate the uncompressed
-// delta tier of a live table. It runs the same σb → σg → γc pipeline over a
-// sorted activity table and folds into the same Accumulator, producing keys
-// and display values byte-identical to the chunked path so partials from the
-// two tiers merge into one result.
+// RowQuery is the chunk kernel's oracle: a cohort query compiled against a
+// schema rather than a sealed table. It runs the σb → σg → γc pipeline row by
+// row over a sorted, uncompressed activity table — no pruning, no encoded
+// data — and folds into the same Accumulator, producing keys and display
+// values byte-identical to the kernel's.
 type RowQuery struct {
 	Query  *Query
 	schema *activity.Schema
@@ -26,7 +25,7 @@ type RowQuery struct {
 	unit Unit
 }
 
-// CompileRows validates and binds q against schema for row-scan execution.
+// CompileRows validates and binds q against schema for the row scan.
 func CompileRows(q *Query, schema *activity.Schema) (*RowQuery, error) {
 	if err := q.Validate(schema); err != nil {
 		return nil, err
@@ -67,11 +66,8 @@ func (e *rowEnv) Col(idx int) expr.Value      { return e.value(idx, e.row) }
 func (e *rowEnv) BirthCol(idx int) expr.Value { return e.value(idx, e.birth) }
 func (e *rowEnv) Age() int64                  { return e.age }
 
-// Scan aggregates t — which must be sorted by (Au, At, Ae) — into acc,
-// mirroring Compiled.runChunk block by block. Any semantic change to the
-// per-block loop here must land in runChunk too (and vice versa); the union
-// equivalence test (internal/plan/union_test.go) pins the two paths to
-// identical results across key types and aggregate functions.
+// Scan aggregates t — which must be sorted by (Au, At, Ae) — into acc, user
+// block by user block, as the paper's Algorithms 1 and 2 state it.
 func (rq *RowQuery) Scan(t *activity.Table, acc *Accumulator) {
 	if t == nil || t.Len() == 0 {
 		return

@@ -8,26 +8,26 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the union execution path for live tables: a query runs over
-// the sealed compressed tier through the pruned parallel chunk executor and
-// over the in-memory delta tier through the row-scan executor, and the
-// partial accumulators merge into one always-fresh result.
+// This file is the union execution path for live tables: a query runs the
+// chunk kernel over the sealed compressed tier and over a small encoded
+// table built from the in-memory delta tier, and the partial accumulators
+// merge into one always-fresh result.
 //
 // Correct merging hinges on the clustering property: a user's tuples must be
-// aggregated by exactly one path. Users with delta tuples may also have
+// aggregated by exactly one scan. Users with delta tuples may also have
 // sealed tuples (an existing user kept playing), so their sealed blocks are
-// materialized, combined with their delta tuples, and handed to the row path,
-// while the chunk path skips them (RunOptions.SkipUsers). Every other sealed
-// user stays on the fast compressed path untouched.
+// materialized, combined with their delta tuples and encoded into the union
+// table, while the sealed scan skips them (RunOptions.skipUsers). Every other
+// sealed user is scanned where it lies. The two tables have separate
+// dictionaries; cohort keys encode values, so the partials merge unchanged.
 
-// UnionDelta is the precomputed row-scan input of the union path: the delta
-// rows combined with the sealed blocks of every delta user, and the sealed
-// user gids the chunk path must skip. It depends only on (sealed, delta), so
-// the ingest layer builds it once per table change and shares it across all
-// queries of that generation instead of re-materializing the overlap users'
-// sealed blocks per query.
+// UnionDelta is the precomputed union input of a live shard: the delta rows
+// combined with the sealed blocks of every delta user, encoded as a table at
+// the sealed tier's chunk size, and the sealed user gids the sealed scan must
+// skip. It depends only on (sealed, delta), so the ingest layer builds it
+// once per table change and shares it across all queries of that generation.
 type UnionDelta struct {
-	Combined  *activity.Table
+	Table     *storage.Table
 	SkipUsers map[uint64]bool
 }
 
@@ -80,7 +80,11 @@ func BuildUnionDelta(tbl *storage.Table, delta *activity.Table) (*UnionDelta, er
 	if err := combined.SortByPK(); err != nil {
 		return nil, fmt.Errorf("cohort: sealed and delta tiers conflict: %w", err)
 	}
-	return &UnionDelta{Combined: combined, SkipUsers: skip}, nil
+	union, err := storage.Build(combined, storage.Options{ChunkSize: tbl.ChunkSize()})
+	if err != nil {
+		return nil, err
+	}
+	return &UnionDelta{Table: union, SkipUsers: skip}, nil
 }
 
 // RunUnionAccum executes c over its sealed table unioned with delta and
@@ -89,7 +93,7 @@ func BuildUnionDelta(tbl *storage.Table, delta *activity.Table) (*UnionDelta, er
 // delta — into one result. pre, when non-nil, is the cached BuildUnionDelta
 // result for exactly this (sealed, delta) pair; nil computes it for this
 // query.
-func RunUnionAccum(c *Compiled, rq *RowQuery, delta *activity.Table, pre *UnionDelta, opts RunOptions) (*Accumulator, error) {
+func RunUnionAccum(c *Compiled, delta *activity.Table, pre *UnionDelta, opts RunOptions) (*Accumulator, error) {
 	if delta == nil || delta.Len() == 0 {
 		return runAccum(c, opts)
 	}
@@ -99,42 +103,43 @@ func RunUnionAccum(c *Compiled, rq *RowQuery, delta *activity.Table, pre *UnionD
 			return nil, err
 		}
 	}
-	runOpts := opts
-	runOpts.SkipUsers = pre.SkipUsers
-	// The delta row scan proceeds concurrently with the sealed chunk fan-out
-	// and its partial merges in at the end. Exact integer sums make the merge
-	// order unobservable (see runStreaming).
-	rowAcc := NewAccumulator(c.NumAggs())
-	done := make(chan struct{})
-	// The delta scan is pool-safe: it folds rows into its private
-	// accumulator and never waits on another pooled task.
-	spawn(opts.Pool, func() {
-		defer close(done)
-		if !opts.cancelled() {
-			scanDelta(rq, pre, rowAcc, opts.Trace)
-		}
-	})
-	acc, err := runAccum(c, runOpts)
-	<-done
+	uc, err := Compile(c.Query, pre.Table)
 	if err != nil {
 		return nil, err
 	}
-	acc.Merge(rowAcc)
-	return acc, nil
-}
-
-// scanDelta runs the union row path over the combined delta table, timing it
-// under a "delta union" child of the shard's trace span. The row count is
-// the combined table's length: the delta tuples plus the sealed rows of
-// users that also appear in the delta.
-func scanDelta(rq *RowQuery, pre *UnionDelta, acc *Accumulator, trace *obs.Span) {
-	sp := trace.Child("delta union")
-	rq.Scan(pre.Combined, acc)
-	sp.End()
-	rows := int64(pre.Combined.Len())
-	sp.SetInt("rows_scanned", rows)
-	obs.DeltaRowsScannedTotal.Add(rows)
-	if trace != nil {
-		trace.AddInt("delta_rows_scanned", rows)
+	// The union scan proceeds concurrently with the sealed chunk fan-out
+	// and its partial merges in at the end. Exact integer sums make the merge
+	// order unobservable (see runStreaming). It runs inline on one worker,
+	// never waiting on another pooled task, so it is pool-safe; the union
+	// table is a few chunks at most. Its tallies land on its own "delta
+	// union" span and in the delta counters: ExecStats and the shard span's
+	// aggregates count the sealed tier.
+	unionOpts := opts
+	unionOpts.Parallelism, unionOpts.Pool, unionOpts.Stats = 1, nil, nil
+	unionOpts.Trace = opts.Trace.Child("delta union")
+	var unionAcc *Accumulator
+	var unionErr error
+	done := make(chan struct{})
+	spawn(opts.Pool, func() {
+		defer close(done)
+		unionAcc, unionErr = runAccum(uc, unionOpts)
+		unionOpts.Trace.End()
+	})
+	sealedOpts := opts
+	sealedOpts.skipUsers = pre.SkipUsers
+	acc, err := runAccum(c, sealedOpts)
+	<-done
+	if err == nil {
+		err = unionErr
 	}
+	if err != nil {
+		return nil, err
+	}
+	acc.Merge(unionAcc)
+	// The union table's rows: the delta tuples plus the sealed rows of users
+	// that also appear in the delta.
+	rows := int64(pre.Table.NumRows())
+	obs.DeltaRowsScannedTotal.Add(rows)
+	opts.Trace.AddInt("delta_rows_scanned", rows)
+	return acc, nil
 }

@@ -41,10 +41,10 @@ package cohort
 //     accumulator probed once per distinct cohort in the chunk, not per user.
 //
 // Residual conjuncts (Birth() references, OR trees, …) still run per
-// surviving row through the generic expr path. RowQuery.Scan over the
-// materialized table is the reference the kernel must match bit for bit —
-// the fuzz target and the union equivalence tests pin exactly that. Survivors
-// fold in row order, as the reference's rows do, so float sums agree.
+// surviving row through the generic expr path. A row-scan oracle over the
+// materialized table (rowquery_test.go) is the reference the kernel must
+// match bit for bit — the fuzz target pins exactly that. Survivors fold in
+// row order, as the reference's rows do, so float sums agree.
 
 import (
 	"math"
@@ -129,7 +129,8 @@ func growSlice[T any](s []T, n int) []T {
 // cohort states. It reports false — the caller then keys every user through
 // appendKey — for time-binned or integer keys, or when the table would
 // outgrow the chunk (its clear must stay cheap next to the scan). Keys stay
-// value-encoded in the accumulator: the delta row path has no chunk-ids.
+// value-encoded in the accumulator: chunk-ids of the sealed and the union
+// table name different values.
 func (scr *chunkScratch) bindMemo(keys []keySpec, ch *storage.Chunk) bool {
 	scr.memoCols, scr.memoStride = scr.memoCols[:0], scr.memoStride[:0]
 	size, limit := 1, max(ch.NumRows(), 256)
@@ -256,10 +257,8 @@ func (vc *vecCond) filter(dst, src []int32, codes []uint64) ([]int32, int64) {
 // correct without it, just slower. On lazy tables the chunk is loaded (and
 // pinned) on demand; the error is non-nil only when that load fails. skipUsers
 // holds user global-ids to skip: the union executor passes the users that
-// have fresh delta tuples — their sealed rows are processed together with the
-// delta on the row path instead, so no user is aggregated twice. Any semantic
-// change to the per-block loop below must land in RowQuery.Scan too — the
-// equivalence tests pin the two paths to bit-identical results.
+// have fresh delta tuples — their sealed rows are scanned together with the
+// delta in the union table instead, so no user is aggregated twice.
 func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64]bool) (ChunkStats, error) {
 	if !c.birthOK {
 		return ChunkStats{}, nil

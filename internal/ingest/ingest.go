@@ -20,9 +20,9 @@
 //
 // Query execution scatter-gathers over the shards (plan.ExecuteShards):
 // every shard unions its sealed chunks (pruned parallel executor) with its
-// delta rows (row-scan accumulator), and the per-shard partials merge into
-// one always-fresh result — users never span shards, so the merge needs no
-// correction. Compaction — triggered per shard by a row-count threshold or
+// delta rows (the same chunk kernel over the shard's encoded union input),
+// and the per-shard partials merge into one always-fresh result — users
+// never span shards, so the merge needs no correction. Compaction — triggered per shard by a row-count threshold or
 // by an explicit call — materializes the shard's sealed tier, linear-merges
 // its delta in (Au, At, Ae) order, rebuilds the two-level-encoded chunks,
 // atomically swaps the shard in and truncates the journal to the rows still

@@ -48,9 +48,8 @@ func runQuery(t *testing.T, lt *Table, src string) string {
 		t.Fatal(err)
 	}
 	view := lt.Views()[0]
-	res, err := plan.Execute(stmt.Query, view.Sealed, plan.ExecOptions{
-		Delta: view.Delta,
-	})
+	in := plan.ShardInput{Sealed: view.Sealed, Delta: view.Delta, Union: view.Union}
+	res, err := plan.ExecuteShards(stmt.Query, []plan.ShardInput{in}, plan.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,10 @@ func TestAppendFreshnessAndDuplicateRejection(t *testing.T) {
 	sealedUser := view.Sealed.Schema().UserCol()
 	d := view.Sealed.Dict(sealedUser)
 	u0 := d.Value(0)
-	idx := view.Sealed.BuildUserIndex()
-	loc := idx[0]
+	_, loc, ok, err := view.Sealed.FindUser(u0)
+	if err != nil || !ok {
+		t.Fatalf("FindUser(%q) = %v, %v", u0, ok, err)
+	}
 	// Find one sealed tuple of user 0 to duplicate.
 	mat := activity.NewTable(schema)
 	view.Sealed.AppendUserRows(mat, loc)
@@ -423,7 +424,8 @@ func TestConcurrentAppendQueryCompact(t *testing.T) {
 				return
 			default:
 				for _, v := range lt.Views() {
-					if _, err := plan.Execute(stmt.Query, v.Sealed, plan.ExecOptions{Delta: v.Delta}); err != nil {
+					in := plan.ShardInput{Sealed: v.Sealed, Delta: v.Delta, Union: v.Union}
+					if _, err := plan.ExecuteShards(stmt.Query, []plan.ShardInput{in}, plan.ExecOptions{}); err != nil {
 						t.Errorf("query: %v", err)
 						return
 					}

@@ -110,3 +110,45 @@ func TestConcurrentCompactionsOfOneShard(t *testing.T) {
 			rounds, compactors, st, sealed.NumRows()+rounds, rounds)
 	}
 }
+
+// TestUnionInputBuiltOncePerState pins that a shard's union input is derived
+// once per shard state and shared: two snapshots of one version hand out the
+// same *cohort.UnionDelta, and a batch routed to shard 0 alone replaces shard
+// 0's union input and keeps shard 1's.
+func TestUnionInputBuiltOncePerState(t *testing.T) {
+	lt, err := OpenSharded(buildShardedSealed(t, 2), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt.Close()
+	schema := lt.Schema()
+	var both []Row
+	for shard := 0; shard < 2; shard++ {
+		both = append(both, row(t, schema, userInShard(shard, 2, 0), 1369000000, "launch", "China", "Beijing", "mage", 1, 0))
+	}
+	if err := lt.Append(both); err != nil {
+		t.Fatal(err)
+	}
+	first, second := lt.Views(), lt.Views()
+	for i := range first {
+		if first[i].Union == nil {
+			t.Fatalf("shard %d: no union input for a delta of %d rows", i, first[i].Delta.Len())
+		}
+		if first[i].Union != second[i].Union {
+			t.Fatalf("shard %d: two snapshots of one version built two union inputs", i)
+		}
+	}
+	if err := lt.Append([]Row{row(t, schema, userInShard(0, 2, 1), 1369000000, "launch", "China", "Beijing", "mage", 1, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	next := lt.Views()
+	if next[0].Union == first[0].Union {
+		t.Fatal("shard 0 kept its union input across an append routed to it")
+	}
+	if got := next[0].Union.Table.NumRows(); got != 2 {
+		t.Fatalf("shard 0 union table holds %d rows, want 2", got)
+	}
+	if next[1].Union != first[1].Union {
+		t.Fatal("shard 1 rebuilt its union input for an append routed to shard 0 only")
+	}
+}

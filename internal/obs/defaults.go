@@ -40,7 +40,7 @@ var (
 	ChunksPrunedTotal = Default.Counter("cohana_chunks_pruned_total",
 		"Chunks skipped by birth-range pruning.")
 	DeltaRowsScannedTotal = Default.Counter("cohana_delta_rows_scanned_total",
-		"Uncompressed delta rows visited by union execution.")
+		"Union-table rows (delta rows plus the sealed rows of their users) the chunk kernel scans in union execution.")
 )
 
 // Caches.

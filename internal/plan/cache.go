@@ -175,7 +175,7 @@ func (c *Cache) Stats() CacheStats {
 
 // CachedPlan is the reusable compiled form of one query text: the parsed
 // statement, the optimized cohort query, and lazily-built per-shard
-// bindings. The front sections (Stmt, Query, schema) are immutable after
+// bindings. The front sections (Stmt, Query) are immutable after
 // construction; bindings are guarded by mu and tagged with the sealed
 // table pointer they were compiled against, so a shard compaction — which
 // installs a new *storage.Table — invalidates exactly that shard's binding
@@ -186,11 +186,9 @@ type CachedPlan struct {
 	// the inner cohort result, and Stmt.Explain marks an EXPLAIN form.
 	Stmt *parser.Stmt
 	// Query is the optimized inner cohort query all bindings compile from.
-	Query  *cohort.Query
-	schema *activity.Schema
+	Query *cohort.Query
 
 	mu       sync.Mutex
-	rows     *cohort.RowQuery
 	bindings []shardBinding
 }
 
@@ -213,7 +211,7 @@ func compilePlan(src string, schema *activity.Schema) (*CachedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CachedPlan{Stmt: stmt, Query: optimized, schema: schema}, nil
+	return &CachedPlan{Stmt: stmt, Query: optimized}, nil
 }
 
 // CompiledFor returns the shard-i binding against sealed, recompiling only
@@ -238,22 +236,6 @@ func (p *CachedPlan) CompiledFor(i int, sealed *storage.Table) (*cohort.Compiled
 	return compiled, true, nil
 }
 
-// RowsFor returns the plan's row-scan twin, compiling it on first use. The
-// row query binds against the schema only, so it never needs rebinding.
-func (p *CachedPlan) RowsFor() (*cohort.RowQuery, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rows != nil {
-		return p.rows, nil
-	}
-	rows, err := cohort.CompileRows(p.Query, p.schema)
-	if err != nil {
-		return nil, err
-	}
-	p.rows = rows
-	return rows, nil
-}
-
 // ExecuteCached executes a cached plan over the shards, re-binding only
 // shards whose sealed tier changed. cache may be nil (rebinds go uncounted).
 func ExecuteCached(cache *Cache, p *CachedPlan, shards []ShardInput, opts ExecOptions) (*cohort.Result, error) {
@@ -261,13 +243,6 @@ func ExecuteCached(cache *Cache, p *CachedPlan, shards []ShardInput, opts ExecOp
 		return nil, fmt.Errorf("plan: no shards to execute over")
 	}
 	sp := opts.Trace.Child("bind")
-	var rows *cohort.RowQuery
-	var err error
-	if shardsHaveDelta(shards) {
-		if rows, err = p.RowsFor(); err != nil {
-			return nil, err
-		}
-	}
 	compiled := make([]*cohort.Compiled, len(shards))
 	var rebinds uint64
 	for i, sh := range shards {
@@ -284,5 +259,5 @@ func ExecuteCached(cache *Cache, p *CachedPlan, shards []ShardInput, opts ExecOp
 	sp.End()
 	sp.SetInt("shards", int64(len(shards)))
 	sp.SetInt("rebinds", int64(rebinds))
-	return executeCompiled(p.Query, compiled, rows, shards, opts)
+	return executeCompiled(p.Query, compiled, shards, opts)
 }

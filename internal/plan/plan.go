@@ -155,14 +155,6 @@ type ExecOptions struct {
 	// server passes the request context so a disconnected client releases
 	// its workers.
 	Ctx context.Context
-	// Delta is an optional uncompressed live tier (sorted by primary key)
-	// unioned with the sealed table, so queries see freshly ingested
-	// activity tuples before compaction seals them.
-	Delta *activity.Table
-	// Union optionally carries the precomputed row-scan input for exactly
-	// this (table, Delta) pair (see cohort.BuildUnionDelta); nil computes
-	// it per query.
-	Union *cohort.UnionDelta
 	// Stats, when non-nil, accumulates decoder-level execution counters
 	// across all shards and chunks of the query.
 	Stats *cohort.ExecStats
@@ -184,22 +176,19 @@ func (o ExecOptions) runOptions() cohort.RunOptions {
 }
 
 // ShardInput is one shard's execution input for ExecuteShards: its sealed
-// compressed tier plus, for live tables, the shard's delta tier and the
-// cached union artifacts (see ingest.View).
+// compressed tier plus, for live tables, the shard's delta tier and its
+// encoded union input (see ingest.View; a nil Union is built per query).
 type ShardInput struct {
 	Sealed *storage.Table
 	Delta  *activity.Table
 	Union  *cohort.UnionDelta
 }
 
-// Execute compiles and runs a cohort query against a COHANA table, unioning
-// in the live delta tier when one is present.
+// Execute compiles and runs a cohort query against one sealed COHANA table.
+// Live tables, whose shards carry delta tiers, execute through
+// ExecuteShards.
 func Execute(q *cohort.Query, tbl *storage.Table, opts ExecOptions) (*cohort.Result, error) {
-	return ExecuteShards(q, []ShardInput{{
-		Sealed: tbl,
-		Delta:  opts.Delta,
-		Union:  opts.Union,
-	}}, opts)
+	return ExecuteShards(q, []ShardInput{{Sealed: tbl}}, opts)
 }
 
 // ExecuteShards compiles a cohort query once and scatter-gathers it over a
@@ -221,15 +210,6 @@ func ExecuteShards(q *cohort.Query, shards []ShardInput, opts ExecOptions) (*coh
 	if err != nil {
 		return nil, err
 	}
-	schema := shards[0].Sealed.Schema()
-	// The row-scan twin is compiled once against the shared schema; it is
-	// only consulted for shards that hold delta rows.
-	var rows *cohort.RowQuery
-	if shardsHaveDelta(shards) {
-		if rows, err = cohort.CompileRows(optimized, schema); err != nil {
-			return nil, err
-		}
-	}
 	compiled := make([]*cohort.Compiled, len(shards))
 	for i, sh := range shards {
 		// Compile binds per shard: each shard resolves the birth action and
@@ -240,17 +220,7 @@ func ExecuteShards(q *cohort.Query, shards []ShardInput, opts ExecOptions) (*coh
 	}
 	sp.End()
 	sp.SetInt("shards", int64(len(shards)))
-	return executeCompiled(optimized, compiled, rows, shards, opts)
-}
-
-// shardsHaveDelta reports whether any shard holds live delta rows.
-func shardsHaveDelta(shards []ShardInput) bool {
-	for _, sh := range shards {
-		if sh.Delta != nil && sh.Delta.Len() > 0 {
-			return true
-		}
-	}
-	return false
+	return executeCompiled(optimized, compiled, shards, opts)
 }
 
 // executeCompiled is the shared execution tail behind ExecuteShards and the
@@ -260,7 +230,7 @@ func shardsHaveDelta(shards []ShardInput) bool {
 // touching the fastest one's partial. Merge order is arrival order, which is
 // unobservable for the same reason chunk-partial streaming is (exact integer
 // sums, order-free min/max, sorted Result).
-func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, rows *cohort.RowQuery, shards []ShardInput, opts ExecOptions) (*cohort.Result, error) {
+func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, shards []ShardInput, opts ExecOptions) (*cohort.Result, error) {
 	start := time.Now()
 	runOpts := opts.runOptions()
 	var acc *cohort.Accumulator
@@ -269,7 +239,7 @@ func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, rows 
 		sp := opts.Trace.Child("shard 0")
 		ro := runOpts
 		ro.Trace = sp
-		acc, errs[0] = runShard(compiled[0], rows, shards[0], ro)
+		acc, errs[0] = runShard(compiled[0], shards[0], ro)
 		sp.End()
 	} else {
 		type shardPartial struct {
@@ -284,7 +254,7 @@ func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, rows 
 				sp := opts.Trace.Child(fmt.Sprintf("shard %d", i))
 				ro := runOpts
 				ro.Trace = sp
-				a, err := runShard(compiled[i], rows, shards[i], ro)
+				a, err := runShard(compiled[i], shards[i], ro)
 				sp.End()
 				out <- shardPartial{idx: i, acc: a, err: err}
 			}(i)
@@ -332,11 +302,8 @@ func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, rows 
 
 // runShard executes one shard's partial: the pruned chunk fan-out, unioned
 // with the shard's delta tier when present.
-func runShard(c *cohort.Compiled, rows *cohort.RowQuery, sh ShardInput, opts cohort.RunOptions) (*cohort.Accumulator, error) {
-	if sh.Delta != nil && sh.Delta.Len() > 0 {
-		return cohort.RunUnionAccum(c, rows, sh.Delta, sh.Union, opts)
-	}
-	return cohort.RunAccum(c, opts)
+func runShard(c *cohort.Compiled, sh ShardInput, opts cohort.RunOptions) (*cohort.Accumulator, error) {
+	return cohort.RunUnionAccum(c, sh.Delta, sh.Union, opts)
 }
 
 // PrunedChunks reports how many chunks pruning would skip for q, exposed for

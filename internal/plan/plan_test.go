@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/activity"
+	"repro/internal/baseline"
 	"repro/internal/cohort"
 	"repro/internal/expr"
+	"repro/internal/relational"
 	"repro/internal/storage"
 )
 
@@ -136,17 +138,16 @@ func TestExecuteExample1(t *testing.T) {
 	}
 }
 
-// rowReference is the executor's oracle: RowQuery.Scan over the sorted rows,
-// with no pruning and no encoded-domain evaluation.
-func rowReference(t *testing.T, q *cohort.Query, rows *activity.Table) *cohort.Result {
+// rowReference is the executor's oracle: the paper's SQL approach (Figure 2)
+// over the rows as a plain relational table, with no chunks, no pruning and
+// no encoded-domain evaluation.
+func rowReference(t testing.TB, q *cohort.Query, rows *activity.Table) *cohort.Result {
 	t.Helper()
-	rq, err := cohort.CompileRows(q, rows.Schema())
+	res, err := baseline.SQLApproach(relational.ColEngine{}, baseline.FromActivity(rows), rows.Schema(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := cohort.NewAccumulator(len(q.Aggs))
-	rq.Scan(rows, acc)
-	return acc.Result(rq.KeyColNames(), q.Aggs)
+	return res
 }
 
 // mustMaterialize decodes tbl back to its sorted rows.

@@ -63,7 +63,7 @@ func randomQuery(rng *rand.Rand) string {
 
 // requireBitEqual fails unless two results are bit-identical, including the
 // float64 bit patterns of every aggregate.
-func requireBitEqual(t *testing.T, label string, got, want *cohort.Result) {
+func requireBitEqual(t testing.TB, label string, got, want *cohort.Result) {
 	t.Helper()
 	if len(got.Rows) != len(want.Rows) ||
 		strings.Join(got.KeyCols, "\x00") != strings.Join(want.KeyCols, "\x00") ||

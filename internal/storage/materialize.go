@@ -4,9 +4,10 @@ import "repro/internal/activity"
 
 // This file is the decompression path of the storage format: turning sealed
 // chunks back into activity rows. The live-ingestion subsystem uses it in two
-// places — per-user materialization when a query must union a user's sealed
-// tuples with fresh delta tuples, and full-table materialization when the
-// compactor merges the delta into a new sealed table. On lazy tables these
+// places — per-user materialization when a shard's union input combines a
+// user's sealed tuples with fresh delta tuples, and full-table
+// materialization when the compactor merges the delta into a new sealed
+// table. On lazy tables these
 // paths pin chunks through the chunk cache, so they can fail with a
 // *CorruptSegmentError when a segment is damaged.
 
@@ -16,31 +17,6 @@ import "repro/internal/activity"
 type UserLoc struct {
 	Chunk int // chunk index
 	Run   int // RLE run index within the chunk's user column
-}
-
-// UserIndex maps global user ids to their block location. Build it once per
-// sealed table with BuildUserIndex; the table is immutable, so the index
-// never goes stale before a compaction swaps the table out. FindUser serves
-// the same lookups without an index (and without loading chunks up front),
-// which is what the ingest path uses; UserIndex remains for eager callers
-// that want O(1) repeated lookups.
-type UserIndex map[uint64]UserLoc
-
-// BuildUserIndex scans every chunk's user runs into a UserIndex. It requires
-// an eager table — building it on a lazy table would decode every chunk,
-// defeating the point; use FindUser instead.
-func (st *Table) BuildUserIndex() UserIndex {
-	if st.lazy != nil {
-		panic("storage: BuildUserIndex on a lazy table (use FindUser)")
-	}
-	idx := make(UserIndex, st.numUsers)
-	for ci, ch := range st.chunks {
-		for r := 0; r < ch.NumUsers(); r++ {
-			gid, _, _ := ch.UserRun(r)
-			idx[gid] = UserLoc{Chunk: ci, Run: r}
-		}
-	}
-	return idx
 }
 
 // AppendUserRows decodes the user block at loc into dst, which must share the

@@ -142,18 +142,6 @@ func (s *Sharded) EncodedSize() int {
 	return n
 }
 
-// HasString reports whether value v of string column col occurs anywhere in
-// the table — the table-level dictionary view over the per-shard global
-// dictionaries.
-func (s *Sharded) HasString(col int, v string) bool {
-	for _, sh := range s.shards {
-		if _, ok := sh.LookupString(col, v); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // Materialize decodes every shard back into one sorted activity table — the
 // inverse of BuildSharded, used by load-time resharding.
 func (s *Sharded) Materialize() (*activity.Table, error) {

@@ -138,16 +138,6 @@ type manifestV3JSON struct {
 	Shards    []manifestShardV3JSON `json:"shards"`
 }
 
-// IsShardManifest reports whether the serialized bytes are a shard manifest
-// (any version), as opposed to a legacy single-table file.
-func IsShardManifest(src []byte) bool {
-	if len(src) < len(shardMagic) {
-		return false
-	}
-	head := string(src[:len(shardMagic)])
-	return head == shardMagic || head == shardMagicV2 || head == shardMagicV3
-}
-
 // CommitStats reports what one manifest commit actually wrote.
 type CommitStats struct {
 	// SegmentsWritten / SegmentsReused count chunk segment files newly
