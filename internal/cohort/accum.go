@@ -3,7 +3,6 @@ package cohort
 import (
 	"math"
 	"sort"
-	"strings"
 )
 
 // Accumulator holds the partial aggregation state of a cohort query: the
@@ -44,12 +43,6 @@ type aggState struct {
 func NewAccumulator(nAggs int) *Accumulator {
 	return &Accumulator{nAggs: nAggs, cohorts: make(map[string]*cohortState)}
 }
-
-// reset empties the accumulator for reuse, keeping the map's allocated
-// buckets. Safe after the accumulator was merged into another: Merge adopts
-// cohortState pointers, and clearing this map does not touch the adopted
-// states. The streaming executor recycles per-chunk partials through it.
-func (a *Accumulator) reset() { clear(a.cohorts) }
 
 // cohort returns (creating if needed) the state for a cohort key. display is
 // only consulted on creation.
@@ -203,14 +196,4 @@ func (a *Accumulator) Result(keyCols []string, aggs []AggSpec) *Result {
 	}
 	res.Sort()
 	return res
-}
-
-// CohortSizes returns the Hc table keyed by the display key, mainly for
-// tests.
-func (a *Accumulator) CohortSizes() map[string]int64 {
-	out := make(map[string]int64, len(a.cohorts))
-	for _, cs := range a.cohorts {
-		out[strings.Join(cs.display, "\x00")] = cs.size
-	}
-	return out
 }

@@ -156,11 +156,20 @@ func TestCohortSizesWithoutBirthCond(t *testing.T) {
 	for i := 0; i < tbl.NumChunks(); i++ {
 		c.runChunk(i, acc, nil)
 	}
-	sizes := acc.CohortSizes()
+	sizes := cohortSizes(acc)
 	want := map[string]int64{"Australia": 1, "United States": 1, "China": 1}
 	if !reflect.DeepEqual(sizes, want) {
 		t.Errorf("cohort sizes = %v, want %v", sizes, want)
 	}
+}
+
+// cohortSizes returns acc's Hc table keyed by the display key.
+func cohortSizes(acc *Accumulator) map[string]int64 {
+	out := make(map[string]int64, len(acc.cohorts))
+	for _, cs := range acc.cohorts {
+		out[strings.Join(cs.display, "\x00")] = cs.size
+	}
+	return out
 }
 
 // TestUserCountRetention checks the Section 4.5 retention aggregate: player

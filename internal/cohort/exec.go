@@ -105,10 +105,6 @@ func bindQuery(q *Query, schema *activity.Schema) (keys []keySpec, aggs []boundA
 // NumAggs returns the number of aggregates, used to size accumulators.
 func (c *Compiled) NumAggs() int { return len(c.aggs) }
 
-// BirthActionPresent reports whether the birth action occurs anywhere in the
-// table. When false every chunk is skipped and the result is empty.
-func (c *Compiled) BirthActionPresent() bool { return c.birthOK }
-
 // chunkEnv adapts one chunk position to the expr.Env interface. The current
 // row and the birth row are both inside the same user block, so Birth()
 // lookups are plain row accesses — no join, the essence of COHANA.

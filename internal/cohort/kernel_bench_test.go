@@ -36,35 +36,62 @@ func kernelTemplates() []struct {
 	}
 }
 
-// BenchmarkKernelTemplates runs each ad-hoc template serially over one warm
-// table of a few thousand users, so a kernel change can be sized per template
-// without the HTTP load test:
+// BenchmarkKernelTemplates runs each ad-hoc template over one warm table of
+// a few thousand users, so a kernel change can be sized per template without
+// the HTTP load test:
 //
 //	go test -run '^$' -bench KernelTemplates -count 5 ./internal/cohort
+//
+// The top-level runs are serial over three chunks. The pooled group runs the
+// served path's shape: two workers on a shared pool, the ad-hoc grid's
+// (country, role) keys and a table of more than 30 chunks. A serial run folds
+// every chunk into the one result accumulator, and three chunks leave little
+// to fold, so it cannot see a cost the fan-out pays per chunk or per worker.
 func BenchmarkKernelTemplates(b *testing.B) {
 	full := gen.Generate(gen.Config{Users: 4000, Seed: 1})
 	if err := full.SortByPK(); err != nil {
 		b.Fatal(err)
 	}
-	tbl, err := storage.Build(full, storage.Options{ChunkSize: 32768})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range kernelTemplates() {
-		c, err := Compile(tc.q, tbl)
+	build := func(chunkSize int) *storage.Table {
+		tbl, err := storage.Build(full, storage.Options{ChunkSize: chunkSize})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(tc.name, func(b *testing.B) {
-			if _, err := Run(c, RunOptions{}); err != nil { // builds the birth index
+		return tbl
+	}
+	serial, chunked := build(32768), build(2048)
+	if n := chunked.NumChunks(); n < 30 {
+		b.Fatalf("pooled table has %d chunks, want >= 30", n)
+	}
+	pool := NewPool(2)
+	defer pool.Close()
+	for _, tc := range kernelTemplates() {
+		benchRun(b, tc.name, tc.q, serial, RunOptions{})
+	}
+	b.Run("pooled", func(b *testing.B) {
+		for _, tc := range kernelTemplates() {
+			tc.q.CohortBy = []CohortKey{{Col: "country"}, {Col: "role"}}
+			benchRun(b, tc.name, tc.q, chunked, RunOptions{Parallelism: 2, Pool: pool})
+		}
+	})
+}
+
+// benchRun benchmarks q over tbl as sub-benchmark name, after one untimed run
+// that builds the birth indexes.
+func benchRun(b *testing.B, name string, q *Query, tbl *storage.Table, opts RunOptions) {
+	c, err := Compile(q, tbl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		if _, err := Run(c, opts); err != nil {
+			b.Fatal(err)
+		}
+		for b.Loop() {
+			if _, err := Run(c, opts); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(c, RunOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

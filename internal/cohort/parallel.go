@@ -11,13 +11,13 @@ import (
 )
 
 // This file is the shared physical executor for compiled cohort queries: it
-// fans a query out over the table's chunks with one accumulator per worker
-// and merges the partials at the end. A Compiled query is immutable, and
-// users never span chunks (the clustering property of Section 4.1), so
-// partial accumulators merge without distinct-count corrections — the
-// Section 4.5 property that makes chunk-level parallelism embarrassingly
-// parallel. The planner (internal/plan), and through it the query server,
-// executes every shard through RunUnionAccum.
+// fans a query out over the table's chunks with one accumulator per worker,
+// kept for the whole query, and merges those once at the end. A Compiled
+// query is immutable, and users never span chunks (the clustering property
+// of Section 4.1), so partial accumulators merge without distinct-count
+// corrections — the Section 4.5 property that makes chunk-level parallelism
+// embarrassingly parallel. The planner (internal/plan), and through it the
+// query server, executes every shard through RunUnionAccum.
 
 // Pool is a bounded set of workers shared by concurrent query executions.
 // A server creates one Pool sized to the machine and routes every query's
@@ -186,7 +186,8 @@ func (f *firstError) get() error {
 // runAccum executes the chunk fan-out and returns the merged accumulator
 // without materializing a Result. The scatter-gather executor (internal/plan)
 // runs one per shard, through RunUnionAccum, and merges the partials — users
-// never span shards, so shard partials merge exactly as chunk partials do.
+// never span shards, so shard partials merge exactly as worker accumulators
+// do.
 func runAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
 	total := c.tbl.NumChunks()
 	var chunks []int
@@ -218,7 +219,7 @@ func runAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
 		next <- i
 	}
 	close(next)
-	return acc, runStreaming(c, acc, next, workers, opts)
+	return acc, fanOut(c, acc, next, workers, opts)
 }
 
 // maxTraceChunks caps the per-chunk child spans attached to one shard's
@@ -286,40 +287,38 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 	}
 }
 
-// runStreaming is the chunk fan-out and merge: each worker folds one chunk
-// into a small partial accumulator and streams it to the consumer (the
-// calling goroutine) the moment the chunk finishes, taking a recycled
-// accumulator back from the free list. Merging overlaps scanning — the
-// first-finished chunk's cohorts are in the shard accumulator while slower
-// chunks are still decoding — and peak memory holds at most one in-flight
-// partial per worker instead of one ever-growing accumulator per worker.
+// fanOut is the chunk fan-out and merge. Each of the `workers` tasks folds
+// every chunk it takes from next into one accumulator of its own, kept for
+// the whole query, and the caller merges those accumulators once, after the
+// last task ends. Worker 0's accumulator is acc itself, so a one-worker run
+// merges nothing. After a worker's first chunks its cohort states and
+// buckets exist, so a chunk costs array updates (Section 4.4), and a merge
+// happens once per worker, not once per chunk; memory is one accumulator per
+// worker.
 //
-// Deadlock-freedom with a shared pool is preserved: partials is buffered to
-// the chunk count, so a task's send NEVER blocks (at most one non-empty
-// partial per chunk is ever sent) and a task that reaches a pool worker
-// always drains to completion, even while this goroutine is still blocked
-// submitting the query's remaining tasks. Merge order is arrival order,
-// which is observably irrelevant: measure sums add exactly (int64 values in
-// float64), min/max and counts are order-free, and Result sorts cohorts —
-// the equivalence test pins pooled and parallel runs bit-for-bit against a
-// one-worker run.
-func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opts RunOptions) error {
+// Deadlock-freedom with a shared pool: next is fully buffered and closed
+// before any task starts, and a task waits on nothing else, so a task that
+// reaches a pool worker always runs to completion and frees the worker, even
+// while this goroutine is still blocked submitting the query's remaining
+// tasks. Without a pool the caller runs the last task itself instead of
+// idling in wg.Wait. Which chunks a worker takes is a race, and merge order
+// is worker order; neither is observable: measure sums add exactly (int64
+// values in float64), min/max and counts are order-free, and Result sorts
+// cohorts — the equivalence test pins pooled and parallel runs bit-for-bit
+// against a one-worker run.
+func fanOut(c *Compiled, acc *Accumulator, next chan int, workers int, opts RunOptions) error {
 	ct := &chunkTracer{parent: opts.Trace}
-	partials := make(chan *Accumulator, cap(next))
-	free := make(chan *Accumulator, workers)
+	accs := make([]*Accumulator, workers)
 	var ferr firstError
 	var wg sync.WaitGroup
-	// A lone worker has no scan for the merge to overlap with, so it folds
-	// straight into acc and streams no partials; acc is not read here until
-	// partials closes, after the worker is done.
-	solo := workers == 1
-	for w := 0; w < workers; w++ {
+	for w := range accs {
+		mine := acc
+		if w > 0 {
+			mine = NewAccumulator(c.NumAggs())
+		}
+		accs[w] = mine
 		task := func() {
 			defer wg.Done()
-			mine := acc
-			if !solo {
-				mine = NewAccumulator(c.NumAggs())
-			}
 			for i := range next {
 				if opts.cancelled() || ferr.get() != nil {
 					// Drain without scanning: the channel is already
@@ -334,15 +333,6 @@ func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opt
 					continue
 				}
 				recordChunk(opts, sp, st)
-				if solo || len(mine.cohorts) == 0 {
-					continue // nothing to merge; reuse directly
-				}
-				partials <- mine
-				select {
-				case mine = <-free:
-				default:
-					mine = NewAccumulator(c.NumAggs())
-				}
 			}
 		}
 		wg.Add(1)
@@ -353,26 +343,15 @@ func runStreaming(c *Compiled, acc *Accumulator, next chan int, workers int, opt
 				// execution so the query still completes.
 				task()
 			}
-		case solo:
-			task() // nothing to run alongside; partials stays empty
+		case w == workers-1:
+			task()
 		default:
 			go task()
 		}
 	}
-	go func() {
-		wg.Wait()
-		close(partials)
-	}()
-	for p := range partials {
-		acc.Merge(p)
-		// Merge adopts cohortState pointers for keys acc hasn't seen, so
-		// only the partial's map may be reused — reset clears it without
-		// touching the adopted states.
-		p.reset()
-		select {
-		case free <- p:
-		default:
-		}
+	wg.Wait()
+	for _, a := range accs[1:] {
+		acc.Merge(a)
 	}
 	return ferr.get()
 }

@@ -1,9 +1,11 @@
 package cohort
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -27,20 +29,48 @@ type Row struct {
 	Aggs   []float64 // aggregate values, parallel to Result.AggNames
 }
 
-// key returns a sortable composite key for deterministic ordering.
-func (r Row) key() string {
-	return strings.Join(r.Cohort, "\x00")
+// compareCohorts orders two cohort keys exactly as strings.Compare orders
+// strings.Join(a, "\x00") and strings.Join(b, "\x00"), without building
+// either string: it walks both keys as byte streams of pieces — element,
+// separator, element, ... — comparing the overlap of the current pieces.
+func compareCohorts(a, b []string) int {
+	var pa, pb string // unread bytes of each side's current piece
+	ia, ib := 0, 0    // each side's next piece
+	for {
+		for pa == "" && ia < 2*len(a)-1 {
+			pa, ia = joinedPiece(a, ia), ia+1
+		}
+		for pb == "" && ib < 2*len(b)-1 {
+			pb, ib = joinedPiece(b, ib), ib+1
+		}
+		if pa == "" || pb == "" { // a side ran out of bytes
+			return cmp.Compare(len(pa), len(pb))
+		}
+		n := min(len(pa), len(pb))
+		if c := strings.Compare(pa[:n], pb[:n]); c != 0 {
+			return c
+		}
+		pa, pb = pa[n:], pb[n:]
+	}
+}
+
+// joinedPiece returns piece i of key joined with "\x00": the elements at even
+// positions, the separator between them at odd ones.
+func joinedPiece(key []string, i int) string {
+	if i%2 == 1 {
+		return "\x00"
+	}
+	return key[i/2]
 }
 
 // Sort orders rows by cohort attributes then age, making results
 // deterministic and comparable across engines.
 func (res *Result) Sort() {
-	sort.Slice(res.Rows, func(i, j int) bool {
-		a, b := res.Rows[i], res.Rows[j]
-		if c := strings.Compare(a.key(), b.key()); c != 0 {
-			return c < 0
+	slices.SortFunc(res.Rows, func(a, b Row) int {
+		if c := compareCohorts(a.Cohort, b.Cohort); c != 0 {
+			return c
 		}
-		return a.Age < b.Age
+		return cmp.Compare(a.Age, b.Age)
 	})
 }
 
@@ -53,7 +83,7 @@ func (res *Result) Equal(o *Result) bool {
 	}
 	for i := range res.Rows {
 		a, b := res.Rows[i], o.Rows[i]
-		if a.key() != b.key() || a.Age != b.Age || a.Size != b.Size || len(a.Aggs) != len(b.Aggs) {
+		if compareCohorts(a.Cohort, b.Cohort) != 0 || a.Age != b.Age || a.Size != b.Size || len(a.Aggs) != len(b.Aggs) {
 			return false
 		}
 		for k := range a.Aggs {
@@ -74,7 +104,7 @@ func (res *Result) Diff(o *Result) string {
 	}
 	for i := range res.Rows {
 		a, b := res.Rows[i], o.Rows[i]
-		if a.key() != b.key() || a.Age != b.Age {
+		if compareCohorts(a.Cohort, b.Cohort) != 0 || a.Age != b.Age {
 			return fmt.Sprintf("row %d key (%v, %d) vs (%v, %d)", i, a.Cohort, a.Age, b.Cohort, b.Age)
 		}
 		if a.Size != b.Size {

@@ -109,7 +109,7 @@ func RunUnionAccum(c *Compiled, delta *activity.Table, pre *UnionDelta, opts Run
 	}
 	// The union scan proceeds concurrently with the sealed chunk fan-out
 	// and its partial merges in at the end. Exact integer sums make the merge
-	// order unobservable (see runStreaming). It runs inline on one worker,
+	// order unobservable (see fanOut). It runs inline on one worker,
 	// never waiting on another pooled task, so it is pool-safe; the union
 	// table is a few chunks at most. Its tallies land on its own "delta
 	// union" span and in the delta counters: ExecStats and the shard span's

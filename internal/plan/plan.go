@@ -197,7 +197,7 @@ func Execute(q *cohort.Query, tbl *storage.Table, opts ExecOptions) (*cohort.Res
 // accumulator, shards run concurrently, and the partials merge into one
 // result. Users never span shards — the clustering property lifted to the
 // partition level — so the merge needs no distinct-count correction, exactly
-// as chunk partials merge within one shard. A sharded execution returns
+// as per-worker chunk accumulators merge within one shard. A sharded execution returns
 // bit-identical results to the same query over the unsharded table.
 func ExecuteShards(q *cohort.Query, shards []ShardInput, opts ExecOptions) (*cohort.Result, error) {
 	if len(shards) == 0 {
@@ -228,8 +228,8 @@ func ExecuteShards(q *cohort.Query, shards []ShardInput, opts ExecOptions) (*coh
 // shards and streams each shard's partial accumulator into the merge as it
 // completes — the gather no longer waits for the slowest shard before
 // touching the fastest one's partial. Merge order is arrival order, which is
-// unobservable for the same reason chunk-partial streaming is (exact integer
-// sums, order-free min/max, sorted Result).
+// unobservable for the same reason the merge of per-worker chunk
+// accumulators is (exact integer sums, order-free min/max, sorted Result).
 func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, shards []ShardInput, opts ExecOptions) (*cohort.Result, error) {
 	start := time.Now()
 	runOpts := opts.runOptions()
@@ -249,7 +249,7 @@ func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, shard
 		}
 		out := make(chan shardPartial, len(shards))
 		for i := range shards {
-			//lint:allow goroutinepool a shard task blocks on chunk partials that need pool workers; pooling it deadlocks a saturated pool (fan-out is bounded by the shard count)
+			//lint:allow goroutinepool a shard task blocks on chunk tasks that need pool workers; pooling it deadlocks a saturated pool (fan-out is bounded by the shard count)
 			go func(i int) {
 				sp := opts.Trace.Child(fmt.Sprintf("shard %d", i))
 				ro := runOpts
