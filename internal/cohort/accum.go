@@ -21,12 +21,11 @@ type Accumulator struct {
 
 type cohortState struct {
 	display []string
-	size    int64    // Hc entry: distinct qualified users in the cohort
-	ages    []bucket // Hg entries indexed by age-1, grown on demand
-}
-
-type bucket struct {
-	present bool
+	size    int64 // Hc entry: distinct qualified users in the cohort
+	// present[age-1] marks the ages holding an Hg entry; states holds the
+	// entries of every age in one array, age a's nAggs aggregates at
+	// [(a-1)*nAggs, a*nAggs). Both grow on demand, together.
+	present []bool
 	states  []aggState
 }
 
@@ -68,25 +67,17 @@ func (a *Accumulator) cohortBytes(key []byte, display func() []string) *cohortSt
 	return cs
 }
 
-// bucket returns (creating if needed) the bucket for an age.
-func (cs *cohortState) bucket(age int64, nAggs int) *bucket {
+// bucket returns (creating if needed) the aggregates of an age's bucket.
+func (cs *cohortState) bucket(age int64, nAggs int) []aggState {
 	idx := int(age - 1)
-	for idx >= len(cs.ages) {
+	if idx >= len(cs.present) {
 		// Grow geometrically to keep amortized cost constant.
-		newCap := len(cs.ages)*2 + 4
-		if idx >= newCap {
-			newCap = idx + 1
-		}
-		grown := make([]bucket, newCap)
-		copy(grown, cs.ages)
-		cs.ages = grown
+		newCap := max(len(cs.present)*2+4, idx+1)
+		cs.present = append(cs.present, make([]bool, newCap-len(cs.present))...)
+		cs.states = append(cs.states, make([]aggState, newCap*nAggs-len(cs.states))...)
 	}
-	b := &cs.ages[idx]
-	if !b.present {
-		b.present = true
-		b.states = make([]aggState, nAggs)
-	}
-	return b
+	cs.present[idx] = true
+	return cs.states[idx*nAggs : (idx+1)*nAggs : (idx+1)*nAggs]
 }
 
 // addMeasureRun folds a run of k equal measure values v into the state in
@@ -118,14 +109,13 @@ func (a *Accumulator) Merge(other *Accumulator) {
 			continue
 		}
 		cs.size += ocs.size
-		for i := range ocs.ages {
-			ob := &ocs.ages[i]
-			if !ob.present {
+		for i, ok := range ocs.present {
+			if !ok {
 				continue
 			}
-			b := cs.bucket(int64(i+1), a.nAggs)
-			for k := range b.states {
-				s, os := &b.states[k], &ob.states[k]
+			b, ob := cs.bucket(int64(i+1), a.nAggs), ocs.states[i*a.nAggs:]
+			for k := range b {
+				s, os := &b[k], &ob[k]
 				s.sum += os.sum
 				s.cnt += os.cnt
 				s.users += os.users
@@ -153,25 +143,37 @@ func (a *Accumulator) Result(keyCols []string, aggs []AggSpec) *Result {
 		res.AggNames = append(res.AggNames, s.Name())
 	}
 	keys := make([]string, 0, len(a.cohorts))
-	for k := range a.cohorts {
+	nRows := 0
+	for k, cs := range a.cohorts {
 		keys = append(keys, k)
+		for _, ok := range cs.present {
+			if ok {
+				nRows++
+			}
+		}
 	}
 	sort.Strings(keys)
+	// Every row's Aggs is a window of one backing array.
+	var vals []float64
+	if nRows > 0 {
+		res.Rows = make([]Row, 0, nRows)
+		vals = make([]float64, nRows*len(aggs))
+	}
 	for _, k := range keys {
 		cs := a.cohorts[k]
-		for i := range cs.ages {
-			b := &cs.ages[i]
-			if !b.present {
+		for i, ok := range cs.present {
+			if !ok {
 				continue
 			}
 			row := Row{
 				Cohort: cs.display,
 				Age:    int64(i + 1),
 				Size:   cs.size,
-				Aggs:   make([]float64, len(aggs)),
+				Aggs:   vals[:len(aggs):len(aggs)],
 			}
+			vals = vals[len(aggs):]
 			for j, spec := range aggs {
-				st := &b.states[j]
+				st := &cs.states[i*a.nAggs+j]
 				switch spec.Func {
 				case Sum:
 					row.Aggs[j] = st.sum

@@ -15,13 +15,13 @@ import (
 // ages are keyed in a hash map instead of a dense array.
 type mapCohortState struct {
 	size int64
-	ages map[int64]*bucket
+	ages map[int64][]aggState
 }
 
-func (m *mapCohortState) bucket(age int64, nAggs int) *bucket {
+func (m *mapCohortState) bucket(age int64, nAggs int) []aggState {
 	b, ok := m.ages[age]
 	if !ok {
-		b = &bucket{present: true, states: make([]aggState, nAggs)}
+		b = make([]aggState, nAggs)
 		m.ages[age] = b
 	}
 	return b
@@ -54,7 +54,7 @@ func BenchmarkAggArrayVsMap(b *testing.B) {
 			cs := &cohortState{}
 			for k := 0; k < n; k++ {
 				bkt := cs.bucket(ages[k], 1)
-				st := &bkt.states[0]
+				st := &bkt[0]
 				st.sum += float64(golds[k])
 				st.cnt++
 			}
@@ -62,10 +62,10 @@ func BenchmarkAggArrayVsMap(b *testing.B) {
 	})
 	b.Run("map", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cs := &mapCohortState{ages: make(map[int64]*bucket)}
+			cs := &mapCohortState{ages: make(map[int64][]aggState)}
 			for k := 0; k < n; k++ {
 				bkt := cs.bucket(ages[k], 1)
-				st := &bkt.states[0]
+				st := &bkt[0]
 				st.sum += float64(golds[k])
 				st.cnt++
 			}
@@ -78,18 +78,18 @@ func BenchmarkAggArrayVsMap(b *testing.B) {
 func TestMapVariantAgreesWithArray(t *testing.T) {
 	ages, golds := updateStream(4096)
 	arr := &cohortState{}
-	mp := &mapCohortState{ages: make(map[int64]*bucket)}
+	mp := &mapCohortState{ages: make(map[int64][]aggState)}
 	for k := range ages {
 		ab := arr.bucket(ages[k], 1)
-		ab.states[0].sum += float64(golds[k])
-		ab.states[0].cnt++
+		ab[0].sum += float64(golds[k])
+		ab[0].cnt++
 		mb := mp.bucket(ages[k], 1)
-		mb.states[0].sum += float64(golds[k])
-		mb.states[0].cnt++
+		mb[0].sum += float64(golds[k])
+		mb[0].cnt++
 	}
-	for i := range arr.ages {
-		ab := &arr.ages[i]
-		if !ab.present {
+	for i, present := range arr.present {
+		ab := arr.states[i : i+1]
+		if !present {
 			if _, ok := mp.ages[int64(i+1)]; ok {
 				t.Fatalf("age %d present only in map", i+1)
 			}
@@ -99,8 +99,8 @@ func TestMapVariantAgreesWithArray(t *testing.T) {
 		if !ok {
 			t.Fatalf("age %d missing from map", i+1)
 		}
-		if ab.states[0].sum != mb.states[0].sum || ab.states[0].cnt != mb.states[0].cnt {
-			t.Fatalf("age %d disagrees: %+v vs %+v", i+1, ab.states[0], mb.states[0])
+		if ab[0].sum != mb[0].sum || ab[0].cnt != mb[0].cnt {
+			t.Fatalf("age %d disagrees: %+v vs %+v", i+1, ab[0], mb[0])
 		}
 	}
 }

@@ -117,7 +117,7 @@ func (rq *RowQuery) Scan(t *activity.Table, acc *Accumulator) {
 			}
 			b := cs.bucket(age, len(rq.aggs))
 			for k, agg := range rq.aggs {
-				st := &b.states[k]
+				st := &b[k]
 				switch agg.fn {
 				case Count:
 					st.cnt++

@@ -477,15 +477,15 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 				b := cs.bucket(age, nAggs)
 				for ai := range c.aggs {
 					if c.aggs[ai].fn == Count {
-						b.states[ai].cnt += int64(spanEnd - k)
+						b[ai].cnt += int64(spanEnd - k)
 					} else {
-						b.states[ai].users++
+						b[ai].users++
 					}
 				}
 				k = spanEnd
 				continue
 			}
-			var b *bucket // resolved at the span's first row past the residual
+			var b []aggState // resolved at the span's first row past the residual
 			if ageResidual != nil {
 				env.age = age
 			}
@@ -507,7 +507,7 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 					// counts the user once.
 					for ai := range c.aggs {
 						if c.aggs[ai].fn == UserCount {
-							b.states[ai].users++
+							b[ai].users++
 						}
 					}
 				}
@@ -515,13 +515,13 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 					agg := &c.aggs[ai]
 					switch agg.fn {
 					case Count:
-						b.states[ai].cnt++
+						b[ai].cnt++
 					case UserCount: // handled at the span's first survivor
 					default:
 						// Measures are read per survivor, straight off the
 						// packed codes.
 						st.ValueBytesDecoded += 8
-						b.states[ai].addMeasureRun(ch.Int(agg.col, row), 1)
+						b[ai].addMeasureRun(ch.Int(agg.col, row), 1)
 					}
 				}
 			}

@@ -41,18 +41,6 @@ type BitPacked struct {
 	data  []byte // len is a multiple of 8
 }
 
-// PackUint64 packs values using the minimum width that fits the largest
-// element.
-func PackUint64(values []uint64) *BitPacked {
-	var max uint64
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	return PackUint64Width(values, BitWidth(max))
-}
-
 // PackUint64Width packs values with an explicit width. It panics if any
 // value does not fit, since that indicates a bug in the caller's width
 // computation rather than a runtime condition.
@@ -176,16 +164,6 @@ func (b *BitPacked) Get(i int) uint64 {
 	}
 	// At width 64 the shift yields 0 and the mask is all ones.
 	return v & (1<<b.width - 1)
-}
-
-// Unpack materializes all values into a fresh slice, mainly for tests and
-// whole-column exports.
-func (b *BitPacked) Unpack() []uint64 {
-	out := make([]uint64, b.n)
-	for i := range out {
-		out[i] = b.Get(i)
-	}
-	return out
 }
 
 // AppendRange appends the values at positions [start, end) to dst and returns

@@ -148,12 +148,23 @@ type ChunkDict struct {
 // to remap a chunk dictionary onto a grown global dictionary (a monotonic
 // remap preserves the sorted order this constructor validates).
 func ChunkDictFromIDs(ids []uint64) (*ChunkDict, error) {
+	c := new(ChunkDict)
+	if err := c.Reset(ids); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset makes c the chunk dictionary of ids, adopting the slice as
+// ChunkDictFromIDs does; on error c is left as it was.
+func (c *ChunkDict) Reset(ids []uint64) error {
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
-			return nil, fmt.Errorf("encoding: chunk dict ids not strictly ascending at %d", i)
+			return fmt.Errorf("encoding: chunk dict ids not strictly ascending at %d", i)
 		}
 	}
-	return &ChunkDict{globalIDs: ids}, nil
+	c.globalIDs = ids
+	return nil
 }
 
 // Len returns the chunk cardinality.

@@ -81,7 +81,7 @@ func BenchmarkRLEEncodeUserColumn(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EncodeRLE(values)
+		encodeRLE(values)
 	}
 }
 

@@ -34,8 +34,8 @@ func TestBitPackedRoundTrip(t *testing.T) {
 		{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7},
 	}
 	for _, values := range cases {
-		b := PackUint64(values)
-		got := b.Unpack()
+		b := packUint64(values)
+		got := b.unpack()
 		if len(values) == 0 {
 			if b.Len() != 0 {
 				t.Errorf("empty pack has len %d", b.Len())
@@ -65,7 +65,7 @@ func TestBitPackedRandomAccessAcrossWordBoundaries(t *testing.T) {
 
 func TestBitPackedSerialize(t *testing.T) {
 	values := []uint64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	buf := PackUint64(values).AppendTo(nil)
+	buf := packUint64(values).AppendTo(nil)
 	got, rest, err := DecodeBitPacked(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -73,14 +73,14 @@ func TestBitPackedSerialize(t *testing.T) {
 	if len(rest) != 0 {
 		t.Errorf("leftover bytes: %d", len(rest))
 	}
-	if !reflect.DeepEqual(got.Unpack(), values) {
-		t.Errorf("decode mismatch: %v", got.Unpack())
+	if !reflect.DeepEqual(got.unpack(), values) {
+		t.Errorf("decode mismatch: %v", got.unpack())
 	}
 }
 
 func TestBitPackedPropertyRoundTrip(t *testing.T) {
 	f := func(values []uint64) bool {
-		b := PackUint64(values)
+		b := packUint64(values)
 		if b.Len() != len(values) {
 			return false
 		}
@@ -124,7 +124,7 @@ func TestRLERoundTrip(t *testing.T) {
 		{5, 5, 2, 2, 2, 9, 5, 5},
 	}
 	for _, values := range cases {
-		r := EncodeRLE(values)
+		r := encodeRLE(values)
 		got := r.Decode()
 		if len(values) == 0 {
 			if r.Len() != 0 || r.NumRuns() != 0 {
@@ -144,7 +144,7 @@ func TestRLERoundTrip(t *testing.T) {
 }
 
 func TestRLERuns(t *testing.T) {
-	r := EncodeRLE([]uint64{7, 7, 7, 3, 3, 9})
+	r := encodeRLE([]uint64{7, 7, 7, 3, 3, 9})
 	want := []Run{{7, 0, 3}, {3, 3, 2}, {9, 5, 1}}
 	for i, w := range want {
 		if r.Run(i) != w {
@@ -155,7 +155,7 @@ func TestRLERuns(t *testing.T) {
 
 func TestRLESerialize(t *testing.T) {
 	values := []uint64{1, 1, 2, 2, 2, 2, 3, 1, 1}
-	buf := EncodeRLE(values).AppendTo(nil)
+	buf := encodeRLE(values).AppendTo(nil)
 	got, rest, err := DecodeRLEBytes(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestRLEPropertySerializeRoundTrip(t *testing.T) {
 		for i, b := range raw {
 			values[i] = uint64(b % 4)
 		}
-		buf := EncodeRLE(values).AppendTo(nil)
+		buf := encodeRLE(values).AppendTo(nil)
 		r, rest, err := DecodeRLEBytes(buf)
 		if err != nil || len(rest) != 0 {
 			return false
@@ -519,7 +519,7 @@ func TestCanonicalVarints(t *testing.T) {
 		}
 	}
 	// A padded count inside a packed array is rejected the same way.
-	good := PackUint64([]uint64{1, 2, 3}).AppendTo(nil)
+	good := packUint64([]uint64{1, 2, 3}).AppendTo(nil)
 	padded := append([]byte{good[0], good[1] | 0x80, 0x00}, good[2:]...)
 	if _, _, err := DecodeBitPacked(padded); err == nil {
 		t.Error("DecodeBitPacked accepted a non-minimal count")
@@ -530,7 +530,7 @@ func TestDecodeBitPackedAliasesSource(t *testing.T) {
 	// The decoded array is a view of the serialized bytes, not a copy: the
 	// resident form of a column is its on-disk form.
 	values := []uint64{5, 0, 1023, 77, 512}
-	buf := PackUint64(values).AppendTo([]byte("prefix"))
+	buf := packUint64(values).AppendTo([]byte("prefix"))
 	got, rest, err := DecodeBitPacked(buf[len("prefix"):])
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode: err=%v rest=%d", err, len(rest))
@@ -686,8 +686,8 @@ func TestEncoderOverRanges(t *testing.T) {
 			if !reflect.DeepEqual(sorted, dict.Values()) {
 				t.Fatalf("ranges %v: values %q, want %q", ranges, sorted, dict.Values())
 			}
-			if !reflect.DeepEqual(ids.AppendTo(nil), PackUint64(wantIDs).AppendTo(nil)) {
-				t.Fatalf("ranges %v: chunk-ids %v, want %v", ranges, ids.Unpack(), wantIDs)
+			if !reflect.DeepEqual(ids.AppendTo(nil), packUint64(wantIDs).AppendTo(nil)) {
+				t.Fatalf("ranges %v: chunk-ids %v, want %v", ranges, ids.unpack(), wantIDs)
 			}
 			frame := e.EncodeInts(ints, ranges)
 			if !reflect.DeepEqual(frame.AppendTo(nil), EncodeFrameOfRef(wantInts).AppendTo(nil)) {
@@ -695,4 +695,39 @@ func TestEncoderOverRanges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// packUint64 packs values using the minimum width that fits the largest
+// element.
+func packUint64(values []uint64) *BitPacked {
+	var max uint64
+	for _, v := range values {
+		if v > max {
+			max = v
+		}
+	}
+	return PackUint64Width(values, BitWidth(max))
+}
+
+// unpack materializes all values into a fresh slice.
+func (b *BitPacked) unpack() []uint64 {
+	out := make([]uint64, b.n)
+	for i := range out {
+		out[i] = b.Get(i)
+	}
+	return out
+}
+
+// encodeRLE run-length encodes values.
+func encodeRLE(values []uint64) *RLE {
+	var runs []Run
+	for i := 0; i < len(values); {
+		j := i + 1
+		for j < len(values) && values[j] == values[i] {
+			j++
+		}
+		runs = append(runs, Run{Value: values[i], Start: uint32(i), Length: uint32(j - i)})
+		i = j
+	}
+	return &RLE{runs: runs, n: len(values)}
 }

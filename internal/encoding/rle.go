@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Run is one RLE triple (u, f, n) as described in Section 4.1 of the paper:
@@ -20,20 +21,6 @@ type Run struct {
 type RLE struct {
 	runs []Run
 	n    int // total decoded length
-}
-
-// EncodeRLE run-length encodes values.
-func EncodeRLE(values []uint64) *RLE {
-	var runs []Run
-	for i := 0; i < len(values); {
-		j := i + 1
-		for j < len(values) && values[j] == values[i] {
-			j++
-		}
-		runs = append(runs, Run{Value: values[i], Start: uint32(i), Length: uint32(j - i)})
-		i = j
-	}
-	return &RLE{runs: runs, n: len(values)}
 }
 
 // RLEFromRuns reassembles an RLE segment from parallel (value, length)
@@ -55,13 +42,21 @@ func RLEFromRuns(values []uint64, lengths []uint32) *RLE {
 // run i holds first+i. That is every user column of a lazy table, where a
 // chunk's users carry the virtual ids userBase, userBase+1, …
 func RLEConsecutive(first uint64, lengths []uint32) *RLE {
-	runs := make([]Run, len(lengths))
+	r := new(RLE)
+	r.FillConsecutive(first, lengths)
+	return r
+}
+
+// FillConsecutive makes r the RLEConsecutive of first and lengths, reusing
+// r's run storage.
+func (r *RLE) FillConsecutive(first uint64, lengths []uint32) {
+	r.runs = slices.Grow(r.runs[:0], len(lengths))[:len(lengths)]
 	pos := uint32(0)
 	for i, l := range lengths {
-		runs[i] = Run{Value: first + uint64(i), Start: pos, Length: l}
+		r.runs[i] = Run{Value: first + uint64(i), Start: pos, Length: l}
 		pos += l
 	}
-	return &RLE{runs: runs, n: int(pos)}
+	r.n = int(pos)
 }
 
 // NumRuns returns the number of runs (distinct users in a user column).

@@ -492,14 +492,6 @@ func (t *Table) CompactContext(ctx context.Context) error {
 	return nil
 }
 
-// CompactShard synchronously seals one shard's delta.
-func (t *Table) CompactShard(i int) error {
-	if i < 0 || i >= len(t.shards) {
-		return fmt.Errorf("ingest: shard %d out of range [0, %d)", i, len(t.shards))
-	}
-	return t.shards[i].compact()
-}
-
 func (t *Table) notifyChange() {
 	if t.cfg.OnChange != nil {
 		t.cfg.OnChange()

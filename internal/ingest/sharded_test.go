@@ -205,7 +205,7 @@ func TestMultiShardBatchCostsOneFsync(t *testing.T) {
 	if got := obs.JournalFsyncSeconds.Count() - before; got != 1 {
 		t.Fatalf("a 3-shard batch cost %d journal fsyncs, want 1", got)
 	}
-	if err := lt.CompactShard(1); err != nil {
+	if err := compactShard(lt, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := lt.Append([]Row{row(t, schema, users[1], 2_000_000_100, "shop", "China", "Beijing", "mage", 1, 5)}); err != nil {
@@ -358,4 +358,12 @@ func TestReshardAtOpenPreservesRowsAndPersists(t *testing.T) {
 	if lt0.NumShards() != 4 {
 		t.Fatalf("Shards=0 changed the stored count to %d", lt0.NumShards())
 	}
+}
+
+// compactShard synchronously seals one shard's delta.
+func compactShard(t *Table, i int) error {
+	if i < 0 || i >= len(t.shards) {
+		return fmt.Errorf("ingest: shard %d out of range [0, %d)", i, len(t.shards))
+	}
+	return t.shards[i].compact()
 }

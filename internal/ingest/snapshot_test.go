@@ -97,7 +97,7 @@ func TestConcurrentCompactionsOfOneShard(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := lt.CompactShard(0); err != nil {
+				if err := compactShard(lt, 0); err != nil {
 					t.Error(err)
 				}
 			}()

@@ -306,24 +306,8 @@ func runShard(c *cohort.Compiled, sh ShardInput, opts cohort.RunOptions) (*cohor
 	return cohort.RunUnionAccum(c, sh.Delta, sh.Union, opts)
 }
 
-// PrunedChunks reports how many chunks pruning would skip for q, exposed for
-// tests.
-func PrunedChunks(q *cohort.Query, tbl *storage.Table) (int, error) {
-	skip, err := PruneMap(q, tbl)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, s := range skip {
-		if s {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // PruneMap reports, chunk by chunk, whether pruning would skip the chunk for
-// q — the per-chunk detail behind PrunedChunks, used by explain.
+// q, used by explain.
 func PruneMap(q *cohort.Query, tbl *storage.Table) ([]bool, error) {
 	compiled, err := cohort.Compile(q, tbl)
 	if err != nil {

@@ -163,7 +163,7 @@ func mustMaterialize(t *testing.T, tbl *storage.Table) *activity.Table {
 func TestExecuteWithPruningDisabledMatches(t *testing.T) {
 	tbl := paperStore(t, 2)
 	q := exampleQuery()
-	if n, err := PrunedChunks(q, tbl); err != nil || n == 0 {
+	if n, err := prunedChunks(q, tbl); err != nil || n == 0 {
 		t.Fatalf("fixture prunes %d chunks (err %v), want some", n, err)
 	}
 	got, err := Execute(q, tbl, ExecOptions{})
@@ -202,11 +202,26 @@ func TestPrunedChunks(t *testing.T) {
 		CohortBy:    []cohort.CohortKey{{Col: "country"}},
 		Aggs:        []cohort.AggSpec{{Func: cohort.Count}},
 	}
-	n, err := PrunedChunks(q, tbl)
+	n, err := prunedChunks(q, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 { // player 003 never shopped
 		t.Errorf("pruned %d chunks, want 1", n)
 	}
+}
+
+// prunedChunks reports how many chunks pruning would skip for q.
+func prunedChunks(q *cohort.Query, tbl *storage.Table) (int, error) {
+	skip, err := PruneMap(q, tbl)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, s := range skip {
+		if s {
+			n++
+		}
+	}
+	return n, nil
 }

@@ -56,6 +56,19 @@ type birthIndexes struct {
 	// charge, when set, adds the bytes of a newly built index to the cache
 	// entry holding the payload.
 	charge func(bytes int64)
+	// spare holds the indexes dropped by reset, whose storage the next
+	// builds reuse (a pooled arena's; see chunkArena).
+	spare []*BirthIndex
+}
+
+// reset drops every index, keeping its storage for the next chunk's builds.
+func (b *birthIndexes) reset() {
+	b.mu.Lock()
+	for _, ix := range b.byCID {
+		b.spare = append(b.spare, ix)
+	}
+	clear(b.byCID)
+	b.mu.Unlock()
 }
 
 // BirthIndex returns the birth index of the action whose chunk-id in action
@@ -67,7 +80,12 @@ func (c *Chunk) BirthIndex(actionCol, timeCol int, cid uint64) (ix *BirthIndex, 
 	b.mu.Lock()
 	ix = b.byCID[cid]
 	if ix == nil {
-		ix, searched = c.buildBirthIndex(actionCol, timeCol, cid)
+		if n := len(b.spare); n > 0 {
+			ix, b.spare = b.spare[n-1], b.spare[:n-1]
+		} else {
+			ix = new(BirthIndex)
+		}
+		searched = c.buildBirthIndex(ix, actionCol, timeCol, cid)
 		if b.byCID == nil {
 			b.byCID = make(map[uint64]*BirthIndex)
 		}
@@ -80,18 +98,21 @@ func (c *Chunk) BirthIndex(actionCol, timeCol int, cid uint64) (ix *BirthIndex, 
 	return ix, searched
 }
 
-// buildBirthIndex runs the birth search over every user block: the first row
-// holding cid, found on the packed codes without extracting them.
-func (c *Chunk) buildBirthIndex(actionCol, timeCol int, cid uint64) (*BirthIndex, int64) {
+// buildBirthIndex runs the birth search over every user block into ix,
+// reusing its storage: the first row holding cid, found on the packed codes
+// without extracting them.
+func (c *Chunk) buildBirthIndex(ix *BirthIndex, actionCol, timeCol int, cid uint64) int64 {
 	ids, tf := c.cols[actionCol].ids, c.cols[timeCol].ints
 	rowBits := uint(bits.Len(uint(c.numRows))) // row+1 <= numRows
-	ix := &BirthIndex{
-		entries: make([]uint64, c.users.NumRuns()),
+	wide := ix.wide
+	*ix = BirthIndex{
+		entries: resize(ix.entries, c.users.NumRuns()),
 		shift:   rowBits,
 		rowMask: 1<<rowBits - 1,
 	}
+	clear(ix.entries)
 	if uint(bits.Len64(uint64(tf.Max())-uint64(tf.Min()))) > 64-rowBits {
-		ix.wide = make([]uint64, len(ix.entries))
+		ix.wide = resize(wide, len(ix.entries))
 	}
 	var searched int64
 	for u := range ix.entries {
@@ -109,5 +130,5 @@ func (c *Chunk) buildBirthIndex(actionCol, timeCol int, cid uint64) (*BirthIndex
 			ix.entries[u] = tf.Raw(row)<<rowBits | uint64(row+1)
 		}
 	}
-	return ix, searched
+	return searched
 }

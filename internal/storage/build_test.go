@@ -80,8 +80,8 @@ func assertSameTable(tb testing.TB, what string, got, want *Table) {
 			}
 			continue
 		}
-		gmn, gmx := got.GlobalRange(c)
-		wmn, wmx := want.GlobalRange(c)
+		gmn, gmx := globalRange(got, c)
+		wmn, wmx := globalRange(want, c)
 		if gmn != wmn || gmx != wmx {
 			tb.Fatalf("%s: column %d global range [%d, %d], want [%d, %d]", what, c, gmn, gmx, wmn, wmx)
 		}
@@ -181,8 +181,8 @@ func assertMergedChunksMatchReference(tb testing.TB, what string, merged *Table)
 			}
 			continue
 		}
-		gmn, gmx := merged.GlobalRange(c)
-		wmn, wmx := whole.GlobalRange(c)
+		gmn, gmx := globalRange(merged, c)
+		wmn, wmx := globalRange(whole, c)
 		if gmn != wmn || gmx != wmx {
 			tb.Fatalf("%s: column %d global range [%d, %d], want [%d, %d]", what, c, gmn, gmx, wmn, wmx)
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/obs"
@@ -16,13 +17,20 @@ import (
 // Under a byte budget the cache is LRU with frequency-gated admission. Plain
 // LRU flushes itself under the access pattern cohort queries produce — every
 // query walks every unpruned chunk, so a table larger than the budget evicts
-// each chunk just before it is wanted again and the hit ratio is zero. Here a
-// freshly loaded chunk (a newcomer) evicts nothing while it is pinned; when
-// its last pin drops and the cache is over budget, it replaces the LRU tail
-// only if it has been touched more often, and is itself dropped on a tie. A
-// cyclic scan therefore keeps a stable budget-sized subset resident (hit
-// ratio ≈ budget share), while chunks that really are touched more often
-// than the residents still displace them.
+// each chunk just before it is wanted again and the hit ratio is zero. Here
+// a chunk that misses (a newcomer) may only replace the LRU tail if it has
+// been touched more often, and is itself dropped on a tie. A cyclic scan
+// therefore keeps a stable budget-sized subset resident (hit ratio ≈ budget
+// share), while chunks that really are touched more often than the residents
+// still displace them.
+//
+// The contest is decided at the miss (admitsLocked). A newcomer that would
+// lose is a transient load: read into an arena pooled on the cache (see
+// chunkArena), never published, dropped at release — so a scan of a table
+// larger than the budget allocates no buffer per miss. A newcomer that would
+// win is loaded into the cache and evicts nothing while it is pinned; when
+// its last pin drops and the cache is over budget, the contest is held again
+// against the tails it must displace (trimLocked).
 //
 // "Touched more often" is measured per chunk on its chunkState — the set of
 // chunks is finite and known from the manifest, so there is no sketch and no
@@ -40,8 +48,8 @@ import (
 // One mutex guards everything: the entry map, the LRU links, the pin counts,
 // the size accounting, the chunk states, and — crucially — every lazy table's
 // chunk slots (Table.chunks[i] for cold-capable chunks). Decoding runs outside
-// the lock with a per-entry singleflight, so a thundering herd on one cold
-// chunk pays one disk read.
+// the lock; a kept load is single-flight per entry, so a thundering herd on
+// one cold chunk pays one disk read.
 type ChunkCache struct {
 	mu       sync.Mutex
 	budget   int64 // <= 0 means unbounded
@@ -60,6 +68,9 @@ type ChunkCache struct {
 	period, periodTouches, periodChunks uint32
 
 	hits, misses, evictions uint64
+
+	// arenas are parked for transient loads (see chunkArena).
+	arenas []*chunkArena
 }
 
 // agingTouchesPerChunk sets the length of an aging period: it ends after this
@@ -251,18 +262,60 @@ func (c *ChunkCache) charge(e *cacheEntry, bytes int64) {
 	c.mu.Unlock()
 }
 
-// releaseFunc returns the pin-release closure handed to PinChunk callers.
-// Only its first call drops the pin: a second one would drive the pin count
-// negative and leave a pinned chunk on the evictable list.
-func (c *ChunkCache) releaseFunc(e *cacheEntry) func() {
+// releaseFunc returns the pin-release closure handed to PinChunk callers: it
+// unpins e, or, for a transient load, drops the chunk and parks its arena a.
+// Only its first call acts: a second one would drive the pin count negative
+// and leave a pinned chunk on the evictable list, or park an arena that is
+// already serving another load.
+func (c *ChunkCache) releaseFunc(e *cacheEntry, a *chunkArena) func() {
 	released := false
 	return func() {
 		c.mu.Lock()
 		if !released {
 			released = true
-			c.unpinLocked(e)
+			if e != nil {
+				c.unpinLocked(e)
+			} else {
+				c.evictions++ // loaded and dropped, as a losing newcomer is
+				obs.ChunkCacheEvictionsTotal.Inc()
+				// Taking the births mutex under c.mu cannot deadlock: a
+				// transient arena's index builds charge nothing, so they
+				// never wait for c.mu while holding it.
+				a.seg.births.reset()
+				c.parkLocked(a)
+			}
 		}
 		c.mu.Unlock()
+	}
+}
+
+// admitsLocked decides at a miss whether the chunk of m will be kept: it
+// fits the budget beside the admitted entries, or it has been touched more
+// often than the LRU tail it would displace. That is the first round of the
+// contest trimLocked holds when a newcomer's last pin drops; a chunk that
+// would lose it is loaded transient.
+func (c *ChunkCache) admitsLocked(m *chunkMeta) bool {
+	return c.budget <= 0 || c.resident-c.unadmitted+m.bytes <= c.budget ||
+		(c.tail != nil && c.hotterLocked(m.state, c.tail.state))
+}
+
+// takeArenaLocked returns a parked arena for a transient load, or a new one.
+func (c *ChunkCache) takeArenaLocked() *chunkArena {
+	n := len(c.arenas)
+	if n == 0 {
+		return new(chunkArena)
+	}
+	a := c.arenas[n-1]
+	c.arenas[n-1], c.arenas = nil, c.arenas[:n-1]
+	return a
+}
+
+// parkLocked keeps a released transient arena for the next transient load.
+// The pool holds at most GOMAXPROCS arenas: about as many transient loads as
+// can run at once.
+func (c *ChunkCache) parkLocked(a *chunkArena) {
+	if len(c.arenas) < runtime.GOMAXPROCS(0) {
+		c.arenas = append(c.arenas, a)
 	}
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -51,11 +52,14 @@ func BenchmarkColdLoad(b *testing.B) {
 	}
 }
 
-// TestColdLoadAllocs pins what a reload is allowed to allocate: the read
-// buffer, the index slices over it and the bound chunk — a few dozen objects
-// whatever the chunk holds. One allocation per user or per packed word (about
-// 1,800 before segments were decoded in place) would blow well past the
-// bound.
+// TestColdLoadAllocs pins what a reload is allowed to allocate. In objects: a
+// few dozen whatever the chunk holds — one allocation per user or per packed
+// word (about 1,800 before segments were decoded in place) would blow well
+// past the bound. In bytes: a small fraction of the segment. Under the
+// one-byte budget every reload is a transient load, which reads into the
+// pooled arena the previous release parked; allocating the read buffer, the
+// index slices or the bound chunk afresh would cost more than the whole
+// segment.
 func TestColdLoadAllocs(t *testing.T) {
 	sh := coldLoadFixture(t)
 	if users := sh.ChunkUsers(0); users < 1000 {
@@ -64,6 +68,17 @@ func TestColdLoadAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { coldLoad(t, sh) })
 	if allocs > 40 {
 		t.Fatalf("reloading a verified chunk made %v allocations, want <= 40", allocs)
+	}
+	const reloads = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reloads; i++ {
+		coldLoad(t, sh)
+	}
+	runtime.ReadMemStats(&after)
+	seg := sh.lazy.metas[0].bytes
+	if perLoad := int64(after.TotalAlloc-before.TotalAlloc) / reloads; perLoad >= seg/16 {
+		t.Fatalf("reloading a verified chunk allocated %d bytes, want < %d (1/16 of its %d-byte segment)", perLoad, seg/16, seg)
 	}
 	if st := sh.lazy.cache.Stats(); st.ResidentBytes != 0 {
 		t.Fatalf("one-byte budget left %d bytes resident", st.ResidentBytes)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/activity"
@@ -107,6 +108,9 @@ func (st *Table) Lazy() bool { return st.lazy != nil }
 // file if cold, and pins it against eviction until release is called. Eager
 // tables return the chunk directly with a no-op release. Calling release more
 // than once is harmless.
+//
+// A miss decides admission on the spot (ChunkCache.admitsLocked): a chunk the
+// cache would drop is a transient load (see chunkArena), never published.
 func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 	if st.lazy == nil || st.lazy.metas[i].perm {
 		return st.chunks[i], func() {}, nil
@@ -116,13 +120,18 @@ func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 	c.mu.Lock()
 	e := c.entries[m.hash]
 	if e == nil {
-		// Leader: claim the load.
-		e = &cacheEntry{hash: m.hash, state: m.state, ready: make(chan struct{}), pins: 1}
-		c.entries[m.hash] = e
-		c.touchLocked(e.state)
+		c.touchLocked(m.state)
 		c.misses++
 		obs.ChunkCacheMissesTotal.Inc()
 		verified := m.state.verified
+		if !c.admitsLocked(m) {
+			a := c.takeArenaLocked()
+			c.mu.Unlock()
+			return st.loadTransient(i, a, verified)
+		}
+		// Leader: claim the load.
+		e = &cacheEntry{hash: m.hash, state: m.state, ready: make(chan struct{}), pins: 1}
+		c.entries[m.hash] = e
 		c.mu.Unlock()
 		return st.loadAndBind(e, i, verified)
 	}
@@ -133,7 +142,7 @@ func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 		c.hits++
 		obs.ChunkCacheHitsTotal.Inc()
 		c.mu.Unlock()
-		return ch, c.releaseFunc(e), nil
+		return ch, c.releaseFunc(e, nil), nil
 	}
 	// Resident or in flight: wait (returns immediately when already
 	// resolved).
@@ -152,22 +161,19 @@ func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return ch2, c.releaseFunc(e), nil
+	return ch2, c.releaseFunc(e, nil), nil
 }
 
-// loadAndBind is the leader path of PinChunk: read and decode the segment
-// outside the lock, publish the payload, bind this table's slot. The new
-// entry joins the cache unadmitted: it is pinned, so nothing is evicted to
-// make room for it; whether it stays is decided when its last pin drops.
+// loadAndBind is the leader path of a kept miss: load the segment outside the
+// lock, publish the payload, bind this table's slot. The new entry joins the
+// cache unadmitted: it is pinned, so nothing is evicted to make room for it;
+// whether it stays is decided again when its last pin drops.
 func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(), error) {
 	m := &st.lazy.metas[i]
 	c := st.lazy.cache
-	sc, err := st.lazy.loadSegment(st.schema, m, verified)
-	var ch *Chunk
-	if err == nil {
-		sc.births.charge = func(bytes int64) { c.charge(e, bytes) }
-		ch, err = st.bindPayload(i, sc)
-	}
+	a := new(chunkArena)
+	a.seg.births.charge = func(bytes int64) { c.charge(e, bytes) }
+	ch, err := st.load(i, a, verified)
 	c.mu.Lock()
 	if err != nil {
 		st.lazy.logCorruptLocked(i, err)
@@ -180,7 +186,7 @@ func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(
 		return nil, nil, err
 	}
 	m.state.verified = true
-	e.payload, e.size = sc, m.bytes // the payload is the file's bytes
+	e.payload, e.size = &a.seg, m.bytes // the payload is the file's bytes
 	c.resident += e.size
 	c.unadmitted += e.size
 	obs.ChunkCacheResidentBytes.Set(float64(c.resident))
@@ -188,7 +194,62 @@ func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(
 	e.slots = append(e.slots, slotRef{tbl: st, idx: i})
 	c.mu.Unlock()
 	close(e.ready)
-	return ch, c.releaseFunc(e), nil
+	return ch, c.releaseFunc(e, nil), nil
+}
+
+// loadTransient is a miss the cache would drop at release: the chunk loads
+// into a pooled arena and is bound into neither a table slot nor a cache
+// entry. It counts as a miss and a segment read like any load, and its
+// release counts the eviction a losing newcomer would have cost.
+func (st *Table) loadTransient(i int, a *chunkArena, verified bool) (*Chunk, func(), error) {
+	c := st.lazy.cache
+	ch, err := st.load(i, a, verified)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		st.lazy.logCorruptLocked(i, err)
+		c.parkLocked(a)
+		return nil, nil, err
+	}
+	st.lazy.metas[i].state.verified = true
+	ch.transient = true
+	return ch, c.releaseFunc(nil, a), nil
+}
+
+// chunkArena is everything one chunk load allocates: the segment's bytes,
+// their decoded view and the Chunk bound over it. A kept load uses a fresh
+// arena that its cache entry owns for good. A transient load takes one parked
+// on the ChunkCache, which its release parks again, so a cyclic scan over a
+// table larger than the budget reuses a few arenas instead of allocating
+// every chunk it reads.
+//
+// Nothing in a transient arena may outlive the release. The chunkpin analyzer
+// (internal/lint) confines payload access to a PinChunk region whose release
+// is kept; UserString copies out of a transient chunk, whose users are substrings of
+// buf; the chunk is never bound into Table.chunks or cacheEntry.slots; and
+// its birth indexes are dropped at release, unbilled. The arena's *Chunk is
+// reused at the same address by the next load, so nothing may key state on
+// *Chunk identity — nothing does: the kernel rebuilds its cohort memo
+// (cohort's chunkScratch.bindMemo) for every chunk it binds.
+type chunkArena struct {
+	buf   []byte
+	seg   segChunk
+	ch    Chunk
+	info  segInfo
+	users encoding.RLE
+	// dicts are the chunk dictionaries, indexed by column; gids backs them
+	// all, each string column's global ids after the previous column's.
+	dicts []encoding.ChunkDict
+	gids  []uint64
+}
+
+// load is the one loader, kept and transient alike: read chunk i's segment
+// into a, check it, decode it and bind it.
+func (st *Table) load(i int, a *chunkArena, verified bool) (*Chunk, error) {
+	if err := st.lazy.loadSegment(st.schema, &st.lazy.metas[i], verified, a); err != nil {
+		return nil, err
+	}
+	return st.bindPayload(i, &a.seg, a)
 }
 
 // adoptPayload binds a resident payload into this table's slot (a rebind hit:
@@ -197,7 +258,7 @@ func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(
 // payload cannot be evicted underneath the bind.
 func (st *Table) adoptPayload(e *cacheEntry, i int) (*Chunk, error) {
 	c := st.lazy.cache
-	ch, err := st.bindPayload(i, e.payload)
+	ch, err := st.bindPayload(i, e.payload, new(chunkArena))
 	if err != nil {
 		c.mu.Lock()
 		st.lazy.logCorruptLocked(i, err)
@@ -218,102 +279,118 @@ func (st *Table) adoptPayload(e *cacheEntry, i int) (*Chunk, error) {
 	return ch, nil
 }
 
-// bindPayload turns a decoded segment into a Chunk bound to this lazy table:
-// user runs carry virtual global ids (userBase + run index), string columns
-// remap their value lists through the manifest's complete global
-// dictionaries, bit-packed and frame-of-reference payloads are adopted as-is.
-// It only reads immutable table state, so it runs outside the cache lock.
-func (st *Table) bindPayload(i int, sc *segChunk) (*Chunk, error) {
+// bindPayload turns a decoded segment into a Chunk bound to this lazy table,
+// built in a's Chunk, run and dictionary storage: user runs carry virtual
+// global ids (userBase + run index), string columns remap their value lists
+// through the manifest's complete global dictionaries, bit-packed and
+// frame-of-reference payloads are adopted as-is. It only reads immutable
+// table state, so it runs outside the cache lock.
+func (st *Table) bindPayload(i int, sc *segChunk, a *chunkArena) (*Chunk, error) {
 	m := &st.lazy.metas[i]
 	schema := st.schema
 	userCol := schema.UserCol()
-	ch := &Chunk{
+	ncols := schema.NumCols()
+	a.info = segInfo{}
+	a.info.once.Do(func() { a.info.hash = m.hash })
+	a.users.FillConsecutive(m.userBase, sc.lengths)
+	a.ch = Chunk{
 		numRows:  sc.numRows,
-		cols:     make([]chunkColumn, schema.NumCols()),
-		seg:      &segInfo{},
+		users:    &a.users,
+		cols:     resize(a.ch.cols, ncols),
+		seg:      &a.info,
 		userVals: sc.users,
 		userBase: m.userBase,
 		births:   &sc.births,
 	}
-	ch.seg.once.Do(func() { ch.seg.hash = m.hash })
-	ch.users = encoding.RLEConsecutive(m.userBase, sc.lengths)
-	for c := 0; c < schema.NumCols(); c++ {
+	a.dicts = resize(a.dicts, ncols)
+	n := 0
+	for c := range sc.cols {
+		n += len(sc.cols[c].vals)
+	}
+	gids := resize(a.gids, n)
+	a.gids = gids
+	for c := 0; c < ncols; c++ {
 		if c == userCol {
+			a.ch.cols[c] = chunkColumn{}
 			continue
 		}
-		if schema.IsStringCol(c) {
-			ids := make([]uint64, len(sc.cols[c].vals))
-			for k, v := range sc.cols[c].vals {
-				gid, ok := st.dicts[c].Lookup(v)
-				if !ok {
-					return nil, &CorruptSegmentError{
-						Path: filepath.Join(st.lazy.dir, m.file),
-						Err:  fmt.Errorf("value %q missing from manifest dictionary (column %d)", v, c),
-					}
-				}
-				ids[k] = gid
-			}
-			cd, err := encoding.ChunkDictFromIDs(ids)
-			if err != nil {
+		if !schema.IsStringCol(c) {
+			a.ch.cols[c] = chunkColumn{ints: &sc.cols[c].ints}
+			continue
+		}
+		vals := sc.cols[c].vals
+		ids := gids[:len(vals):len(vals)]
+		gids = gids[len(vals):]
+		for k, v := range vals {
+			gid, ok := st.dicts[c].Lookup(v)
+			if !ok {
 				return nil, &CorruptSegmentError{
 					Path: filepath.Join(st.lazy.dir, m.file),
-					Err:  fmt.Errorf("column %d: %w", c, err),
+					Err:  fmt.Errorf("value %q missing from manifest dictionary (column %d)", v, c),
 				}
 			}
-			ch.cols[c] = chunkColumn{cdict: cd, ids: &sc.cols[c].ids}
-		} else {
-			ch.cols[c] = chunkColumn{ints: &sc.cols[c].ints}
+			ids[k] = gid
 		}
+		if err := a.dicts[c].Reset(ids); err != nil {
+			return nil, &CorruptSegmentError{
+				Path: filepath.Join(st.lazy.dir, m.file),
+				Err:  fmt.Errorf("column %d: %w", c, err),
+			}
+		}
+		a.ch.cols[c] = chunkColumn{cdict: &a.dicts[c], ids: &sc.cols[c].ids}
 	}
-	return ch, nil
+	return &a.ch, nil
 }
 
-// loadSegment reads and decodes one chunk segment file: one read into a
-// buffer sized from the manifest, which then backs the decoded payload. The
-// SHA-256 content hash is checked unless this process already verified the
-// segment (chunkState.verified); the decoder's structural checks and the
-// manifest cross-checks run on every load. Every failure — missing or short
-// file, hash mismatch, decode error, stats that contradict the manifest —
-// comes back as a *CorruptSegmentError.
-func (ls *lazyState) loadSegment(schema *activity.Schema, m *chunkMeta, verified bool) (*segChunk, error) {
+// loadSegment reads and decodes one chunk segment file into a: one read into
+// a's buffer, sized from the manifest (a fresh arena's is allocated for it, a
+// pooled one's is reused when large enough), which then backs the decoded
+// payload. The SHA-256 content hash is checked unless this process already
+// verified the segment (chunkState.verified); the decoder's structural
+// checks and the manifest cross-checks run on every load. Every failure —
+// missing or short file, hash mismatch, decode error, stats that contradict
+// the manifest — comes back as a *CorruptSegmentError.
+func (ls *lazyState) loadSegment(schema *activity.Schema, m *chunkMeta, verified bool, a *chunkArena) error {
 	t0 := time.Now()
 	path := filepath.Join(ls.dir, m.file)
-	buf, err := readSegmentFile(path, m.bytes)
+	buf, err := readSegmentFile(path, m.bytes, a.buf)
 	if err != nil {
-		return nil, &CorruptSegmentError{Path: path, Err: err}
+		return &CorruptSegmentError{Path: path, Err: err}
 	}
+	a.buf = buf
 	obs.SegmentReadsTotal.Inc()
 	if !verified {
 		sum := sha256.Sum256(buf)
 		if got := hex.EncodeToString(sum[:16]); got != m.hash {
-			return nil, &CorruptSegmentError{Path: path,
+			return &CorruptSegmentError{Path: path,
 				Err: fmt.Errorf("content hash %s does not match manifest hash %s", got, m.hash)}
 		}
 	}
-	sc, err := decodeChunkSegment(buf, schema)
-	if err != nil {
-		return nil, &CorruptSegmentError{Path: path, Err: err}
+	sc := &a.seg
+	if err := decodeChunkSegment(sc, buf, schema); err != nil {
+		return &CorruptSegmentError{Path: path, Err: err}
 	}
 	if sc.numRows != m.rows || len(sc.users) != m.users ||
 		(len(sc.users) > 0 && (sc.users[0] != m.minUser || sc.users[len(sc.users)-1] != m.maxUser)) {
-		return nil, &CorruptSegmentError{Path: path,
+		return &CorruptSegmentError{Path: path,
 			Err: fmt.Errorf("segment contents disagree with manifest stats")}
 	}
 	obs.ChunkColdLoadSeconds.ObserveSince(t0)
-	return sc, nil
+	return nil
 }
 
 // readSegmentFile reads the first size bytes of the file at path — the whole
-// segment, by the manifest's account — with a single read into an exactly
-// sized buffer. A shorter file is an error; bytes past size are never looked
-// at (a first load's hash check covers exactly the bytes that are used).
-func readSegmentFile(path string, size int64) ([]byte, error) {
+// segment, by the manifest's account — with a single read into buf resized
+// to exactly size bytes (reallocated only when buf is too small). A shorter
+// file is an error; bytes past size are never looked at (a first load's hash
+// check covers exactly the bytes that are used).
+func readSegmentFile(path string, size int64, buf []byte) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	buf := make([]byte, size)
+	buf = resize(buf, int(size))
 	if n, err := io.ReadFull(f, buf); err != nil {
 		return nil, fmt.Errorf("segment file holds %d bytes, manifest says %d: %w", n, size, err)
 	}
@@ -382,7 +459,13 @@ func (st *Table) UserString(ch *Chunk, gid uint64) string {
 	if d := st.dicts[st.schema.UserCol()]; d != nil {
 		return d.Value(gid)
 	}
-	return ch.userVals[gid-ch.userBase]
+	u := ch.userVals[gid-ch.userBase]
+	if ch.transient {
+		// A substring of a pooled arena's buffer, which the next load
+		// overwrites: callers store users in activity tables.
+		return strings.Clone(u)
+	}
+	return u
 }
 
 // FindUser locates a user: its global id and its (chunk, run) position.

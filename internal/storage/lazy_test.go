@@ -243,6 +243,53 @@ func TestLazyBudgetEvicts(t *testing.T) {
 	}
 }
 
+// TestLazyTransientUserStringsSurviveReuse pins what may not outlive a
+// transient load's release. Under a one-byte budget every load is transient:
+// chunk A's users are materialized, then chunks B and C load into the arena
+// A's release parked, over A's bytes. Rows taken from A must still equal the
+// eager table's — a user string aliasing the arena's buffer would now read
+// B's or C's bytes.
+func TestLazyTransientUserStringsSurviveReuse(t *testing.T) {
+	path := commitWorkload(t, 1, 64)
+	eager, err := ReadSharded(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	esh := eager.Shard(0)
+	cache := NewChunkCache(1)
+	lsh := readLazy(t, path, cache).Shard(0)
+	n := lsh.NumChunks()
+	if n < 3 {
+		t.Fatalf("fixture has %d chunks, want >= 3", n)
+	}
+	// A is the largest segment, so B's and C's loads fit in its buffer.
+	a := 0
+	for ci := range lsh.lazy.metas {
+		if lsh.lazy.metas[ci].bytes > lsh.lazy.metas[a].bytes {
+			a = ci
+		}
+	}
+	got, want := activity.NewTable(lsh.Schema()), activity.NewTable(esh.Schema())
+	for run := 0; run < lsh.ChunkUsers(a); run++ {
+		loc := UserLoc{Chunk: a, Run: run}
+		if err := lsh.AppendUserRows(got, loc); err != nil {
+			t.Fatal(err)
+		}
+		if err := esh.AppendUserRows(want, loc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ci := range []int{(a + 1) % n, (a + 2) % n} {
+		if _, err := lsh.MaterializeChunk(ci); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Misses == 0 {
+		t.Fatalf("one-byte budget: want only transient loads, got %+v", st)
+	}
+	requireSameRows(t, "chunk A's users after B and C reused its arena", got, want)
+}
+
 // countingHandler counts slog records at or above Error, for the log-once
 // assertion.
 type countingHandler struct {

@@ -139,7 +139,7 @@ func refEncodeChunks(t *activity.Table, schema *activity.Schema, gids [][]uint64
 
 func refBuildChunk(t *activity.Table, schema *activity.Schema, gids [][]uint64, start, end int) *Chunk {
 	ch := &Chunk{numRows: end - start, cols: make([]chunkColumn, schema.NumCols()), seg: &segInfo{}}
-	ch.users = encoding.EncodeRLE(gids[schema.UserCol()][start:end])
+	ch.users = refEncodeRLE(gids[schema.UserCol()][start:end])
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == schema.UserCol() {
 			continue
@@ -147,12 +147,38 @@ func refBuildChunk(t *activity.Table, schema *activity.Schema, gids [][]uint64, 
 		if schema.IsStringCol(c) {
 			seg := gids[c][start:end]
 			cdict := refBuildChunkDict(seg)
-			ch.cols[c] = chunkColumn{cdict: cdict, ids: encoding.PackUint64(refChunkIDs(cdict, seg))}
+			ch.cols[c] = chunkColumn{cdict: cdict, ids: refPack(refChunkIDs(cdict, seg))}
 		} else {
 			ch.cols[c] = chunkColumn{ints: encoding.EncodeFrameOfRef(t.Ints(c)[start:end])}
 		}
 	}
 	return ch
+}
+
+// refEncodeRLE run-length encodes values.
+func refEncodeRLE(values []uint64) *encoding.RLE {
+	var vals []uint64
+	var lens []uint32
+	for i := 0; i < len(values); {
+		j := i + 1
+		for j < len(values) && values[j] == values[i] {
+			j++
+		}
+		vals, lens = append(vals, values[i]), append(lens, uint32(j-i))
+		i = j
+	}
+	return encoding.RLEFromRuns(vals, lens)
+}
+
+// refPack bit-packs values at the minimum width that fits the largest one.
+func refPack(values []uint64) *encoding.BitPacked {
+	var max uint64
+	for _, v := range values {
+		if v > max {
+			max = v
+		}
+	}
+	return encoding.PackUint64Width(values, encoding.BitWidth(max))
 }
 
 // refBuildChunkDict collects the sorted distinct global-ids appearing in ids.

@@ -165,11 +165,8 @@ func FuzzDecodeChunkSegment(f *testing.F) {
 	f.Add([]byte(chunkMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc, err := decodeChunkSegment(data, schema)
-		if err == nil && sc == nil {
-			t.Fatal("decodeChunkSegment returned neither chunk nor error")
-		}
-		if err != nil {
+		sc := new(segChunk)
+		if err := decodeChunkSegment(sc, data, schema); err != nil {
 			return
 		}
 		// A structurally valid segment must also survive assembly.

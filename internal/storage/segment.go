@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"repro/internal/activity"
@@ -136,93 +137,98 @@ func decodeString(text string, src []byte) (string, []byte, error) {
 	return text[off : off+int(l)], src[k+int(l):], nil
 }
 
-// decodeChunkSegment parses a segment produced by appendChunkSegment. The
-// result aliases src (see segChunk), so callers hand over the buffer: src must
-// not be mutated for as long as the chunk, or any string taken from it, is in
-// use. Every varint must be minimally encoded, which makes the accepted bytes
-// of a chunk unique: decode followed by appendChunkSegment is the identity.
-func decodeChunkSegment(src []byte, schema *activity.Schema) (*segChunk, error) {
+// decodeChunkSegment parses a segment produced by appendChunkSegment into sc,
+// reusing the storage of sc's slices (a pooled arena's segChunk holds the
+// previous chunk's). The result aliases src (see segChunk), so callers hand
+// over the buffer: src must not be mutated for as long as the chunk, or any
+// string taken from it, is in use. Every varint must be minimally encoded,
+// which makes the accepted bytes of a chunk unique: decode followed by
+// appendChunkSegment is the identity. sc.births is left alone.
+func decodeChunkSegment(sc *segChunk, src []byte, schema *activity.Schema) error {
 	if len(src) < len(chunkMagic) || string(src[:len(chunkMagic)]) != chunkMagic {
-		return nil, fmt.Errorf("storage: bad magic (not a COHANA chunk segment)")
+		return fmt.Errorf("storage: bad magic (not a COHANA chunk segment)")
 	}
 	text := unsafe.String(unsafe.SliceData(src), len(src))
 	src = src[len(chunkMagic):]
 	rows, k := encoding.Uvarint(src)
 	if k <= 0 {
-		return nil, fmt.Errorf("storage: truncated segment header")
+		return fmt.Errorf("storage: truncated segment header")
 	}
 	src = src[k:]
 	nusers, k := encoding.Uvarint(src)
 	if k <= 0 || nusers > uint64(len(src))+1 {
-		return nil, fmt.Errorf("storage: truncated segment user count")
+		return fmt.Errorf("storage: truncated segment user count")
 	}
 	src = src[k:]
-	sc := &segChunk{
-		numRows: int(rows),
-		users:   make([]string, nusers),
-		lengths: make([]uint32, nusers),
-		cols:    make([]segColumn, schema.NumCols()),
-	}
+	sc.numRows = int(rows)
+	sc.users = resize(sc.users, int(nusers))
+	sc.lengths = resize(sc.lengths, int(nusers))
+	sc.cols = resize(sc.cols, schema.NumCols())
 	var err error
 	total := uint64(0)
 	for i := range sc.users {
 		if sc.users[i], src, err = decodeString(text, src); err != nil {
-			return nil, fmt.Errorf("storage: segment user %d: %w", i, err)
+			return fmt.Errorf("storage: segment user %d: %w", i, err)
 		}
 		if i > 0 && sc.users[i] <= sc.users[i-1] {
-			return nil, fmt.Errorf("storage: segment users out of order at %d", i)
+			return fmt.Errorf("storage: segment users out of order at %d", i)
 		}
 		l, k := encoding.Uvarint(src)
 		if k <= 0 {
-			return nil, fmt.Errorf("storage: truncated run length for user %d", i)
+			return fmt.Errorf("storage: truncated run length for user %d", i)
 		}
 		if l > math.MaxUint32 {
 			// Lengths are stored as uint32 in the in-memory RLE; a larger
 			// value would silently truncate and desynchronize the run totals
 			// from the column payloads.
-			return nil, fmt.Errorf("storage: run length %d for user %d overflows", l, i)
+			return fmt.Errorf("storage: run length %d for user %d overflows", l, i)
 		}
 		src = src[k:]
 		sc.lengths[i] = uint32(l)
 		total += l
 	}
 	if total != rows {
-		return nil, fmt.Errorf("storage: segment user runs sum to %d rows, header says %d", total, rows)
+		return fmt.Errorf("storage: segment user runs sum to %d rows, header says %d", total, rows)
 	}
-	for c := 0; c < schema.NumCols(); c++ {
+	for c := range sc.cols {
+		col := &sc.cols[c]
+		*col = segColumn{vals: col.vals[:0]}
 		if c == schema.UserCol() {
 			continue
 		}
-		col := &sc.cols[c]
 		if schema.IsStringCol(c) {
 			n, k := encoding.Uvarint(src)
 			if k <= 0 || n > uint64(len(src))+1 {
-				return nil, fmt.Errorf("storage: truncated segment dict for column %d", c)
+				return fmt.Errorf("storage: truncated segment dict for column %d", c)
 			}
 			src = src[k:]
-			col.vals = make([]string, n)
+			col.vals = resize(col.vals, int(n))
 			for i := range col.vals {
 				if col.vals[i], src, err = decodeString(text, src); err != nil {
-					return nil, fmt.Errorf("storage: segment dict column %d entry %d: %w", c, i, err)
+					return fmt.Errorf("storage: segment dict column %d entry %d: %w", c, i, err)
 				}
 				if i > 0 && col.vals[i] <= col.vals[i-1] {
-					return nil, fmt.Errorf("storage: segment dict column %d out of order at %d", c, i)
+					return fmt.Errorf("storage: segment dict column %d out of order at %d", c, i)
 				}
 			}
 			if col.ids, src, err = encoding.DecodeBitPacked(src); err != nil {
-				return nil, fmt.Errorf("storage: segment column %d ids: %w", c, err)
+				return fmt.Errorf("storage: segment column %d ids: %w", c, err)
 			}
 		} else {
 			if col.ints, src, err = encoding.DecodeFrameOfRef(src); err != nil {
-				return nil, fmt.Errorf("storage: segment column %d ints: %w", c, err)
+				return fmt.Errorf("storage: segment column %d ints: %w", c, err)
 			}
 		}
 	}
 	if len(src) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing segment bytes", len(src))
+		return fmt.Errorf("storage: %d trailing segment bytes", len(src))
 	}
-	return sc, nil
+	return nil
 }
+
+// resize returns s with length n, reusing its storage when it is large
+// enough; the elements are not cleared.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // assembleShard binds self-contained chunks — decoded from segments or fresh
 // from the encoder, and in user-range order — into one Table: the global

@@ -259,7 +259,8 @@ func readShardEager(dir, path string, schema *activity.Schema, chunkSize int, fi
 			return nil, err
 		}
 		obs.SegmentReadsTotal.Inc()
-		if segs[ci], err = decodeChunkSegment(buf, schema); err != nil {
+		segs[ci] = new(segChunk)
+		if err = decodeChunkSegment(segs[ci], buf, schema); err != nil {
 			return nil, fmt.Errorf("%s: %w", f, err)
 		}
 		hashes[ci] = hashFromSegmentName(path, f)

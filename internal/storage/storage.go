@@ -93,6 +93,10 @@ type Chunk struct {
 	// births holds the chunk's birth indexes (see BirthIndex), shared by
 	// every Chunk bound to the same payload.
 	births *birthIndexes
+
+	// transient marks a chunk bound in a pooled arena (see chunkArena),
+	// whose storage its release hands to the next load.
+	transient bool
 }
 
 // segInfo is the shared lazily-computed segment identity of a chunk: the
@@ -298,9 +302,6 @@ func (st *Table) RowOffset(i int) int {
 // Dict returns the global dictionary of a string column, or nil for integer
 // columns.
 func (st *Table) Dict(col int) *encoding.Dict { return st.dicts[col] }
-
-// GlobalRange returns the global [min, max] of an integer column.
-func (st *Table) GlobalRange(col int) (int64, int64) { return st.globalMin[col], st.globalMax[col] }
 
 // LookupString returns the global-id of value v in column col, or false if v
 // never occurs in the table.

@@ -125,7 +125,7 @@ func TestChunkPruningHelpers(t *testing.T) {
 	if mn != 0 || mx != 40 {
 		t.Errorf("chunk 1 gold range = [%d, %d]", mn, mx)
 	}
-	gmn, gmx := st.GlobalRange(gc)
+	gmn, gmx := globalRange(st, gc)
 	if gmn != 0 || gmx != 100 {
 		t.Errorf("global gold range = [%d, %d]", gmn, gmx)
 	}
@@ -248,3 +248,6 @@ func TestPropertyCompressedEqualsSource(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// globalRange returns the global [min, max] of an integer column.
+func globalRange(st *Table, col int) (int64, int64) { return st.globalMin[col], st.globalMax[col] }
