@@ -158,9 +158,9 @@ type Options struct {
 	// the paper's 256K default.
 	ChunkSize int
 	// Shards is the number of user-hash partitions of the table. Each shard
-	// owns its own chunks, delta store and compaction lifecycle, and queries
-	// scatter-gather over the shards; results are bit-identical to an
-	// unsharded table. The table keeps one journal whatever the count (see
+	// owns its own chunks, delta store and compaction lifecycle, and a query
+	// runs one chunk schedule over every shard; results are bit-identical to
+	// an unsharded table. The table keeps one journal whatever the count (see
 	// Journal), so a batch spanning shards is still one fsync. 0 or 1 keeps
 	// a single shard; Save writes the same
 	// manifest-plus-segments layout at any count, and opening an existing
@@ -215,8 +215,8 @@ func (o Options) planCacheOrNew() *plan.Cache {
 
 // Engine is a COHANA instance over one live activity table, partitioned by
 // user hash into one or more shards. Each shard pairs a sealed, compressed
-// tier with an uncompressed delta that Append feeds; queries scatter-gather
-// over the shards and union both tiers, so appended rows are visible
+// tier with an uncompressed delta that Append feeds; a query runs one chunk
+// schedule over every shard's two tiers, so appended rows are visible
 // immediately. Compact seals the dirty shards' deltas into fresh compressed
 // chunks, shard by shard, concurrently.
 type Engine struct {
@@ -406,7 +406,8 @@ func (e *Engine) Snapshot() *Snapshot {
 	return &Snapshot{eng: e, views: views, gen: gen}
 }
 
-// shardInputs adapts the pinned views as scatter-gather input.
+// shardInputs adapts the pinned views as the input of one chunk schedule
+// over every shard.
 func (s *Snapshot) shardInputs() []plan.ShardInput {
 	shards := make([]plan.ShardInput, len(s.views))
 	for i, v := range s.views {
@@ -420,7 +421,7 @@ func (s *Snapshot) shardInputs() []plan.ShardInput {
 }
 
 // execOptions threads the engine's parallelism and pool, ctx and an
-// optional trace root into the scatter-gather executor.
+// optional trace root into the executor.
 func (s *Snapshot) execOptions(ctx context.Context, trace *TraceSpan) plan.ExecOptions {
 	return plan.ExecOptions{
 		Parallelism: s.eng.opts.Parallelism,
@@ -430,10 +431,10 @@ func (s *Snapshot) execOptions(ctx context.Context, trace *TraceSpan) plan.ExecO
 	}
 }
 
-// Execute runs a programmatic cohort query against the snapshot,
-// scatter-gathered over the table's shards, each sealed tier unioned with
-// its live delta. When ctx is done the shard and chunk fan-outs stop early
-// (releasing any shared pool workers) and ctx's error is returned.
+// Execute runs a programmatic cohort query against the snapshot as one
+// chunk schedule over every shard, each sealed tier unioned with its live
+// delta. When ctx is done the fan-out stops early (releasing any shared pool
+// workers) and ctx's error is returned.
 func (s *Snapshot) Execute(ctx context.Context, q *Query) (*Result, error) {
 	return plan.ExecuteShards(q, s.shardInputs(), s.execOptions(ctx, nil))
 }

@@ -88,7 +88,7 @@ func (s *Snapshot) explainCohort(stmt *parser.CohortStmt) (string, error) {
 	// Per-chunk pruning detail: which chunks the two-level dictionaries and
 	// chunk ranges let the executor skip, with each chunk's size — capped so
 	// paper-scale tables don't drown the plan. Sharded tables get the detail
-	// per shard under the scatter-gather breakdown.
+	// per shard under the per-shard breakdown.
 	// Row/user counts come from chunk-level metadata (ChunkRows/ChunkUsers),
 	// which lazy tables answer from the manifest — a plain EXPLAIN performs
 	// zero segment loads.
@@ -107,7 +107,7 @@ func (s *Snapshot) explainCohort(stmt *parser.CohortStmt) (string, error) {
 		}
 	}
 	if len(views) > 1 {
-		// Per-shard scatter-gather breakdown: how much of each shard the
+		// Per-shard breakdown: how much of each shard the
 		// pruning step lets the executor skip, and each shard's live delta.
 		fmt.Fprintf(&sb, "Shards: %d (scatter-gather, partitioned by user hash)\n", len(views))
 		for i, l := range lines {

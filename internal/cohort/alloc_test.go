@@ -6,22 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/activity"
 	"repro/internal/expr"
-	"repro/internal/gen"
 	"repro/internal/storage"
 )
-
-// allocRows is the tables' content in this file: 2,000 generated users,
-// sorted.
-func allocRows(t *testing.T) *activity.Table {
-	t.Helper()
-	rows := gen.Generate(gen.Config{Users: 2000, Seed: 1})
-	if err := rows.SortByPK(); err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
 
 // pooledAllocs runs q over tbl on a two-worker pool once — which builds the
 // birth indexes — and returns that result and the allocations of a further

@@ -174,6 +174,16 @@ func (c *Compiled) CanSkipChunk(chunkIdx int) bool {
 	return false
 }
 
+// PruneMap reports, chunk by chunk, whether CanSkipChunk prunes the chunk:
+// the one pruning decision behind every schedule and EXPLAIN's prune lines.
+func (c *Compiled) PruneMap() []bool {
+	skip := make([]bool, c.tbl.NumChunks())
+	for i := range skip {
+		skip[i] = c.CanSkipChunk(i)
+	}
+	return skip
+}
+
 // conjunctImpossible conservatively decides whether conj is false for every
 // tuple of the chunk. It recognizes the shapes that matter for the paper's
 // workloads: equality / IN on dictionary columns and comparisons / BETWEEN

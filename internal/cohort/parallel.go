@@ -4,20 +4,22 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// This file is the shared physical executor for compiled cohort queries: it
-// fans a query out over the table's chunks with one accumulator per worker,
-// kept for the whole query, and merges those once at the end. A Compiled
-// query is immutable, and users never span chunks (the clustering property
-// of Section 4.1), so partial accumulators merge without distinct-count
-// corrections — the Section 4.5 property that makes chunk-level parallelism
-// embarrassingly parallel. The planner (internal/plan), and through it the
-// query server, executes every shard through RunUnionAccum.
+// This file is the shared physical executor for compiled cohort queries: one
+// chunk schedule over every shard of a query, served by one fan-out with one
+// accumulator per worker, kept for the whole query and merged once at the
+// end. A Compiled query is immutable, and users never span chunks (the
+// clustering property of Section 4.1) or shards, so partial accumulators
+// merge without distinct-count corrections — the Section 4.5 property that
+// makes chunk-level parallelism embarrassingly parallel. The planner
+// (internal/plan), and through it the query server, executes every query
+// through a Schedule.
 
 // Pool is a bounded set of workers shared by concurrent query executions.
 // A server creates one Pool sized to the machine and routes every query's
@@ -86,48 +88,32 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// spawn runs f concurrently: on the shared pool when one is available (and
-// still accepting), on a fresh goroutine otherwise. It only suits tasks that
-// run to completion without waiting on other pooled tasks — anything else
-// risks deadlocking a saturated pool. This helper is the sanctioned spawn
-// point for engine code outside this file; the goroutinepool analyzer in
-// cohana-lint flags bare go statements elsewhere.
-func spawn(p *Pool, f func()) {
-	if p != nil && p.submit(f) {
-		return
-	}
-	go f()
-}
-
-// RunOptions controls the physical execution of a compiled query.
+// RunOptions controls the physical execution of a query's schedule.
 type RunOptions struct {
-	// Parallelism is the number of chunks processed concurrently. 0 or 1
-	// selects the paper's single-threaded execution; negative uses
-	// GOMAXPROCS workers. When Pool is set, the per-query fan-out is
-	// additionally capped by the pool's worker count.
+	// Parallelism is the number of chunks processed concurrently, across
+	// every shard of the query. 0 or 1 selects the paper's single-threaded
+	// execution; negative uses GOMAXPROCS workers. When Pool is set, the
+	// query's fan-out is additionally capped by the pool's worker count.
 	Parallelism int
 	// Pool, when non-nil, executes chunk tasks on the shared pool instead
 	// of spawning per-query goroutines, bounding total concurrency across
 	// simultaneous queries.
 	Pool *Pool
-	// skipUsers lists user global-ids whose sealed blocks must be skipped
-	// because the union executor scans them in the union table together
-	// with their fresh delta tuples (see RunUnionAccum).
-	skipUsers map[uint64]bool
 	// Ctx, when non-nil, cancels the execution: workers stop picking up
-	// chunks once the context is done, so a disconnected client's
-	// scatter-gather fan-out releases its pool workers instead of scanning
-	// to completion. Callers observe the cancellation via Ctx.Err(); a
-	// cancelled run's partial result must be discarded.
+	// chunks once the context is done, so a disconnected client's fan-out
+	// releases its pool workers instead of scanning to completion. Callers
+	// observe the cancellation via Ctx.Err(); a cancelled run's partial
+	// result must be discarded.
 	Ctx context.Context
 	// Stats, when non-nil, receives decoder-level execution counters
 	// (shared across workers; updated atomically).
 	Stats *ExecStats
-	// Trace, when non-nil, is this shard's trace span: the executor attaches
-	// per-chunk child spans (capped at maxTraceChunks) carrying measured
-	// rows/bytes/ns and aggregates the same counters on the shard span
-	// itself; a union run puts the union table's chunks under a "delta
-	// union" child. Nil (the default) costs one pointer test per chunk.
+	// Trace, when non-nil, is the query's trace span: the schedule opens a
+	// "shard i" child per shard, carrying its chunks' aggregated counters
+	// and per-chunk children (capped at maxTraceChunks), with a "delta
+	// union" child for a live shard's union table, and a "merge" child
+	// timing the one merge. Nil (the default) costs one pointer test per
+	// chunk.
 	Trace *obs.Span
 }
 
@@ -150,15 +136,88 @@ func (o RunOptions) workers() int {
 	return w
 }
 
-// Run executes a compiled query over all non-pruned chunks and materializes
-// the merged result. The error is non-nil only when a lazy chunk load fails
-// (e.g. a missing or corrupt segment file).
-func Run(c *Compiled, opts RunOptions) (*Result, error) {
-	acc, err := runAccum(c, opts)
+// Schedule is one query's work list: an entry per chunk the query scans,
+// over every shard's union table and sealed tier, pruned once as each shard
+// is added (AddShard). Run serves the whole list with one fan-out and one
+// accumulator per worker, merged once, so Parallelism and Pool cap the
+// query, not each shard. Users never span chunks, shards, or a live shard's
+// sealed and union tables (the union table owns every delta user), so all
+// entries' partial aggregates merge without correction.
+type Schedule struct {
+	opts    RunOptions
+	nAggs   int
+	shards  int
+	entries []entry
+	sinks   []*sink
+}
+
+// entry is one chunk of the schedule: the binding that scans it, its index
+// in that binding's table, the sealed users it skips and where its tallies
+// land.
+type entry struct {
+	c     *Compiled
+	chunk int
+	skip  map[uint64]bool
+	sink  *sink
+}
+
+// sink is where one table's entries report: the span their tallies
+// aggregate on, with its per-chunk tracer, the shard a load error names,
+// and whether ExecStats counts them. ExecStats counts sealed entries only;
+// a union table's scan shows in the delta counters.
+type sink struct {
+	chunks chunkTracer
+	shard  int
+	sealed bool
+}
+
+// NewSchedule starts an empty schedule run with opts.
+func NewSchedule(opts RunOptions) *Schedule {
+	return &Schedule{opts: opts}
+}
+
+// add appends the chunks of c's table that pruning keeps, in index order,
+// reporting to a new sink on span, for the shard AddShard is adding.
+func (s *Schedule) add(c *Compiled, skip map[uint64]bool, span *obs.Span, sealed bool) {
+	sk := &sink{chunks: chunkTracer{parent: span}, shard: s.shards - 1, sealed: sealed}
+	s.sinks = append(s.sinks, sk)
+	s.nAggs = c.NumAggs()
+	prune := c.PruneMap()
+	s.entries = slices.Grow(s.entries, len(prune))
+	var pruned int64
+	for i, p := range prune {
+		if p {
+			pruned++
+			continue
+		}
+		s.entries = append(s.entries, entry{c: c, chunk: i, skip: skip, sink: sk})
+	}
+	if sealed && s.opts.Stats != nil {
+		s.opts.Stats.ChunksPruned.Add(pruned)
+	}
+	obs.ChunksPrunedTotal.Add(pruned)
+	span.SetInt("chunks_total", int64(len(prune)))
+	span.SetInt("chunks_pruned", pruned)
+}
+
+// Run serves the schedule and returns the merged accumulator. The error is
+// non-nil only when a lazy chunk load fails (e.g. a missing or corrupt
+// segment file); it names the chunk's shard. The shard and delta union
+// spans end once the workers are done, before the merge.
+func (s *Schedule) Run() (*Accumulator, error) {
+	accs, err := s.fanOut()
+	for _, sk := range s.sinks {
+		sk.chunks.parent.End()
+	}
 	if err != nil {
 		return nil, err
 	}
-	return acc.Result(c.KeyColNames(), c.Query.Aggs), nil
+	m := s.opts.Trace.Child("merge")
+	for _, a := range accs[1:] {
+		accs[0].Merge(a)
+	}
+	m.End()
+	return accs[0], nil
 }
 
 // firstError collects the first chunk-load failure across workers; later
@@ -183,53 +242,14 @@ func (f *firstError) get() error {
 	return f.err
 }
 
-// runAccum executes the chunk fan-out and returns the merged accumulator
-// without materializing a Result. The scatter-gather executor (internal/plan)
-// runs one per shard, through RunUnionAccum, and merges the partials — users
-// never span shards, so shard partials merge exactly as worker accumulators
-// do.
-func runAccum(c *Compiled, opts RunOptions) (*Accumulator, error) {
-	total := c.tbl.NumChunks()
-	var chunks []int
-	for i := 0; i < total; i++ {
-		if c.CanSkipChunk(i) {
-			continue
-		}
-		chunks = append(chunks, i)
-	}
-	pruned := int64(total - len(chunks))
-	if opts.Stats != nil {
-		opts.Stats.ChunksPruned.Add(pruned)
-	}
-	obs.ChunksPrunedTotal.Add(pruned)
-	opts.Trace.SetInt("chunks_total", int64(total))
-	opts.Trace.SetInt("chunks_pruned", pruned)
-	acc := NewAccumulator(c.NumAggs())
-	if len(chunks) == 0 {
-		return acc, nil
-	}
-	workers := min(opts.workers(), len(chunks))
-	// Chunk indices are fully buffered and the channel closed before any
-	// task starts, so tasks never block on the producer: with a shared
-	// pool, a task that reaches a worker always drains to completion and
-	// frees the worker, which keeps concurrent queries deadlock-free even
-	// on a one-worker pool.
-	next := make(chan int, len(chunks))
-	for _, i := range chunks {
-		next <- i
-	}
-	close(next)
-	return acc, fanOut(c, acc, next, workers, opts)
-}
-
-// maxTraceChunks caps the per-chunk child spans attached to one shard's
-// trace, so a traced query over a huge table stays bounded. The shard span
-// still aggregates every chunk's counters (recordChunk), so shard-level
-// numbers remain exact; only the per-chunk breakdown is truncated.
+// maxTraceChunks caps the per-chunk child spans attached to one shard or
+// delta union span, so a traced query over a huge table stays bounded. The
+// span still aggregates every chunk's counters (record), so its numbers
+// remain exact; only the per-chunk breakdown is truncated.
 const maxTraceChunks = 32
 
-// chunkTracer hands out per-chunk trace spans under one shard span, capped
-// at maxTraceChunks. Safe for concurrent workers; inert when untraced.
+// chunkTracer hands out per-chunk trace spans under one span, capped at
+// maxTraceChunks. Safe for concurrent workers; inert when untraced.
 type chunkTracer struct {
 	parent *obs.Span
 	n      atomic.Int64
@@ -245,20 +265,21 @@ func (t *chunkTracer) child(chunkIdx int) *obs.Span {
 	return t.parent.Child(fmt.Sprintf("chunk %d", chunkIdx))
 }
 
-// recordChunk folds one finished chunk's tallies into the query's shared
+// record folds one finished chunk's tallies into the query's shared
 // ExecStats (atomic adds — the per-task-with-merge answer to sharing one
-// stats struct across pool workers), the process metrics, the chunk's own
-// trace span (sp, may be nil past the cap) and the shard span's aggregates.
-func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
-	if opts.Stats != nil {
-		opts.Stats.RowsScanned.Add(st.RowsScanned)
-		opts.Stats.RowsSkippedByAge.Add(st.RowsSkippedByAge)
-		opts.Stats.ValueBytesDecoded.Add(st.ValueBytesDecoded)
-		opts.Stats.EncodedChecks.Add(st.EncodedChecks)
-		opts.Stats.UsersSkippedByBirth.Add(st.UsersSkippedByBirth)
-		opts.Stats.RunsEvaluated.Add(st.RunsEvaluated)
-		opts.Stats.RowsBatched.Add(st.RowsBatched)
-		opts.Stats.ChunksScanned.Add(1)
+// stats struct across pool workers) when its sink is sealed, the process
+// metrics, the chunk's own trace span (sp, may be nil past the cap) and the
+// sink span's aggregates.
+func (s *Schedule) record(sk *sink, sp *obs.Span, st ChunkStats) {
+	if stats := s.opts.Stats; stats != nil && sk.sealed {
+		stats.RowsScanned.Add(st.RowsScanned)
+		stats.RowsSkippedByAge.Add(st.RowsSkippedByAge)
+		stats.ValueBytesDecoded.Add(st.ValueBytesDecoded)
+		stats.EncodedChecks.Add(st.EncodedChecks)
+		stats.UsersSkippedByBirth.Add(st.UsersSkippedByBirth)
+		stats.RunsEvaluated.Add(st.RunsEvaluated)
+		stats.RowsBatched.Add(st.RowsBatched)
+		stats.ChunksScanned.Add(1)
 	}
 	obs.RowsScannedTotal.Add(st.RowsScanned)
 	obs.ValueBytesDecodedTotal.Add(st.ValueBytesDecoded)
@@ -275,7 +296,7 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 		sp.SetInt("runs_evaluated", st.RunsEvaluated)
 		sp.SetInt("rows_batched", st.RowsBatched)
 	}
-	if t := opts.Trace; t != nil {
+	if t := sk.chunks.parent; t != nil {
 		t.AddInt("rows_scanned", st.RowsScanned)
 		t.AddInt("rows_skipped_by_age", st.RowsSkippedByAge)
 		t.AddInt("value_bytes_decoded", st.ValueBytesDecoded)
@@ -287,58 +308,63 @@ func recordChunk(opts RunOptions, sp *obs.Span, st ChunkStats) {
 	}
 }
 
-// fanOut is the chunk fan-out and merge. Each of the `workers` tasks folds
-// every chunk it takes from next into one accumulator of its own, kept for
-// the whole query, and the caller merges those accumulators once, after the
-// last task ends. Worker 0's accumulator is acc itself, so a one-worker run
-// merges nothing. After a worker's first chunks its cohort states and
-// buckets exist, so a chunk costs array updates (Section 4.4), and a merge
-// happens once per worker, not once per chunk; memory is one accumulator per
-// worker.
+// fanOut runs the schedule's entries on min(workers, entries) tasks. Each
+// task folds every entry it takes into one accumulator of its own, kept for
+// the whole query, whatever shard or table the entry comes from; Run merges
+// those accumulators once, after the last task ends. After a worker's first
+// chunks its cohort states and buckets exist, so a chunk costs array updates
+// (Section 4.4), and memory is one accumulator per worker.
 //
 // Deadlock-freedom with a shared pool: next is fully buffered and closed
 // before any task starts, and a task waits on nothing else, so a task that
 // reaches a pool worker always runs to completion and frees the worker, even
 // while this goroutine is still blocked submitting the query's remaining
 // tasks. Without a pool the caller runs the last task itself instead of
-// idling in wg.Wait. Which chunks a worker takes is a race, and merge order
+// idling in wg.Wait. Which entries a worker takes is a race, and merge order
 // is worker order; neither is observable: measure sums add exactly (int64
 // values in float64), min/max and counts are order-free, and Result sorts
-// cohorts — the equivalence test pins pooled and parallel runs bit-for-bit
-// against a one-worker run.
-func fanOut(c *Compiled, acc *Accumulator, next chan int, workers int, opts RunOptions) error {
-	ct := &chunkTracer{parent: opts.Trace}
-	accs := make([]*Accumulator, workers)
+// cohorts — the equivalence tests pin pooled, parallel and sharded runs
+// bit-for-bit against a one-worker run.
+func (s *Schedule) fanOut() ([]*Accumulator, error) {
+	workers := min(s.opts.workers(), len(s.entries))
+	accs := make([]*Accumulator, max(workers, 1))
+	for w := range accs {
+		accs[w] = NewAccumulator(s.nAggs)
+	}
+	if workers == 0 {
+		return accs, nil
+	}
+	next := make(chan int, len(s.entries))
+	for i := range s.entries {
+		next <- i
+	}
+	close(next)
 	var ferr firstError
 	var wg sync.WaitGroup
-	for w := range accs {
-		mine := acc
-		if w > 0 {
-			mine = NewAccumulator(c.NumAggs())
-		}
-		accs[w] = mine
+	for w, mine := range accs {
 		task := func() {
 			defer wg.Done()
 			for i := range next {
-				if opts.cancelled() || ferr.get() != nil {
+				if s.opts.cancelled() || ferr.get() != nil {
 					// Drain without scanning: the channel is already
 					// closed, so this ends promptly and frees the worker.
 					continue
 				}
-				sp := ct.child(i)
-				st, err := c.runChunk(i, mine, opts.skipUsers)
+				e := &s.entries[i]
+				sp := e.sink.chunks.child(e.chunk)
+				st, err := e.c.runChunk(e.chunk, mine, e.skip)
 				sp.End()
 				if err != nil {
-					ferr.set(err)
+					ferr.set(fmt.Errorf("shard %d: %w", e.sink.shard, err))
 					continue
 				}
-				recordChunk(opts, sp, st)
+				s.record(e.sink, sp, st)
 			}
 		}
 		wg.Add(1)
 		switch {
-		case opts.Pool != nil:
-			if !opts.Pool.submit(task) {
+		case s.opts.Pool != nil:
+			if !s.opts.Pool.submit(task) {
 				// Pool closed mid-shutdown: fall back to inline
 				// execution so the query still completes.
 				task()
@@ -350,8 +376,5 @@ func fanOut(c *Compiled, acc *Accumulator, next chan int, workers int, opts RunO
 		}
 	}
 	wg.Wait()
-	for _, a := range accs[1:] {
-		acc.Merge(a)
-	}
-	return ferr.get()
+	return accs, ferr.get()
 }

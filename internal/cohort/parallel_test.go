@@ -33,6 +33,20 @@ func genQuery() *Query {
 	}
 }
 
+// Run executes c over its table as a one-shard schedule and materializes the
+// merged result.
+func Run(c *Compiled, opts RunOptions) (*Result, error) {
+	s := NewSchedule(opts)
+	if err := s.AddShard(c, nil, nil); err != nil {
+		return nil, err
+	}
+	acc, err := s.Run()
+	if err != nil {
+		return nil, err
+	}
+	return acc.Result(c.KeyColNames(), c.Query.Aggs), nil
+}
+
 // mustRun executes c and fails the test on error. Only call from the test
 // goroutine (it uses t.Fatal).
 func mustRun(t *testing.T, c *Compiled, opts RunOptions) *Result {

@@ -36,7 +36,7 @@ import (
 
 // ExecStats counts decoder-level work during query execution. Workers fold
 // per-chunk tallies in with atomic adds, so one ExecStats can be shared
-// across the whole scatter-gather fan-out of a query. The benchmark's
+// across the whole fan-out of a query's chunk schedule. The benchmark's
 // pushdown-selectivity sweep gates ValueBytesDecoded against its baseline.
 type ExecStats struct {
 	// RowsScanned counts the rows of the chunk kernel's decode windows: for

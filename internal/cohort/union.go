@@ -8,18 +8,20 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the union execution path for live tables: a query runs the
-// chunk kernel over the sealed compressed tier and over a small encoded
-// table built from the in-memory delta tier, and the partial accumulators
-// merge into one always-fresh result.
+// This file is the union execution path for live tables: a live shard puts
+// two tables on the query's schedule, its sealed compressed tier and a small
+// encoded table built from the in-memory delta tier, and their chunks fold
+// into the same per-worker accumulators as every other entry, for one
+// always-fresh result.
 //
 // Correct merging hinges on the clustering property: a user's tuples must be
 // aggregated by exactly one scan. Users with delta tuples may also have
 // sealed tuples (an existing user kept playing), so their sealed blocks are
 // materialized, combined with their delta tuples and encoded into the union
-// table, while the sealed scan skips them (RunOptions.skipUsers). Every other
+// table, while the sealed entries skip them (their skip set). Every other
 // sealed user is scanned where it lies. The two tables have separate
-// dictionaries; cohort keys encode values, so the partials merge unchanged.
+// dictionaries; cohort keys encode values, so both fold into the same
+// accumulators unchanged.
 
 // UnionDelta is the precomputed union input of a live shard: the delta rows
 // combined with the sealed blocks of every delta user, encoded as a table at
@@ -87,59 +89,41 @@ func BuildUnionDelta(tbl *storage.Table, delta *activity.Table) (*UnionDelta, er
 	return &UnionDelta{Table: union, SkipUsers: skip}, nil
 }
 
-// RunUnionAccum executes c over its sealed table unioned with delta and
-// returns the merged partial accumulator, so the scatter-gather executor can
-// fold several shards' partials — each a sealed tier unioned with its own
-// delta — into one result. pre, when non-nil, is the cached BuildUnionDelta
-// result for exactly this (sealed, delta) pair; nil computes it for this
-// query.
-func RunUnionAccum(c *Compiled, delta *activity.Table, pre *UnionDelta, opts RunOptions) (*Accumulator, error) {
-	if delta == nil || delta.Len() == 0 {
-		return runAccum(c, opts)
+// AddShard appends one shard to the schedule, under a "shard i" child of
+// the query's span. On a live shard (a non-empty delta) the union table's
+// chunks go first, on a "delta union" child, so that a multi-chunk union
+// never becomes the tail of the fan-out; then the sealed tier's chunks in
+// index order, skipping the users the union table owns. c is the shard's
+// sealed binding; pre, when non-nil, is the cached BuildUnionDelta result
+// for exactly this (sealed, delta) pair, and nil builds it for this query.
+// The error names the shard.
+func (s *Schedule) AddShard(c *Compiled, delta *activity.Table, pre *UnionDelta) error {
+	shard := s.shards
+	s.shards++
+	var span *obs.Span
+	if s.opts.Trace != nil {
+		span = s.opts.Trace.Child(fmt.Sprintf("shard %d", shard))
 	}
-	if pre == nil {
-		var err error
-		if pre, err = BuildUnionDelta(c.tbl, delta); err != nil {
-			return nil, err
+	var skip map[uint64]bool
+	if delta != nil && delta.Len() > 0 {
+		if pre == nil {
+			var err error
+			if pre, err = BuildUnionDelta(c.tbl, delta); err != nil {
+				return fmt.Errorf("shard %d: %w", shard, err)
+			}
 		}
+		uc, err := Compile(c.Query, pre.Table)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", shard, err)
+		}
+		s.add(uc, nil, span.Child("delta union"), false)
+		// The union table's rows: the delta tuples plus the sealed rows of
+		// users that also appear in the delta.
+		rows := int64(pre.Table.NumRows())
+		obs.DeltaRowsScannedTotal.Add(rows)
+		span.AddInt("delta_rows_scanned", rows)
+		skip = pre.SkipUsers
 	}
-	uc, err := Compile(c.Query, pre.Table)
-	if err != nil {
-		return nil, err
-	}
-	// The union scan proceeds concurrently with the sealed chunk fan-out
-	// and its partial merges in at the end. Exact integer sums make the merge
-	// order unobservable (see fanOut). It runs inline on one worker,
-	// never waiting on another pooled task, so it is pool-safe; the union
-	// table is a few chunks at most. Its tallies land on its own "delta
-	// union" span and in the delta counters: ExecStats and the shard span's
-	// aggregates count the sealed tier.
-	unionOpts := opts
-	unionOpts.Parallelism, unionOpts.Pool, unionOpts.Stats = 1, nil, nil
-	unionOpts.Trace = opts.Trace.Child("delta union")
-	var unionAcc *Accumulator
-	var unionErr error
-	done := make(chan struct{})
-	spawn(opts.Pool, func() {
-		defer close(done)
-		unionAcc, unionErr = runAccum(uc, unionOpts)
-		unionOpts.Trace.End()
-	})
-	sealedOpts := opts
-	sealedOpts.skipUsers = pre.SkipUsers
-	acc, err := runAccum(c, sealedOpts)
-	<-done
-	if err == nil {
-		err = unionErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	acc.Merge(unionAcc)
-	// The union table's rows: the delta tuples plus the sealed rows of users
-	// that also appear in the delta.
-	rows := int64(pre.Table.NumRows())
-	obs.DeltaRowsScannedTotal.Add(rows)
-	opts.Trace.AddInt("delta_rows_scanned", rows)
-	return acc, nil
+	s.add(c, skip, span, true)
+	return nil
 }

@@ -256,9 +256,10 @@ func (vc *vecCond) filter(dst, src []int32, codes []uint64) ([]int32, int64) {
 // tallies. Callers should consult CanSkipChunk first; runChunk is still
 // correct without it, just slower. On lazy tables the chunk is loaded (and
 // pinned) on demand; the error is non-nil only when that load fails. skipUsers
-// holds user global-ids to skip: the union executor passes the users that
-// have fresh delta tuples — their sealed rows are scanned together with the
-// delta in the union table instead, so no user is aggregated twice.
+// holds user global-ids to skip: a live shard's sealed entries pass the
+// users that have fresh delta tuples — their sealed rows are scanned
+// together with the delta in the union table instead, so no user is
+// aggregated twice.
 func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64]bool) (ChunkStats, error) {
 	if !c.birthOK {
 		return ChunkStats{}, nil

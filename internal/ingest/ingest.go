@@ -18,12 +18,13 @@
 // generation, which advances by one per acknowledged batch and per
 // compaction swap, names exactly one state: it is what result caches key on.
 //
-// Query execution scatter-gathers over the shards (plan.ExecuteShards):
-// every shard unions its sealed chunks (pruned parallel executor) with its
-// delta rows (the same chunk kernel over the shard's encoded union input),
-// and the per-shard partials merge into one always-fresh result — users
-// never span shards, so the merge needs no correction. Compaction — triggered per shard by a row-count threshold or
-// by an explicit call — materializes the shard's sealed tier, linear-merges
+// Query execution runs one chunk schedule over every shard
+// (plan.ExecuteShards): each shard's pruned sealed chunks and the chunks of
+// its encoded union input (its delta rows with their users' sealed rows)
+// fold into one accumulator per worker, merged once into an always-fresh
+// result — users never span shards, so the merge needs no correction.
+// Compaction — triggered per shard by a row-count threshold or by an
+// explicit call — materializes the shard's sealed tier, linear-merges
 // its delta in (Au, At, Ae) order, rebuilds the two-level-encoded chunks,
 // atomically swaps the shard in and truncates the journal to the rows still
 // in the deltas; shards compact independently and concurrently while appends
@@ -290,10 +291,10 @@ func (t *Table) Schema() *activity.Schema { return t.schema }
 // NumShards returns the shard count, fixed for the table's lifetime.
 func (t *Table) NumShards() int { return len(t.shards) }
 
-// Snapshot returns every shard's view of the published version, for
-// plan.ExecuteShards, together with that version's generation. Both come
-// from one atomic load, so the generation names exactly the state the views
-// hold. The first reader of a shard's new state sorts its delta and builds
+// Snapshot returns every shard's view of the published version, the input
+// of a query's one chunk schedule (plan.ExecuteShards), together with that
+// version's generation. Both come from one atomic load, so the generation
+// names exactly the state the views hold. The first reader of a shard's new state sorts its delta and builds
 // its union input; later readers share them.
 func (t *Table) Snapshot() ([]View, uint64) {
 	v := t.cur.Load()

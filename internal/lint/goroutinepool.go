@@ -8,8 +8,8 @@ import (
 )
 
 // GoroutinePool enforces bounded concurrency: engine packages do not spawn
-// bare goroutines. All repeatable fan-out routes through internal/cohort's
-// shared Pool (or its spawn helper), so total chunk-scan concurrency stays
+// bare goroutines. A query's chunk work is one schedule served through
+// internal/cohort's shared Pool, so total chunk-scan concurrency stays
 // bounded no matter how many requests are in flight. The one structural
 // exception is the Pool's own executor file (internal/cohort/parallel.go),
 // which owns the worker goroutines and the poolless fallback; anything else
@@ -38,14 +38,14 @@ func runGoroutinePool(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
 		filename := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
 		if pass.Path == Module+"/internal/cohort" && filename == "parallel.go" {
-			// The Pool executor itself: worker goroutines, the streaming
-			// gather, and the poolless spawn fallback live here by design.
+			// The Pool executor itself: the worker goroutines and the
+			// poolless fan-out fallback live here by design.
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
-					"bare goroutine in an engine package: route the work through the shared cohort.Pool (spawn/submit) so concurrency stays bounded, or justify with //lint:allow goroutinepool <reason>")
+					"bare goroutine in an engine package: route the work through the shared cohort.Pool so concurrency stays bounded, or justify with //lint:allow goroutinepool <reason>")
 			}
 			return true
 		})

@@ -37,9 +37,6 @@ func init() { enabled.Store(true) }
 // asks for a trace, so they are already pay-for-use.
 func SetEnabled(v bool) { enabled.Store(v) }
 
-// Enabled reports whether metric collection is on.
-func Enabled() bool { return enabled.Load() }
-
 // metric is anything the registry can expose. name/help/kind feed the
 // # HELP / # TYPE comment lines; write appends the sample lines.
 type metric interface {

@@ -9,7 +9,6 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -140,40 +139,11 @@ func Describe(p Plan) string {
 	return out
 }
 
-// ExecOptions controls physical execution.
-type ExecOptions struct {
-	// Parallelism is the number of chunks processed concurrently. 0 or 1
-	// selects the paper's single-threaded execution; negative uses
-	// GOMAXPROCS workers.
-	Parallelism int
-	// Pool optionally routes chunk work through a shared bounded worker
-	// pool (see cohort.Pool), so concurrent queries — e.g. from the HTTP
-	// server — share one set of workers instead of each spawning their own.
-	Pool *cohort.Pool
-	// Ctx, when non-nil, cancels the execution: shard and chunk fan-outs
-	// stop early and Execute/ExecuteShards return Ctx.Err(). The HTTP
-	// server passes the request context so a disconnected client releases
-	// its workers.
-	Ctx context.Context
-	// Stats, when non-nil, accumulates decoder-level execution counters
-	// across all shards and chunks of the query.
-	Stats *cohort.ExecStats
-	// Trace, when non-nil, is the query's root trace span: execution attaches
-	// child spans for compile/bind, each shard (with per-chunk detail and
-	// delta-union timing, see cohort.RunOptions.Trace) and the cross-shard
-	// merge, each carrying measured rows/bytes/ns. Nil — the default — keeps
-	// the hot path span-free.
-	Trace *obs.Span
-}
-
-func (o ExecOptions) runOptions() cohort.RunOptions {
-	return cohort.RunOptions{
-		Parallelism: o.Parallelism,
-		Pool:        o.Pool,
-		Ctx:         o.Ctx,
-		Stats:       o.Stats,
-	}
-}
+// ExecOptions controls physical execution: the parallelism, shared pool,
+// cancellation, stats and trace of the query's one chunk schedule (see
+// cohort.RunOptions). A traced execution also gets the planner's compile or
+// bind span under the root.
+type ExecOptions = cohort.RunOptions
 
 // ShardInput is one shard's execution input for ExecuteShards: its sealed
 // compressed tier plus, for live tables, the shard's delta tier and its
@@ -191,14 +161,14 @@ func Execute(q *cohort.Query, tbl *storage.Table, opts ExecOptions) (*cohort.Res
 	return ExecuteShards(q, []ShardInput{{Sealed: tbl}}, opts)
 }
 
-// ExecuteShards compiles a cohort query once and scatter-gathers it over a
-// user-partitioned table: every shard runs the pruned chunk executor (union
-// execution when the shard has a live delta) into its own partial
-// accumulator, shards run concurrently, and the partials merge into one
-// result. Users never span shards — the clustering property lifted to the
-// partition level — so the merge needs no distinct-count correction, exactly
-// as per-worker chunk accumulators merge within one shard. A sharded execution returns
-// bit-identical results to the same query over the unsharded table.
+// ExecuteShards compiles a cohort query once per shard and runs it over a
+// user-partitioned table as one chunk schedule over every shard: each
+// shard's pruned sealed chunks, and on a live shard its union table's chunks
+// too, are served by one fan-out with one accumulator per worker, merged
+// once. Users never span shards — the clustering property lifted to the
+// partition level — so the merge needs no distinct-count correction, and a
+// sharded execution returns bit-identical results to the same query over
+// the unsharded table.
 func ExecuteShards(q *cohort.Query, shards []ShardInput, opts ExecOptions) (*cohort.Result, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("plan: no shards to execute over")
@@ -224,74 +194,23 @@ func ExecuteShards(q *cohort.Query, shards []ShardInput, opts ExecOptions) (*coh
 }
 
 // executeCompiled is the shared execution tail behind ExecuteShards and the
-// plan cache's ExecuteCached: it fans the pre-compiled bindings out over the
-// shards and streams each shard's partial accumulator into the merge as it
-// completes — the gather no longer waits for the slowest shard before
-// touching the fastest one's partial. Merge order is arrival order, which is
-// unobservable for the same reason the merge of per-worker chunk
-// accumulators is (exact integer sums, order-free min/max, sorted Result).
+// plan cache's ExecuteCached: it puts the pre-compiled bindings of every
+// shard on one chunk schedule (see cohort.Schedule), runs it and
+// materializes the merged result.
 func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, shards []ShardInput, opts ExecOptions) (*cohort.Result, error) {
 	start := time.Now()
-	runOpts := opts.runOptions()
-	var acc *cohort.Accumulator
-	errs := make([]error, len(shards))
-	if len(shards) == 1 {
-		sp := opts.Trace.Child("shard 0")
-		ro := runOpts
-		ro.Trace = sp
-		acc, errs[0] = runShard(compiled[0], shards[0], ro)
-		sp.End()
-	} else {
-		type shardPartial struct {
-			idx int
-			acc *cohort.Accumulator
-			err error
-		}
-		out := make(chan shardPartial, len(shards))
-		for i := range shards {
-			//lint:allow goroutinepool a shard task blocks on chunk tasks that need pool workers; pooling it deadlocks a saturated pool (fan-out is bounded by the shard count)
-			go func(i int) {
-				sp := opts.Trace.Child(fmt.Sprintf("shard %d", i))
-				ro := runOpts
-				ro.Trace = sp
-				a, err := runShard(compiled[i], shards[i], ro)
-				sp.End()
-				out <- shardPartial{idx: i, acc: a, err: err}
-			}(i)
-		}
-		var mergeNs int64
-		for range shards {
-			p := <-out
-			if p.err != nil {
-				errs[p.idx] = p.err
-				continue
-			}
-			if acc == nil {
-				acc = p.acc
-			} else {
-				t0 := time.Now()
-				acc.Merge(p.acc)
-				mergeNs += time.Since(t0).Nanoseconds()
-			}
-		}
-		if opts.Trace != nil {
-			// The merge span's duration is the accumulated Merge time only —
-			// the gather's channel waits overlap shard execution and would
-			// double-count it.
-			m := opts.Trace.Child("merge")
-			m.DurNs = mergeNs
+	s := cohort.NewSchedule(opts)
+	for i, sh := range shards {
+		if err := s.AddShard(compiled[i], sh.Delta, sh.Union); err != nil {
+			return nil, fmt.Errorf("plan: %w", err)
 		}
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("plan: shard %d: %w", i, err)
-		}
+	acc, err := s.Run()
+	if err != nil {
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
 		return nil, opts.Ctx.Err()
-	}
-	if acc == nil {
-		acc = cohort.NewAccumulator(compiled[0].NumAggs())
 	}
 	res := acc.Result(compiled[0].KeyColNames(), optimized.Aggs)
 	obs.QuerySeconds.ObserveSince(start)
@@ -300,22 +219,12 @@ func executeCompiled(optimized *cohort.Query, compiled []*cohort.Compiled, shard
 	return res, nil
 }
 
-// runShard executes one shard's partial: the pruned chunk fan-out, unioned
-// with the shard's delta tier when present.
-func runShard(c *cohort.Compiled, sh ShardInput, opts cohort.RunOptions) (*cohort.Accumulator, error) {
-	return cohort.RunUnionAccum(c, sh.Delta, sh.Union, opts)
-}
-
-// PruneMap reports, chunk by chunk, whether pruning would skip the chunk for
-// q, used by explain.
+// PruneMap reports, chunk by chunk, whether pruning skips the chunk for q —
+// the schedule's own rule (cohort.Compiled.PruneMap) — used by explain.
 func PruneMap(q *cohort.Query, tbl *storage.Table) ([]bool, error) {
 	compiled, err := cohort.Compile(q, tbl)
 	if err != nil {
 		return nil, err
 	}
-	skip := make([]bool, tbl.NumChunks())
-	for i := range skip {
-		skip[i] = compiled.CanSkipChunk(i)
-	}
-	return skip, nil
+	return compiled.PruneMap(), nil
 }

@@ -12,9 +12,10 @@ import (
 	"repro/internal/storage"
 )
 
-// The streaming equivalence contract: per-chunk partials stream into the
-// shard accumulator in arrival order, so a parallel or pooled execution must
-// be bit-identical to a one-worker execution for ANY query, shard count, and
+// The streaming equivalence contract: each worker folds the chunks it takes
+// from the query's one schedule, whatever their shard, into an accumulator
+// of its own, merged once, so a parallel or pooled execution must be
+// bit-identical to a one-worker execution for ANY query, shard count, and
 // ingest state. The property test draws random queries from the full clause
 // space and checks shard counts {1, 2, 4}, sealed-only and mid-ingest (delta
 // rows riding the union path), with and without a shared worker pool. The
@@ -49,7 +50,7 @@ func TestStreamingPushdownMatchesMaterializedProperty(t *testing.T) {
 		sources = append(sources, src)
 	}
 
-	// The reference mode: one worker, so chunk partials merge in chunk order.
+	// The reference mode: one worker, so chunks fold in schedule order.
 	refOpts := ExecOptions{Parallelism: 1}
 
 	pool := cohort.NewPool(3)

@@ -119,12 +119,6 @@ func (t *Table) Str(row, col int) string { return t.strs[col][row] }
 // Int returns an integer cell.
 func (t *Table) Int(row, col int) int64 { return t.ints[col][row] }
 
-// StrCol returns the backing slice of a string column.
-func (t *Table) StrCol(col int) []string { return t.strs[col] }
-
-// IntCol returns the backing slice of an integer column.
-func (t *Table) IntCol(col int) []int64 { return t.ints[col] }
-
 // Row materializes row r as a value slice (row-engine currency).
 func (t *Table) Row(r int) []expr.Value {
 	out := make([]expr.Value, len(t.fields))

@@ -157,14 +157,10 @@ type CatalogConfig struct {
 	OnChange func(table string)
 }
 
-// NewCatalog serves tables from dir with default ingestion settings. The
-// directory is scanned on demand, so tables dropped into it after startup
-// are picked up without a restart.
-func NewCatalog(dir string) *Catalog {
-	return NewCatalogWith(dir, CatalogConfig{})
-}
-
-// NewCatalogWith serves tables from dir with explicit ingestion settings.
+// NewCatalogWith serves tables from dir with the given ingestion settings;
+// the zero CatalogConfig selects the defaults. The directory is scanned on
+// demand, so tables dropped into it after startup are picked up without a
+// restart.
 func NewCatalogWith(dir string, cfg CatalogConfig) *Catalog {
 	compact := cfg.CompactRows
 	switch {

@@ -298,7 +298,7 @@ func TestCatalogRejectsCorruptTableFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cat := NewCatalog(dir)
+	cat := NewCatalogWith(dir, CatalogConfig{})
 	defer cat.Close()
 	for _, name := range []string{"trunc", "junk"} {
 		_, _, err := cat.Get(name)

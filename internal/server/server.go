@@ -67,10 +67,11 @@ type Config struct {
 // Errors are structured JSON: {"code": ..., "message": ...} with a stable
 // machine-readable code.
 //
-// Every query fans out over the table's sealed chunks on one shared bounded
-// pool and unions in the table's live delta, so the server degrades to
-// queueing — not thrashing — under load while appended rows are visible
-// immediately.
+// Every query runs as one chunk schedule over the table's sealed chunks and
+// its live delta, on one shared bounded pool, so appended rows are visible
+// immediately and chunk-scan concurrency stays bounded. Nothing bounds the
+// requests waiting for that pool: under load they queue on it without
+// limit, and nothing is shed (ROADMAP item 7).
 type Server struct {
 	catalog *Catalog
 	cache   *ResultCache
@@ -207,13 +208,14 @@ const cacheStatusHeader = "X-Cohana-Cache"
 type queryRequest struct {
 	Table string `json:"table"`
 	Query string `json:"query"`
-	// Parallelism caps this query's fan-out within the shared pool;
-	// 0 (or absent) uses every pool worker.
+	// Parallelism caps this query's fan-out, every shard's chunks
+	// together, within the shared pool; 0 (or absent) uses every pool
+	// worker.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Trace executes the query with per-phase tracing and returns the span
-	// tree (prepare, per-shard scans with per-chunk detail, delta union,
-	// merge) in the response. Traced requests bypass the result cache — the
-	// point is to measure a real execution.
+	// tree (prepare, a span per shard with per-chunk detail and delta
+	// union, the one merge) in the response. Traced requests bypass the
+	// result cache — the point is to measure a real execution.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -390,8 +392,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The request context rides into the scatter-gather executor: when the
-	// client disconnects, every shard's chunk fan-out stops early and the
+	// The request context rides into the executor: when the client
+	// disconnects, the query's chunk fan-out stops early and the
 	// shared pool workers go back to serving live requests.
 	ctx := r.Context()
 	stmt, err := eng.Prepare(req.Query)

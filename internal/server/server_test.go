@@ -81,7 +81,7 @@ func postQuery(t *testing.T, url, table, query string) (*http.Response, string, 
 func TestCatalogLazyLoadListAndReload(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "game")
-	cat := NewCatalog(dir)
+	cat := NewCatalogWith(dir, CatalogConfig{})
 	defer cat.Close()
 
 	// Listed but not loaded before first use.
@@ -140,7 +140,7 @@ func TestCatalogLazyLoadListAndReload(t *testing.T) {
 func TestCatalogConcurrentFirstLoad(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "game")
-	cat := NewCatalog(dir)
+	cat := NewCatalogWith(dir, CatalogConfig{})
 	defer cat.Close()
 	var wg sync.WaitGroup
 	tables := make([]*ingest.Table, 16)
@@ -257,7 +257,7 @@ func TestNormalizeQueryPreservesLiterals(t *testing.T) {
 func TestCatalogUnknownNamesDoNotAccumulate(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "game")
-	cat := NewCatalog(dir)
+	cat := NewCatalogWith(dir, CatalogConfig{})
 	defer cat.Close()
 	for i := 0; i < 50; i++ {
 		if _, _, err := cat.Get(fmt.Sprintf("ghost-%d", i)); err == nil {

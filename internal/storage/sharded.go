@@ -11,8 +11,8 @@ import (
 // partition. Every user's activity tuples live in exactly one shard (the
 // same clustering property that keeps a user inside one chunk, lifted one
 // level up), so shards build, compact and scan independently — per-shard
-// work never needs a distinct-count correction when partial accumulators
-// merge, exactly as chunk partials merge today.
+// work never needs a distinct-count correction, and one query's schedule
+// folds chunks of every shard into the same accumulators.
 //
 // Each shard keeps its own global dictionaries. Cohort keys stay comparable
 // across shards because the execution paths encode string cohort attributes

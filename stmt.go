@@ -11,8 +11,9 @@ import (
 )
 
 // TraceSpan is one timed phase of a traced query execution. Spans form a
-// tree — query → prepare / per-shard scans (with per-chunk detail and delta
-// union) / merge — and carry measured rows/bytes/ns as numeric attributes.
+// tree — query → prepare / a span per shard of the one chunk schedule (with
+// per-chunk detail and delta union) / merge — and carry measured
+// rows/bytes/ns as numeric attributes.
 // The JSON encoding of a TraceSpan is what a `"trace": true` query request
 // returns; Render() is the text form EXPLAIN ANALYZE embeds.
 type TraceSpan = obs.Span
