@@ -109,7 +109,7 @@ func (s *Snapshot) explainCohort(stmt *parser.CohortStmt) (string, error) {
 	if len(views) > 1 {
 		// Per-shard breakdown: how much of each shard the
 		// pruning step lets the executor skip, and each shard's live delta.
-		fmt.Fprintf(&sb, "Shards: %d (scatter-gather, partitioned by user hash)\n", len(views))
+		fmt.Fprintf(&sb, "Shards: %d (one chunk schedule, partitioned by user hash)\n", len(views))
 		for i, l := range lines {
 			fmt.Fprintf(&sb, "  shard %d: %d chunks, %d prunable", i, len(l.skip), prunedOf(l.skip))
 			if l.delta > 0 {

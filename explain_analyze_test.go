@@ -138,18 +138,23 @@ func TestExplainAnalyzePinned(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeSharded covers the scatter-gather form: every shard gets
-// its own measured span and the cross-shard merge is reported.
+// TestExplainAnalyzeSharded covers a sharded table, which runs as one chunk
+// schedule over both shards: the plan says so, every shard gets its own
+// measured span, and the one merge is reported.
 func TestExplainAnalyzeSharded(t *testing.T) {
 	full := Generate(GenConfig{Users: 60, Days: 10, MeanActions: 6, Seed: 11})
 	eng, err := NewEngine(full, Options{ChunkSize: 300, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := explain(t, eng, `EXPLAIN ANALYZE
-		SELECT country, COHORTSIZE, AGE, Sum(gold)
-		FROM G BIRTH FROM action = "launch" COHORT BY country`)
-	for _, want := range []string{"shard 0:", "shard 1:", "merge:"} {
+	const q = `SELECT country, COHORTSIZE, AGE, Sum(gold)
+		FROM G BIRTH FROM action = "launch" COHORT BY country`
+	const shardsLine = "\nShards: 2 (one chunk schedule, partitioned by user hash)\n"
+	if out := explain(t, eng, "EXPLAIN "+q); !strings.Contains(out, shardsLine) {
+		t.Errorf("sharded EXPLAIN missing %q:\n%s", shardsLine, out)
+	}
+	out := explain(t, eng, "EXPLAIN ANALYZE "+q)
+	for _, want := range []string{shardsLine, "shard 0:", "shard 1:", "merge:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sharded EXPLAIN ANALYZE missing %q:\n%s", want, out)
 		}

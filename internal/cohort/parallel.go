@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -109,11 +110,12 @@ type RunOptions struct {
 	// (shared across workers; updated atomically).
 	Stats *ExecStats
 	// Trace, when non-nil, is the query's trace span: the schedule opens a
-	// "shard i" child per shard, carrying its chunks' aggregated counters
-	// and per-chunk children (capped at maxTraceChunks), with a "delta
-	// union" child for a live shard's union table, and a "merge" child
-	// timing the one merge. Nil (the default) costs one pointer test per
-	// chunk.
+	// "shard i" child per shard, carrying its chunks' aggregated counters,
+	// their summed scan time (busy_us) and per-chunk children (capped at
+	// maxTraceChunks), with a "delta union" child for a live shard's union
+	// table, and a "merge" child timing the one merge. The shard spans
+	// themselves cover the whole fan-out, so busy_us is where a shard's own
+	// time shows. Nil (the default) costs one pointer test per chunk.
 	Trace *obs.Span
 }
 
@@ -207,6 +209,7 @@ func (s *Schedule) add(c *Compiled, skip map[uint64]bool, span *obs.Span, sealed
 func (s *Schedule) Run() (*Accumulator, error) {
 	accs, err := s.fanOut()
 	for _, sk := range s.sinks {
+		sk.chunks.parent.SetInt("busy_us", sk.chunks.busyNs.Load()/1000)
 		sk.chunks.parent.End()
 	}
 	if err != nil {
@@ -249,20 +252,35 @@ func (f *firstError) get() error {
 const maxTraceChunks = 32
 
 // chunkTracer hands out per-chunk trace spans under one span, capped at
-// maxTraceChunks. Safe for concurrent workers; inert when untraced.
+// maxTraceChunks, and sums every chunk's scan time, capped or not. Safe for
+// concurrent workers; inert when untraced.
 type chunkTracer struct {
 	parent *obs.Span
 	n      atomic.Int64
+	busyNs atomic.Int64
 }
 
-func (t *chunkTracer) child(chunkIdx int) *obs.Span {
+// start opens chunk chunkIdx's span (nil past the cap) and returns it with
+// the time the scan starts, taken before the span opens so the summed time
+// covers the span; both are zero when untraced.
+func (t *chunkTracer) start(chunkIdx int) (*obs.Span, time.Time) {
 	if t.parent == nil {
-		return nil
+		return nil, time.Time{}
 	}
+	t0 := time.Now()
 	if t.n.Add(1) > maxTraceChunks {
-		return nil
+		return nil, t0
 	}
-	return t.parent.Child(fmt.Sprintf("chunk %d", chunkIdx))
+	return t.parent.Child(fmt.Sprintf("chunk %d", chunkIdx)), t0
+}
+
+// end closes a chunk's span and adds its scan time since t0.
+func (t *chunkTracer) end(sp *obs.Span, t0 time.Time) {
+	if t.parent == nil {
+		return
+	}
+	sp.End()
+	t.busyNs.Add(time.Since(t0).Nanoseconds())
 }
 
 // record folds one finished chunk's tallies into the query's shared
@@ -351,9 +369,9 @@ func (s *Schedule) fanOut() ([]*Accumulator, error) {
 					continue
 				}
 				e := &s.entries[i]
-				sp := e.sink.chunks.child(e.chunk)
+				sp, t0 := e.sink.chunks.start(e.chunk)
 				st, err := e.c.runChunk(e.chunk, mine, e.skip)
-				sp.End()
+				e.sink.chunks.end(sp, t0)
 				if err != nil {
 					ferr.set(fmt.Errorf("shard %d: %w", e.sink.shard, err))
 					continue

@@ -7,7 +7,9 @@
 // decoders can read back without external metadata, so a column segment can
 // be persisted and later accessed positionally without full decompression —
 // the property Section 4.1 of the paper calls "of vital importance for
-// efficient cohort query processing".
+// efficient cohort query processing". Packed codes are also searched in place:
+// BitPacked.FirstInRuns finds a code's first row in every run of a user
+// column in one word-parallel pass, with no code extracted.
 package encoding
 
 import (
@@ -226,48 +228,82 @@ func unpackBytewise(out []uint64, data []byte, bitPos, width uint64) {
 	}
 }
 
-// Index returns the first position in [start, end) whose value is v, or -1
-// when none is. It reads the packed bytes directly — the load, shift and mask
-// of AppendRange plus a compare — so a search that stops early never pays for
-// the values past its hit. Bounds follow Get's contract.
-func (b *BitPacked) Index(v uint64, start, end int) int {
-	if start >= end {
-		return -1
-	}
+// FirstInRuns writes, for each run i of runs, 1 + the first position in the
+// run whose value is v into out[i], or 0 when none is: a first-match search
+// per user run over the packed codes, without extracting them. out must hold
+// runs.NumRuns() words. It returns the number of codes a one-by-one search
+// compares: each run up to its match, or all of it.
+//
+// For width <= 8 it compares ⌊57/width⌋ codes per step, BitWeaving/H's
+// word-parallel compare (Li & Patel, SIGMOD 2013): one unaligned 8-byte load,
+// XOR with v broadcast to every lane, and the has-zero-lane test
+// (x-lo) &^ x & hi, which flags the high bit of each lane that x-lo turns
+// negative. The lowest flag is exact: a lane below the first zero lane holds
+// x >= 1 with no borrow coming in, so x-1 keeps its high bit clear unless x
+// has it set, and &^ x drops that; borrows only run upward from a true zero
+// lane. A flag at or past the run's end is a miss. Wider codes, and positions
+// in the last 7 bytes, which one load cannot reach, are compared one by one.
+func (b *BitPacked) FirstInRuns(v uint64, runs *RLE, out []uint64) (compared int64) {
 	width := uint64(b.width)
-	// Positions that begin before the last 7 bytes load in one unaligned
-	// read, as in AppendRange; the tail and wide values go through Get.
-	fast := start
+	loadable := 0 // positions beginning before the last 7 bytes, as in AppendRange
 	if width <= 57 && len(b.data) >= 8 {
-		loadable := int((uint64(len(b.data)-7)*8 + width - 1) / width)
-		fast = max(start, min(end, loadable))
+		loadable = int((uint64(len(b.data)-7)*8 + width - 1) / width)
 	}
-	if i := indexBytewise(b.data, uint64(start)*width, width, v, fast-start); i >= 0 {
-		return start + i
-	}
-	for i := fast; i < end; i++ {
-		if b.Get(i) == v {
-			return i
+	// recip turns a flag's bit index k into its lane, k*recip>>16 = k/width
+	// for every k < 64, with no division per match.
+	lanes, lo, recip := 0, uint64(0), (1<<16+width-1)/width
+	if width <= 8 && v < 1<<width {
+		lanes = int(57 / width)
+		for j := range lanes {
+			lo |= 1 << (uint64(j) * width)
 		}
 	}
-	return -1
+	hi, vb, mask, data := lo<<(width-1), v*lo, uint64(1)<<width-1, b.data
+	for i, r := range runs.runs {
+		pos, end := int(r.Start), int(r.Start)+int(r.Length)
+		fast := min(end, loadable)
+		for ; lanes > 0 && pos < fast; pos += lanes {
+			bitPos := uint64(pos) * width
+			off := bitPos >> 3
+			x := binary.LittleEndian.Uint64(data[off:off+8:off+8])>>(bitPos&7) ^ vb
+			if z := (x - lo) &^ x & hi; z != 0 {
+				if pos += int(uint64(bits.TrailingZeros64(z)) * recip >> 16); pos < end {
+					goto match
+				}
+				break // past the run: a miss, and pos >= end skips the loops below
+			}
+		}
+		for ; pos < fast; pos++ {
+			bitPos := uint64(pos) * width
+			off := bitPos >> 3
+			if binary.LittleEndian.Uint64(data[off:off+8:off+8])>>(bitPos&7)&mask == v {
+				goto match
+			}
+		}
+		for ; pos < end; pos++ {
+			if b.Get(pos) == v {
+				goto match
+			}
+		}
+		out[i] = 0
+		compared += int64(r.Length)
+		continue
+	match:
+		out[i] = uint64(pos) + 1
+		compared += int64(pos + 1 - int(r.Start))
+	}
+	return compared
 }
 
-// indexBytewise returns the index of the first of n width-bit values starting
-// at bitPos that equals v, or -1; see unpackBytewise for the load and why the
-// loop is a function of its own.
-//
-//go:noinline
-func indexBytewise(data []byte, bitPos, width, v uint64, n int) int {
-	mask := uint64(1)<<width - 1
-	for i := 0; i < n; i++ {
-		off := bitPos >> 3
-		if binary.LittleEndian.Uint64(data[off:off+8:off+8])>>(bitPos&7)&mask == v {
-			return i
-		}
-		bitPos += width
+// load is Get by the one unaligned 8-byte load AppendRange uses: a value of at
+// most 57 bits that begins before the last 7 bytes lies within the 8 bytes at
+// its byte offset, so no straddle test is needed. Other values go through Get.
+func (b *BitPacked) load(i int) uint64 {
+	bitPos := uint64(i) * uint64(b.width)
+	if off := bitPos >> 3; b.width <= 57 && off+8 <= uint64(len(b.data)) {
+		return binary.LittleEndian.Uint64(b.data[off:off+8:off+8]) >> (bitPos & 7) & (1<<b.width - 1)
 	}
-	return -1
+	return b.Get(i)
 }
 
 // AppendTo serializes the packed array: width (1 byte), count (uvarint),

@@ -150,3 +150,30 @@ func BenchmarkBitPackedAppendRange(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFirstInRuns is the birth search's shape: 32K codes of a ten-code
+// alphabet in runs of about 19, one first-match search per run. Width 4 takes
+// the word-parallel path, width 12 the scalar one.
+func BenchmarkFirstInRuns(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	values := make([]uint64, 1<<15)
+	for i := range values {
+		values[i] = uint64(rng.Intn(10))
+	}
+	var lengths []uint32
+	for left := len(values); left > 0; {
+		l := min(left, 1+rng.Intn(37))
+		lengths = append(lengths, uint32(l))
+		left -= l
+	}
+	runs := RLEConsecutive(0, lengths)
+	out := make([]uint64, runs.NumRuns())
+	for _, width := range []uint{4, 12} {
+		packed := PackUint64Width(values, width)
+		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
+			for b.Loop() {
+				packed.FirstInRuns(7, runs, out)
+			}
+		})
+	}
+}

@@ -439,10 +439,52 @@ func TestBitPackedAppendRange(t *testing.T) {
 	}
 }
 
-// TestBitPackedIndex pins the packed-code search to a linear scan over the
-// plain values, on small alphabets (so hits are common) at every width class:
-// the unaligned-load path, the tail past it and the wide Get fallback.
-func TestBitPackedIndex(t *testing.T) {
+// firstInRunsScalar is FirstInRuns' reference: each run scanned value by
+// value for its first v, counting the compares.
+func firstInRunsScalar(values []uint64, runs *RLE, v uint64) (out []uint64, compared int64) {
+	out = make([]uint64, runs.NumRuns())
+	for i := range out {
+		r := runs.Run(i)
+		for p := int(r.Start); p < int(r.Start+r.Length); p++ {
+			compared++
+			if values[p] == v {
+				out[i] = uint64(p) + 1
+				break
+			}
+		}
+	}
+	return out, compared
+}
+
+// checkFirstInRuns runs FirstInRuns over a stale out buffer, so a miss must
+// be written as 0, and compares its matches and compare count with the
+// scalar reference.
+func checkFirstInRuns(t *testing.T, values []uint64, width uint, lengths []uint32, v uint64) {
+	t.Helper()
+	ids := make([]uint64, len(lengths))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	runs := RLEFromRuns(ids, lengths)
+	got := make([]uint64, len(lengths))
+	for i := range got {
+		got[i] = 1<<64 - 1
+	}
+	compared := PackUint64Width(values, width).FirstInRuns(v, runs, got)
+	want, wantCompared := firstInRunsScalar(values, runs, v)
+	if !reflect.DeepEqual(got, want) || compared != wantCompared {
+		t.Fatalf("width %d, v %d, runs %v: FirstInRuns = %v comparing %d, want %v comparing %d",
+			width, v, lengths, got, compared, want, wantCompared)
+	}
+}
+
+// TestBitPackedFirstInRuns pins the per-run first-match search to a linear
+// scan over the plain values, on small alphabets (so hits are common) at
+// every width class: the word-parallel path (1, 3, 8), the one-load scalar
+// path (13, 57), the Get fallback (58, 64), and the last 7 bytes, which the
+// final runs of every tiling reach. Tilings mix empty, short and long runs;
+// v is sometimes never packed, or needs more bits than the width holds.
+func TestBitPackedFirstInRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, width := range []uint{1, 3, 8, 13, 57, 58, 64} {
 		n := 150
@@ -456,26 +498,72 @@ func TestBitPackedIndex(t *testing.T) {
 				values[i] &= 1<<width - 1
 			}
 		}
-		b := PackUint64Width(values, width)
 		for trial := 0; trial < 300; trial++ {
-			start := rng.Intn(n + 1)
-			end := start + rng.Intn(n+1-start)
-			v := values[rng.Intn(n)]
-			if trial%10 == 0 {
-				v = 99 // never packed: a miss
+			var lengths []uint32
+			for left := n; left > 0; {
+				l := min(left, rng.Intn(1+[]int{3, 20, n}[trial%3]))
+				lengths = append(lengths, uint32(l))
+				left -= l
 			}
-			want := -1
-			for i := start; i < end; i++ {
-				if values[i] == v {
-					want = i
-					break
+			v := values[rng.Intn(n)]
+			switch trial % 10 {
+			case 0:
+				v = 99 // never packed: a miss
+			case 1:
+				if width < 64 {
+					v = 1 << width // wider than a code
 				}
 			}
-			if got := b.Index(v, start, end); got != want {
-				t.Fatalf("width %d: Index(%d, %d, %d) = %d, want %d", width, v, start, end, got, want)
+			checkFirstInRuns(t, values, width, lengths, v)
+		}
+		// One needle in a haystack at every position, in a run starting at
+		// many offsets before it: a step that reads too many lanes, or
+		// resumes at the wrong position, misses or misplaces it.
+		hay := make([]uint64, n)
+		for needle := range hay {
+			for i := range hay {
+				hay[i] = 1
+			}
+			hay[needle] = 2 & (1<<width - 1)
+			for start := 0; start <= needle; start += 1 + start/8 {
+				checkFirstInRuns(t, hay, width, []uint32{uint32(start), uint32(n - start)}, hay[needle])
 			}
 		}
 	}
+}
+
+// FuzzFirstInRuns checks FirstInRuns against the scalar reference at every
+// width 1-64, over run tilings taken from the input (zero bytes are empty
+// runs) and values drawn from a four-code alphabet plus v itself, so hits,
+// misses, runs ending in the last 7 bytes and v >= 1<<width all occur.
+func FuzzFirstInRuns(f *testing.F) {
+	f.Add(uint8(4), uint64(2), int64(1), []byte{19, 0, 19, 1, 40, 7})
+	f.Add(uint8(1), uint64(0), int64(2), []byte{0, 3, 0, 7})
+	f.Add(uint8(8), uint64(300), int64(3), []byte{200, 60})
+	f.Add(uint8(57), uint64(3), int64(4), []byte{5, 5, 5, 5})
+	f.Add(uint8(64), uint64(1<<63), int64(5), []byte{9, 1, 30})
+	f.Fuzz(func(t *testing.T, width uint8, v uint64, seed int64, runBytes []byte) {
+		w := uint(width%64) + 1
+		if len(runBytes) > 512 {
+			runBytes = runBytes[:512]
+		}
+		lengths := make([]uint32, len(runBytes))
+		n := 0
+		for i, l := range runBytes {
+			lengths[i] = uint32(l)
+			n += int(l)
+		}
+		mask := uint64(1)<<w - 1
+		rng := rand.New(rand.NewSource(seed))
+		values := make([]uint64, n)
+		for i := range values {
+			values[i] = uint64(rng.Intn(4)) & mask
+			if rng.Intn(8) == 0 {
+				values[i] = v & mask
+			}
+		}
+		checkFirstInRuns(t, values, w, lengths, v)
+	})
 }
 
 func TestFrameOfRefAppendRaw(t *testing.T) {

@@ -79,6 +79,11 @@ func (f *FrameOfRef) Get(i int) int64 { return f.min + int64(f.deltas.Get(i)) }
 // compare, never materializing the column value.
 func (f *FrameOfRef) Raw(i int) uint64 { return f.deltas.Get(i) }
 
+// LoadRaw is Raw read by one unaligned load where the value allows it, with
+// no straddle test: the birth index fills its time codes this way. Raw, the
+// scan kernel's per-row read, keeps Get.
+func (f *FrameOfRef) LoadRaw(i int) uint64 { return f.deltas.load(i) }
+
 // AppendRaw appends the encoded deltas at positions [start, end) to dst —
 // the batch form of Raw. The chunk kernel extracts a decode window's deltas
 // once when enough of its rows are selected, and reads them one by one with

@@ -84,3 +84,56 @@ func TestTracedQueryConcurrentRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestShardBusyTime pins the busy_us attribute of a two-shard traced query
+// with a live delta: each shard span and its delta union span sum their own
+// chunks' scan time. That is at least the sum of their chunk child spans
+// (every chunk is timed, the capped ones too) and at most what the query's
+// workers could spend in its wall time, although every shard span covers the
+// whole fan-out.
+func TestShardBusyTime(t *testing.T) {
+	lt, late := cacheTestTable(t, 2)
+	if err := lt.Append(late); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCache(8)
+	p, err := cache.Prepare(cacheTestQuery, lt.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	root := obs.NewSpan("query")
+	if _, err := ExecuteCached(cache, p, shardInputsOf(lt.Views()), ExecOptions{Parallelism: workers, Trace: root}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	checked := 0
+	check := func(sp *obs.Span) {
+		var chunkNs int64
+		for _, c := range sp.Children {
+			if strings.HasPrefix(c.Name, "chunk ") {
+				chunkNs += c.DurNs
+			}
+		}
+		busy := sp.Int("busy_us")
+		if busy <= 0 || busy < chunkNs/1000 || busy*1000 > workers*root.DurNs {
+			t.Errorf("%s: busy_us = %d, want within [%d, %d] (its chunk spans' sum, workers x query wall time)",
+				sp.Name, busy, chunkNs/1000, workers*root.DurNs/1000)
+		}
+		checked++
+	}
+	for _, sh := range root.Children {
+		if !strings.HasPrefix(sh.Name, "shard ") {
+			continue
+		}
+		check(sh)
+		union := sh.Find("delta union")
+		if union == nil {
+			t.Fatalf("%s has no delta union span", sh.Name)
+		}
+		check(union)
+	}
+	if checked != 4 {
+		t.Fatalf("checked %d spans, want two shards and their delta unions", checked)
+	}
+}

@@ -7,9 +7,10 @@ import (
 
 // A birth index answers GetBirthTuple (Algorithm 1) for every user of a chunk
 // at once: per user run, the first row that performs one action and that
-// row's raw time code. It is built by the packed-code birth search on the
-// first scan that asks for the action and kept with the decoded chunk for the
-// chunk's lifetime — a chunk never changes, so nothing invalidates it — so no
+// row's raw time code. It is built on the first scan that asks for the action,
+// by one word-parallel first-match pass over the chunk's packed action codes
+// (BitPacked.FirstInRuns), and kept with the decoded chunk for the chunk's
+// lifetime — a chunk never changes, so nothing invalidates it — so no
 // later scan searches a user block for a birth row again. On lazy tables the
 // index's bytes are charged to the chunk's cache entry.
 
@@ -99,8 +100,10 @@ func (c *Chunk) BirthIndex(actionCol, timeCol int, cid uint64) (ix *BirthIndex, 
 }
 
 // buildBirthIndex runs the birth search over every user block into ix,
-// reusing its storage: the first row holding cid, found on the packed codes
-// without extracting them.
+// reusing its storage: one pass of BitPacked.FirstInRuns finds each user's
+// first row holding cid on the packed codes, straight into the entries, then
+// each found entry gains its row's time code. It returns the number of codes
+// a row-by-row search compares.
 func (c *Chunk) buildBirthIndex(ix *BirthIndex, actionCol, timeCol int, cid uint64) int64 {
 	ids, tf := c.cols[actionCol].ids, c.cols[timeCol].ints
 	rowBits := uint(bits.Len(uint(c.numRows))) // row+1 <= numRows
@@ -110,24 +113,19 @@ func (c *Chunk) buildBirthIndex(ix *BirthIndex, actionCol, timeCol int, cid uint
 		shift:   rowBits,
 		rowMask: 1<<rowBits - 1,
 	}
-	clear(ix.entries)
 	if uint(bits.Len64(uint64(tf.Max())-uint64(tf.Min()))) > 64-rowBits {
 		ix.wide = resize(wide, len(ix.entries))
 	}
-	var searched int64
-	for u := range ix.entries {
-		r := c.users.Run(u)
-		first, end := int(r.Start), int(r.Start)+int(r.Length)
-		row := ids.Index(cid, first, end)
-		if row < 0 {
-			searched += int64(end - first)
+	searched := ids.FirstInRuns(cid, c.users, ix.entries)
+	for u, e := range ix.entries {
+		if e == 0 {
 			continue
 		}
-		searched += int64(row - first + 1)
+		code := tf.LoadRaw(int(e) - 1)
 		if ix.wide != nil {
-			ix.entries[u], ix.wide[u] = uint64(row+1), tf.Raw(row)
+			ix.wide[u] = code
 		} else {
-			ix.entries[u] = tf.Raw(row)<<rowBits | uint64(row+1)
+			ix.entries[u] = code<<rowBits | e
 		}
 	}
 	return searched

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/activity"
@@ -151,5 +152,75 @@ func TestChunkCacheChargesBirthIndex(t *testing.T) {
 		if got := cache.Stats().ResidentBytes - before; got != 0 {
 			t.Fatalf("%s: second request grew the resident set by %d bytes, want 0", action, got)
 		}
+	}
+}
+
+// TestBirthIndexConcurrentPinners builds birth indexes from several
+// goroutines over a lazy table under a one-byte budget, where every pin is a
+// transient load into an arena another pinner has just released: each index
+// must still match the row-by-row search, and a building call must count
+// exactly its compares.
+func TestBirthIndexConcurrentPinners(t *testing.T) {
+	sh := readLazy(t, commitWorkload(t, 1, 96), NewChunkCache(1)).Shard(0)
+	schema := sh.Schema()
+	actionCol, timeCol := schema.ActionCol(), schema.TimeCol()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 3*sh.NumChunks(); it++ {
+				ci := (g + it) % sh.NumChunks()
+				ch, release, err := sh.PinChunk(ci)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, action := range []string{"launch", "shop", "achievement"} {
+					gid, _ := sh.LookupString(actionCol, action)
+					cid, ok := ch.ChunkIDOf(actionCol, gid)
+					if !ok {
+						continue
+					}
+					ix, searched := ch.BirthIndex(actionCol, timeCol, cid)
+					if _, want := searchBirths(ch, actionCol, cid); searched != 0 && searched != want {
+						t.Errorf("%s chunk %d: build compared %d codes, the search compares %d", action, ci, searched, want)
+					}
+					if err := birthIndexMismatch(ch, schema, cid, ix); err != nil {
+						t.Errorf("%s chunk %d: %v", action, ci, err)
+					}
+				}
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkBirthIndexBuild is one build of a birth index over coldLoadFixture's
+// chunk 0 (32K rows, ~19 per user): what every transient load of a chunk
+// pays per birth action it is scanned for. launch is nearly every user's
+// first row; shop is found further in, or not at all.
+func BenchmarkBirthIndexBuild(b *testing.B) {
+	sh := coldLoadFixture(b)
+	ch, release, err := sh.PinChunk(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer release()
+	schema := sh.Schema()
+	actionCol, timeCol := schema.ActionCol(), schema.TimeCol()
+	for _, action := range []string{"launch", "shop"} {
+		gid, _ := sh.LookupString(actionCol, action)
+		cid, ok := ch.ChunkIDOf(actionCol, gid)
+		if !ok {
+			b.Fatalf("chunk 0 has no %q", action)
+		}
+		ix := new(BirthIndex)
+		b.Run(action, func(b *testing.B) {
+			for b.Loop() {
+				ch.buildBirthIndex(ix, actionCol, timeCol, cid)
+			}
+		})
 	}
 }
