@@ -12,7 +12,7 @@ import (
 // Compiled is a cohort query bound to a specific compressed table: the birth
 // action resolved to its global-id, conditions compiled to predicates, and
 // cohort keys and measures resolved to column indices. A Compiled query is
-// immutable and safe for concurrent runChunk calls with distinct
+// immutable and safe for concurrent chunk scans with distinct
 // accumulators.
 type Compiled struct {
 	Query  *Query

@@ -1,6 +1,7 @@
 package cohort
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -10,10 +11,11 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // This file is the shared physical executor for compiled cohort queries: one
-// chunk schedule over every shard of a query, served by one fan-out with one
+// chunk schedule over every shard of a query, served on a scan board with one
 // accumulator per worker, kept for the whole query and merged once at the
 // end. A Compiled query is immutable, and users never span chunks (the
 // clustering property of Section 4.1) or shards, so partial accumulators
@@ -22,21 +24,35 @@ import (
 // (internal/plan), and through it the query server, executes every query
 // through a Schedule.
 
-// Pool is a bounded set of workers shared by concurrent query executions.
-// A server creates one Pool sized to the machine and routes every query's
-// chunk tasks through it, so total chunk-scan concurrency stays bounded no
-// matter how many requests are in flight. The zero value is not usable;
-// call NewPool.
+// Pool is a scan board shared by concurrent query executions: a bounded set
+// of workers serving every registered schedule, so total chunk-scan
+// concurrency stays bounded however many queries are in flight.
+//
+// A worker claims the next entry of the oldest registered schedule that has
+// fewer leads in flight than its Parallelism (the worker's lead) and pins its
+// chunk once. If the pin is transient — a chunk the cache will not keep — the
+// worker also claims the same (table, chunk) in every registered schedule
+// (its riders), scans each into that schedule's accumulator for the worker,
+// and releases the chunk once: Zukowski et al.'s cooperative scans (VLDB
+// 2007). A resident or kept chunk takes no riders: the other query's own pin
+// hits, and riding would only queue its scan behind the lead's. Parallelism
+// caps a schedule's leads, not the riders it takes.
+//
+// Deadlock-freedom: a claim waits for nothing but its pin, which waits at
+// most for another worker's single-flight load, so every claim completes. A
+// worker idles only while no schedule has a claimable entry, and a schedule
+// at its cap has a lead in flight whose worker claims again when it ends, so
+// every registered entry is claimed. Run waits only for its own entries.
+// The zero value is not usable; call NewPool.
 type Pool struct {
-	tasks   chan func()
 	wg      sync.WaitGroup
 	workers int
 
-	// mu protects closed and orders submissions against Close: submitters
-	// hold the read side across the channel send, so the channel can only
-	// be closed when no send is in flight (no send-on-closed panic, even
-	// if a query races a server shutdown).
-	mu     sync.RWMutex
+	// mu guards the board, every registered schedule's claim state and
+	// closed; wake is broadcast when a schedule registers or the pool closes.
+	mu     sync.Mutex
+	wake   sync.Cond
+	board  []*Schedule // registered schedules with unclaimed entries, oldest first
 	closed bool
 }
 
@@ -46,65 +62,181 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{tasks: make(chan func()), workers: workers}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for f := range p.tasks {
-				f()
-			}
-		}()
-	}
+	p := newPool(workers)
+	p.start()
 	return p
+}
+
+// newPool returns a board for workers workers; start launches them.
+func newPool(workers int) *Pool {
+	p := &Pool{workers: workers}
+	p.wake.L = &p.mu
+	return p
+}
+
+func (p *Pool) start() {
+	for w := range p.workers {
+		p.wg.Add(1)
+		go p.work(w)
+	}
 }
 
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// submit enqueues f, blocking until a worker accepts it. It reports false
-// (dropping f) if the pool is closed. The read lock is held across the
-// send: concurrent submitters proceed in parallel, while Close's write
-// lock waits for every in-flight send before the channel closes.
-func (p *Pool) submit(f func()) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false
-	}
-	p.tasks <- f
-	return true
-}
-
-// Close stops the workers after draining queued tasks. Submissions racing
-// Close are safe: they either enqueue before the channel closes or report
-// false, and the executor falls back to running those tasks inline.
+// Close stops the workers once every registered schedule is claimed. A Run
+// racing Close either registers first, and is served before the workers
+// exit, or finds the pool closed and serves itself on a private board.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
+	p.closed = true
+	p.wake.Broadcast()
 	p.mu.Unlock()
 	p.wg.Wait()
 }
 
+// register puts s on the board, reporting false if the pool is closed.
+func (p *Pool) register(s *Schedule) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
+	}
+	s.accs = make([]*Accumulator, p.workers)
+	s.limit = s.opts.workers()
+	s.unclaimed, s.pending = len(s.entries), len(s.entries)
+	s.done = make(chan struct{})
+	p.board = append(p.board, s)
+	p.wake.Broadcast()
+	return true
+}
+
+// work is worker w's loop: claim a lead, serve it and its riders, complete
+// them, until the pool is closed with nothing left to claim. An idle worker
+// reaches nothing it served: lead is scoped to one round, riders is cleared.
+func (p *Pool) work(w int) {
+	defer p.wg.Done()
+	var riders []*entry
+	p.mu.Lock()
+	for {
+		lead := p.leadLocked()
+		if lead == nil {
+			if p.closed {
+				break
+			}
+			p.wake.Wait()
+			continue
+		}
+		p.mu.Unlock()
+		riders = append(p.serve(w, lead, riders), lead)
+		p.mu.Lock()
+		lead.sink.s.leads--
+		for _, e := range riders {
+			e.sink.s.completeLocked(1)
+		}
+		clear(riders)
+		riders = riders[:0]
+	}
+	p.mu.Unlock()
+}
+
+// leadLocked claims the next entry of the oldest schedule below its cap. A
+// failed or cancelled schedule it passes is drained: its unclaimed entries
+// complete unscanned.
+func (p *Pool) leadLocked() (lead *entry) {
+	for _, s := range p.board {
+		if s.err != nil || s.opts.cancelled() {
+			s.completeLocked(s.unclaimed)
+			s.unclaimed = 0
+			continue
+		}
+		if s.leads < s.limit {
+			for s.entries[s.next].claimed {
+				s.next++
+			}
+			lead = &s.entries[s.next]
+			lead.claimed, s.unclaimed, s.leads = true, s.unclaimed-1, s.leads+1
+			break
+		}
+	}
+	p.board = slices.DeleteFunc(p.board, (*Schedule).allClaimed)
+	return lead
+}
+
+// rideLocked claims the unclaimed entries for chunk i of tbl in every
+// registered schedule that has neither failed nor been cancelled, and
+// appends them to riders.
+func (p *Pool) rideLocked(tbl *storage.Table, i int, riders []*entry) []*entry {
+	for _, s := range p.board {
+		if s.err != nil || s.opts.cancelled() {
+			continue
+		}
+		for _, sk := range s.sinks {
+			if sk.tbl != tbl {
+				continue
+			}
+			run := s.entries[sk.lo:sk.hi]
+			j, found := slices.BinarySearchFunc(run, i, func(e entry, i int) int { return cmp.Compare(e.chunk, i) })
+			if found && !run[j].claimed {
+				run[j].claimed, s.unclaimed = true, s.unclaimed-1
+				riders = append(riders, &run[j])
+			}
+		}
+	}
+	p.board = slices.DeleteFunc(p.board, (*Schedule).allClaimed)
+	return riders
+}
+
+// serve scans worker w's lead on one pin and, when the pin is transient or
+// fails, claims the chunk's riders into riders. A failed pin fails the
+// lead's and every rider's schedule, each error naming its entry's shard.
+func (p *Pool) serve(w int, lead *entry, riders []*entry) []*entry {
+	sp, t0 := lead.sink.chunks.start(lead.chunk)
+	ch, release, err := lead.c.tbl.PinChunk(lead.chunk)
+	if err != nil || ch.Transient() {
+		p.mu.Lock()
+		riders = p.rideLocked(lead.c.tbl, lead.chunk, riders)
+		if err != nil {
+			lead.failLocked(err)
+			for _, r := range riders {
+				r.failLocked(err)
+			}
+		}
+		p.mu.Unlock()
+	}
+	if err != nil {
+		lead.sink.chunks.end(sp, t0)
+		return riders
+	}
+	defer release()
+	lead.scan(w, ch, sp, t0)
+	for _, r := range riders {
+		sp, t0 := r.sink.chunks.start(r.chunk)
+		r.scan(w, ch, sp, t0)
+		r.sink.ridden.Add(1)
+		obs.ChunkRidesTotal.Inc()
+	}
+	return riders
+}
+
 // RunOptions controls the physical execution of a query's schedule.
 type RunOptions struct {
-	// Parallelism is the number of chunks processed concurrently, across
-	// every shard of the query. 0 or 1 selects the paper's single-threaded
-	// execution; negative uses GOMAXPROCS workers. When Pool is set, the
-	// query's fan-out is additionally capped by the pool's worker count.
+	// Parallelism is the number of the query's chunks pinned and scanned
+	// concurrently as leads, across every shard of the query; it does not
+	// cap its riders (see Pool). 0 or 1 selects the paper's single-threaded
+	// execution; negative uses GOMAXPROCS workers. When Pool is set, it is
+	// additionally capped by the pool's worker count.
 	Parallelism int
-	// Pool, when non-nil, executes chunk tasks on the shared pool instead
-	// of spawning per-query goroutines, bounding total concurrency across
-	// simultaneous queries.
+	// Pool, when non-nil, serves the schedule on the shared scan board, not
+	// a private one, bounding total concurrency across simultaneous queries
+	// and letting their transient chunk loads serve each other.
 	Pool *Pool
-	// Ctx, when non-nil, cancels the execution: workers stop picking up
-	// chunks once the context is done, so a disconnected client's fan-out
-	// releases its pool workers instead of scanning to completion. Callers
-	// observe the cancellation via Ctx.Err(); a cancelled run's partial
-	// result must be discarded.
+	// Ctx, when non-nil, cancels the execution: once the context is done
+	// the board drains the schedule's unclaimed entries and skips its
+	// riders, so a disconnected client's query releases the pool workers
+	// instead of scanning to completion, and never cancels another query's
+	// lead. Callers observe the cancellation via Ctx.Err(); a cancelled
+	// run's partial result must be discarded.
 	Ctx context.Context
 	// Stats, when non-nil, receives decoder-level execution counters
 	// (shared across workers; updated atomically).
@@ -113,8 +245,9 @@ type RunOptions struct {
 	// "shard i" child per shard, carrying its chunks' aggregated counters,
 	// their summed scan time (busy_us) and per-chunk children (capped at
 	// maxTraceChunks), with a "delta union" child for a live shard's union
-	// table, and a "merge" child timing the one merge. The shard spans
-	// themselves cover the whole fan-out, so busy_us is where a shard's own
+	// table, and a "merge" child timing the one merge. Both also carry
+	// chunks_ridden, their chunks scanned as riders. The shard spans
+	// themselves cover the whole schedule, so busy_us is where a shard's own
 	// time shows. Nil (the default) costs one pointer test per chunk.
 	Trace *obs.Span
 }
@@ -140,7 +273,7 @@ func (o RunOptions) workers() int {
 
 // Schedule is one query's work list: an entry per chunk the query scans,
 // over every shard's union table and sealed tier, pruned once as each shard
-// is added (AddShard). Run serves the whole list with one fan-out and one
+// is added (AddShard). Run serves the whole list on one board with one
 // accumulator per worker, merged once, so Parallelism and Pool cap the
 // query, not each shard. Users never span chunks, shards, or a live shard's
 // sealed and union tables (the union table owns every delta user), so all
@@ -151,26 +284,45 @@ type Schedule struct {
 	shards  int
 	entries []entry
 	sinks   []*sink
+
+	// The board state, guarded by the serving pool's mu from register on:
+	// leads counts the entries being served as this schedule's leads, up to
+	// limit; every entry before next is claimed; done closes when pending
+	// (the entries not yet complete) reaches 0; err is the first failure.
+	limit, leads, next, unclaimed, pending int
+	err                                    error
+	done                                   chan struct{}
+
+	// accs[w] is pool worker w's accumulator, made on its first scan of an
+	// entry of the schedule, lead or rider, and touched by w alone.
+	accs []*Accumulator
 }
 
 // entry is one chunk of the schedule: the binding that scans it, its index
-// in that binding's table, the sealed users it skips and where its tallies
-// land.
+// in that binding's table, the sealed users it skips, where its tallies
+// land, and whether a worker has claimed it (guarded by the pool's mu).
 type entry struct {
-	c     *Compiled
-	chunk int
-	skip  map[uint64]bool
-	sink  *sink
+	c       *Compiled
+	chunk   int
+	skip    map[uint64]bool
+	sink    *sink
+	claimed bool
 }
 
-// sink is where one table's entries report: the span their tallies
-// aggregate on, with its per-chunk tracer, the shard a load error names,
-// and whether ExecStats counts them. ExecStats counts sealed entries only;
-// a union table's scan shows in the delta counters.
+// sink is where one table's entries report: their schedule, the span their
+// tallies aggregate on, with its per-chunk tracer, the shard a load error
+// names, whether ExecStats counts them, and how many were scanned as riders.
+// ExecStats counts sealed entries only; a union table's scan shows in the
+// delta counters. A rider for a chunk of tbl is looked up in entries[lo:hi],
+// which are in chunk order.
 type sink struct {
+	s      *Schedule
 	chunks chunkTracer
 	shard  int
 	sealed bool
+	ridden atomic.Int64
+	tbl    *storage.Table
+	lo, hi int
 }
 
 // NewSchedule starts an empty schedule run with opts.
@@ -181,7 +333,7 @@ func NewSchedule(opts RunOptions) *Schedule {
 // add appends the chunks of c's table that pruning keeps, in index order,
 // reporting to a new sink on span, for the shard AddShard is adding.
 func (s *Schedule) add(c *Compiled, skip map[uint64]bool, span *obs.Span, sealed bool) {
-	sk := &sink{chunks: chunkTracer{parent: span}, shard: s.shards - 1, sealed: sealed}
+	sk := &sink{s: s, chunks: chunkTracer{parent: span}, shard: s.shards - 1, sealed: sealed, tbl: c.tbl, lo: len(s.entries)}
 	s.sinks = append(s.sinks, sk)
 	s.nAggs = c.NumAggs()
 	prune := c.PruneMap()
@@ -194,6 +346,7 @@ func (s *Schedule) add(c *Compiled, skip map[uint64]bool, span *obs.Span, sealed
 		}
 		s.entries = append(s.entries, entry{c: c, chunk: i, skip: skip, sink: sk})
 	}
+	sk.hi = len(s.entries)
 	if sealed && s.opts.Stats != nil {
 		s.opts.Stats.ChunksPruned.Add(pruned)
 	}
@@ -205,44 +358,82 @@ func (s *Schedule) add(c *Compiled, skip map[uint64]bool, span *obs.Span, sealed
 // Run serves the schedule and returns the merged accumulator. The error is
 // non-nil only when a lazy chunk load fails (e.g. a missing or corrupt
 // segment file); it names the chunk's shard. The shard and delta union
-// spans end once the workers are done, before the merge.
+// spans end once every entry is served, before the merge.
+//
+// Which worker scans an entry, and whether as a lead or a rider, is a race,
+// and merge order is worker order; neither is observable: measure sums add
+// exactly (int64 values in float64), min/max and counts are order-free, and
+// Result sorts cohorts — the equivalence tests pin pooled, parallel,
+// sharded and ridden runs bit-for-bit against a one-worker run.
 func (s *Schedule) Run() (*Accumulator, error) {
-	accs, err := s.fanOut()
+	s.serve()
 	for _, sk := range s.sinks {
 		sk.chunks.parent.SetInt("busy_us", sk.chunks.busyNs.Load()/1000)
+		sk.chunks.parent.SetInt("chunks_ridden", sk.ridden.Load())
 		sk.chunks.parent.End()
 	}
-	if err != nil {
-		return nil, err
+	if s.err != nil {
+		return nil, s.err
 	}
 	m := s.opts.Trace.Child("merge")
+	defer m.End()
+	accs := slices.DeleteFunc(s.accs, func(a *Accumulator) bool { return a == nil })
+	if len(accs) == 0 {
+		return NewAccumulator(s.nAggs), nil
+	}
 	for _, a := range accs[1:] {
 		accs[0].Merge(a)
 	}
-	m.End()
 	return accs[0], nil
 }
 
-// firstError collects the first chunk-load failure across workers; later
-// errors are dropped (they are almost always the same root cause), and
-// remaining chunks are drained without scanning.
-type firstError struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstError) set(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
+// serve registers the schedule on its pool, or, without one or when that
+// pool is closed, on a private board of min(workers, entries) goroutines,
+// and waits until every entry is complete.
+func (s *Schedule) serve() {
+	if len(s.entries) == 0 {
+		return
 	}
-	f.mu.Unlock()
+	p := s.opts.Pool
+	if p == nil || !p.register(s) {
+		p = newPool(min(s.opts.workers(), len(s.entries)))
+		p.register(s)
+		p.start()
+		defer p.Close()
+	}
+	<-s.done
 }
 
-func (f *firstError) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
+// allClaimed reports whether s has no unclaimed entry left, so it leaves
+// the board.
+func (s *Schedule) allClaimed() bool { return s.unclaimed == 0 }
+
+// completeLocked records n of s's entries complete, served or drained, and
+// ends Run's wait after the last.
+func (s *Schedule) completeLocked(n int) {
+	if s.pending -= n; s.pending == 0 {
+		close(s.done)
+	}
+}
+
+// failLocked records the failure of e's pin on its schedule, unless that
+// already failed.
+func (e *entry) failLocked(err error) {
+	if s := e.sink.s; s.err == nil {
+		s.err = fmt.Errorf("shard %d: %w", e.sink.shard, err)
+	}
+}
+
+// scan folds e's chunk, pinned as ch, into worker w's accumulator and
+// records the chunk's tallies; sp and t0 are its span and start.
+func (e *entry) scan(w int, ch *storage.Chunk, sp *obs.Span, t0 time.Time) {
+	s := e.sink.s
+	if s.accs[w] == nil {
+		s.accs[w] = NewAccumulator(s.nAggs)
+	}
+	st := e.c.scanPinned(ch, s.accs[w], e.skip)
+	e.sink.chunks.end(sp, t0)
+	s.record(e.sink, sp, st)
 }
 
 // maxTraceChunks caps the per-chunk child spans attached to one shard or
@@ -324,75 +515,4 @@ func (s *Schedule) record(sk *sink, sp *obs.Span, st ChunkStats) {
 		t.AddInt("rows_batched", st.RowsBatched)
 		t.AddInt("chunks_scanned", 1)
 	}
-}
-
-// fanOut runs the schedule's entries on min(workers, entries) tasks. Each
-// task folds every entry it takes into one accumulator of its own, kept for
-// the whole query, whatever shard or table the entry comes from; Run merges
-// those accumulators once, after the last task ends. After a worker's first
-// chunks its cohort states and buckets exist, so a chunk costs array updates
-// (Section 4.4), and memory is one accumulator per worker.
-//
-// Deadlock-freedom with a shared pool: next is fully buffered and closed
-// before any task starts, and a task waits on nothing else, so a task that
-// reaches a pool worker always runs to completion and frees the worker, even
-// while this goroutine is still blocked submitting the query's remaining
-// tasks. Without a pool the caller runs the last task itself instead of
-// idling in wg.Wait. Which entries a worker takes is a race, and merge order
-// is worker order; neither is observable: measure sums add exactly (int64
-// values in float64), min/max and counts are order-free, and Result sorts
-// cohorts — the equivalence tests pin pooled, parallel and sharded runs
-// bit-for-bit against a one-worker run.
-func (s *Schedule) fanOut() ([]*Accumulator, error) {
-	workers := min(s.opts.workers(), len(s.entries))
-	accs := make([]*Accumulator, max(workers, 1))
-	for w := range accs {
-		accs[w] = NewAccumulator(s.nAggs)
-	}
-	if workers == 0 {
-		return accs, nil
-	}
-	next := make(chan int, len(s.entries))
-	for i := range s.entries {
-		next <- i
-	}
-	close(next)
-	var ferr firstError
-	var wg sync.WaitGroup
-	for w, mine := range accs {
-		task := func() {
-			defer wg.Done()
-			for i := range next {
-				if s.opts.cancelled() || ferr.get() != nil {
-					// Drain without scanning: the channel is already
-					// closed, so this ends promptly and frees the worker.
-					continue
-				}
-				e := &s.entries[i]
-				sp, t0 := e.sink.chunks.start(e.chunk)
-				st, err := e.c.runChunk(e.chunk, mine, e.skip)
-				e.sink.chunks.end(sp, t0)
-				if err != nil {
-					ferr.set(fmt.Errorf("shard %d: %w", e.sink.shard, err))
-					continue
-				}
-				s.record(e.sink, sp, st)
-			}
-		}
-		wg.Add(1)
-		switch {
-		case s.opts.Pool != nil:
-			if !s.opts.Pool.submit(task) {
-				// Pool closed mid-shutdown: fall back to inline
-				// execution so the query still completes.
-				task()
-			}
-		case w == workers-1:
-			task()
-		default:
-			go task()
-		}
-	}
-	wg.Wait()
-	return accs, ferr.get()
 }

@@ -81,7 +81,7 @@ type ExecStats struct {
 	RowsBatched atomic.Int64
 }
 
-// ChunkStats is one chunk scan's decoder-level tallies. runChunk returns
+// ChunkStats is one chunk scan's decoder-level tallies. scanPinned returns
 // them by value so each chunk task owns its counts; callers fold them into
 // the shared ExecStats atomics, the process metrics and the trace — the
 // per-task-with-merge shape that keeps the hot loop free of shared writes.

@@ -123,3 +123,66 @@ func TestScheduleAccumulatorsPerWorker(t *testing.T) {
 	}
 	t.Logf("allocs per run: one shard %.0f (%d chunks), two live shards %.0f (%d chunks)", oneAllocs, whole.NumChunks(), liveAllocs, chunks)
 }
+
+// TestUnionBindingCachedPerQuery pins the union table's binding to one
+// compile per (generation, plan query): a live shard's repeated query reuses
+// the binding its UnionDelta cached, so putting the shard on a schedule
+// allocates far less than binding the union table afresh, and both
+// schedules return the same result.
+func TestUnionBindingCachedPerQuery(t *testing.T) {
+	rows := allocRows(t)
+	schema := rows.Schema()
+	sealed, delta := activity.NewTable(schema), activity.NewTable(schema)
+	n := 0
+	rows.UserBlocks(func(user string, start, end int) {
+		if n++; n%16 == 0 {
+			delta.AppendRows(rows, end-1, end)
+			end--
+		}
+		sealed.AppendRows(rows, start, end)
+	})
+	if err := sealed.SortByPK(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := storage.Build(sealed, storage.Options{ChunkSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := delta.SortByPK(); err != nil {
+		t.Fatal(err)
+	}
+	pre, err := BuildUnionDelta(tbl, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(kernelTemplates()[0].q, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := func(pre *UnionDelta) *Schedule {
+		s := NewSchedule(RunOptions{})
+		if err := s.AddShard(c, delta, pre); err != nil {
+			panic(err)
+		}
+		return s
+	}
+	// fresh is the same union input with no binding cached yet.
+	fresh := func() *UnionDelta { return &UnionDelta{Table: pre.Table, SkipUsers: pre.SkipUsers} }
+	first := schedule(pre)
+	if uc := first.entries[0].c; uc.tbl != pre.Table || schedule(pre).entries[0].c != uc {
+		t.Fatal("the union table's entries do not share one cached binding across schedules")
+	}
+	want := runSchedule([]scheduleShard{{c: c, delta: delta, pre: fresh()}}, RunOptions{})
+	if d := want.Diff(runSchedule([]scheduleShard{{c: c, delta: delta, pre: pre}}, RunOptions{})); d != "" {
+		t.Fatalf("cached union binding changes the result: %s", d)
+	}
+	if raceEnabled {
+		return
+	}
+	cached := testing.AllocsPerRun(50, func() { schedule(pre) })
+	uncached := testing.AllocsPerRun(50, func() { schedule(fresh()) })
+	if cached > uncached-8 {
+		t.Errorf("AddShard with a cached union binding: %.0f allocs, want at least 8 fewer than binding afresh (%.0f)", cached, uncached)
+	}
+	t.Logf("AddShard allocs: cached binding %.0f, fresh binding %.0f", cached, uncached)
+}

@@ -2,6 +2,7 @@ package cohort
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/activity"
 	"repro/internal/obs"
@@ -31,6 +32,32 @@ import (
 type UnionDelta struct {
 	Table     *storage.Table
 	SkipUsers map[uint64]bool
+
+	// bindings caches Table's binding per plan query (the *Query a plan
+	// cache keeps), so a repeated query binds it once per generation; it is
+	// emptied at maxUnionBindings entries, so it cannot grow without bound.
+	mu       sync.Mutex
+	bindings map[*Query]*Compiled
+}
+
+const maxUnionBindings = 64
+
+// binding returns q compiled against the union table, cached per q.
+func (u *UnionDelta) binding(q *Query) (*Compiled, error) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if c := u.bindings[q]; c != nil {
+		return c, nil
+	}
+	c, err := Compile(q, u.Table)
+	if err != nil {
+		return nil, err
+	}
+	if u.bindings == nil || len(u.bindings) >= maxUnionBindings {
+		u.bindings = make(map[*Query]*Compiled)
+	}
+	u.bindings[q] = c
+	return c, nil
 }
 
 // BuildUnionDelta combines delta — a sorted uncompressed activity table
@@ -95,7 +122,8 @@ func BuildUnionDelta(tbl *storage.Table, delta *activity.Table) (*UnionDelta, er
 // never becomes the tail of the fan-out; then the sealed tier's chunks in
 // index order, skipping the users the union table owns. c is the shard's
 // sealed binding; pre, when non-nil, is the cached BuildUnionDelta result
-// for exactly this (sealed, delta) pair, and nil builds it for this query.
+// for exactly this (sealed, delta) pair, which also caches the union table's
+// binding of c.Query, and nil builds it for this query.
 // The error names the shard.
 func (s *Schedule) AddShard(c *Compiled, delta *activity.Table, pre *UnionDelta) error {
 	shard := s.shards
@@ -112,7 +140,7 @@ func (s *Schedule) AddShard(c *Compiled, delta *activity.Table, pre *UnionDelta)
 				return fmt.Errorf("shard %d: %w", shard, err)
 			}
 		}
-		uc, err := Compile(c.Query, pre.Table)
+		uc, err := pre.binding(c.Query)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", shard, err)
 		}

@@ -3,7 +3,7 @@ package cohort
 // The chunk kernel: Algorithms 1 and 2 run over one chunk, user block at a
 // time. The storage format of Section 4.1 keeps each user's tuples together
 // and time-ordered, so the birth tuple, the ages and the rows a query can
-// aggregate all follow from the block's packed codes, and runChunk selects
+// aggregate all follow from the block's packed codes, and scanPinned selects
 // first and decodes only what the selected rows need:
 //
 //   - GetBirthTuple reads the chunk's birth index for the birth action (see
@@ -251,29 +251,23 @@ func (vc *vecCond) filter(dst, src []int32, codes []uint64) ([]int32, int64) {
 	return dst[:k], int64(len(codes))
 }
 
-// runChunk executes the fused σb → σg → γc pipeline (Algorithms 1 and 2)
-// over one chunk, folding into acc, and returns the chunk's decoder-level
-// tallies. Callers should consult CanSkipChunk first; runChunk is still
-// correct without it, just slower. On lazy tables the chunk is loaded (and
-// pinned) on demand; the error is non-nil only when that load fails. skipUsers
-// holds user global-ids to skip: a live shard's sealed entries pass the
-// users that have fresh delta tuples — their sealed rows are scanned
-// together with the delta in the union table instead, so no user is
+// scanPinned executes the fused σb → σg → γc pipeline (Algorithms 1 and 2)
+// over ch, a chunk of c's table the caller holds pinned, folding into acc,
+// and returns the chunk's decoder-level tallies. Callers should consult
+// CanSkipChunk first; scanPinned is still correct without it, just slower.
+// skipUsers holds user global-ids to skip: a live shard's sealed entries
+// pass the users that have fresh delta tuples — their sealed rows are
+// scanned together with the delta in the union table instead, so no user is
 // aggregated twice.
-func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64]bool) (ChunkStats, error) {
+func (c *Compiled) scanPinned(ch *storage.Chunk, acc *Accumulator, skipUsers map[uint64]bool) ChunkStats {
 	if !c.birthOK {
-		return ChunkStats{}, nil
+		return ChunkStats{}
 	}
-	ch, release, err := c.tbl.PinChunk(chunkIdx)
-	if err != nil {
-		return ChunkStats{}, err
-	}
-	defer release()
 	actionCol := c.schema.ActionCol()
 	timeCol := c.schema.TimeCol()
 	birthCID, inChunk := ch.ChunkIDOf(actionCol, c.birthGID)
 	if !inChunk {
-		return ChunkStats{}, nil // no user here ever performs the birth action
+		return ChunkStats{} // no user here ever performs the birth action
 	}
 	tf := ch.Ints(timeCol)
 	// σb's pushed time range as a window of raw time codes: a birth time
@@ -283,7 +277,7 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 	if c.birthTime != nil {
 		lo, span, verdict, isConst := c.birthTime.bindCodes(tf)
 		if isConst && !verdict {
-			return ChunkStats{UsersSkippedByBirth: int64(ch.NumUsers())}, nil
+			return ChunkStats{UsersSkippedByBirth: int64(ch.NumUsers())}
 		}
 		if !isConst {
 			tLo, tSpan, timed = lo, span, true
@@ -529,5 +523,5 @@ func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64
 		}
 	}
 	scr.keyBuf = keyBuf
-	return st, nil
+	return st
 }

@@ -12,6 +12,18 @@ import (
 	"repro/internal/storage"
 )
 
+// runChunk pins chunk chunkIdx of c's table and scans it (scanPinned), as a
+// schedule's lead does: the tests' way to run the kernel on one chunk. The
+// error is non-nil only when a lazy load fails.
+func (c *Compiled) runChunk(chunkIdx int, acc *Accumulator, skipUsers map[uint64]bool) (ChunkStats, error) {
+	ch, release, err := c.tbl.PinChunk(chunkIdx)
+	if err != nil {
+		return ChunkStats{}, err
+	}
+	defer release()
+	return c.scanPinned(ch, acc, skipUsers), nil
+}
+
 func vectorFixture(tb testing.TB) *storage.Table {
 	return vectorFixtureChunked(tb, 120)
 }

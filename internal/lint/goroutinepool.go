@@ -12,7 +12,7 @@ import (
 // internal/cohort's shared Pool, so total chunk-scan concurrency stays
 // bounded no matter how many requests are in flight. The one structural
 // exception is the Pool's own executor file (internal/cohort/parallel.go),
-// which owns the worker goroutines and the poolless fallback; anything else
+// which owns the worker goroutines, a private board's among them; anything else
 // — bounded per-shard load fan-outs below the pool layer, lifecycle
 // goroutines — must justify itself with an inline
 // //lint:allow goroutinepool <reason>.
@@ -38,8 +38,8 @@ func runGoroutinePool(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
 		filename := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
 		if pass.Path == Module+"/internal/cohort" && filename == "parallel.go" {
-			// The Pool executor itself: the worker goroutines and the
-			// poolless fan-out fallback live here by design.
+			// The Pool executor itself: the shared and private boards'
+			// worker goroutines live here by design.
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -39,6 +39,8 @@ var (
 		"Chunks scanned by queries (post-pruning).")
 	ChunksPrunedTotal = Default.Counter("cohana_chunks_pruned_total",
 		"Chunks skipped by birth-range pruning.")
+	ChunkRidesTotal = Default.Counter("cohana_chunk_rides_total",
+		"Chunk scans served by another query's pin of a transient chunk (cooperative scans): one segment read shared instead of repeated.")
 	DeltaRowsScannedTotal = Default.Counter("cohana_delta_rows_scanned_total",
 		"Union-table rows (delta rows plus the sealed rows of their users) the chunk kernel scans in union execution.")
 )

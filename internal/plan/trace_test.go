@@ -87,7 +87,7 @@ func TestTracedQueryConcurrentRace(t *testing.T) {
 
 // TestShardBusyTime pins the busy_us attribute of a two-shard traced query
 // with a live delta: each shard span and its delta union span sum their own
-// chunks' scan time. That is at least the sum of their chunk child spans
+// chunks' scan time, and carry chunks_ridden (0 here: no other query). That is at least the sum of their chunk child spans
 // (every chunk is timed, the capped ones too) and at most what the query's
 // workers could spend in its wall time, although every shard span covers the
 // whole fan-out.
@@ -119,6 +119,10 @@ func TestShardBusyTime(t *testing.T) {
 		if busy <= 0 || busy < chunkNs/1000 || busy*1000 > workers*root.DurNs {
 			t.Errorf("%s: busy_us = %d, want within [%d, %d] (its chunk spans' sum, workers x query wall time)",
 				sp.Name, busy, chunkNs/1000, workers*root.DurNs/1000)
+		}
+		// A query alone on its eager tables shares no load with another.
+		if ridden, ok := sp.Attrs["chunks_ridden"]; !ok || ridden != 0 {
+			t.Errorf("%s: chunks_ridden = %d (set: %v), want 0", sp.Name, ridden, ok)
 		}
 		checked++
 	}

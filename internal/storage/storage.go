@@ -316,6 +316,10 @@ func (st *Table) LookupString(col int, v string) (uint64, bool) {
 // NumRows returns the number of tuples in the chunk.
 func (c *Chunk) NumRows() int { return c.numRows }
 
+// Transient reports whether the chunk is a transient load (see chunkArena):
+// its release drops it, and the next pin of the chunk reads it again.
+func (c *Chunk) Transient() bool { return c.transient }
+
 // NumUsers returns the number of distinct users in the chunk (one RLE run
 // per user thanks to the sorted order).
 func (c *Chunk) NumUsers() int { return c.users.NumRuns() }
