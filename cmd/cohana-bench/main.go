@@ -19,8 +19,8 @@
 // the pushdown selectivity sweep (value bytes decoded and encoded-domain
 // checks under the predicate pushdown), the metrics-overhead measurement
 // (the warm query path instrumented vs with metrics compiled to no-ops) and
-// the cold-start sweep (eager vs lazy reopen latency, open-time segment
-// reads and resident decoded bytes at chunk-cache budgets 10% and 100%) —
+// the cold-start sweep (reopen latency, open-time segment reads, first-query
+// latency and resident decoded bytes at chunk-cache budgets 10% and 100%) —
 // written to the given path, so the performance trajectory can be tracked
 // across PRs. With -baseline, the fresh report is additionally compared
 // against a previously recorded one and the run exits non-zero when any
@@ -29,7 +29,7 @@
 // when repeated queries stop hitting the plan cache, when the pushdown
 // compiles no encoded-domain check or decodes more than that factor of the
 // baseline's bytes, when the metrics layer costs more than 5% on the warm
-// path, or when a lazy open reads segments or overruns its cache budget
+// path, or when an open reads segments or overruns its cache budget
 // (CI's performance gate).
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, so kernel
@@ -149,8 +149,7 @@ func run() int {
 					c.Mode, cs.Scale, float64(c.OpenNsPerOp)/1e3, c.OpenSegmentReads,
 					float64(c.FirstQueryNsPerOp)/1e3, c.ResidentBytes, c.BudgetBytes)
 			}
-			fmt.Printf("cold start scale=%d: lazy open %.1fx faster than eager (%d chunks, %d segment bytes)\n",
-				cs.Scale, cs.OpenSpeedup, cs.Chunks, cs.SegmentBytes)
+			fmt.Printf("cold start scale=%d: %d chunks, %d segment bytes\n", cs.Scale, cs.Chunks, cs.SegmentBytes)
 		}
 		if *baseline != "" {
 			base, err := bench.ReadReport(*baseline)

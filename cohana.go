@@ -193,7 +193,7 @@ type Options struct {
 	// ChunkCacheBytes, when positive, sets the process-wide chunk cache
 	// budget (see storage.DefaultChunkCache) before the table opens. 0
 	// leaves the current budget untouched (unbounded unless someone set
-	// one); it is a process-wide knob, shared by every lazily opened table.
+	// one); it is a process-wide knob, shared by every opened table.
 	ChunkCacheBytes int64
 }
 
@@ -268,7 +268,7 @@ func Open(path string, opts Options) (*Engine, error) {
 	if opts.ChunkCacheBytes > 0 {
 		storage.DefaultChunkCache().SetBudget(opts.ChunkCacheBytes)
 	}
-	st, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true})
+	st, err := storage.ReadShardedWith(path, storage.ReadOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +361,7 @@ type Stats struct {
 	Users       int
 	Chunks      int
 	ChunkSize   int
-	EncodedSize int // serialized bytes (the Figure 7 storage metric)
+	EncodedSize int // chunk segment bytes a commit stores (the Figure 7 storage metric)
 	DeltaRows   int // appended rows awaiting compaction
 	Shards      int // user-hash partition count
 }

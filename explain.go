@@ -90,8 +90,8 @@ func (s *Snapshot) explainCohort(stmt *parser.CohortStmt) (string, error) {
 	// paper-scale tables don't drown the plan. Sharded tables get the detail
 	// per shard under the per-shard breakdown.
 	// Row/user counts come from chunk-level metadata (ChunkRows/ChunkUsers),
-	// which lazy tables answer from the manifest — a plain EXPLAIN performs
-	// zero segment loads.
+	// which every table answers from its chunk handles — a plain EXPLAIN
+	// performs zero segment loads.
 	const maxChunkLines = 12
 	chunkDetail := func(indent string, sealed *storage.Table, skip []bool) {
 		for ci, skipped := range skip {

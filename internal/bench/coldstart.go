@@ -14,18 +14,17 @@ import (
 
 // The cold-start sweep of the perf report: what lazy segment loading buys at
 // open time. A paper-density table (~1200 tuples per user, large chunks, so
-// segment decode — not metadata parse — dominates an eager open, as it does
-// on any table worth loading lazily) is committed to disk (manifest +
-// content-addressed segments) and reopened eager — every segment read and
-// decoded up front — versus lazy at two chunk-cache budgets: unbounded
-// ("100%") and a tenth of the table's segment bytes ("10%", the
-// table-larger-than-RAM stand-in). Each mode measures the open latency, the
-// segment reads the open itself performed, the first-query latency on the
-// cold table, and the decoded bytes resident once that query finishes.
+// segment decode — not metadata parse — dominates a chunk's first touch) is
+// committed to disk (manifest + content-addressed segments) and reopened at
+// two chunk-cache budgets: unbounded ("100%") and a tenth of the table's
+// segment bytes ("10%", the table-larger-than-RAM stand-in). Each mode
+// measures the open latency, the segment reads the open itself performed,
+// the first-query latency on the cold table, and the decoded bytes resident
+// once that query finishes.
 
 // coldStartMeanActions is the sweep table's tuple density. The paper's
 // dataset carries ~500 activity tuples per user; the figure workload's
-// default (60) is far thinner, which would understate what an eager open
+// default (60) is far thinner, which would understate what a first query
 // decodes. coldStartChunkSize sizes chunks so per-chunk metadata stays a
 // sliver of per-chunk data.
 const (
@@ -35,21 +34,20 @@ const (
 
 // ColdStartCase is one (mode, budget) measurement.
 type ColdStartCase struct {
-	// Mode is "eager", "lazy" (unbounded budget) or "lazy-10pct".
+	// Mode is "lazy" (unbounded budget) or "lazy-10pct".
 	Mode string `json:"mode"`
-	// BudgetBytes is the chunk-cache budget (0 = unbounded; eager has none).
+	// BudgetBytes is the chunk-cache budget (0 = unbounded).
 	BudgetBytes int64 `json:"budgetBytes"`
-	// OpenNsPerOp is the median open (manifest + eager decode) latency.
+	// OpenNsPerOp is the median open (manifest parse) latency.
 	OpenNsPerOp int64 `json:"openNsPerOp"`
-	// OpenSegmentReads counts segments read by one open: the whole table for
-	// eager, and — the O(manifest) cold-start contract — zero for lazy.
+	// OpenSegmentReads counts segments read by one open: zero, the
+	// O(manifest) cold-start contract.
 	OpenSegmentReads uint64 `json:"openSegmentReads"`
-	// FirstQueryNsPerOp is Q1 on the freshly opened table (cold chunks on
-	// the lazy paths pay their loads here).
+	// FirstQueryNsPerOp is Q1 on the freshly opened table (cold chunks pay
+	// their loads here).
 	FirstQueryNsPerOp int64 `json:"firstQueryNsPerOp"`
-	// ResidentBytes is the decoded segment bytes held in memory after the
-	// first query: the whole table for eager, cache-resident bytes for lazy
-	// (bounded by the budget once pins drop).
+	// ResidentBytes is the decoded segment bytes the cache holds after the
+	// first query (bounded by the budget once pins drop).
 	ResidentBytes int64 `json:"residentBytes"`
 }
 
@@ -61,12 +59,10 @@ type ColdStartReport struct {
 	Chunks       int             `json:"chunks"`
 	SegmentBytes int64           `json:"segmentBytes"`
 	Cases        []ColdStartCase `json:"cases"`
-	// OpenSpeedup is eager open ns over lazy (unbounded) open ns.
-	OpenSpeedup float64 `json:"openSpeedup"`
 }
 
-// ColdStart commits a paper-density table at one scale and measures eager
-// vs lazy reopen cost at budgets {10%, 100%}.
+// ColdStart commits a paper-density table at one scale and measures its
+// reopen cost at chunk-cache budgets {10%, 100%}.
 func ColdStart(wl *Workload, scale, repeats int) (*ColdStartReport, error) {
 	src := gen.Generate(gen.Config{
 		Users: wl.BaseUsers, Scale: scale, Seed: wl.Seed,
@@ -109,14 +105,13 @@ func ColdStart(wl *Workload, scale, repeats int) (*ColdStartReport, error) {
 		return err
 	}
 
-	// mk builds the open options for one attempt; lazy modes return a fresh
-	// private cache each time, so every open is genuinely cold.
-	measure := func(mode string, budget int64, mk func() storage.ReadOptions) (ColdStartCase, error) {
+	// Every open gets a fresh private cache, so it is genuinely cold.
+	measure := func(mode string, budget int64) (ColdStartCase, error) {
 		c := ColdStartCase{Mode: mode, BudgetBytes: budget}
 		// One counted open for the deterministic segment-read tally...
-		o := mk()
+		cache := storage.NewChunkCache(budget)
 		before := obs.SegmentReadsTotal.Value()
-		s, err := storage.ReadShardedWith(path, o)
+		s, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: cache})
 		if err != nil {
 			return c, err
 		}
@@ -127,33 +122,19 @@ func ColdStart(wl *Workload, scale, repeats int) (*ColdStartReport, error) {
 			return c, err
 		}
 		c.FirstQueryNsPerOp = time.Since(t0).Nanoseconds()
-		if o.Cache != nil {
-			// Cache-resident decoded bytes; each lazy case owns its cache,
-			// so this is exactly what this open's scans left behind.
-			c.ResidentBytes = o.Cache.Stats().ResidentBytes
-		} else {
-			c.ResidentBytes = segBytes // eager decodes everything up front
-		}
-		// ...then timed repeat opens (each with a fresh cache, so lazy pays
-		// its real manifest-only cost and eager its full decode every time).
+		// Each case owns its cache, so this is exactly what this open's
+		// scans left behind.
+		c.ResidentBytes = cache.Stats().ResidentBytes
+		// ...then timed repeat opens, each with a fresh cache.
 		c.OpenNsPerOp = timeIt(repeats, func() {
-			if _, err := storage.ReadShardedWith(path, mk()); err != nil {
+			if _, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: storage.NewChunkCache(budget)}); err != nil {
 				panic(err)
 			}
 		}).Nanoseconds()
 		return c, nil
 	}
 
-	eager, err := measure("eager", 0, func() storage.ReadOptions { return storage.ReadOptions{} })
-	if err != nil {
-		return nil, fmt.Errorf("bench: cold start eager: %w", err)
-	}
-	lazyOpts := func(budget int64) func() storage.ReadOptions {
-		return func() storage.ReadOptions {
-			return storage.ReadOptions{Lazy: true, Cache: storage.NewChunkCache(budget)}
-		}
-	}
-	lazy, err := measure("lazy", 0, lazyOpts(0))
+	lazy, err := measure("lazy", 0)
 	if err != nil {
 		return nil, fmt.Errorf("bench: cold start lazy: %w", err)
 	}
@@ -161,13 +142,10 @@ func ColdStart(wl *Workload, scale, repeats int) (*ColdStartReport, error) {
 	if budget < 1 {
 		budget = 1
 	}
-	lazyTight, err := measure("lazy-10pct", budget, lazyOpts(budget))
+	lazyTight, err := measure("lazy-10pct", budget)
 	if err != nil {
 		return nil, fmt.Errorf("bench: cold start lazy-10pct: %w", err)
 	}
-	rep.Cases = []ColdStartCase{eager, lazy, lazyTight}
-	if lazy.OpenNsPerOp > 0 {
-		rep.OpenSpeedup = float64(eager.OpenNsPerOp) / float64(lazy.OpenNsPerOp)
-	}
+	rep.Cases = []ColdStartCase{lazy, lazyTight}
 	return rep, nil
 }

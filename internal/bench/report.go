@@ -45,9 +45,9 @@ type Report struct {
 	// at the largest configured scale: what the always-on metrics layer
 	// costs on the hot path.
 	MetricsOverhead []MetricsOverheadReport `json:"metricsOverhead"`
-	// ColdStart holds the eager-vs-lazy reopen sweep at the largest
-	// configured scale: open latency, open-time segment reads, first-query
-	// latency and resident decoded bytes at chunk-cache budgets {10%, 100%}.
+	// ColdStart holds the reopen sweep at the largest configured scale: open
+	// latency, open-time segment reads, first-query latency and resident
+	// decoded bytes at chunk-cache budgets {10%, 100%}.
 	ColdStart *ColdStartReport `json:"coldStart"`
 }
 
@@ -339,15 +339,12 @@ func CompareReports(cur, base *Report, factor float64) []string {
 					p.Query, p.Scale, ratio, p.InstrumentedNsPerOp, p.NoopNsPerOp, p.OverheadPct))
 		}
 	}
-	// The cold-start gate. Deterministic checks on cur alone — the lazy open
-	// contract holds regardless of machine speed: lazy opens read zero
-	// segments, and the budgeted cache ends the first query within its
-	// budget. Open and first-query times are reported, not gated.
+	// The cold-start gate. Deterministic checks on cur alone — the O(manifest)
+	// open contract holds regardless of machine speed: opens read zero segments,
+	// and the budgeted cache ends the first query within its budget. Open
+	// and first-query times are reported, not gated.
 	if cs := cur.ColdStart; cs != nil {
 		for _, c := range cs.Cases {
-			if c.Mode == "eager" {
-				continue
-			}
 			if c.OpenSegmentReads != 0 {
 				violations = append(violations,
 					fmt.Sprintf("cold start %s scale %d: open performed %d segment reads, want 0 — open is no longer O(manifest)",

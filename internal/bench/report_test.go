@@ -75,11 +75,11 @@ func TestJSONReportShape(t *testing.T) {
 		}
 	}
 
-	// The cold-start sweep records all three modes: lazy opens read zero
-	// segments, eager reads one per chunk, and the budgeted case stays
-	// within its budget once the first query finishes.
-	if rep.ColdStart == nil || len(rep.ColdStart.Cases) != 3 {
-		t.Fatalf("cold start sweep = %+v, want 3 cases", rep.ColdStart)
+	// The cold-start sweep records both budgets: opens read zero segments,
+	// and the budgeted case stays within its budget once the first query
+	// finishes.
+	if rep.ColdStart == nil || len(rep.ColdStart.Cases) != 2 {
+		t.Fatalf("cold start sweep = %+v, want 2 cases", rep.ColdStart)
 	}
 	if rep.ColdStart.Chunks <= 0 || rep.ColdStart.SegmentBytes <= 0 {
 		t.Fatalf("degenerate cold-start table: %+v", rep.ColdStart)
@@ -88,18 +88,11 @@ func TestJSONReportShape(t *testing.T) {
 		if c.OpenNsPerOp <= 0 || c.FirstQueryNsPerOp <= 0 {
 			t.Fatalf("degenerate cold-start case %+v", c)
 		}
-		switch c.Mode {
-		case "eager":
-			if c.OpenSegmentReads != uint64(rep.ColdStart.Chunks) {
-				t.Fatalf("eager open read %d segments, want %d", c.OpenSegmentReads, rep.ColdStart.Chunks)
-			}
-		default:
-			if c.OpenSegmentReads != 0 {
-				t.Fatalf("%s open read %d segments, want 0", c.Mode, c.OpenSegmentReads)
-			}
-			if c.BudgetBytes > 0 && c.ResidentBytes > c.BudgetBytes {
-				t.Fatalf("%s resident %d bytes over budget %d", c.Mode, c.ResidentBytes, c.BudgetBytes)
-			}
+		if c.OpenSegmentReads != 0 {
+			t.Fatalf("%s open read %d segments, want 0", c.Mode, c.OpenSegmentReads)
+		}
+		if c.BudgetBytes > 0 && c.ResidentBytes > c.BudgetBytes {
+			t.Fatalf("%s resident %d bytes over budget %d", c.Mode, c.ResidentBytes, c.BudgetBytes)
 		}
 	}
 
@@ -140,7 +133,6 @@ func TestJSONReportShape(t *testing.T) {
 	for i := range pinnedCS.Cases {
 		pinnedCS.Cases[i].OpenNsPerOp = pinnedCS.Cases[0].OpenNsPerOp
 	}
-	pinnedCS.OpenSpeedup = 1
 	pinned.ColdStart = &pinnedCS
 
 	// A report never regresses against itself; a regression far above the
@@ -216,12 +208,12 @@ func TestJSONReportShape(t *testing.T) {
 		r.ColdStart = &cs
 		return &r
 	}
-	warm := withColdStart(func(cs *ColdStartReport) { cs.Cases[1].OpenSegmentReads = 5 })
+	warm := withColdStart(func(cs *ColdStartReport) { cs.Cases[0].OpenSegmentReads = 5 })
 	if v := CompareReports(warm, warm, 2.0); len(v) != 1 {
 		t.Fatalf("segment-reading lazy open produced %d violations, want 1: %v", len(v), v)
 	}
 	overBudget := withColdStart(func(cs *ColdStartReport) {
-		cs.Cases[2].ResidentBytes = cs.Cases[2].BudgetBytes + 1
+		cs.Cases[1].ResidentBytes = cs.Cases[1].BudgetBytes + 1
 	})
 	if v := CompareReports(overBudget, overBudget, 2.0); len(v) != 1 {
 		t.Fatalf("over-budget resident bytes produced %d violations, want 1: %v", len(v), v)

@@ -33,7 +33,7 @@ func lazyTable(t *testing.T, cache *storage.ChunkCache) (*storage.Table, string)
 	if _, err := storage.CommitSharded(path, s); err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true, Cache: cache})
+	lazy, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestScheduleRidersShareTransientLoads(t *testing.T) {
 }
 
 // TestResidentChunksNeverRide: a chunk the cache keeps takes no riders,
-// since each query's own pin hits it. With an unbounded cache, and on an
-// eager table, two overlapping schedules ride 0 chunks and still return
-// their solo results.
+// since each query's own pin hits it. With an unbounded cache, and on a
+// table built in memory (every chunk perm), two overlapping schedules ride 0
+// chunks and still return their solo results.
 func TestResidentChunksNeverRide(t *testing.T) {
 	lazy, _ := lazyTable(t, storage.NewChunkCache(0))
-	for name, tbl := range map[string]*storage.Table{"lazy": lazy, "eager": genStore(t)} {
+	for name, tbl := range map[string]*storage.Table{"lazy": lazy, "built": genStore(t)} {
 		qs := boardQueries()
 		cs := compileAll(t, qs, tbl)
 		pool := newPool(1)

@@ -155,9 +155,9 @@ func (e *chunkEnv) Age() int64                  { return e.age }
 // disjoint chunk range for integer comparisons). Age conditions must never
 // prune a chunk: its users still contribute to cohort sizes.
 //
-// Pruning answers from chunk-level stats without touching the payload — on
-// lazy tables these come from the manifest, so a pruned chunk is never
-// loaded, and the decision is independent of cache state (prune maps and
+// Pruning answers from the chunk handles' stats without touching the payload
+// — on an opened table these come from the manifest, so a pruned chunk is
+// never loaded, and the decision is independent of cache state (prune maps and
 // result-cache fingerprints stay deterministic).
 func (c *Compiled) CanSkipChunk(chunkIdx int) bool {
 	if !c.birthOK {

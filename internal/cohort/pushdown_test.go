@@ -175,7 +175,11 @@ func FuzzPushdownPredicate(f *testing.F) {
 		split := compilePushdown(cond, schema, tbl)
 		timeRange, timed := split.takeRange(schema.TimeCol())
 		for ci := 0; ci < tbl.NumChunks(); ci++ {
-			ch := tbl.Chunk(ci)
+			ch, release, err := tbl.PinChunk(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
 			bv, _ := pd.bindVec(ch, nil)
 			sv, _ := split.bindVec(ch, nil)
 			tLo, tSpan, verdict, isConst := timeRange.bindCodes(ch.Ints(schema.TimeCol()))

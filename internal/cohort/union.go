@@ -63,7 +63,7 @@ func (u *UnionDelta) binding(q *Query) (*Compiled, error) {
 // BuildUnionDelta combines delta — a sorted uncompressed activity table
 // sharing tbl's schema — with the sealed blocks of its users, located via
 // the table's sorted user ranges (Table.FindUser), so no side index is
-// needed and lazy tables only load the chunks owning delta users.
+// needed and an opened table loads only the chunks owning delta users.
 func BuildUnionDelta(tbl *storage.Table, delta *activity.Table) (*UnionDelta, error) {
 	if !delta.Sorted() {
 		return nil, fmt.Errorf("cohort: delta tier must be sorted by primary key")

@@ -30,18 +30,6 @@ func BuildDict(values []string) *Dict {
 	return &Dict{values: uniq}
 }
 
-// SortedDict wraps values that are already distinct and ascending — the users
-// of a sorted table, in block order — as a dictionary; the slice is adopted,
-// not copied.
-func SortedDict(values []string) (*Dict, error) {
-	for i := 1; i < len(values); i++ {
-		if values[i] <= values[i-1] {
-			return nil, fmt.Errorf("encoding: dict values not strictly ascending at %d", i)
-		}
-	}
-	return &Dict{values: values}, nil
-}
-
 // Grow returns the dictionary of d's values plus values, and remap, which
 // takes an id of d to the same value's id in the result. A compaction grows a
 // sealed dictionary by a delta batch this way: it costs a binary search per

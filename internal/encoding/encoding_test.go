@@ -461,11 +461,7 @@ func firstInRunsScalar(values []uint64, runs *RLE, v uint64) (out []uint64, comp
 // scalar reference.
 func checkFirstInRuns(t *testing.T, values []uint64, width uint, lengths []uint32, v uint64) {
 	t.Helper()
-	ids := make([]uint64, len(lengths))
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	runs := RLEFromRuns(ids, lengths)
+	runs := RLEConsecutive(0, lengths)
 	got := make([]uint64, len(lengths))
 	for i := range got {
 		got[i] = 1<<64 - 1
@@ -688,21 +684,6 @@ func TestPackerFinishChecksCount(t *testing.T) {
 	p := newPacker(3, 4)
 	p.appendMapped([]uint32{0, 0}, []uint32{5})
 	p.finish()
-}
-
-func TestSortedDict(t *testing.T) {
-	d, err := SortedDict([]string{"", "a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id, ok := d.Lookup("b"); !ok || id != 2 {
-		t.Errorf("Lookup(b) = (%d, %v), want (2, true)", id, ok)
-	}
-	for _, bad := range [][]string{{"a", "a"}, {"b", "a"}} {
-		if _, err := SortedDict(bad); err == nil {
-			t.Errorf("SortedDict(%q) accepted values that are not strictly ascending", bad)
-		}
-	}
 }
 
 // TestDictGrowMatchesBuildDict pins Grow against the definition: the

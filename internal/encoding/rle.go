@@ -23,24 +23,9 @@ type RLE struct {
 	n    int // total decoded length
 }
 
-// RLEFromRuns reassembles an RLE segment from parallel (value, length)
-// slices, recomputing the run starts — the inverse of reading Run(i). Chunk
-// rebuilds use it when a user column's dictionary ids are remapped or when a
-// chunk is reloaded from a self-contained segment, so the column never has to
-// be decoded to full length just to be re-encoded.
-func RLEFromRuns(values []uint64, lengths []uint32) *RLE {
-	runs := make([]Run, len(values))
-	pos := uint32(0)
-	for i, v := range values {
-		runs[i] = Run{Value: v, Start: pos, Length: lengths[i]}
-		pos += lengths[i]
-	}
-	return &RLE{runs: runs, n: int(pos)}
-}
-
-// RLEConsecutive is RLEFromRuns for runs whose values count up from first:
-// run i holds first+i. That is every user column of a lazy table, where a
-// chunk's users carry the virtual ids userBase, userBase+1, …
+// RLEConsecutive builds an RLE segment from run lengths whose values count up
+// from first: run i holds first+i. That is every chunk's user column, whose
+// users carry the ids userBase, userBase+1, …
 func RLEConsecutive(first uint64, lengths []uint32) *RLE {
 	r := new(RLE)
 	r.FillConsecutive(first, lengths)

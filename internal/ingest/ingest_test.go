@@ -98,8 +98,7 @@ func TestAppendFreshnessAndDuplicateRejection(t *testing.T) {
 	// ...and against the sealed tier.
 	view := lt.Views()[0]
 	sealedUser := view.Sealed.Schema().UserCol()
-	d := view.Sealed.Dict(sealedUser)
-	u0 := d.Value(0)
+	u0, _ := view.Sealed.ChunkUserRange(0)
 	_, loc, ok, err := view.Sealed.FindUser(u0)
 	if err != nil || !ok {
 		t.Fatalf("FindUser(%q) = %v, %v", u0, ok, err)

@@ -290,7 +290,7 @@ func TestDiskLoadedShardsCompact(t *testing.T) {
 	if err := storage.WriteShardedFile(path, buildShardedSealed(t, 3)); err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := storage.ReadSharded(path)
+	sealed, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: storage.NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestDiskLoadedShardsCompact(t *testing.T) {
 		t.Fatalf("after disk-loaded compaction: %+v", st)
 	}
 	// The persisted layout reloads with every row.
-	back, err := storage.ReadSharded(path)
+	back, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: storage.NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

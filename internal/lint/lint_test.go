@@ -35,7 +35,6 @@ func TestCommitProto(t *testing.T) {
 func TestChunkPin(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.ChunkPin,
 		"repro/internal/cohort/pinuse",
-		"repro/internal/storage/eagerok",
 	)
 }
 

@@ -1,21 +1,13 @@
-// Package pinuse exercises the chunkpin analyzer in a consumer package
-// (under repro/internal/cohort): eager Chunk(i) access is banned and every
-// PinChunk release must be kept.
+// Package pinuse exercises the chunkpin analyzer: every PinChunk release
+// must be kept.
 package pinuse
 
 type table interface {
-	Chunk(i int) chunk
 	PinChunk(i int) (chunk, func(), error)
 }
 
 type chunk interface {
 	NumRows() int
-}
-
-// scanEager bypasses the pin protocol.
-func scanEager(t table) int {
-	ch := t.Chunk(0) // want `direct Chunk\(i\) access above the storage layer`
-	return ch.NumRows()
 }
 
 // scanPinned is the sanctioned shape: pin, defer the release, scan.

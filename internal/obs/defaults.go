@@ -102,7 +102,7 @@ var (
 // Lazy chunk loading and the process-wide chunk cache.
 var (
 	SegmentReadsTotal = Default.Counter("cohana_segment_reads_total",
-		"Chunk segment files read from disk (lazy cold loads plus eager table opens).")
+		"Chunk segment files read from disk (cold chunk loads plus whole-table reads of pre-v3 layouts).")
 	ChunkCacheHitsTotal = Default.Counter("cohana_chunk_cache_hits_total",
 		"Chunk pins satisfied by a resident decoded segment (no disk read).")
 	ChunkCacheMissesTotal = Default.Counter("cohana_chunk_cache_misses_total",

@@ -172,7 +172,7 @@ func TestChunkGranularCompactionMatchesFullRebuild(t *testing.T) {
 
 			// The committed files reload into equivalent state: same totals,
 			// bit-identical results.
-			back, err := storage.ReadSharded(path)
+			back, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: storage.NewChunkCache(0)})
 			if err != nil {
 				t.Fatal(err)
 			}

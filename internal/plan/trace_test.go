@@ -120,7 +120,7 @@ func TestShardBusyTime(t *testing.T) {
 			t.Errorf("%s: busy_us = %d, want within [%d, %d] (its chunk spans' sum, workers x query wall time)",
 				sp.Name, busy, chunkNs/1000, workers*root.DurNs/1000)
 		}
-		// A query alone on its eager tables shares no load with another.
+		// A query alone on its built tables shares no load with another.
 		if ridden, ok := sp.Attrs["chunks_ridden"]; !ok || ridden != 0 {
 			t.Errorf("%s: chunks_ridden = %d (set: %v), want 0", sp.Name, ridden, ok)
 		}

@@ -353,7 +353,7 @@ func (c *Catalog) loadLocked(name string, e *catalogEntry) error {
 	// shard count differs from the stored one, ingest reshards at open and
 	// persists the new layout — the migration path from legacy files to
 	// sharded tables.
-	tbl, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true, Cache: c.chunkCache})
+	tbl, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: c.chunkCache})
 	if err != nil {
 		return ErrCorruptTable{Name: name, File: filepath.Base(path), Err: err}
 	}

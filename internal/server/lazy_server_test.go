@@ -87,8 +87,8 @@ func TestLazySweptSegmentIsCorruptTableError(t *testing.T) {
 // TestLazyServerQueriesMatchEager runs the fixture query through a catalog
 // under a 1-byte chunk-cache budget (every chunk evicted as soon as it is
 // unpinned) and through an unbounded one (every chunk stays resident after
-// its first load), requiring identical results — the serving-path property
-// that eviction never changes an answer.
+// its first load, as on a table held eagerly in memory), requiring identical
+// results — the serving-path property that eviction never changes an answer.
 func TestLazyServerQueriesMatchEager(t *testing.T) {
 	tinyDir, fullDir := t.TempDir(), t.TempDir()
 	writeShardedFixture(t, tinyDir, "game")

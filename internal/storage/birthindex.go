@@ -10,9 +10,9 @@ import (
 // row's raw time code. It is built on the first scan that asks for the action,
 // by one word-parallel first-match pass over the chunk's packed action codes
 // (BitPacked.FirstInRuns), and kept with the decoded chunk for the chunk's
-// lifetime — a chunk never changes, so nothing invalidates it — so no
-// later scan searches a user block for a birth row again. On lazy tables the
-// index's bytes are charged to the chunk's cache entry.
+// lifetime — a chunk never changes, so nothing invalidates it — so no later
+// scan searches a user block for a birth row again. On a chunk loaded into the
+// ChunkCache the index's bytes are charged to its cache entry.
 
 // BirthIndex is one action's birth rows in one chunk.
 type BirthIndex struct {

@@ -65,7 +65,7 @@ func TestBirthIndexMatchesSearch(t *testing.T) {
 			t.Fatalf("fixture has no %q", action)
 		}
 		for ci := 0; ci < tbl.NumChunks(); ci++ {
-			ch := tbl.Chunk(ci)
+			ch := pinned(t, tbl, ci)
 			cid, ok := ch.ChunkIDOf(actionCol, gid)
 			if !ok {
 				continue
@@ -110,7 +110,7 @@ func TestBirthIndexWideTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	schema := tbl.Schema()
-	ch := tbl.Chunk(0)
+	ch := pinned(t, tbl, 0)
 	for _, action := range []string{"launch", "shop"} {
 		gid, _ := tbl.LookupString(schema.ActionCol(), action)
 		cid, _ := ch.ChunkIDOf(schema.ActionCol(), gid)

@@ -7,12 +7,12 @@ import (
 	"repro/internal/obs"
 )
 
-// ChunkCache is the process-wide pool of decoded chunk segments backing lazy
-// tables. Entries are keyed by the segment's content hash, so a chunk carried
-// across a compaction commit (hash unchanged) keeps its decoded payload, and
-// two table generations that share a chunk share one entry. A pinned entry (an
-// in-flight scan holds it) is never evicted, so eviction can never race a
-// scan.
+// ChunkCache is the process-wide pool of decoded chunk segments backing the
+// cold chunks of tables opened from a manifest. Entries are keyed by the
+// segment's content hash, so a chunk carried across a compaction commit (hash
+// unchanged) keeps its decoded payload, and two table generations that share
+// a chunk share one entry. A pinned entry (an in-flight scan holds it) is
+// never evicted, so eviction can never race a scan.
 //
 // Under a byte budget the cache is LRU with frequency-gated admission. Plain
 // LRU flushes itself under the access pattern cohort queries produce — every
@@ -46,10 +46,10 @@ import (
 // scanned.
 //
 // One mutex guards everything: the entry map, the LRU links, the pin counts,
-// the size accounting, the chunk states, and — crucially — every lazy table's
-// chunk slots (Table.chunks[i] for cold-capable chunks). Decoding runs outside
-// the lock; a kept load is single-flight per entry, so a thundering herd on
-// one cold chunk pays one disk read.
+// the size accounting, the chunk states, and — crucially — every table's
+// chunk slots (Table.chunks[i] for chunks that are not perm). Decoding runs
+// outside the lock; a kept load is single-flight per entry, so a thundering
+// herd on one cold chunk pays one disk read.
 type ChunkCache struct {
 	mu       sync.Mutex
 	budget   int64 // <= 0 means unbounded
@@ -118,7 +118,7 @@ func NewChunkCache(budgetBytes int64) *ChunkCache {
 	return &ChunkCache{budget: budgetBytes, entries: make(map[string]*cacheEntry)}
 }
 
-// defaultChunkCache serves lazy tables opened without an explicit cache
+// defaultChunkCache serves tables opened without an explicit cache
 // (cohana.Open), making the budget genuinely process-wide.
 var defaultChunkCache = NewChunkCache(0)
 

@@ -22,8 +22,8 @@ func cacheFixture(t *testing.T, seed int64, cache *ChunkCache) *Table {
 
 func totalBytes(sh *Table) int64 {
 	var n int64
-	for i := range sh.lazy.metas {
-		n += sh.lazy.metas[i].bytes
+	for i := range sh.metas {
+		n += sh.metas[i].bytes
 	}
 	return n
 }
@@ -32,7 +32,7 @@ func totalBytes(sh *Table) int64 {
 // checks the budget invariant: with nothing pinned the cache is within budget.
 func touch(t *testing.T, sh *Table, ci int) (hit bool) {
 	t.Helper()
-	cache := sh.lazy.cache
+	cache := sh.cache
 	before := cache.Stats().Hits
 	_, release, err := sh.PinChunk(ci)
 	if err != nil {
@@ -47,7 +47,7 @@ func touch(t *testing.T, sh *Table, ci int) (hit bool) {
 }
 
 func resident(sh *Table, ci int) bool {
-	c := sh.lazy.cache
+	c := sh.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return sh.chunks[ci] != nil
@@ -94,7 +94,7 @@ func TestChunkCacheCyclicScanKeepsStableSet(t *testing.T) {
 func hotSet(sh *Table, candidates []int, budget int64) []int {
 	var set []int
 	for _, ci := range candidates {
-		if b := sh.lazy.metas[ci].bytes; b <= budget {
+		if b := sh.metas[ci].bytes; b <= budget {
 			set = append(set, ci)
 			budget -= b
 		}
@@ -230,15 +230,15 @@ func TestChunkCacheDoubleReleaseIsHarmless(t *testing.T) {
 	release()
 
 	cache.mu.Lock()
-	e := cache.entries[sh.lazy.metas[0].hash]
+	e := cache.entries[sh.metas[0].hash]
 	pins, inLRU := e.pins, e.inLRU
 	cache.mu.Unlock()
 	if pins != 0 || !inLRU {
 		t.Fatalf("after a double release: pins=%d inLRU=%v, want 0 and true", pins, inLRU)
 	}
 	size := cache.Stats().ResidentBytes
-	if size != sh.lazy.metas[0].bytes {
-		t.Fatalf("resident bytes %d, want the one segment's %d", size, sh.lazy.metas[0].bytes)
+	if size != sh.metas[0].bytes {
+		t.Fatalf("resident bytes %d, want the one segment's %d", size, sh.metas[0].bytes)
 	}
 
 	// A new pin must take the entry off the evictable list: shrinking the

@@ -45,7 +45,7 @@ func coldLoad(tb testing.TB, sh *Table) {
 func BenchmarkColdLoad(b *testing.B) {
 	sh := coldLoadFixture(b)
 	b.ReportAllocs()
-	b.SetBytes(sh.lazy.metas[0].bytes)
+	b.SetBytes(sh.metas[0].bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coldLoad(b, sh)
@@ -76,11 +76,11 @@ func TestColdLoadAllocs(t *testing.T) {
 		coldLoad(t, sh)
 	}
 	runtime.ReadMemStats(&after)
-	seg := sh.lazy.metas[0].bytes
+	seg := sh.metas[0].bytes
 	if perLoad := int64(after.TotalAlloc-before.TotalAlloc) / reloads; perLoad >= seg/16 {
 		t.Fatalf("reloading a verified chunk allocated %d bytes, want < %d (1/16 of its %d-byte segment)", perLoad, seg/16, seg)
 	}
-	if st := sh.lazy.cache.Stats(); st.ResidentBytes != 0 {
+	if st := sh.cache.Stats(); st.ResidentBytes != 0 {
 		t.Fatalf("one-byte budget left %d bytes resident", st.ResidentBytes)
 	}
 }

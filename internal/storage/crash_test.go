@@ -89,12 +89,12 @@ func TestCrashBetweenSegmentsAndManifestRename(t *testing.T) {
 	layoutB := sealed.WithShard(si, newShard)
 	orphans := 0
 	for ci := 0; ci < newShard.NumChunks(); ci++ {
-		hash, _ := newShard.segmentHash(ci)
+		hash, _, _ := newShard.segment(ci)
 		name := segmentName(path, hash)
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			continue // shared with layout A
 		}
-		if err := atomicWriteFile(filepath.Join(dir, name), newShard.segmentBytes(ci)); err != nil {
+		if err := atomicWriteFile(filepath.Join(dir, name), chunkSegment(t, newShard, ci)); err != nil {
 			t.Fatal(err)
 		}
 		orphans++
@@ -105,10 +105,7 @@ func TestCrashBetweenSegmentsAndManifestRename(t *testing.T) {
 
 	// Reopen: the old manifest still serves exactly the pre-compaction
 	// state; the orphans are invisible.
-	back, err := ReadSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readBack(t, path)
 	requireSameRows(t, "after crash", mustRows(t, back), wantA)
 
 	// The next successful commit (the compaction retried) adopts the
@@ -125,7 +122,7 @@ func TestCrashBetweenSegmentsAndManifestRename(t *testing.T) {
 	for si := 0; si < layoutB.NumShards(); si++ {
 		sh := layoutB.Shard(si)
 		for ci := 0; ci < sh.NumChunks(); ci++ {
-			hash, _ := sh.segmentHash(ci)
+			hash, _, _ := sh.segment(ci)
 			keep[segmentName(path, hash)] = true
 		}
 	}
@@ -137,10 +134,7 @@ func TestCrashBetweenSegmentsAndManifestRename(t *testing.T) {
 	if got := len(listSegments(path)); got != len(keep) {
 		t.Fatalf("%d segments on disk, want %d", got, len(keep))
 	}
-	backB, err := ReadSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backB := readBack(t, path)
 	requireSameRows(t, "after retried commit", mustRows(t, backB), mustRows(t, layoutB))
 }
 
@@ -168,7 +162,7 @@ func TestCrashAfterManifestRenameBeforeSweep(t *testing.T) {
 	if err := atomicWriteFile(stale, []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSharded(path)
+	back, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatalf("stale segment broke the load: %v", err)
 	}

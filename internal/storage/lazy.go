@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -17,12 +18,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Lazy tables keep chunk payloads cold until a scan touches them. The table
-// carries only manifest-level metadata per chunk (chunkMeta); the decoded
-// payload lives in a ChunkCache and is loaded from the chunk's segment file
-// on first PinChunk. Everything the planner needs to prune — user ranges,
-// per-column value lists and int ranges — answers from the metadata, so open
-// plus EXPLAIN plus pruning performs zero segment reads.
+// A table opened from a manifest keeps chunk payloads cold until a scan
+// touches them. The table carries only manifest-level metadata per chunk
+// (chunkMeta); the decoded payload lives in a ChunkCache and is loaded from
+// the chunk's segment file on first PinChunk. Everything the planner needs to
+// prune — user ranges, per-column value lists and int ranges — answers from
+// the metadata, on every table alike, so open plus EXPLAIN plus pruning
+// performs zero segment reads.
 
 // chunkStatsCap bounds the per-chunk distinct-value lists persisted in the
 // manifest. A string column whose chunk cardinality exceeds the cap carries
@@ -44,9 +46,8 @@ func (e *CorruptSegmentError) Error() string {
 
 func (e *CorruptSegmentError) Unwrap() error { return e.Err }
 
-// chunkMeta is the cheap manifest-backed handle for one chunk: enough to
-// prune, to locate users, and to verify the segment on load — without the
-// decoded payload.
+// chunkMeta is the cheap handle for one chunk: enough to prune, to locate
+// users, and to verify the segment on load — without the decoded payload.
 type chunkMeta struct {
 	file  string // segment file name (bare, relative to the table dir)
 	hash  string // content hash (also the cache key)
@@ -54,10 +55,10 @@ type chunkMeta struct {
 	rows  int
 	users int
 	// userBase is the global user id of the chunk's first user: the prefix
-	// sum of the preceding chunks' user counts. Lazy tables have no user
-	// dictionary; a user's global id is userBase + its index within the
-	// chunk, which equals the eager sorted-dictionary id because users are
-	// globally sorted and never span chunks.
+	// sum of the preceding chunks' user counts. A user's global id is
+	// userBase + its index within the chunk, which is its position in the
+	// shard's sorted users because users are globally sorted and never span
+	// chunks.
 	userBase         uint64
 	minUser, maxUser string
 	// strVals[c] is the sorted list of global-ids present in string column c
@@ -65,10 +66,13 @@ type chunkMeta struct {
 	strVals [][]uint64
 	// intMin/intMax[c] is the exact [min, max] of integer column c.
 	intMin, intMax []int64
-	// perm marks a chunk rebuilt in memory by MergeDelta whose segment file
-	// may not exist yet; it is permanently resident (never cache-managed)
-	// until the table is reloaded from a committed manifest.
+	// perm marks a chunk held in memory — built, read from an older layout
+	// or rebuilt by MergeDelta — whose segment file may not exist yet; it is
+	// permanently resident (never cache-managed) until the table is reloaded
+	// from a committed manifest. Its file, hash and bytes are unset: seg
+	// computes its segment identity on first use (see Table.segment).
 	perm bool
+	seg  *segInfo
 	// state is what this process has learned about the segment (nil on perm
 	// chunks, which never load). A compaction commit that carries the chunk
 	// carries the pointer with the hash; a table reload starts afresh.
@@ -86,6 +90,8 @@ type chunkState struct {
 	// hist and period are the chunk's touch history, kept here rather than on
 	// the cache entry so that it survives eviction; see ChunkCache.
 	hist, period uint32
+	// logged records that a corrupt segment was logged (logCorruptLocked).
+	logged bool
 }
 
 // maxSegmentBytes bounds the segment size a manifest may declare: loadSegment
@@ -93,30 +99,19 @@ type chunkState struct {
 // an absurd allocation. A segment holds one chunk's rows.
 const maxSegmentBytes = 1 << 30
 
-// lazyState hangs off a Table opened lazily.
-type lazyState struct {
-	dir    string
-	cache  *ChunkCache
-	metas  []chunkMeta
-	logged []bool // per chunk, guarded by cache.mu: corrupt-segment logged once
-}
-
-// Lazy reports whether the table loads chunk payloads on demand.
-func (st *Table) Lazy() bool { return st.lazy != nil }
-
 // PinChunk returns chunk i's decoded payload, loading it from its segment
-// file if cold, and pins it against eviction until release is called. Eager
-// tables return the chunk directly with a no-op release. Calling release more
-// than once is harmless.
+// file if cold, and pins it against eviction until release is called. Perm
+// chunks come back directly with a no-op release. Calling release more than
+// once is harmless.
 //
 // A miss decides admission on the spot (ChunkCache.admitsLocked): a chunk the
 // cache would drop is a transient load (see chunkArena), never published.
 func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
-	if st.lazy == nil || st.lazy.metas[i].perm {
+	m := &st.metas[i]
+	if m.perm {
 		return st.chunks[i], func() {}, nil
 	}
-	m := &st.lazy.metas[i]
-	c := st.lazy.cache
+	c := st.cache
 	c.mu.Lock()
 	e := c.entries[m.hash]
 	if e == nil {
@@ -169,14 +164,14 @@ func (st *Table) PinChunk(i int) (ch *Chunk, release func(), err error) {
 // cache unadmitted: it is pinned, so nothing is evicted to make room for it;
 // whether it stays is decided again when its last pin drops.
 func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(), error) {
-	m := &st.lazy.metas[i]
-	c := st.lazy.cache
+	m := &st.metas[i]
+	c := st.cache
 	a := new(chunkArena)
 	a.seg.births.charge = func(bytes int64) { c.charge(e, bytes) }
 	ch, err := st.load(i, a, verified)
 	c.mu.Lock()
 	if err != nil {
-		st.lazy.logCorruptLocked(i, err)
+		st.logCorruptLocked(i, err)
 		e.err = err
 		if c.entries[m.hash] == e {
 			delete(c.entries, m.hash)
@@ -202,16 +197,16 @@ func (st *Table) loadAndBind(e *cacheEntry, i int, verified bool) (*Chunk, func(
 // entry. It counts as a miss and a segment read like any load, and its
 // release counts the eviction a losing newcomer would have cost.
 func (st *Table) loadTransient(i int, a *chunkArena, verified bool) (*Chunk, func(), error) {
-	c := st.lazy.cache
+	c := st.cache
 	ch, err := st.load(i, a, verified)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
-		st.lazy.logCorruptLocked(i, err)
+		st.logCorruptLocked(i, err)
 		c.parkLocked(a)
 		return nil, nil, err
 	}
-	st.lazy.metas[i].state.verified = true
+	st.metas[i].state.verified = true
 	ch.transient = true
 	return ch, c.releaseFunc(nil, a), nil
 }
@@ -235,7 +230,6 @@ type chunkArena struct {
 	buf   []byte
 	seg   segChunk
 	ch    Chunk
-	info  segInfo
 	users encoding.RLE
 	// dicts are the chunk dictionaries, indexed by column; gids backs them
 	// all, each string column's global ids after the previous column's.
@@ -246,7 +240,7 @@ type chunkArena struct {
 // load is the one loader, kept and transient alike: read chunk i's segment
 // into a, check it, decode it and bind it.
 func (st *Table) load(i int, a *chunkArena, verified bool) (*Chunk, error) {
-	if err := st.lazy.loadSegment(st.schema, &st.lazy.metas[i], verified, a); err != nil {
+	if err := st.loadSegment(&st.metas[i], verified, a); err != nil {
 		return nil, err
 	}
 	return st.bindPayload(i, &a.seg, a)
@@ -257,11 +251,11 @@ func (st *Table) load(i int, a *chunkArena, verified bool) (*Chunk, error) {
 // generation — but this table's slot is cold). The caller holds a pin, so the
 // payload cannot be evicted underneath the bind.
 func (st *Table) adoptPayload(e *cacheEntry, i int) (*Chunk, error) {
-	c := st.lazy.cache
+	c := st.cache
 	ch, err := st.bindPayload(i, e.payload, new(chunkArena))
 	if err != nil {
 		c.mu.Lock()
-		st.lazy.logCorruptLocked(i, err)
+		st.logCorruptLocked(i, err)
 		c.unpinLocked(e)
 		c.mu.Unlock()
 		return nil, err
@@ -279,25 +273,22 @@ func (st *Table) adoptPayload(e *cacheEntry, i int) (*Chunk, error) {
 	return ch, nil
 }
 
-// bindPayload turns a decoded segment into a Chunk bound to this lazy table,
+// bindPayload turns a decoded segment into a Chunk bound to this table,
 // built in a's Chunk, run and dictionary storage: user runs carry virtual
 // global ids (userBase + run index), string columns remap their value lists
 // through the manifest's complete global dictionaries, bit-packed and
 // frame-of-reference payloads are adopted as-is. It only reads immutable
 // table state, so it runs outside the cache lock.
 func (st *Table) bindPayload(i int, sc *segChunk, a *chunkArena) (*Chunk, error) {
-	m := &st.lazy.metas[i]
+	m := &st.metas[i]
 	schema := st.schema
 	userCol := schema.UserCol()
 	ncols := schema.NumCols()
-	a.info = segInfo{}
-	a.info.once.Do(func() { a.info.hash = m.hash })
 	a.users.FillConsecutive(m.userBase, sc.lengths)
 	a.ch = Chunk{
 		numRows:  sc.numRows,
 		users:    &a.users,
 		cols:     resize(a.ch.cols, ncols),
-		seg:      &a.info,
 		userVals: sc.users,
 		userBase: m.userBase,
 		births:   &sc.births,
@@ -325,7 +316,7 @@ func (st *Table) bindPayload(i int, sc *segChunk, a *chunkArena) (*Chunk, error)
 			gid, ok := st.dicts[c].Lookup(v)
 			if !ok {
 				return nil, &CorruptSegmentError{
-					Path: filepath.Join(st.lazy.dir, m.file),
+					Path: filepath.Join(st.dir, m.file),
 					Err:  fmt.Errorf("value %q missing from manifest dictionary (column %d)", v, c),
 				}
 			}
@@ -333,7 +324,7 @@ func (st *Table) bindPayload(i int, sc *segChunk, a *chunkArena) (*Chunk, error)
 		}
 		if err := a.dicts[c].Reset(ids); err != nil {
 			return nil, &CorruptSegmentError{
-				Path: filepath.Join(st.lazy.dir, m.file),
+				Path: filepath.Join(st.dir, m.file),
 				Err:  fmt.Errorf("column %d: %w", c, err),
 			}
 		}
@@ -350,9 +341,9 @@ func (st *Table) bindPayload(i int, sc *segChunk, a *chunkArena) (*Chunk, error)
 // checks and the manifest cross-checks run on every load. Every failure —
 // missing or short file, hash mismatch, decode error, stats that contradict
 // the manifest — comes back as a *CorruptSegmentError.
-func (ls *lazyState) loadSegment(schema *activity.Schema, m *chunkMeta, verified bool, a *chunkArena) error {
+func (st *Table) loadSegment(m *chunkMeta, verified bool, a *chunkArena) error {
 	t0 := time.Now()
-	path := filepath.Join(ls.dir, m.file)
+	path := filepath.Join(st.dir, m.file)
 	buf, err := readSegmentFile(path, m.bytes, a.buf)
 	if err != nil {
 		return &CorruptSegmentError{Path: path, Err: err}
@@ -367,7 +358,7 @@ func (ls *lazyState) loadSegment(schema *activity.Schema, m *chunkMeta, verified
 		}
 	}
 	sc := &a.seg
-	if err := decodeChunkSegment(sc, buf, schema); err != nil {
+	if err := decodeChunkSegment(sc, buf, st.schema); err != nil {
 		return &CorruptSegmentError{Path: path, Err: err}
 	}
 	if sc.numRows != m.rows || len(sc.users) != m.users ||
@@ -399,66 +390,45 @@ func readSegmentFile(path string, size int64, buf []byte) ([]byte, error) {
 
 // logCorruptLocked logs a damaged segment once per chunk (callers hold
 // cache.mu); every query that touches it still gets the structured error.
-func (ls *lazyState) logCorruptLocked(i int, err error) {
-	if ls.logged[i] {
+func (st *Table) logCorruptLocked(i int, err error) {
+	m := &st.metas[i]
+	if m.state.logged {
 		return
 	}
-	ls.logged[i] = true
-	slog.Error("cohana: corrupt chunk segment",
-		"segment", ls.metas[i].file, "error", err)
+	m.state.logged = true
+	slog.Error("cohana: corrupt chunk segment", "segment", m.file, "error", err)
 }
 
 // ChunkRows returns the row count of chunk i without touching its payload.
-func (st *Table) ChunkRows(i int) int {
-	if st.lazy != nil {
-		return st.lazy.metas[i].rows
-	}
-	return st.chunks[i].numRows
-}
+func (st *Table) ChunkRows(i int) int { return st.metas[i].rows }
 
 // ChunkUsers returns the user count of chunk i without touching its payload.
-func (st *Table) ChunkUsers(i int) int {
-	if st.lazy != nil {
-		return st.lazy.metas[i].users
-	}
-	return st.chunks[i].users.NumRuns()
-}
+func (st *Table) ChunkUsers(i int) int { return st.metas[i].users }
 
 // ChunkMayHaveGID reports whether string column col of chunk i may contain
-// global-id gid, without touching the payload. Lazy tables answer from the
-// manifest's per-chunk value lists — exactly when present, conservatively
-// ("may have") when the chunk exceeded chunkStatsCap. The answer never
-// depends on cache state, keeping prune maps (and result-cache fingerprints)
-// deterministic.
+// global-id gid, without touching the payload. The chunk's value list answers
+// exactly when present, conservatively ("may have") when the chunk exceeded
+// chunkStatsCap. The answer never depends on cache state, keeping prune maps
+// (and result-cache fingerprints) deterministic.
 func (st *Table) ChunkMayHaveGID(i, col int, gid uint64) bool {
-	if st.lazy != nil {
-		vals := st.lazy.metas[i].strVals[col]
-		if vals == nil {
-			return true
-		}
-		k := sort.Search(len(vals), func(j int) bool { return vals[j] >= gid })
-		return k < len(vals) && vals[k] == gid
+	vals := st.metas[i].strVals[col]
+	if vals == nil {
+		return true
 	}
-	return st.chunks[i].HasGlobalID(col, gid)
+	_, ok := slices.BinarySearch(vals, gid)
+	return ok
 }
 
-// ChunkIntRange returns the [min, max] of integer column col in chunk i
-// without touching the payload (exact in both eager and lazy tables).
+// ChunkIntRange returns the exact [min, max] of integer column col in chunk
+// i without touching the payload.
 func (st *Table) ChunkIntRange(i, col int) (int64, int64) {
-	if st.lazy != nil {
-		m := &st.lazy.metas[i]
-		return m.intMin[col], m.intMax[col]
-	}
-	return st.chunks[i].IntRange(col)
+	m := &st.metas[i]
+	return m.intMin[col], m.intMax[col]
 }
 
-// UserString resolves a user global-id to its string through the table's
-// user dictionary, or — on lazy tables, which have none — through the chunk's
+// UserString resolves a user global-id to its string through the chunk's
 // own user list (gid − userBase indexes it).
 func (st *Table) UserString(ch *Chunk, gid uint64) string {
-	if d := st.dicts[st.schema.UserCol()]; d != nil {
-		return d.Value(gid)
-	}
 	u := ch.userVals[gid-ch.userBase]
 	if ch.transient {
 		// A substring of a pooled arena's buffer, which the next load
@@ -470,31 +440,9 @@ func (st *Table) UserString(ch *Chunk, gid uint64) string {
 
 // FindUser locates a user: its global id and its (chunk, run) position.
 // ok=false means the user does not exist in the table; err is non-nil only
-// when a lazy chunk had to be loaded and its segment was corrupt.
+// when a cold chunk had to be loaded and its segment was corrupt.
 func (st *Table) FindUser(user string) (gid uint64, loc UserLoc, ok bool, err error) {
-	if st.lazy == nil {
-		d := st.dicts[st.schema.UserCol()]
-		gid, ok = d.Lookup(user)
-		if !ok {
-			return 0, UserLoc{}, false, nil
-		}
-		ci := sort.Search(len(st.chunks), func(k int) bool {
-			ch := st.chunks[k]
-			last := ch.users.Run(ch.users.NumRuns() - 1)
-			return last.Value >= gid
-		})
-		if ci == len(st.chunks) {
-			return 0, UserLoc{}, false, nil
-		}
-		ch := st.chunks[ci]
-		n := ch.users.NumRuns()
-		ri := sort.Search(n, func(k int) bool { return ch.users.Run(k).Value >= gid })
-		if ri == n || ch.users.Run(ri).Value != gid {
-			return 0, UserLoc{}, false, nil
-		}
-		return gid, UserLoc{Chunk: ci, Run: ri}, true, nil
-	}
-	metas := st.lazy.metas
+	metas := st.metas
 	ci := sort.Search(len(metas), func(k int) bool { return metas[k].maxUser >= user })
 	if ci == len(metas) || user < metas[ci].minUser {
 		return 0, UserLoc{}, false, nil
@@ -504,18 +452,12 @@ func (st *Table) FindUser(user string) (gid uint64, loc UserLoc, ok bool, err er
 		return 0, UserLoc{}, false, err
 	}
 	defer release()
-	k := sort.SearchStrings(ch.userVals, user)
-	if k == len(ch.userVals) || ch.userVals[k] != user {
+	k, found := slices.BinarySearch(ch.userVals, user)
+	if !found {
 		return 0, UserLoc{}, false, nil
 	}
 	// One RLE run per user, in user order: run index == local user index.
 	return ch.userBase + uint64(k), UserLoc{Chunk: ci, Run: k}, true, nil
-}
-
-// chunkManifestStats computes the manifest v3 per-column stats of eager
-// chunk ci.
-func (st *Table) chunkManifestStats(ci int) (strVals [][]uint64, intMin, intMax []int64) {
-	return chunkStatsOf(st.schema, st.chunks[ci])
 }
 
 // chunkStatsOf computes one chunk's manifest stats: the sorted distinct
@@ -544,4 +486,25 @@ func chunkStatsOf(schema *activity.Schema, ch *Chunk) (strVals [][]uint64, intMi
 		}
 	}
 	return strVals, intMin, intMax
+}
+
+// appendPerm appends a chunk held in memory to st, as a perm chunk whose
+// handle is computed from its payload.
+func (st *Table) appendPerm(ch *Chunk) {
+	strVals, intMin, intMax := chunkStatsOf(st.schema, ch)
+	st.metas = append(st.metas, chunkMeta{
+		rows:     ch.numRows,
+		users:    len(ch.userVals),
+		userBase: ch.userBase,
+		minUser:  ch.userVals[0],
+		maxUser:  ch.userVals[len(ch.userVals)-1],
+		strVals:  strVals,
+		intMin:   intMin,
+		intMax:   intMax,
+		perm:     true,
+		seg:      new(segInfo),
+	})
+	st.chunks = append(st.chunks, ch)
+	st.numRows += ch.numRows
+	st.numUsers += len(ch.userVals)
 }

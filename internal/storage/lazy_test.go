@@ -17,16 +17,27 @@ import (
 	"repro/internal/obs"
 )
 
+// workloadConfig is the generator config of commitWorkload's table.
+var workloadConfig = gen.Config{Users: 60, Days: 12, MeanActions: 10, Seed: 9}
+
 // commitWorkload builds a sharded workload table and commits it to a fresh
 // temp dir, returning the manifest path.
 func commitWorkload(t *testing.T, shards, chunkSize int) string {
 	t.Helper()
-	return commitGenerated(t, gen.Config{Users: 60, Days: 12, MeanActions: 10, Seed: 9}, shards, chunkSize)
+	return commitGenerated(t, workloadConfig, shards, chunkSize)
 }
 
 // commitGenerated builds a sharded table from a generator config and commits
 // it to a fresh temp dir, returning the manifest path.
 func commitGenerated(tb testing.TB, cfg gen.Config, shards, chunkSize int) string {
+	tb.Helper()
+	_, path := buildAndCommit(tb, cfg, shards, chunkSize)
+	return path
+}
+
+// buildAndCommit builds a sharded table from a generator config and commits
+// it to a fresh temp dir, returning the built table and the manifest path.
+func buildAndCommit(tb testing.TB, cfg gen.Config, shards, chunkSize int) (*Sharded, string) {
 	tb.Helper()
 	s, err := BuildSharded(gen.Generate(cfg), shards, Options{ChunkSize: chunkSize})
 	if err != nil {
@@ -36,29 +47,40 @@ func commitGenerated(tb testing.TB, cfg gen.Config, shards, chunkSize int) strin
 	if _, err := CommitSharded(path, s); err != nil {
 		tb.Fatal(err)
 	}
-	return path
+	return s, path
 }
 
 func readLazy(t testing.TB, path string, cache *ChunkCache) *Sharded {
 	t.Helper()
-	s, err := ReadShardedWith(path, ReadOptions{Lazy: true, Cache: cache})
+	s, err := ReadShardedWith(path, ReadOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// TestLazyOpenZeroSegmentReads pins the O(manifest) cold-start contract: a
-// lazy open plus everything the planner needs — chunk counts, row/user
-// counts, user ranges, prune stats — performs zero segment reads.
+// permChunks counts the perm chunks of st.
+func permChunks(st *Table) int {
+	n := 0
+	for i := range st.metas {
+		if st.metas[i].perm {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLazyOpenZeroSegmentReads pins the O(manifest) cold-start contract: an
+// open plus everything the planner needs — chunk counts, row/user counts,
+// user ranges, prune stats — performs zero segment reads.
 func TestLazyOpenZeroSegmentReads(t *testing.T) {
 	path := commitWorkload(t, 2, 128)
 	before := obs.SegmentReadsTotal.Value()
 	s := readLazy(t, path, NewChunkCache(0))
 	for i := 0; i < s.NumShards(); i++ {
 		sh := s.Shard(i)
-		if !sh.Lazy() {
-			t.Fatalf("shard %d opened eager", i)
+		if n := permChunks(sh); n != 0 {
+			t.Fatalf("shard %d opened with %d perm chunks, want every chunk cold", i, n)
 		}
 		for ci := 0; ci < sh.NumChunks(); ci++ {
 			_ = sh.ChunkRows(ci)
@@ -81,36 +103,28 @@ func TestLazyOpenZeroSegmentReads(t *testing.T) {
 	}
 }
 
-// TestLazyEagerEquivalence is the lazy ≡ eager property: across shard counts
-// and cache budgets (a tiny budget that evicts after every release, and an
-// unbounded one), a lazily opened table materializes to exactly the rows the
-// eager open produces, answers FindUser identically, and never prunes a
-// value the eager chunk dictionaries contain.
+// TestLazyEagerEquivalence is the budget-1 ≡ unbounded ≡ freshly built
+// property. The eager side is the table as built, every chunk held in memory;
+// a committed copy of it opened on a cache whose budget evicts after every
+// release, and on an unbounded one, must materialize to exactly its rows,
+// have its shape, answer every chunk's pruning questions and FindUser
+// identically, and never prune a value the chunk's payload holds.
 func TestLazyEagerEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, budget := range []int64{1, 0} { // 1 byte ≈ "one pinned chunk at a time"; 0 = unbounded
 			t.Run(fmt.Sprintf("shards=%d/budget=%d", shards, budget), func(t *testing.T) {
-				path := commitWorkload(t, shards, 96)
-				eager, err := ReadSharded(path)
-				if err != nil {
-					t.Fatal(err)
-				}
+				built, path := buildAndCommit(t, workloadConfig, shards, 96)
 				lazy := readLazy(t, path, NewChunkCache(budget))
-
-				want := mustRows(t, eager)
-				got := mustRows(t, lazy)
-				requireSameRows(t, "lazy materialization", got, want)
-
+				requireSameRows(t, "lazy materialization", mustRows(t, lazy), mustRows(t, built))
 				for i := 0; i < shards; i++ {
-					esh, lsh := eager.Shard(i), lazy.Shard(i)
-					if esh.NumChunks() != lsh.NumChunks() || esh.NumRows() != lsh.NumRows() || esh.NumUsers() != lsh.NumUsers() {
-						t.Fatalf("shard %d shape: eager %d/%d/%d, lazy %d/%d/%d",
-							i, esh.NumChunks(), esh.NumRows(), esh.NumUsers(),
+					bsh, lsh := built.Shard(i), lazy.Shard(i)
+					if bsh.NumChunks() != lsh.NumChunks() || bsh.NumRows() != lsh.NumRows() || bsh.NumUsers() != lsh.NumUsers() {
+						t.Fatalf("shard %d shape: built %d/%d/%d, opened %d/%d/%d",
+							i, bsh.NumChunks(), bsh.NumRows(), bsh.NumUsers(),
 							lsh.NumChunks(), lsh.NumRows(), lsh.NumUsers())
 					}
-					checkShardEquivalence(t, esh, lsh)
+					checkShardEquivalence(t, bsh, lsh)
 				}
-
 				if _, _, ok, err := lazy.Shard(0).FindUser("no-such-user"); ok || err != nil {
 					t.Fatalf("FindUser(missing) = ok=%v err=%v", ok, err)
 				}
@@ -119,62 +133,72 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	}
 }
 
-// checkShardEquivalence compares manifest-level pruning answers and FindUser
-// between an eager and a lazy open of the same shard.
-func checkShardEquivalence(t *testing.T, esh, lsh *Table) {
+// checkShardEquivalence compares the pruning answers and FindUser of a built
+// shard and an opened copy of it, and both against the payloads.
+func checkShardEquivalence(t *testing.T, bsh, lsh *Table) {
 	t.Helper()
-	schema := esh.Schema()
-	for ci := 0; ci < esh.NumChunks(); ci++ {
-		if esh.ChunkRows(ci) != lsh.ChunkRows(ci) || esh.ChunkUsers(ci) != lsh.ChunkUsers(ci) {
-			t.Fatalf("chunk %d meta: eager %d rows/%d users, lazy %d/%d",
-				ci, esh.ChunkRows(ci), esh.ChunkUsers(ci), lsh.ChunkRows(ci), lsh.ChunkUsers(ci))
+	schema := bsh.Schema()
+	for ci := 0; ci < bsh.NumChunks(); ci++ {
+		ch := pinned(t, bsh, ci)
+		if bsh.ChunkRows(ci) != lsh.ChunkRows(ci) || bsh.ChunkUsers(ci) != lsh.ChunkUsers(ci) ||
+			bsh.ChunkRows(ci) != ch.NumRows() || bsh.ChunkUsers(ci) != ch.NumUsers() {
+			t.Fatalf("chunk %d meta: built %d rows/%d users, opened %d/%d, payload %d/%d",
+				ci, bsh.ChunkRows(ci), bsh.ChunkUsers(ci), lsh.ChunkRows(ci), lsh.ChunkUsers(ci), ch.NumRows(), ch.NumUsers())
 		}
-		ef, el := esh.ChunkUserRange(ci)
+		bf, bl := bsh.ChunkUserRange(ci)
 		lf, ll := lsh.ChunkUserRange(ci)
-		if ef != lf || el != ll {
-			t.Fatalf("chunk %d user range: eager [%q,%q], lazy [%q,%q]", ci, ef, el, lf, ll)
+		if bf != lf || bl != ll {
+			t.Fatalf("chunk %d user range: built [%q,%q], opened [%q,%q]", ci, bf, bl, lf, ll)
 		}
 		for c := 0; c < schema.NumCols(); c++ {
 			if c == schema.UserCol() {
 				continue
 			}
 			if schema.IsStringCol(c) {
-				// Lazy answers may only be conservative (never prune a
-				// present value); with exact stats they must agree.
-				for gid := uint64(0); gid < uint64(esh.Dict(c).Len()); gid++ {
-					eHas, lHas := esh.ChunkMayHaveGID(ci, c, gid), lsh.ChunkMayHaveGID(ci, c, gid)
-					if eHas && !lHas {
-						t.Fatalf("chunk %d col %d gid %d: lazy prunes a present value", ci, c, gid)
+				// The stats may only be conservative (never prune a value the
+				// payload holds); where they list values they are exact.
+				for gid := uint64(0); gid < uint64(bsh.Dict(c).Len()); gid++ {
+					has := ch.HasGlobalID(c, gid)
+					bHas, lHas := bsh.ChunkMayHaveGID(ci, c, gid), lsh.ChunkMayHaveGID(ci, c, gid)
+					if bHas != lHas {
+						t.Fatalf("chunk %d col %d gid %d: built and opened disagree (%v, %v)", ci, c, gid, bHas, lHas)
 					}
-					if lsh.lazy.metas[ci].strVals[c] != nil && eHas != lHas {
-						t.Fatalf("chunk %d col %d gid %d: exact stats disagree (eager %v, lazy %v)", ci, c, gid, eHas, lHas)
+					if has && !lHas {
+						t.Fatalf("chunk %d col %d gid %d: prunes a present value", ci, c, gid)
+					}
+					if lsh.metas[ci].strVals[c] != nil && has != lHas {
+						t.Fatalf("chunk %d col %d gid %d: exact stats disagree with the payload (%v, %v)", ci, c, gid, has, lHas)
 					}
 				}
 			} else {
-				emn, emx := esh.ChunkIntRange(ci, c)
+				pmn, pmx := ch.IntRange(c)
+				bmn, bmx := bsh.ChunkIntRange(ci, c)
 				lmn, lmx := lsh.ChunkIntRange(ci, c)
-				if emn != lmn || emx != lmx {
-					t.Fatalf("chunk %d col %d range: eager [%d,%d], lazy [%d,%d]", ci, c, emn, emx, lmn, lmx)
+				if bmn != lmn || bmx != lmx || bmn != pmn || bmx != pmx {
+					t.Fatalf("chunk %d col %d range: built [%d,%d], opened [%d,%d], payload [%d,%d]", ci, c, bmn, bmx, lmn, lmx, pmn, pmx)
 				}
 			}
 		}
 	}
-	// Every user resolves to the same (gid, chunk, run) through both opens.
-	userCol := schema.UserCol()
-	d := esh.Dict(userCol)
-	for gid := uint64(0); gid < uint64(d.Len()); gid++ {
-		user := d.Value(gid)
-		egid, eloc, eok, err := esh.FindUser(user)
-		if err != nil || !eok {
-			t.Fatalf("eager FindUser(%q) = ok=%v err=%v", user, eok, err)
+	// Every user resolves to the same (gid, chunk, run) through both, and
+	// its gid is its position in the shard's sorted users.
+	gid := uint64(0)
+	mustMaterialize(t, bsh).UserBlocks(func(user string, _, _ int) {
+		bgid, bloc, bok, err := bsh.FindUser(user)
+		if err != nil || !bok || bgid != gid {
+			t.Fatalf("built FindUser(%q) = %d ok=%v err=%v, want gid %d", user, bgid, bok, err, gid)
 		}
 		lgid, lloc, lok, err := lsh.FindUser(user)
 		if err != nil || !lok {
-			t.Fatalf("lazy FindUser(%q) = ok=%v err=%v", user, lok, err)
+			t.Fatalf("opened FindUser(%q) = ok=%v err=%v", user, lok, err)
 		}
-		if egid != lgid || eloc != lloc {
-			t.Fatalf("FindUser(%q): eager (%d, %+v), lazy (%d, %+v)", user, egid, eloc, lgid, lloc)
+		if bgid != lgid || bloc != lloc {
+			t.Fatalf("FindUser(%q): built (%d, %+v), opened (%d, %+v)", user, bgid, bloc, lgid, lloc)
 		}
+		gid++
+	})
+	if gid != uint64(bsh.NumUsers()) {
+		t.Fatalf("materialized %d users, want %d", gid, bsh.NumUsers())
 	}
 }
 
@@ -247,15 +271,11 @@ func TestLazyBudgetEvicts(t *testing.T) {
 // transient load's release. Under a one-byte budget every load is transient:
 // chunk A's users are materialized, then chunks B and C load into the arena
 // A's release parked, over A's bytes. Rows taken from A must still equal the
-// eager table's — a user string aliasing the arena's buffer would now read
+// built table's — a user string aliasing the arena's buffer would now read
 // B's or C's bytes.
 func TestLazyTransientUserStringsSurviveReuse(t *testing.T) {
-	path := commitWorkload(t, 1, 64)
-	eager, err := ReadSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	esh := eager.Shard(0)
+	built, path := buildAndCommit(t, workloadConfig, 1, 64)
+	esh := built.Shard(0)
 	cache := NewChunkCache(1)
 	lsh := readLazy(t, path, cache).Shard(0)
 	n := lsh.NumChunks()
@@ -264,8 +284,8 @@ func TestLazyTransientUserStringsSurviveReuse(t *testing.T) {
 	}
 	// A is the largest segment, so B's and C's loads fit in its buffer.
 	a := 0
-	for ci := range lsh.lazy.metas {
-		if lsh.lazy.metas[ci].bytes > lsh.lazy.metas[a].bytes {
+	for ci := range lsh.metas {
+		if lsh.metas[ci].bytes > lsh.metas[a].bytes {
 			a = ci
 		}
 	}
@@ -340,7 +360,7 @@ func TestLazyCorruptSegmentStructuredError(t *testing.T) {
 			sh := readLazy(t, p, NewChunkCache(0)).Shard(0)
 			// Sweep chunk 1's segment after the manifest loaded but before
 			// any scan touched it.
-			damage.wreck(t, filepath.Join(dir, sh.lazy.metas[1].file))
+			damage.wreck(t, filepath.Join(dir, sh.metas[1].file))
 
 			errCount.Store(0)
 			for attempt := 0; attempt < 3; attempt++ {
@@ -351,7 +371,7 @@ func TestLazyCorruptSegmentStructuredError(t *testing.T) {
 				}
 				if damage.name == "bit-flipped" {
 					// The mismatch names the hash found and the hash expected.
-					want := sh.lazy.metas[1].hash
+					want := sh.metas[1].hash
 					if msg := seg.Error(); !strings.Contains(msg, "does not match manifest hash "+want) ||
 						!strings.Contains(msg, "content hash ") || strings.Contains(msg, "content hash "+want) {
 						t.Fatalf("attempt %d: hash mismatch error %q does not name both hashes", attempt, msg)
@@ -427,13 +447,13 @@ func TestLazyVerifiedSegmentReloadStillChecked(t *testing.T) {
 				t.Fatal(err)
 			}
 			cache.mu.Lock()
-			verified := sh.lazy.metas[1].state.verified
+			verified := sh.metas[1].state.verified
 			cache.mu.Unlock()
 			if !verified || resident(sh, 1) {
 				t.Fatalf("after first touch: verified=%v resident=%v, want true and false", verified, resident(sh, 1))
 			}
 
-			damage.wreck(t, filepath.Join(dir, sh.lazy.metas[1].file))
+			damage.wreck(t, filepath.Join(dir, sh.metas[1].file))
 			for attempt := 0; attempt < 2; attempt++ {
 				_, _, err := sh.PinChunk(1)
 				var seg *CorruptSegmentError
@@ -502,20 +522,16 @@ func oneRowDelta(t *testing.T, sh *Table, user string, ts int64) *activity.Table
 // whose budget cannot hold even one chunk after release, so loads, rebinds
 // and evictions interleave constantly. Run under -race this is the
 // eviction-never-races-a-scan proof; in any mode every reader must see
-// exactly the eager rows. Workers also build the launch and shop birth
+// exactly the built table's rows. Workers also build the launch and shop birth
 // indexes of the same pinned chunks at once, and the indexes' charged bytes
 // leave with their entries: once every pin drops the budget holds.
 func TestLazyConcurrentTinyBudget(t *testing.T) {
-	path := commitWorkload(t, 2, 96)
-	eager, err := ReadSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	built, path := buildAndCommit(t, workloadConfig, 2, 96)
 	cache := NewChunkCache(1)
 	lazy := readLazy(t, path, cache)
 	want := make([][]int, lazy.NumShards()) // rows per chunk, as ground truth shape
 	for i := range want {
-		esh := eager.Shard(i)
+		esh := built.Shard(i)
 		want[i] = make([]int, esh.NumChunks())
 		for ci := range want[i] {
 			want[i][ci] = esh.ChunkRows(ci)
@@ -591,7 +607,7 @@ func TestLazyConcurrentTinyBudget(t *testing.T) {
 	}
 }
 
-// TestLazyMergeDeltaKeepsUntouchedChunksCold pins compaction cost on lazy
+// TestLazyMergeDeltaKeepsUntouchedChunksCold pins compaction cost on opened
 // tables: MergeDelta decodes only the chunks owning delta users; every other
 // chunk keeps its cold handle — across the merge and across the following
 // commit (the carried segments keep their content hash, so the manifest
@@ -618,8 +634,13 @@ func TestLazyMergeDeltaKeepsUntouchedChunksCold(t *testing.T) {
 	if reads != 1 {
 		t.Fatalf("merging one chunk's delta performed %d segment reads, want 1", reads)
 	}
-	if !merged.Lazy() {
-		t.Fatal("merged table is not lazy")
+	if perm := permChunks(merged); perm != rebuilt {
+		t.Fatalf("merged table holds %d perm chunks, want the %d rebuilt ones", perm, rebuilt)
+	}
+	for ci := 1; ci < merged.NumChunks(); ci++ {
+		if merged.metas[ci].perm || merged.chunks[ci] != nil {
+			t.Fatalf("untouched chunk %d is resident in the merged table", ci)
+		}
 	}
 	if got := merged.NumRows(); got != sh.NumRows()+1 {
 		t.Fatalf("merged rows = %d, want %d", got, sh.NumRows()+1)

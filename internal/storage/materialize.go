@@ -7,9 +7,8 @@ import "repro/internal/activity"
 // places — per-user materialization when a shard's union input combines a
 // user's sealed tuples with fresh delta tuples, and full-table
 // materialization when the compactor merges the delta into a new sealed
-// table. On lazy tables these
-// paths pin chunks through the chunk cache, so they can fail with a
-// *CorruptSegmentError when a segment is damaged.
+// table. These paths pin chunks through the chunk cache, so they can fail
+// with a *CorruptSegmentError when a segment is damaged.
 
 // UserLoc locates one user's tuples inside a sealed table: users never span
 // chunks (the clustering property), so a (chunk, run) pair identifies the
@@ -80,18 +79,10 @@ func (st *Table) MaterializeChunk(i int) (*activity.Table, error) {
 
 // ChunkUserRange returns the first and last user (by value) of chunk i —
 // the per-chunk user range that routes delta rows to their owning chunk and
-// is recorded in the manifest. Lazy tables answer from the manifest without
-// touching the chunk.
+// is recorded in the manifest — without touching the chunk.
 func (st *Table) ChunkUserRange(i int) (first, last string) {
-	if st.lazy != nil {
-		m := &st.lazy.metas[i]
-		return m.minUser, m.maxUser
-	}
-	ch := st.chunks[i]
-	d := st.dicts[st.schema.UserCol()]
-	fgid, _, _ := ch.UserRun(0)
-	lgid, _, _ := ch.UserRun(ch.NumUsers() - 1)
-	return d.Value(fgid), d.Value(lgid)
+	m := &st.metas[i]
+	return m.minUser, m.maxUser
 }
 
 // appendRows decodes chunk-local rows [first, end) of one user block.

@@ -65,14 +65,19 @@ func refBuild(t *activity.Table, opts Options) (*Table, error) {
 	st := &Table{
 		schema:    schema,
 		chunkSize: opts.chunkSize(),
-		numRows:   t.Len(),
 		dicts:     make([]*encoding.Dict, schema.NumCols()),
 		globalMin: make([]int64, schema.NumCols()),
 		globalMax: make([]int64, schema.NumCols()),
 	}
+	// dicts holds every string column's dictionary, the user column's too;
+	// the table keeps the others.
+	dicts := make([]*encoding.Dict, schema.NumCols())
 	for c := 0; c < schema.NumCols(); c++ {
 		if schema.IsStringCol(c) {
-			st.dicts[c] = encoding.BuildDict(t.Strings(c))
+			dicts[c] = encoding.BuildDict(t.Strings(c))
+			if c != schema.UserCol() {
+				st.dicts[c] = dicts[c]
+			}
 			continue
 		}
 		vals := t.Ints(c)
@@ -84,11 +89,13 @@ func refBuild(t *activity.Table, opts Options) (*Table, error) {
 			st.globalMin[c], st.globalMax[c] = mn, mx
 		}
 	}
-	gids, err := refGlobalIDs(t, schema, st.dicts)
+	gids, err := refGlobalIDs(t, schema, dicts)
 	if err != nil {
 		return nil, err
 	}
-	st.chunks, st.numUsers = refEncodeChunks(t, schema, gids, st.chunkSize)
+	for _, ch := range refEncodeChunks(t, schema, dicts[schema.UserCol()], gids, st.chunkSize) {
+		st.appendPerm(ch)
+	}
 	return st, nil
 }
 
@@ -120,26 +127,27 @@ func refGlobalIDs(t *activity.Table, schema *activity.Schema, dicts []*encoding.
 
 // refEncodeChunks splits sorted rows into whole-user chunks — accumulating
 // user blocks until the target size — and encodes each.
-func refEncodeChunks(t *activity.Table, schema *activity.Schema, gids [][]uint64, target int) ([]*Chunk, int) {
-	var start, users int
+func refEncodeChunks(t *activity.Table, schema *activity.Schema, users *encoding.Dict, gids [][]uint64, target int) []*Chunk {
+	var start int
 	var blockEnds []int
 	t.UserBlocks(func(_ string, _, end int) {
-		users++
 		blockEnds = append(blockEnds, end)
 	})
 	var chunks []*Chunk
 	for _, end := range blockEnds {
 		if end-start >= target || end == t.Len() {
-			chunks = append(chunks, refBuildChunk(t, schema, gids, start, end))
+			chunks = append(chunks, refBuildChunk(t, schema, users, gids, start, end))
 			start = end
 		}
 	}
-	return chunks, users
+	return chunks
 }
 
-func refBuildChunk(t *activity.Table, schema *activity.Schema, gids [][]uint64, start, end int) *Chunk {
-	ch := &Chunk{numRows: end - start, cols: make([]chunkColumn, schema.NumCols()), seg: &segInfo{}}
-	ch.users = refEncodeRLE(gids[schema.UserCol()][start:end])
+func refBuildChunk(t *activity.Table, schema *activity.Schema, users *encoding.Dict, gids [][]uint64, start, end int) *Chunk {
+	ch := &Chunk{numRows: end - start, cols: make([]chunkColumn, schema.NumCols()), births: &birthIndexes{}}
+	first, lengths := refUserRuns(gids[schema.UserCol()][start:end])
+	ch.users = encoding.RLEConsecutive(first, lengths)
+	ch.userVals, ch.userBase = users.Values()[first:first+uint64(len(lengths))], first
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == schema.UserCol() {
 			continue
@@ -155,19 +163,21 @@ func refBuildChunk(t *activity.Table, schema *activity.Schema, gids [][]uint64, 
 	return ch
 }
 
-// refEncodeRLE run-length encodes values.
-func refEncodeRLE(values []uint64) *encoding.RLE {
-	var vals []uint64
-	var lens []uint32
-	for i := 0; i < len(values); {
+// refUserRuns run-length encodes a chunk's user ids, which count up by one
+// from run to run in a sorted table: the first id and the run lengths.
+func refUserRuns(ids []uint64) (first uint64, lengths []uint32) {
+	for i := 0; i < len(ids); {
 		j := i + 1
-		for j < len(values) && values[j] == values[i] {
+		for j < len(ids) && ids[j] == ids[i] {
 			j++
 		}
-		vals, lens = append(vals, values[i]), append(lens, uint32(j-i))
+		if ids[i] != ids[0]+uint64(len(lengths)) {
+			panic(fmt.Sprintf("reference: user id %d out of order", ids[i]))
+		}
+		lengths = append(lengths, uint32(j-i))
 		i = j
 	}
-	return encoding.RLEFromRuns(vals, lens)
+	return ids[0], lengths
 }
 
 // refPack bit-packs values at the minimum width that fits the largest one.

@@ -78,7 +78,7 @@ func TestSerializeRoundTripSingleUserChunks(t *testing.T) {
 		t.Fatalf("chunking: %d chunks for %d users, want one per user", st.NumChunks(), st.NumUsers())
 	}
 	for i := 0; i < st.NumChunks(); i++ {
-		if n := st.Chunk(i).NumUsers(); n != 1 {
+		if n := pinned(t, st, i).NumUsers(); n != 1 {
 			t.Fatalf("chunk %d holds %d users", i, n)
 		}
 	}
@@ -158,9 +158,9 @@ func FuzzDecodeChunkSegment(f *testing.F) {
 	}
 	schema := st.Schema()
 	for i := 0; i < st.NumChunks(); i++ {
-		f.Add(st.segmentBytes(i))
+		f.Add(chunkSegment(f, st, i))
 	}
-	good := st.segmentBytes(0)
+	good := chunkSegment(f, st, 0)
 	f.Add(good[:len(good)/2])
 	f.Add([]byte(chunkMagic))
 	f.Add([]byte{})
@@ -170,11 +170,11 @@ func FuzzDecodeChunkSegment(f *testing.F) {
 			return
 		}
 		// A structurally valid segment must also survive assembly.
-		tbl, err := assembleShard(schema, 4, []*segChunk{sc}, nil)
+		tbl, err := assembleShard(schema, 4, []*segChunk{sc})
 		if err != nil {
 			return
 		}
-		if again := tbl.segmentBytes(0); !bytes.Equal(again, data) {
+		if again := chunkSegment(t, tbl, 0); !bytes.Equal(again, data) {
 			t.Fatalf("accepted segment does not re-serialize to itself:\n in  %x\n out %x", data, again)
 		}
 	})

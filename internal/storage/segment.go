@@ -31,26 +31,18 @@ import (
 // chunkMagic identifies and versions the self-contained chunk segment format.
 const chunkMagic = "COHANAC1"
 
-// appendChunkSegment serializes ch self-contained, resolving dictionary ids
-// to values through the owning table's global dictionaries.
+// appendChunkSegment serializes ch self-contained: its own users, and string
+// dictionary ids resolved to values through the owning table's global
+// dictionaries.
 func appendChunkSegment(dst []byte, schema *activity.Schema, dicts []*encoding.Dict, ch *Chunk) []byte {
 	dst = append(dst, chunkMagic...)
 	dst = binary.AppendUvarint(dst, uint64(ch.numRows))
 	userCol := schema.UserCol()
 	dst = binary.AppendUvarint(dst, uint64(ch.users.NumRuns()))
-	for r := 0; r < ch.users.NumRuns(); r++ {
-		run := ch.users.Run(r)
-		var u string
-		if d := dicts[userCol]; d != nil {
-			u = d.Value(run.Value)
-		} else {
-			// Lazy tables have no user dictionary; the chunk carries its
-			// own users with virtual ids userBase, userBase+1, …
-			u = ch.userVals[run.Value-ch.userBase]
-		}
+	for r, u := range ch.userVals {
 		dst = binary.AppendUvarint(dst, uint64(len(u)))
 		dst = append(dst, u...)
-		dst = binary.AppendUvarint(dst, uint64(run.Length))
+		dst = binary.AppendUvarint(dst, uint64(ch.users.Run(r).Length))
 	}
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == userCol {
@@ -72,27 +64,39 @@ func appendChunkSegment(dst []byte, schema *activity.Schema, dicts []*encoding.D
 	return dst
 }
 
-// segmentBytes serializes chunk i of st as a self-contained segment.
-func (st *Table) segmentBytes(i int) []byte {
-	return appendChunkSegment(nil, st.schema, st.dicts, st.chunks[i])
-}
-
-// segmentHash returns the content hash naming chunk i's segment file — the
-// first 128 bits of SHA-256 over the segment bytes, hex-encoded (a
-// collision-resistant hash, so adversarial chunk contents cannot alias two
-// different chunks onto one segment file) — computing and caching it on
-// first use. Chunks carried over from a previous layout share the cache, so
-// an incremental commit hashes only the chunks a compaction actually
-// rebuilt. When this call is the one that computed the hash, buf is the
+// segment returns chunk i's segment identity: the content hash naming its
+// segment file — the first 128 bits of SHA-256 over the segment bytes,
+// hex-encoded (a collision-resistant hash, so adversarial chunk contents
+// cannot alias two different chunks onto one segment file) — and the
+// segment's size. A cold chunk's come from its manifest entry. A perm
+// chunk's are computed on first use and kept; chunks carried through a merge
+// share them, so an incremental commit hashes only the chunks a compaction
+// actually rebuilt. When this call is the one that computed them, buf is the
 // segment it serialized to do so, for a committer to write without
 // serializing again; otherwise buf is nil.
-func (st *Table) segmentHash(i int) (hash string, buf []byte) {
-	info := st.chunks[i].seg
-	info.once.Do(func() {
-		buf = st.segmentBytes(i)
-		info.hash = hashSegment(buf)
+func (st *Table) segment(i int) (hash string, size int64, buf []byte) {
+	m := &st.metas[i]
+	if !m.perm {
+		return m.hash, m.bytes, nil
+	}
+	m.seg.once.Do(func() {
+		buf = appendChunkSegment(nil, st.schema, st.dicts, st.chunks[i])
+		m.seg.hash, m.seg.bytes = hashSegment(buf), int64(len(buf))
 	})
-	return info.hash, buf
+	return m.seg.hash, m.seg.bytes, buf
+}
+
+// EncodedSize returns the total size in bytes of the table's chunk segments —
+// the bytes a commit stores for it, and the storage-space metric reported in
+// Figure 7 of the paper. A table opened from a manifest answers from it
+// without loading anything.
+func (st *Table) EncodedSize() int {
+	n := int64(0)
+	for i := range st.metas {
+		_, size, _ := st.segment(i)
+		n += size
+	}
+	return int(n)
 }
 
 // hashSegment is the content hash of a segment's bytes.
@@ -231,34 +235,30 @@ func decodeChunkSegment(sc *segChunk, src []byte, schema *activity.Schema) error
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // assembleShard binds self-contained chunks — decoded from segments or fresh
-// from the encoder, and in user-range order — into one Table: the global
-// dictionaries are the union of the per-chunk value lists, each chunk's
-// structures bind onto them, and the bit-packed payloads are adopted as-is.
-// hashes, when not nil, carries each chunk's content hash (from its segment
-// file name) so reloaded chunks keep their segment identity without
-// re-serializing.
-func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, hashes []string) (*Table, error) {
+// from the encoder, and in user-range order — into one Table of perm chunks:
+// the global dictionaries are the union of the per-chunk value lists, each
+// chunk's structures bind onto them, and the bit-packed payloads are adopted
+// as-is.
+func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk) (*Table, error) {
 	st := &Table{
 		schema:    schema,
 		chunkSize: chunkSize,
 		dicts:     make([]*encoding.Dict, schema.NumCols()),
 		globalMin: make([]int64, schema.NumCols()),
 		globalMax: make([]int64, schema.NumCols()),
+		metas:     make([]chunkMeta, 0, len(segs)),
+		chunks:    make([]*Chunk, 0, len(segs)),
 	}
 	userCol := schema.UserCol()
-	// Users ascend within a chunk and from chunk to chunk, so their
-	// dictionary is the concatenation and a user's id is its position.
-	users := 0
-	for _, sc := range segs {
-		users += len(sc.users)
-	}
-	allUsers := make([]string, 0, users)
-	for _, sc := range segs {
-		allUsers = append(allUsers, sc.users...)
-	}
-	var err error
-	if st.dicts[userCol], err = encoding.SortedDict(allUsers); err != nil {
-		return nil, fmt.Errorf("storage: chunk user ranges overlap or descend: %w", err)
+	for i, sc := range segs {
+		// Users ascend within a chunk (the decoder checks it) and must go on
+		// ascending from chunk to chunk.
+		if len(sc.users) == 0 {
+			return nil, fmt.Errorf("storage: chunk %d holds no users", i)
+		}
+		if i > 0 && sc.users[0] <= segs[i-1].users[len(segs[i-1].users)-1] {
+			return nil, fmt.Errorf("storage: chunk %d: user range overlaps its predecessor", i)
+		}
 	}
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == userCol || !schema.IsStringCol(c) {
@@ -289,12 +289,7 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 		if err != nil {
 			return nil, fmt.Errorf("storage: chunk %d: %w", si, err)
 		}
-		if hashes != nil && hashes[si] != "" {
-			ch.seg.once.Do(func() { ch.seg.hash = hashes[si] })
-		}
-		st.numRows += sc.numRows
-		st.numUsers += len(sc.users)
-		st.chunks = append(st.chunks, ch)
+		st.appendPerm(ch)
 	}
 	return st, nil
 }
@@ -302,19 +297,17 @@ func assembleShard(schema *activity.Schema, chunkSize int, segs []*segChunk, has
 // bindChunk binds one self-contained chunk to a shard's global dictionaries.
 // Its users take the ids userBase, userBase+1, … — their positions in the
 // shard's ascending user order — and each string column's value list resolves
-// to global-ids by binary search; the packed payloads are shared with sc.
-// Without a user dictionary (a lazy table) the chunk carries its own users.
+// to global-ids by binary search; the users and packed payloads are shared
+// with sc.
 func bindChunk(schema *activity.Schema, dicts []*encoding.Dict, sc *segChunk, userBase uint64) (*Chunk, error) {
 	userCol := schema.UserCol()
 	ch := &Chunk{
-		numRows: sc.numRows,
-		users:   encoding.RLEConsecutive(userBase, sc.lengths),
-		cols:    make([]chunkColumn, schema.NumCols()),
-		seg:     &segInfo{},
-		births:  &sc.births,
-	}
-	if dicts[userCol] == nil {
-		ch.userVals, ch.userBase = sc.users, userBase
+		numRows:  sc.numRows,
+		users:    encoding.RLEConsecutive(userBase, sc.lengths),
+		cols:     make([]chunkColumn, schema.NumCols()),
+		userVals: sc.users,
+		userBase: userBase,
+		births:   &sc.births,
 	}
 	for c := 0; c < schema.NumCols(); c++ {
 		if c == userCol {

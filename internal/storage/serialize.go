@@ -43,17 +43,26 @@ func schemaFromJSON(sj schemaJSON) (*activity.Schema, error) {
 	return activity.NewSchema(cols)
 }
 
-// Serialize encodes the table into a self-contained byte slice:
+// Serialize encodes the table into a self-contained byte slice in the legacy
+// single-table format:
 //
 //	magic | schema | counts | global dictionaries and ranges | chunks
 //
 // The layout keeps each chunk's columns contiguous so a sequential scan of a
-// chunk touches a compact byte range, mirroring the paper's chunk files.
+// chunk touches a compact byte range, mirroring the paper's chunk files. The
+// user column's dictionary is every chunk's users in order; cold chunks are
+// loaded for it, and held until the bytes are written.
 func (st *Table) Serialize() ([]byte, error) {
-	if st.lazy != nil {
-		// The legacy format embeds a user dictionary, which lazy tables do
-		// not keep (user ids are virtual); persist them with CommitSharded.
-		return nil, fmt.Errorf("storage: cannot serialize a lazy table to the legacy format")
+	chunks := make([]*Chunk, st.NumChunks())
+	users := make([]string, 0, st.numUsers)
+	for i := range chunks {
+		ch, release, err := st.PinChunk(i)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		chunks[i] = ch
+		users = append(users, ch.userVals...)
 	}
 	dst := []byte(magic)
 	sb, err := json.Marshal(schemaToJSON(st.schema))
@@ -65,16 +74,19 @@ func (st *Table) Serialize() ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(st.numRows))
 	dst = binary.AppendUvarint(dst, uint64(st.numUsers))
 	dst = binary.AppendUvarint(dst, uint64(st.chunkSize))
-	dst = binary.AppendUvarint(dst, uint64(len(st.chunks)))
+	dst = binary.AppendUvarint(dst, uint64(len(chunks)))
 	for c := 0; c < st.schema.NumCols(); c++ {
-		if st.schema.IsStringCol(c) {
+		switch {
+		case c == st.schema.UserCol():
+			dst = encoding.BuildDict(users).AppendTo(dst)
+		case st.schema.IsStringCol(c):
 			dst = st.dicts[c].AppendTo(dst)
-		} else {
+		default:
 			dst = binary.AppendVarint(dst, st.globalMin[c])
 			dst = binary.AppendVarint(dst, st.globalMax[c])
 		}
 	}
-	for _, ch := range st.chunks {
+	for _, ch := range chunks {
 		dst = binary.AppendUvarint(dst, uint64(ch.numRows))
 		dst = ch.users.AppendTo(dst)
 		for c := 0; c < st.schema.NumCols(); c++ {
@@ -92,7 +104,9 @@ func (st *Table) Serialize() ([]byte, error) {
 	return dst, nil
 }
 
-// Deserialize decodes a table produced by Serialize.
+// Deserialize decodes a table produced by Serialize into a table of perm
+// chunks. Each chunk's user runs must carry the next ids of the user
+// dictionary in order, one run per user, and together cover it.
 func Deserialize(src []byte) (*Table, error) {
 	if len(src) < len(magic) || string(src[:len(magic)]) != magic {
 		return nil, fmt.Errorf("storage: bad magic (not a COHANA table)")
@@ -127,8 +141,9 @@ func Deserialize(src []byte) (*Table, error) {
 		vals[i] = v
 		src = src[k:]
 	}
-	st.numRows, st.numUsers, st.chunkSize = int(vals[0]), int(vals[1]), int(vals[2])
-	nchunks := int(vals[3])
+	numRows, numUsers := vals[0], vals[1]
+	st.chunkSize = int(vals[2])
+	nchunks := vals[3]
 	for c := 0; c < schema.NumCols(); c++ {
 		if schema.IsStringCol(c) {
 			d, rest, err := encoding.DecodeDict(src)
@@ -150,19 +165,37 @@ func Deserialize(src []byte) (*Table, error) {
 			st.globalMin[c], st.globalMax[c] = mn, mx
 		}
 	}
-	for i := 0; i < nchunks; i++ {
-		ch := &Chunk{cols: make([]chunkColumn, schema.NumCols()), seg: &segInfo{}, births: &birthIndexes{}}
+	// The user dictionary becomes the chunks' user lists; tables keep none.
+	users := st.dicts[schema.UserCol()]
+	st.dicts[schema.UserCol()] = nil
+	for i := 1; i < users.Len(); i++ {
+		if users.Value(uint64(i)) <= users.Value(uint64(i-1)) {
+			return nil, fmt.Errorf("storage: user dictionary not strictly ascending at %d", i)
+		}
+	}
+	for i := uint64(0); i < nchunks; i++ {
+		ch := &Chunk{cols: make([]chunkColumn, schema.NumCols()), births: &birthIndexes{}}
 		n, k := binary.Uvarint(src)
 		if k <= 0 {
 			return nil, fmt.Errorf("storage: truncated chunk %d header", i)
 		}
 		src = src[k:]
 		ch.numRows = int(n)
-		users, rest, err := encoding.DecodeRLEBytes(src)
+		runs, rest, err := encoding.DecodeRLEBytes(src)
 		if err != nil {
 			return nil, fmt.Errorf("storage: chunk %d user column: %w", i, err)
 		}
-		ch.users, src = users, rest
+		ch.users, src = runs, rest
+		base, nusers := uint64(st.numUsers), runs.NumRuns()
+		if nusers == 0 || uint64(runs.Len()) != n || base+uint64(nusers) > uint64(users.Len()) {
+			return nil, fmt.Errorf("storage: chunk %d user runs do not fit the table", i)
+		}
+		for r := 0; r < nusers; r++ {
+			if runs.Run(r).Value != base+uint64(r) {
+				return nil, fmt.Errorf("storage: chunk %d user runs out of dictionary order", i)
+			}
+		}
+		ch.userVals, ch.userBase = users.Values()[base:base+uint64(nusers)], base
 		for c := 0; c < schema.NumCols(); c++ {
 			if c == schema.UserCol() {
 				continue
@@ -188,10 +221,14 @@ func Deserialize(src []byte) (*Table, error) {
 				ch.cols[c] = chunkColumn{ints: &f}
 			}
 		}
-		st.chunks = append(st.chunks, ch)
+		st.appendPerm(ch)
 	}
 	if len(src) != 0 {
 		return nil, fmt.Errorf("storage: %d trailing bytes", len(src))
+	}
+	if uint64(st.numRows) != numRows || uint64(st.numUsers) != numUsers || st.numUsers != users.Len() {
+		return nil, fmt.Errorf("storage: header counts %d rows / %d users, chunks hold %d / %d of %d",
+			numRows, numUsers, st.numRows, st.numUsers, users.Len())
 	}
 	return st, nil
 }
@@ -212,23 +249,4 @@ func ReadFile(path string) (*Table, error) {
 		return nil, err
 	}
 	return Deserialize(buf)
-}
-
-// EncodedSize returns the size in bytes of the serialized table — the
-// storage-space metric reported in Figure 7 of the paper. Lazy tables report
-// the sum of their segment file sizes from the manifest, without loading
-// anything.
-func (st *Table) EncodedSize() int {
-	if st.lazy != nil {
-		n := int64(0)
-		for i := range st.lazy.metas {
-			n += st.lazy.metas[i].bytes
-		}
-		return int(n)
-	}
-	buf, err := st.Serialize()
-	if err != nil {
-		return 0
-	}
-	return len(buf)
 }

@@ -51,7 +51,7 @@ func SingleShard(t *Table) *Sharded {
 }
 
 // NewSharded assembles a sharded table from per-shard tables, which must all
-// share one schema (structurally — see ReadSharded for the pointer
+// share one schema (structurally — see readShardedV1 for the pointer
 // normalization of freshly deserialized shards). The slice is adopted, not
 // copied. NewSharded never mutates the tables: it is called from concurrent
 // compaction paths where other shards are being read.
@@ -132,8 +132,9 @@ func (s *Sharded) NumChunks() int {
 // ChunkSize returns the configured target chunk size (shared by all shards).
 func (s *Sharded) ChunkSize() int { return s.shards[0].ChunkSize() }
 
-// EncodedSize returns the total serialized bytes across shards — the
-// Figure 7 storage metric for the whole sharded table.
+// EncodedSize returns the total chunk segment bytes across shards — what a
+// commit stores besides the manifest, and the Figure 7 storage metric for the
+// whole sharded table.
 func (s *Sharded) EncodedSize() int {
 	n := 0
 	for _, sh := range s.shards {

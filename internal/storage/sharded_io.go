@@ -34,20 +34,20 @@ import (
 // is the commit point, and segments no new manifest references are swept
 // afterwards (best effort — a leaked segment is garbage, never corruption).
 //
-// Manifest v3 extends v2 with everything a *lazy* open needs to plan and
-// prune without reading a single segment: per-shard complete dictionaries for
-// the non-user string columns plus global int ranges, and per-chunk segment
-// byte sizes and column stats (sorted present-value lists for small string
+// Manifest v3 extends v2 with everything an open needs to plan and prune
+// without reading a single segment: per-shard complete dictionaries for the
+// non-user string columns plus global int ranges, and per-chunk segment byte
+// sizes and column stats (sorted present-value lists for small string
 // columns, exact [min, max] for int columns). The shard dictionaries are
 // provably complete — a shard's dictionary is always exactly the value set of
 // its rows, both at build time and through grown-dictionary merges — so
-// LookupString on a lazy table is exact, not approximate.
+// LookupString on an opened table is exact, not approximate.
 //
 // Older layouts load transparently and upgrade to v3 on their next persist: a
 // COHANAS2 chunk-granular manifest, a COHANAS1 manifest (one whole-shard
 // legacy segment per shard) and a bare legacy single-table .cohana file,
-// which loads as one shard. Lazy opening needs v3 stats; older layouts fall
-// back to an eager open.
+// which loads as one shard. A v3 open reads no segment; the older layouts
+// lack the stats for that, so they are read whole, into perm chunks.
 
 // shardMagic identifies a v1 shard manifest — read-only since manifest v2. It
 // is deliberately the same length as the legacy table magic so readers can
@@ -58,7 +58,8 @@ const shardMagic = "COHANAS1"
 // since manifest v3.
 const shardMagicV2 = "COHANAS2"
 
-// shardMagicV3 identifies a v3 (chunk-granular, lazy-openable) shard manifest.
+// shardMagicV3 identifies a v3 (chunk-granular, statistics-carrying) shard
+// manifest.
 const shardMagicV3 = "COHANAS3"
 
 // SegmentExt is the file extension of segment files. The serving catalog
@@ -120,7 +121,7 @@ type manifestChunkV3JSON struct {
 }
 
 // manifestShardV3JSON is one shard's ordered chunk list plus the shard-level
-// metadata a lazy open binds without touching segments: complete dictionaries
+// metadata an open binds without touching segments: complete dictionaries
 // for non-user string columns (nil entries for the user and int columns) and
 // global int ranges.
 type manifestShardV3JSON struct {
@@ -158,23 +159,17 @@ func (s *CommitStats) Add(o CommitStats) {
 
 // ReadOptions configures how a sharded table is opened.
 type ReadOptions struct {
-	// Lazy opens the table O(manifest): chunk payloads stay cold until a
-	// scan pins them. Requires a v3 manifest; older layouts silently fall
-	// back to an eager open (their next commit upgrades them).
+	// Lazy is ignored: every open of a v3 manifest is O(manifest), its chunk
+	// payloads cold until a scan pins them.
 	Lazy bool
-	// Cache is the chunk cache backing lazy loads; nil uses the shared
+	// Cache is the chunk cache backing cold chunk loads; nil uses the shared
 	// process-wide DefaultChunkCache.
 	Cache *ChunkCache
 }
 
-// ReadSharded loads a sharded table from path eagerly: a v3 or v2
-// chunk-granular manifest, a v1 per-shard manifest, or a legacy single-table
-// file wrapped as one shard.
-func ReadSharded(path string) (*Sharded, error) {
-	return ReadShardedWith(path, ReadOptions{})
-}
-
-// ReadShardedWith loads a sharded table from path with explicit open options.
+// ReadShardedWith loads a sharded table from path: a v3 manifest opens with
+// every chunk cold; a v2 chunk-granular manifest, a v1 per-shard manifest or
+// a legacy single-table file (wrapped as one shard) is read whole.
 func ReadShardedWith(path string, opts ReadOptions) (*Sharded, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -236,7 +231,7 @@ func readShardedV2(path string, body []byte) (*Sharded, error) {
 		//lint:allow goroutinepool load fan-out bounded by the shard count and joined below; storage sits under the cohort pool layer (import cycle)
 		go func(si int, files []string) {
 			defer wg.Done()
-			tables[si], errs[si] = readShardEager(dir, path, schema, m.ChunkSize, files)
+			tables[si], errs[si] = readShardSegments(dir, schema, m.ChunkSize, files)
 		}(si, files)
 	}
 	wg.Wait()
@@ -248,11 +243,10 @@ func readShardedV2(path string, body []byte) (*Sharded, error) {
 	return NewSharded(tables)
 }
 
-// readShardEager reads and decodes one shard's chunk segment files and
-// assembles them into an eager table — shared by the v2 and v3 eager paths.
-func readShardEager(dir, path string, schema *activity.Schema, chunkSize int, files []string) (*Table, error) {
+// readShardSegments reads and decodes one shard's chunk segment files and
+// assembles them into a table of perm chunks.
+func readShardSegments(dir string, schema *activity.Schema, chunkSize int, files []string) (*Table, error) {
 	segs := make([]*segChunk, len(files))
-	hashes := make([]string, len(files))
 	for ci, f := range files {
 		buf, err := os.ReadFile(filepath.Join(dir, f))
 		if err != nil {
@@ -263,14 +257,11 @@ func readShardEager(dir, path string, schema *activity.Schema, chunkSize int, fi
 		if err = decodeChunkSegment(segs[ci], buf, schema); err != nil {
 			return nil, fmt.Errorf("%s: %w", f, err)
 		}
-		hashes[ci] = hashFromSegmentName(path, f)
 	}
-	return assembleShard(schema, chunkSize, segs, hashes)
+	return assembleShard(schema, chunkSize, segs)
 }
 
-// readShardedV3 loads a v3 manifest, eagerly or lazily. The eager path
-// ignores the persisted shard dictionaries and stats — assembleShard rebuilds
-// identical ones from the segment contents.
+// readShardedV3 opens a v3 manifest without reading any segment.
 func readShardedV3(path string, body []byte, opts ReadOptions) (*Sharded, error) {
 	m := new(manifestV3JSON)
 	if err := json.Unmarshal(body, m); err != nil {
@@ -294,49 +285,25 @@ func readShardedV3(path string, body []byte, opts ReadOptions) (*Sharded, error)
 			}
 		}
 	}
-	if opts.Lazy {
-		cache := opts.Cache
-		if cache == nil {
-			cache = DefaultChunkCache()
-		}
-		tables := make([]*Table, len(m.Shards))
-		for si, sh := range m.Shards {
-			tbl, err := buildLazyShard(dir, path, schema, m.ChunkSize, sh, cache)
-			if err != nil {
-				return nil, fmt.Errorf("storage: shard manifest %s: shard %d: %w", path, si, err)
-			}
-			tables[si] = tbl
-		}
-		return NewSharded(tables)
+	cache := opts.Cache
+	if cache == nil {
+		cache = DefaultChunkCache()
 	}
 	tables := make([]*Table, len(m.Shards))
-	errs := make([]error, len(m.Shards))
-	var wg sync.WaitGroup
 	for si, sh := range m.Shards {
-		files := make([]string, len(sh.Chunks))
-		for ci, c := range sh.Chunks {
-			files[ci] = c.File
-		}
-		wg.Add(1)
-		//lint:allow goroutinepool load fan-out bounded by the shard count and joined below; storage sits under the cohort pool layer (import cycle)
-		go func(si int, files []string) {
-			defer wg.Done()
-			tables[si], errs[si] = readShardEager(dir, path, schema, m.ChunkSize, files)
-		}(si, files)
-	}
-	wg.Wait()
-	for si, err := range errs {
+		tbl, err := openShard(dir, path, schema, m.ChunkSize, sh, cache)
 		if err != nil {
-			return nil, fmt.Errorf("storage: shard %d: %w", si, err)
+			return nil, fmt.Errorf("storage: shard manifest %s: shard %d: %w", path, si, err)
 		}
+		tables[si] = tbl
 	}
 	return NewSharded(tables)
 }
 
-// buildLazyShard binds one shard from v3 manifest metadata alone: manifest
+// openShard binds one shard from v3 manifest metadata alone: manifest
 // dictionaries become the global dictionaries, chunk entries become cold
 // chunkMeta handles, and no segment file is opened.
-func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh manifestShardV3JSON, cache *ChunkCache) (*Table, error) {
+func openShard(dir, path string, schema *activity.Schema, chunkSize int, sh manifestShardV3JSON, cache *ChunkCache) (*Table, error) {
 	userCol := schema.UserCol()
 	if len(sh.Dicts) != schema.NumCols() || len(sh.IntMin) != schema.NumCols() || len(sh.IntMax) != schema.NumCols() {
 		return nil, fmt.Errorf("shard stats do not match the schema's %d columns", schema.NumCols())
@@ -348,7 +315,10 @@ func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh
 		dicts:     make([]*encoding.Dict, schema.NumCols()),
 		globalMin: make([]int64, schema.NumCols()),
 		globalMax: make([]int64, schema.NumCols()),
+		metas:     make([]chunkMeta, n),
 		chunks:    make([]*Chunk, n),
+		dir:       dir,
+		cache:     cache,
 	}
 	for c := 0; c < schema.NumCols(); c++ {
 		st.globalMin[c], st.globalMax[c] = sh.IntMin[c], sh.IntMax[c]
@@ -356,13 +326,12 @@ func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh
 			st.dicts[c] = encoding.BuildDict(sh.Dicts[c])
 		}
 	}
-	metas := make([]chunkMeta, n)
 	states := make([]chunkState, n)
 	var userBase uint64
 	for ci, c := range sh.Chunks {
 		hash := hashFromSegmentName(path, c.File)
 		if hash == "" {
-			return nil, fmt.Errorf("chunk %d: lazy open requires a content-addressed segment name, got %q", ci, c.File)
+			return nil, fmt.Errorf("chunk %d: a v3 manifest requires a content-addressed segment name, got %q", ci, c.File)
 		}
 		if c.Rows <= 0 || c.Users <= 0 || c.MinUser > c.MaxUser {
 			return nil, fmt.Errorf("chunk %d: invalid stats (rows=%d users=%d)", ci, c.Rows, c.Users)
@@ -376,7 +345,8 @@ func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh
 		if len(c.Cols) != schema.NumCols() {
 			return nil, fmt.Errorf("chunk %d: column stats do not match the schema", ci)
 		}
-		meta := chunkMeta{
+		meta := &st.metas[ci]
+		*meta = chunkMeta{
 			file: c.File, hash: hash, bytes: c.Bytes,
 			rows: c.Rows, users: c.Users, userBase: userBase,
 			minUser: c.MinUser, maxUser: c.MaxUser,
@@ -403,12 +373,10 @@ func buildLazyShard(dir, path string, schema *activity.Schema, chunkSize int, sh
 				meta.intMin[col], meta.intMax[col] = *cs.Min, *cs.Max
 			}
 		}
-		metas[ci] = meta
 		userBase += uint64(c.Users)
 		st.numRows += c.Rows
 		st.numUsers += c.Users
 	}
-	st.lazy = &lazyState{dir: dir, cache: cache, metas: metas, logged: make([]bool, n)}
 	return st, nil
 }
 
@@ -482,9 +450,8 @@ func CommitSharded(path string, s *Sharded) (CommitStats, error) {
 		Shards:    make([]manifestShardV3JSON, s.NumShards()),
 	}
 	keep := make(map[string]bool)
-	bytesByName := make(map[string]int64)
 	for si := 0; si < s.NumShards(); si++ {
-		sh, err := s.Shard(si).manifestShard(path, dir, keep, bytesByName, &stats)
+		sh, err := s.Shard(si).manifestShard(path, dir, keep, &stats)
 		if err != nil {
 			return stats, fmt.Errorf("storage: shard %d: %w", si, err)
 		}
@@ -520,11 +487,8 @@ func CommitSharded(path string, s *Sharded) (CommitStats, error) {
 }
 
 // manifestShard builds one shard's v3 manifest entry and writes any segment
-// files not yet on disk. Lazy shards answer entirely from their chunkMeta
-// handles — cold chunks are never loaded; a cold chunk whose segment file is
-// missing at commit time is corruption (live lazy tables only swap in rebuilt
-// chunks after their segments persist).
-func (st *Table) manifestShard(path, dir string, keep map[string]bool, bytesByName map[string]int64, stats *CommitStats) (manifestShardV3JSON, error) {
+// files not yet on disk.
+func (st *Table) manifestShard(path, dir string, keep map[string]bool, stats *CommitStats) (manifestShardV3JSON, error) {
 	schema := st.schema
 	userCol := schema.UserCol()
 	sh := manifestShardV3JSON{
@@ -540,7 +504,7 @@ func (st *Table) manifestShard(path, dir string, keep map[string]bool, bytesByNa
 		}
 	}
 	for ci := 0; ci < st.NumChunks(); ci++ {
-		entry, err := st.manifestChunk(path, dir, ci, keep, bytesByName, stats)
+		entry, err := st.manifestChunk(path, dir, ci, keep, stats)
 		if err != nil {
 			return sh, fmt.Errorf("chunk %d: %w", ci, err)
 		}
@@ -549,81 +513,49 @@ func (st *Table) manifestShard(path, dir string, keep map[string]bool, bytesByNa
 	return sh, nil
 }
 
-// manifestChunk builds one chunk's manifest entry, writing its segment file
-// if no identically-named one exists yet.
-func (st *Table) manifestChunk(path, dir string, ci int, keep map[string]bool, bytesByName map[string]int64, stats *CommitStats) (manifestChunkV3JSON, error) {
-	var entry manifestChunkV3JSON
-	if st.lazy != nil {
-		meta := &st.lazy.metas[ci]
-		name := segmentName(path, meta.hash)
-		entry = manifestChunkV3JSON{
-			File: name, Rows: meta.rows, Users: meta.users,
-			MinUser: meta.minUser, MaxUser: meta.maxUser,
-			Cols: colStatsV3(st.schema, meta.strVals, meta.intMin, meta.intMax),
-		}
-		if !keep[name] {
-			keep[name] = true
-			if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-				stats.SegmentsReused++
-				bytesByName[name] = fi.Size()
-			} else {
-				// The segment is not on disk; only a resident payload can
-				// produce it. Perm chunks (rebuilt by a merge, not yet
-				// committed) are always resident; a cold chunk missing its
-				// file is corruption.
-				ch := st.chunks[ci]
-				if !meta.perm {
-					st.lazy.cache.mu.Lock()
-					ch = st.chunks[ci]
-					st.lazy.cache.mu.Unlock()
-				}
-				if ch == nil {
-					return entry, &CorruptSegmentError{
-						Path: filepath.Join(dir, name),
-						Err:  fmt.Errorf("segment missing at commit and chunk payload not resident"),
-					}
-				}
-				buf := appendChunkSegment(nil, st.schema, st.dicts, ch)
-				if err := atomicWriteFile(filepath.Join(dir, name), buf); err != nil {
-					return entry, fmt.Errorf("writing segment: %w", err)
-				}
-				stats.SegmentsWritten++
-				stats.BytesWritten += int64(len(buf))
-				bytesByName[name] = int64(len(buf))
-			}
-		}
-		entry.Bytes = bytesByName[name]
+// manifestChunk builds one chunk's manifest entry from its handle, writing
+// its segment file if no identically-named one exists yet. A chunk not
+// hashed yet — every chunk of a fresh build — is serialized once: the bytes
+// that name the segment are the bytes written. A cold chunk whose file is
+// missing can only be written from a resident payload; without one it is
+// corruption (a live table only swaps in rebuilt chunks as perm).
+func (st *Table) manifestChunk(path, dir string, ci int, keep map[string]bool, stats *CommitStats) (manifestChunkV3JSON, error) {
+	meta := &st.metas[ci]
+	hash, size, buf := st.segment(ci)
+	name := segmentName(path, hash)
+	entry := manifestChunkV3JSON{
+		File: name, Rows: meta.rows, Users: meta.users,
+		MinUser: meta.minUser, MaxUser: meta.maxUser, Bytes: size,
+		Cols: colStatsV3(st.schema, meta.strVals, meta.intMin, meta.intMax),
+	}
+	if keep[name] {
 		return entry, nil
 	}
-	// A chunk not hashed yet — every chunk of a fresh build — is serialized
-	// once: the bytes that name the segment are the bytes written.
-	hash, buf := st.segmentHash(ci)
-	name := segmentName(path, hash)
-	minUser, maxUser := st.ChunkUserRange(ci)
-	strVals, intMin, intMax := st.chunkManifestStats(ci)
-	entry = manifestChunkV3JSON{
-		File: name, Rows: st.chunks[ci].NumRows(), Users: st.chunks[ci].NumUsers(),
-		MinUser: minUser, MaxUser: maxUser,
-		Cols: colStatsV3(st.schema, strVals, intMin, intMax),
+	keep[name] = true
+	if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+		stats.SegmentsReused++
+		return entry, nil
 	}
-	if !keep[name] {
-		keep[name] = true
-		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			stats.SegmentsReused++
-			bytesByName[name] = fi.Size()
-		} else {
-			if buf == nil {
-				buf = st.segmentBytes(ci)
-			}
-			if err := atomicWriteFile(filepath.Join(dir, name), buf); err != nil {
-				return entry, fmt.Errorf("writing segment: %w", err)
-			}
-			stats.SegmentsWritten++
-			stats.BytesWritten += int64(len(buf))
-			bytesByName[name] = int64(len(buf))
+	if buf == nil {
+		ch := st.chunks[ci]
+		if !meta.perm {
+			st.cache.mu.Lock()
+			ch = st.chunks[ci]
+			st.cache.mu.Unlock()
 		}
+		if ch == nil {
+			return entry, &CorruptSegmentError{
+				Path: filepath.Join(dir, name),
+				Err:  fmt.Errorf("segment missing at commit and chunk payload not resident"),
+			}
+		}
+		buf = appendChunkSegment(nil, st.schema, st.dicts, ch)
 	}
-	entry.Bytes = bytesByName[name]
+	if err := atomicWriteFile(filepath.Join(dir, name), buf); err != nil {
+		return entry, fmt.Errorf("writing segment: %w", err)
+	}
+	stats.SegmentsWritten++
+	stats.BytesWritten += int64(len(buf))
 	return entry, nil
 }
 

@@ -52,15 +52,14 @@ func TestBuildShardedPartitionsWholeUsers(t *testing.T) {
 			s.NumRows(), s.NumUsers(), tbl.Len(), tbl.NumUsers())
 	}
 	// Every user's block must live in exactly the shard ShardOf names.
-	userCol := tbl.Schema().UserCol()
 	for i := 0; i < s.NumShards(); i++ {
 		part := mustMaterialize(t, s.Shard(i))
 		part.UserBlocks(func(user string, _, _ int) {
 			if ShardOf(user, 4) != i {
 				t.Fatalf("user %q found in shard %d, want %d", user, i, ShardOf(user, 4))
 			}
-			if _, ok := s.Shard(i).LookupString(userCol, user); !ok {
-				t.Fatalf("user %q missing from its shard dictionary", user)
+			if _, _, ok, err := s.Shard(i).FindUser(user); !ok || err != nil {
+				t.Fatalf("user %q not found in its shard: %v", user, err)
 			}
 		})
 	}
@@ -81,7 +80,7 @@ func TestShardedManifestRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(string(head), shardMagicV3) {
 		t.Fatal("multi-shard write did not produce a manifest")
 	}
-	got, err := ReadSharded(path)
+	got, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +114,33 @@ func TestShardedManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeIsSegmentBytes pins one storage-size answer for a table
+// however it was made: a built table reports the bytes of the segment files
+// its commit writes, and the reopened table reports the same.
+func TestEncodedSizeIsSegmentBytes(t *testing.T) {
+	built, path := buildAndCommit(t, gen.Config{Users: 400, Days: 12, MeanActions: 10, Seed: 9}, 2, 128)
+	var files int64
+	for _, f := range listSegments(path) {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files += fi.Size()
+	}
+	back := readBack(t, path)
+	if got, reopened := int64(built.EncodedSize()), int64(back.EncodedSize()); got != files || reopened != files {
+		t.Fatalf("EncodedSize built %d, reopened %d; the segment files hold %d bytes", got, reopened, files)
+	}
+	// A built table that has not been committed answers the same.
+	fresh, err := BuildSharded(gen.Generate(gen.Config{Users: 400, Days: 12, MeanActions: 10, Seed: 9}), 2, Options{ChunkSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(fresh.EncodedSize()); got != files {
+		t.Fatalf("EncodedSize of an uncommitted build %d, want %d", got, files)
+	}
+}
+
 // TestLegacyFileLoadsAsOneShard pins the migration path: a single-table
 // .cohana file written by the pre-sharding format must load as a 1-shard
 // table, and its first persist upgrades it to a v2 chunk-granular manifest
@@ -130,7 +156,7 @@ func TestLegacyFileLoadsAsOneShard(t *testing.T) {
 	if err := st.WriteFile(path); err != nil { // the pre-sharding writer
 		t.Fatal(err)
 	}
-	s, err := ReadSharded(path)
+	s, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +175,7 @@ func TestLegacyFileLoadsAsOneShard(t *testing.T) {
 	if !strings.HasPrefix(string(head), shardMagicV3) {
 		t.Fatal("persisting a legacy load did not upgrade it to a manifest")
 	}
-	back, err := ReadSharded(path)
+	back, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +231,7 @@ func TestV1ManifestLoadsAndUpgrades(t *testing.T) {
 	if err := os.WriteFile(path, append([]byte(shardMagic), body...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSharded(path)
+	got, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +248,7 @@ func TestV1ManifestLoadsAndUpgrades(t *testing.T) {
 			t.Fatalf("v1 segment %s survived the upgrade sweep", seg)
 		}
 	}
-	back, err := ReadSharded(path)
+	back, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +311,7 @@ func TestSweepKeepsOtherTablesSegments(t *testing.T) {
 	if got := countSegments(t, dir, "ab.cohana"); got != before {
 		t.Fatalf("ab has %d segments after committing a*, want %d", got, before)
 	}
-	back, err := ReadSharded(ab)
+	back, err := ReadShardedWith(ab, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatalf("reopening ab after committing a*: %v", err)
 	}
@@ -309,7 +335,7 @@ func TestSweepGlobSyntaxTableName(t *testing.T) {
 	if got := countSegments(t, dir, "a[b.cohana"); got != other.NumChunks() {
 		t.Fatalf("a[b keeps %d segments after recommitting, want %d (stale ones swept)", got, other.NumChunks())
 	}
-	back, err := ReadSharded(path)
+	back, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

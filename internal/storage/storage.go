@@ -46,28 +46,37 @@ func (o Options) chunkSize() int {
 	return o.ChunkSize
 }
 
-// Table is a compressed, chunked, columnar activity table.
+// Table is a compressed, chunked, columnar activity table. Every chunk has a
+// manifest-level handle (chunkMeta) that answers pruning and user lookups
+// without its payload; the payload is reached through PinChunk. A chunk is
+// either perm — resident for the table's life, as every chunk of a table
+// built in memory, read from an older layout or rebuilt by MergeDelta is —
+// or cold until a scan loads its segment file into the ChunkCache.
 type Table struct {
 	schema    *activity.Schema
 	chunkSize int
 	numRows   int
 	numUsers  int
 
-	// dicts[c] is the global dictionary for string column c (nil for
-	// integer columns). The user column's dictionary is dicts[schema.UserCol()]
-	// — except on lazy tables, which have none: user ids are virtual
-	// (chunkMeta.userBase + local index) and resolve via UserString.
+	// dicts[c] is the global dictionary for non-user string column c (nil
+	// for the user and integer columns). Users have no dictionary: a user's
+	// global id is its chunk's userBase plus its index within the chunk, and
+	// resolves via UserString.
 	dicts []*encoding.Dict
 	// globalMin/globalMax hold the global range of integer column c.
 	globalMin, globalMax []int64
 
-	// chunks[i] is the decoded payload of chunk i. On lazy tables a nil
-	// entry means the chunk is cold; slots of non-perm chunks are guarded by
-	// lazy.cache.mu and accessed through PinChunk.
+	// metas[i] is chunk i's manifest-level handle.
+	metas []chunkMeta
+	// chunks[i] is the decoded payload of chunk i: always set on perm
+	// chunks; on the others nil while cold, guarded by cache.mu and accessed
+	// through PinChunk.
 	chunks []*Chunk
 
-	// lazy is non-nil when the table loads chunk payloads on demand.
-	lazy *lazyState
+	// dir holds the segment files of the non-perm chunks, and cache their
+	// loaded payloads; both are unset on a table whose chunks are all perm.
+	dir   string
+	cache *ChunkCache
 }
 
 // Chunk is one horizontal partition holding complete user blocks.
@@ -76,17 +85,8 @@ type Chunk struct {
 	users   *encoding.RLE // global user ids, one run per user
 	cols    []chunkColumn // indexed by schema column; user column entry unused
 
-	// seg lazily caches the content hash of the chunk's self-contained
-	// segment encoding; incremental persistence skips re-serializing (and
-	// re-writing) chunks whose segment file already exists on disk. A chunk
-	// whose dictionaries were remapped without touching its rows shares the
-	// pointer with its predecessor — the segment encodes values, not global
-	// ids, so the content (and hash) is unchanged.
-	seg *segInfo
-
-	// userVals/userBase stand in for the user dictionary on lazy tables:
-	// the chunk's distinct users in ascending order, whose global ids are
-	// userBase, userBase+1, … (nil/0 on eager tables).
+	// userVals are the chunk's distinct users in ascending order, whose
+	// global ids are userBase, userBase+1, …
 	userVals []string
 	userBase uint64
 
@@ -99,11 +99,15 @@ type Chunk struct {
 	transient bool
 }
 
-// segInfo is the shared lazily-computed segment identity of a chunk: the
-// hex-encoded truncated SHA-256 of its self-contained segment encoding.
+// segInfo is the lazily computed segment identity of a perm chunk: the
+// hex-encoded truncated SHA-256 of its self-contained segment encoding, and
+// that encoding's size. A chunk carried through a merge without touching its
+// rows shares the pointer with its predecessor — the segment encodes values,
+// not global ids, so the content (and hash) is unchanged.
 type segInfo struct {
-	once sync.Once
-	hash string
+	once  sync.Once
+	hash  string
+	bytes int64
 }
 
 type chunkColumn struct {
@@ -148,7 +152,7 @@ func buildShards(t *activity.Table, shards int, opts Options) ([]*Table, error) 
 	tables := make([]*Table, shards)
 	for si := range tables {
 		var err error
-		if tables[si], err = assembleShard(t.Schema(), chunkSize, segs[si], nil); err != nil {
+		if tables[si], err = assembleShard(t.Schema(), chunkSize, segs[si]); err != nil {
 			return nil, fmt.Errorf("storage: building shard %d: %w", si, err)
 		}
 	}
@@ -260,51 +264,29 @@ func (st *Table) NumRows() int { return st.numRows }
 func (st *Table) NumUsers() int { return st.numUsers }
 
 // NumChunks returns the number of chunks.
-func (st *Table) NumChunks() int { return len(st.chunks) }
+func (st *Table) NumChunks() int { return len(st.metas) }
 
 // ChunkSize returns the configured target chunk size.
 func (st *Table) ChunkSize() int { return st.chunkSize }
-
-// Chunk returns the i-th chunk's decoded payload. On lazy tables it reads
-// the slot under the cache lock and panics when the chunk is cold — scan
-// paths must hold it via PinChunk; Chunk is for eager tables and
-// already-pinned access.
-func (st *Table) Chunk(i int) *Chunk {
-	if st.lazy != nil && !st.lazy.metas[i].perm {
-		st.lazy.cache.mu.Lock()
-		ch := st.chunks[i]
-		st.lazy.cache.mu.Unlock()
-		if ch == nil {
-			panic("storage: cold lazy chunk accessed without PinChunk")
-		}
-		return ch
-	}
-	return st.chunks[i]
-}
 
 // RowOffset returns the global row index of the first tuple of chunk i;
 // chunk-local row r corresponds to global row RowOffset(i)+r in the source
 // table's primary-key order.
 func (st *Table) RowOffset(i int) int {
 	off := 0
-	if st.lazy != nil {
-		for k := 0; k < i; k++ {
-			off += st.lazy.metas[k].rows
-		}
-		return off
-	}
 	for k := 0; k < i; k++ {
-		off += st.chunks[k].numRows
+		off += st.metas[k].rows
 	}
 	return off
 }
 
-// Dict returns the global dictionary of a string column, or nil for integer
-// columns.
+// Dict returns the global dictionary of a non-user string column, or nil for
+// the user and integer columns.
 func (st *Table) Dict(col int) *encoding.Dict { return st.dicts[col] }
 
-// LookupString returns the global-id of value v in column col, or false if v
-// never occurs in the table.
+// LookupString returns the global-id of value v in non-user string column
+// col, or false if v never occurs in the table (and for the user column; see
+// FindUser).
 func (st *Table) LookupString(col int, v string) (uint64, bool) {
 	d := st.dicts[col]
 	if d == nil {

@@ -19,6 +19,33 @@ func buildPaperTable(t *testing.T, chunkSize int) *Table {
 	return st
 }
 
+// pinned pins chunk i of st for the rest of the test.
+func pinned(tb testing.TB, st *Table, i int) *Chunk {
+	tb.Helper()
+	ch, release, err := st.PinChunk(i)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(release)
+	return ch
+}
+
+// chunkSegment serializes chunk i of st as a self-contained segment.
+func chunkSegment(tb testing.TB, st *Table, i int) []byte {
+	tb.Helper()
+	return appendChunkSegment(nil, st.schema, st.dicts, pinned(tb, st, i))
+}
+
+// readBack opens a committed table on a private unbounded cache.
+func readBack(tb testing.TB, path string) *Sharded {
+	tb.Helper()
+	s, err := ReadShardedWith(path, ReadOptions{Cache: NewChunkCache(0)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func TestBuildRequiresSortedInput(t *testing.T) {
 	tbl := activity.NewTable(activity.PaperSchema())
 	if err := tbl.Append("001", int64(1), "launch", "r", "c", int64(0)); err != nil {
@@ -37,7 +64,7 @@ func TestBuildBasicProperties(t *testing.T) {
 	if st.NumChunks() != 1 {
 		t.Fatalf("chunks=%d, want 1", st.NumChunks())
 	}
-	ch := st.Chunk(0)
+	ch := pinned(t, st, 0)
 	if ch.NumRows() != 10 || ch.NumUsers() != 3 {
 		t.Fatalf("chunk rows=%d users=%d", ch.NumRows(), ch.NumUsers())
 	}
@@ -52,7 +79,7 @@ func TestUserAlignedChunking(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < st.NumChunks(); i++ {
-		ch := st.Chunk(i)
+		ch := pinned(t, st, i)
 		total += ch.NumRows()
 		if ch.NumUsers() != 1 {
 			t.Errorf("chunk %d has %d users, want 1", i, ch.NumUsers())
@@ -66,19 +93,23 @@ func TestUserAlignedChunking(t *testing.T) {
 // decodeAll reconstructs the logical table from the compressed form.
 func decodeAll(st *Table) (users, actions []string, times []int64, golds []int64) {
 	schema := st.Schema()
-	uc, tc, ac := schema.UserCol(), schema.TimeCol(), schema.ActionCol()
+	tc, ac := schema.TimeCol(), schema.ActionCol()
 	gc := schema.ColIndex("gold")
 	for i := 0; i < st.NumChunks(); i++ {
-		ch := st.Chunk(i)
+		ch, release, err := st.PinChunk(i)
+		if err != nil {
+			panic(err)
+		}
 		for r := 0; r < ch.NumUsers(); r++ {
 			gid, first, n := ch.UserRun(r)
 			for row := first; row < first+n; row++ {
-				users = append(users, st.Dict(uc).Value(gid))
+				users = append(users, st.UserString(ch, gid))
 				actions = append(actions, st.Dict(ac).Value(ch.StringID(ac, row)))
 				times = append(times, ch.Int(tc, row))
 				golds = append(golds, ch.Int(gc, row))
 			}
 		}
+		release()
 	}
 	return
 }
@@ -108,11 +139,11 @@ func TestChunkPruningHelpers(t *testing.T) {
 	}
 	shopID, _ := st.LookupString(ac, "shop")
 	// Player 003 (chunk 2) never shopped.
-	if st.Chunk(2).HasGlobalID(ac, shopID) {
+	if pinned(t, st, 2).HasGlobalID(ac, shopID) || st.ChunkMayHaveGID(2, ac, shopID) {
 		t.Error("chunk 2 claims to contain shop")
 	}
 	for i := 0; i < 3; i++ {
-		if !st.Chunk(i).HasGlobalID(ac, launchID) {
+		if !pinned(t, st, i).HasGlobalID(ac, launchID) || !st.ChunkMayHaveGID(i, ac, launchID) {
 			t.Errorf("chunk %d missing launch", i)
 		}
 	}
@@ -121,9 +152,12 @@ func TestChunkPruningHelpers(t *testing.T) {
 	}
 	// Integer ranges.
 	gc := st.Schema().ColIndex("gold")
-	mn, mx := st.Chunk(1).IntRange(gc) // player 002: gold 0, 30, 40
+	mn, mx := pinned(t, st, 1).IntRange(gc) // player 002: gold 0, 30, 40
 	if mn != 0 || mx != 40 {
 		t.Errorf("chunk 1 gold range = [%d, %d]", mn, mx)
+	}
+	if mn, mx := st.ChunkIntRange(1, gc); mn != 0 || mx != 40 {
+		t.Errorf("chunk 1 gold range from its handle = [%d, %d]", mn, mx)
 	}
 	gmn, gmx := globalRange(st, gc)
 	if gmn != 0 || gmx != 100 {

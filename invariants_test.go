@@ -109,7 +109,7 @@ func TestDeserializeNeverPanics(t *testing.T) {
 	}
 	// Save writes a v2 manifest; grab the (single) shard back and serialize
 	// it in the legacy single-table format the fuzzing below mutates.
-	sh, err := storage.ReadSharded(path)
+	sh, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: storage.NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestLazyQueryDecodesExactlyUnprunedChunks(t *testing.T) {
 	path := saveRareTable(t)
 	// A private cache: the process-wide default may already hold this
 	// fixture's content-addressed segments from another test.
-	st, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true, Cache: storage.NewChunkCache(0)})
+	st, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: storage.NewChunkCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,19 +128,20 @@ func TestLazyQueryDecodesExactlyUnprunedChunks(t *testing.T) {
 	}
 }
 
-// TestLazyEagerQueryEquivalence runs a battery of queries through a lazy open
-// of a saved table and through the eager storage.ReadSharded reference of
-// the same file, and requires bit-identical results — including with a tiny
-// private cache standing in for "table larger than RAM" (shards keep
-// evicting each other mid-query).
+// TestLazyEagerQueryEquivalence runs a battery of queries through the engine
+// over a freshly built table (the eager side: every chunk held in memory) and
+// through opens of the table it saved, on an unbounded cache and on a tiny
+// private one standing in for "table larger than RAM" (shards keep evicting
+// each other mid-query), and requires bit-identical results: budget-1 ≡
+// unbounded ≡ freshly built.
 func TestLazyEagerQueryEquivalence(t *testing.T) {
 	tbl := Generate(GenConfig{Users: 50, Days: 10, MeanActions: 8, Seed: 123})
-	eng, err := NewEngine(tbl, Options{ChunkSize: 64, Shards: 4})
+	built, err := NewEngine(tbl, Options{ChunkSize: 64, Shards: 4, Parallelism: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "g.cohana")
-	if err := eng.Save(context.Background(), path); err != nil {
+	if err := built.Save(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	queries := []string{
@@ -159,18 +160,9 @@ func TestLazyEagerQueryEquivalence(t *testing.T) {
 		   BIRTH FROM action = "shop" AND time >= "2013-05-24" AND country != "China"
 		   COHORT BY role`,
 	}
-	eagerTbl, err := storage.ReadSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eagerLive, err := ingest.OpenSharded(eagerTbl, ingest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager := EngineForIngest(eagerLive, Options{Parallelism: -1})
 	for _, budget := range []int64{1, 0} {
 		// A private cache keeps the tiny budget from leaking to other tests.
-		st, err := storage.ReadShardedWith(path, storage.ReadOptions{Lazy: true, Cache: storage.NewChunkCache(budget)})
+		st, err := storage.ReadShardedWith(path, storage.ReadOptions{Cache: storage.NewChunkCache(budget)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,9 +172,9 @@ func TestLazyEagerQueryEquivalence(t *testing.T) {
 		}
 		lazyEng := EngineForIngest(live, Options{Parallelism: -1})
 		for qi, q := range queries {
-			want, err := eager.Query(context.Background(), q)
+			want, err := built.Query(context.Background(), q)
 			if err != nil {
-				t.Fatalf("query %d eager: %v", qi, err)
+				t.Fatalf("query %d built: %v", qi, err)
 			}
 			if len(want.Cohort.Rows) == 0 {
 				t.Fatalf("query %d returns no rows: the comparison would be vacuous", qi)
@@ -192,7 +184,7 @@ func TestLazyEagerQueryEquivalence(t *testing.T) {
 				t.Fatalf("query %d lazy (budget %d): %v", qi, budget, err)
 			}
 			if d := want.Cohort.Diff(got.Cohort); d != "" {
-				t.Errorf("query %d (budget %d) lazy differs from eager:\n%s", qi, budget, d)
+				t.Errorf("query %d (budget %d) opened differs from built:\n%s", qi, budget, d)
 			}
 		}
 	}
